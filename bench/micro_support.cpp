@@ -38,7 +38,20 @@ static void BM_BigIntGcd(benchmark::State &State) {
   for (auto _ : State)
     benchmark::DoNotOptimize(BigInt::gcd(A, B));
 }
-BENCHMARK(BM_BigIntGcd)->Arg(8)->Arg(64);
+BENCHMARK(BM_BigIntGcd)->Arg(8)->Arg(64)->Arg(512);
+
+static void BM_BigIntGcdFibonacci(benchmark::State &State) {
+  // Consecutive Fibonacci numbers: Euclid's worst case (every quotient 1).
+  BigInt A(0), B(1);
+  for (int64_t I = 0; I < State.range(0); ++I) {
+    BigInt Next = A + B;
+    A = std::move(B);
+    B = std::move(Next);
+  }
+  for (auto _ : State)
+    benchmark::DoNotOptimize(BigInt::gcd(A, B));
+}
+BENCHMARK(BM_BigIntGcdFibonacci)->Arg(100)->Arg(1000);
 
 static void BM_BigIntSmallAdd(benchmark::State &State) {
   // Word-sized operands: the common case for FDD leaf numerators.

@@ -235,10 +235,14 @@ if [ "$MODE" = "bench" ]; then
       echo "error: $bench was not built (is Google Benchmark installed?)" >&2
       exit 1
     fi
+    # Fixed repetitions: the JSON records median/mean/stddev/cv per
+    # benchmark instead of one sample.
     "$BUILD_DIR/$bench" \
       --benchmark_out="bench/results/BENCH_${bench}.json" \
       --benchmark_out_format=json \
-      --benchmark_min_time="${MCNK_BENCH_MIN_TIME:-0.2}"
+      --benchmark_min_time="${MCNK_BENCH_MIN_TIME:-0.2}" \
+      --benchmark_repetitions=5 \
+      --benchmark_report_aggregates_only=true
   done
   # Fig 8 trajectory point: parallel-compile speedup on this host (the
   # JSON records host concurrency, so single-core CI points stay

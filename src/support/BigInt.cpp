@@ -4,8 +4,9 @@
 /// BigInt arithmetic: an inline int64 fast path (overflow detected with the
 /// `__builtin_*_overflow` intrinsics, widened through __int128 on spill)
 /// over sign-magnitude bignum arithmetic on 32-bit limbs — schoolbook
-/// multiplication and Knuth Algorithm D division. The representation is
-/// canonical: values are inline iff they fit int64_t.
+/// multiplication and Knuth Algorithm D division — and the 64-bit limb
+/// kernels of Lehmer's gcd. The representation is canonical: values are
+/// inline iff they fit int64_t.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +38,27 @@ void pushMagnitude(std::vector<uint32_t> &Limbs, uint64_t Mag) {
     Limbs.push_back(static_cast<uint32_t>(Mag & 0xffffffffULL));
   if (Mag >> 32)
     Limbs.push_back(static_cast<uint32_t>(Mag >> 32));
+}
+
+/// Out = A·X - B·Y; the caller guarantees the result is nonnegative.
+/// Signed 128-bit borrow propagation.
+void linSubLimbs(Limbs64 &Out, uint64_t A, const Limbs64 &X, uint64_t B,
+                 const Limbs64 &Y) {
+  std::size_t N = std::max(X.size(), Y.size()) + 1;
+  Out.resize(N);
+  __int128 Carry = 0;
+  for (std::size_t I = 0; I < N; ++I) {
+    __int128 T = Carry;
+    if (I < X.size())
+      T += static_cast<__int128>(static_cast<unsigned __int128>(A) * X[I]);
+    if (I < Y.size())
+      T -= static_cast<__int128>(static_cast<unsigned __int128>(B) * Y[I]);
+    Out[I] = static_cast<uint64_t>(T);
+    Carry = T >> 64; // Arithmetic shift: floor division by 2^64.
+  }
+  assert(Carry == 0 && "linSubLimbs produced a negative value");
+  while (!Out.empty() && Out.back() == 0)
+    Out.pop_back();
 }
 
 } // namespace
@@ -651,17 +673,41 @@ uint64_t BigInt::gcdU64(uint64_t A, uint64_t B) {
 }
 
 BigInt BigInt::gcd(const BigInt &A, const BigInt &B) {
-  BigInt X = A.abs(), Y = B.abs();
-  while (!Y.isZero()) {
-    if (X.SmallRep && Y.SmallRep)
-      return fromMagnitude(
-          false, gcdU64(magnitudeOf(X.Small), magnitudeOf(Y.Small)));
-    BigInt R = X % Y;
-    X = std::move(Y);
-    Y = std::move(R);
+  if (A.SmallRep && B.SmallRep)
+    return fromMagnitude(false,
+                         gcdU64(magnitudeOf(A.Small), magnitudeOf(B.Small)));
+  if (A.SmallRep || B.SmallRep) {
+    const BigInt &Big = A.SmallRep ? B : A;
+    uint64_t Word = magnitudeOf(A.SmallRep ? A.Small : B.Small);
+    if (Word == 0)
+      return Big.abs();
+    return fromMagnitude(false, gcdU64(Big.modU64(Word), Word));
   }
-  return X; // Non-negative: abs seeds, and remainders keep the sign of
-            // their (non-negative) dividends.
+  Limbs64 R0 = A.magnitudeLimbs64(), R1 = B.magnitudeLimbs64();
+  if (limbsBitLength(R0) < limbsBitLength(R1))
+    std::swap(R0, R1);
+  Limbs64 S0, S1; // Ping-pong scratch; capacity persists across windows.
+  while (limbsBitLength(R1) > 64) {
+    unsigned Shift = limbsBitLength(R0) - 62;
+    int64_t WA, WB, WC, WD;
+    lehmerWindow(limbsWindow(R0, Shift), limbsWindow(R1, Shift), WA, WB, WC,
+                 WD);
+    if (WB == 0) {
+      // No certain quotient in the window (rare: a huge true quotient);
+      // take one exact step instead.
+      BigInt Rem = fromLimbs64(false, R0) % fromLimbs64(false, R1);
+      R0 = std::move(R1);
+      R1 = Rem.magnitudeLimbs64();
+      continue;
+    }
+    applyRemainderRow(S0, WA, R0, WB, R1);
+    applyRemainderRow(S1, WC, R0, WD, R1);
+    std::swap(R0, S0);
+    std::swap(R1, S1);
+  }
+  if (R1.empty())
+    return fromLimbs64(false, R0);
+  return fromMagnitude(false, gcdU64(limbs64ModU64(R0, R1[0]), R1[0]));
 }
 
 BigInt BigInt::pow(const BigInt &Base, unsigned Exp) {
@@ -788,4 +834,103 @@ std::size_t BigInt::numLimbs() const {
   if (Mag == 0)
     return 0;
   return Mag >> 32 ? 2 : 1;
+}
+
+unsigned mcnk::limbsBitLength(const Limbs64 &V) {
+  if (V.empty())
+    return 0;
+  return 64 * static_cast<unsigned>(V.size() - 1) +
+         (64 - static_cast<unsigned>(__builtin_clzll(V.back())));
+}
+
+uint64_t mcnk::limbsWindow(const Limbs64 &V, unsigned Shift) {
+  std::size_t I = Shift / 64;
+  unsigned Off = Shift % 64;
+  if (I >= V.size())
+    return 0;
+  uint64_t W = V[I] >> Off;
+  if (Off != 0 && I + 1 < V.size())
+    W |= V[I + 1] << (64 - Off);
+  return W;
+}
+
+uint64_t mcnk::limbs64ModU64(const Limbs64 &V, uint64_t Mod) {
+  assert(Mod != 0 && "modulus must be nonzero");
+  unsigned __int128 R = 0;
+  for (std::size_t I = V.size(); I-- > 0;)
+    R = ((R << 64) | V[I]) % Mod;
+  return static_cast<uint64_t>(R);
+}
+
+void mcnk::lehmerWindow(uint64_t X, uint64_t Y, int64_t &A, int64_t &B,
+                        int64_t &C, int64_t &D) {
+  A = 1;
+  B = 0;
+  C = 0;
+  D = 1;
+  int64_t SX = static_cast<int64_t>(X);
+  int64_t SY = static_cast<int64_t>(Y);
+  for (;;) {
+    // The true remainders are bracketed by (y+C, y+D); once either bound
+    // hits zero the window has no more certain quotients.
+    int64_t YC, YD, XA, XB;
+    if (__builtin_add_overflow(SY, C, &YC) ||
+        __builtin_add_overflow(SY, D, &YD) || YC == 0 || YD == 0 ||
+        __builtin_add_overflow(SX, A, &XA) ||
+        __builtin_add_overflow(SX, B, &XB))
+      return;
+    int64_t Q = XA / YC;
+    if (Q != XB / YD)
+      return;
+    int64_t T, QT;
+    if (__builtin_mul_overflow(Q, C, &QT) ||
+        __builtin_sub_overflow(A, QT, &T))
+      return;
+    A = C;
+    C = T;
+    if (__builtin_mul_overflow(Q, D, &QT) ||
+        __builtin_sub_overflow(B, QT, &T))
+      return;
+    B = D;
+    D = T;
+    if (__builtin_mul_overflow(Q, SY, &QT) ||
+        __builtin_sub_overflow(SX, QT, &T))
+      return;
+    SX = SY;
+    SY = T;
+  }
+}
+
+void mcnk::linAddLimbs(Limbs64 &Out, uint64_t A, const Limbs64 &X, uint64_t B,
+                       const Limbs64 &Y) {
+  // The 128-bit accumulator absorbs both products and the running carry.
+  std::size_t N = std::max(X.size(), Y.size()) + 1;
+  Out.resize(N);
+  unsigned __int128 Carry = 0;
+  for (std::size_t I = 0; I < N; ++I) {
+    unsigned __int128 T = Carry;
+    if (I < X.size())
+      T += static_cast<unsigned __int128>(A) * X[I];
+    if (I < Y.size())
+      T += static_cast<unsigned __int128>(B) * Y[I];
+    Out[I] = static_cast<uint64_t>(T);
+    Carry = T >> 64;
+  }
+  assert(Carry == 0 && "linAddLimbs overflowed its output limb");
+  while (!Out.empty() && Out.back() == 0)
+    Out.pop_back();
+}
+
+void mcnk::applyRemainderRow(Limbs64 &Out, int64_t P, const Limbs64 &U,
+                             int64_t Q, const Limbs64 &V) {
+  // A window row has one coefficient >= 0 and the other <= 0.
+  if (P >= 0 && Q >= 0)
+    linAddLimbs(Out, static_cast<uint64_t>(P), U, static_cast<uint64_t>(Q),
+                V);
+  else if (P >= 0)
+    linSubLimbs(Out, static_cast<uint64_t>(P), U, static_cast<uint64_t>(-Q),
+                V);
+  else
+    linSubLimbs(Out, static_cast<uint64_t>(Q), V, static_cast<uint64_t>(-P),
+                U);
 }

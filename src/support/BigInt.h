@@ -7,7 +7,9 @@
 /// probability numerators and denominators — live inline in an int64_t with
 /// no heap allocation; only values outside the int64_t range spill into a
 /// sign-magnitude little-endian 32-bit limb vector (schoolbook
-/// multiplication, Knuth Algorithm D division). See docs/ARCHITECTURE.md S9.
+/// multiplication, Knuth Algorithm D division, Lehmer gcd over the 64-bit
+/// limb kernels that rational reconstruction shares). See
+/// docs/ARCHITECTURE.md S9.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,9 +68,9 @@ public:
   /// (support/ModArith.h): one Horner pass over the limbs, no allocation.
   uint64_t modU64(uint64_t Mod) const;
 
-  /// Magnitude as little-endian 64-bit limbs (empty for zero). The
-  /// batched-EGCD kernels of rational reconstruction (support/ModArith.h)
-  /// run on raw 64-bit words; these two hops convert at entry and exit.
+  /// Magnitude as little-endian 64-bit limbs (empty for zero). The Lehmer
+  /// kernels (gcd, rational reconstruction) run on raw 64-bit words; these
+  /// two hops convert at entry and exit.
   std::vector<uint64_t> magnitudeLimbs64() const;
   /// Rebuilds a value from 64-bit limbs (trailing zeros allowed; the
   /// result is canonicalized).
@@ -113,7 +115,9 @@ public:
   BigInt shl(unsigned Bits) const;
   BigInt shr(unsigned Bits) const;
 
-  /// Greatest common divisor of magnitudes; gcd(0,0) == 0.
+  /// Greatest common divisor of magnitudes; gcd(0,0) == 0. Word-sized
+  /// operands take gcdU64; multi-limb pairs run Lehmer windows down to one
+  /// word, then finish with one modU64 and gcdU64.
   static BigInt gcd(const BigInt &A, const BigInt &B);
 
   /// Binary GCD on word-sized magnitudes (public so Rational's int64 fast
@@ -214,6 +218,42 @@ private:
   int64_t Small = 0;
   std::vector<Limb> Limbs; // little-endian
 };
+
+/// The magnitudeLimbs64 interchange format. The Lehmer kernels below fuse
+/// each 2x2 window-matrix row into one carry-propagating pass over
+/// caller-owned buffers, instead of allocating BigInt temporaries.
+using Limbs64 = std::vector<uint64_t>;
+
+/// Number of significant bits of \p V (0 for empty).
+unsigned limbsBitLength(const Limbs64 &V);
+
+/// Bits [Shift, Shift+62) of \p V. Callers align Shift to the top of the
+/// larger operand, so no value has bits at or above Shift+62.
+uint64_t limbsWindow(const Limbs64 &V, unsigned Shift);
+
+/// Magnitude of \p V modulo \p Mod (asserts Mod != 0): the limb-format
+/// counterpart of BigInt::modU64.
+uint64_t limbs64ModU64(const Limbs64 &V, uint64_t Mod);
+
+/// One Lehmer window (Knuth 4.5.2 Algorithm L): simulate the Euclidean
+/// remainder sequence of (R0, R1) on their leading 62 bits \p X, \p Y
+/// with word-size cofactors, advancing only while the double-quotient
+/// agreement test proves the simulated quotient equals the true one. On
+/// return, (R0', R1') = (A·R0 + B·R1, C·R0 + D·R1) holds for the simulated
+/// number of true Euclidean steps; B == 0 means no step was certain and
+/// the caller must take one full-precision division instead.
+void lehmerWindow(uint64_t X, uint64_t Y, int64_t &A, int64_t &B, int64_t &C,
+                  int64_t &D);
+
+/// Out = A·X + B·Y (magnitudes; A, B < 2^63).
+void linAddLimbs(Limbs64 &Out, uint64_t A, const Limbs64 &X, uint64_t B,
+                 const Limbs64 &Y);
+
+/// Out = P·U + Q·V for a lehmerWindow matrix row applied to a
+/// (nonnegative) remainder pair: the result is a true remainder, hence
+/// nonnegative.
+void applyRemainderRow(Limbs64 &Out, int64_t P, const Limbs64 &U, int64_t Q,
+                       const Limbs64 &V);
 
 } // namespace mcnk
 

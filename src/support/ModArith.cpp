@@ -192,173 +192,6 @@ BigInt isqrtBigInt(const BigInt &V) {
   }
 }
 
-namespace {
-
-/// One Lehmer window (Knuth 4.5.2 Algorithm L): simulate the Euclidean
-/// remainder sequence of (R0, R1) on the leading 62 bits with word-size
-/// cofactors, advancing only while the classic double-quotient agreement
-/// test proves the simulated quotient equals the true one. On return,
-/// (R0', R1') = (A·R0 + B·R1, C·R0 + D·R1) holds for the simulated number
-/// of true EGCD steps; B == 0 means no step was certain and the caller
-/// must fall back to one full-precision division.
-void lehmerWindow(std::uint64_t X, std::uint64_t Y, std::int64_t &A,
-                  std::int64_t &B, std::int64_t &C, std::int64_t &D) {
-  A = 1;
-  B = 0;
-  C = 0;
-  D = 1;
-  std::int64_t SX = static_cast<std::int64_t>(X);
-  std::int64_t SY = static_cast<std::int64_t>(Y);
-  for (;;) {
-    // The true remainders are bracketed by (y+C, y+D); once either bound
-    // hits zero the window has no more certain quotients.
-    std::int64_t YC, YD, XA, XB;
-    if (__builtin_add_overflow(SY, C, &YC) ||
-        __builtin_add_overflow(SY, D, &YD) || YC == 0 || YD == 0 ||
-        __builtin_add_overflow(SX, A, &XA) ||
-        __builtin_add_overflow(SX, B, &XB))
-      return;
-    std::int64_t Q = XA / YC;
-    if (Q != XB / YD)
-      return;
-    std::int64_t T, QT;
-    if (__builtin_mul_overflow(Q, C, &QT) ||
-        __builtin_sub_overflow(A, QT, &T))
-      return;
-    A = C;
-    C = T;
-    if (__builtin_mul_overflow(Q, D, &QT) ||
-        __builtin_sub_overflow(B, QT, &T))
-      return;
-    B = D;
-    D = T;
-    if (__builtin_mul_overflow(Q, SY, &QT) ||
-        __builtin_sub_overflow(SX, QT, &T))
-      return;
-    SX = SY;
-    SY = T;
-  }
-}
-
-/// The batched EGCD phases run on little-endian 64-bit limb vectors
-/// rather than BigInt: every Lehmer window applies a 2x2 word matrix to
-/// two multi-limb values, and doing that through BigInt temporaries costs
-/// an allocation per multiply plus 32-bit schoolbook arithmetic. The
-/// kernels below fuse each row into one carry-propagating pass over
-/// reusable scratch buffers.
-using Limbs64 = std::vector<std::uint64_t>;
-
-unsigned limbsBitLength(const Limbs64 &V) {
-  if (V.empty())
-    return 0;
-  return 64 * static_cast<unsigned>(V.size() - 1) +
-         (64 - static_cast<unsigned>(__builtin_clzll(V.back())));
-}
-
-/// Bits [Shift, Shift+62) of \p V. Callers align Shift to the top of the
-/// larger operand, so no value has bits at or above Shift+62.
-std::uint64_t limbsWindow(const Limbs64 &V, unsigned Shift) {
-  std::size_t I = Shift / 64;
-  unsigned Off = Shift % 64;
-  if (I >= V.size())
-    return 0;
-  std::uint64_t W = V[I] >> Off;
-  if (Off != 0 && I + 1 < V.size())
-    W |= V[I + 1] << (64 - Off);
-  return W;
-}
-
-/// Out = A·X + B·Y (magnitudes; A, B < 2^63). One pass: the 128-bit
-/// accumulator absorbs both products and the running carry.
-void linAddLimbs(Limbs64 &Out, std::uint64_t A, const Limbs64 &X,
-                 std::uint64_t B, const Limbs64 &Y) {
-  std::size_t N = std::max(X.size(), Y.size()) + 1;
-  Out.resize(N);
-  unsigned __int128 Carry = 0;
-  for (std::size_t I = 0; I < N; ++I) {
-    unsigned __int128 T = Carry;
-    if (I < X.size())
-      T += static_cast<unsigned __int128>(A) * X[I];
-    if (I < Y.size())
-      T += static_cast<unsigned __int128>(B) * Y[I];
-    Out[I] = static_cast<std::uint64_t>(T);
-    Carry = T >> 64;
-  }
-  assert(Carry == 0 && "linAddLimbs overflowed its output limb");
-  while (!Out.empty() && Out.back() == 0)
-    Out.pop_back();
-}
-
-/// Out = A·X - B·Y; the caller guarantees the result is nonnegative (the
-/// remainder-sequence invariant). Signed 128-bit borrow propagation.
-void linSubLimbs(Limbs64 &Out, std::uint64_t A, const Limbs64 &X,
-                 std::uint64_t B, const Limbs64 &Y) {
-  std::size_t N = std::max(X.size(), Y.size()) + 1;
-  Out.resize(N);
-  __int128 Carry = 0;
-  for (std::size_t I = 0; I < N; ++I) {
-    __int128 T = Carry;
-    if (I < X.size())
-      T += static_cast<__int128>(static_cast<unsigned __int128>(A) * X[I]);
-    if (I < Y.size())
-      T -= static_cast<__int128>(static_cast<unsigned __int128>(B) * Y[I]);
-    Out[I] = static_cast<std::uint64_t>(T);
-    Carry = T >> 64; // Arithmetic shift: floor division by 2^64.
-  }
-  assert(Carry == 0 && "linSubLimbs produced a negative value");
-  while (!Out.empty() && Out.back() == 0)
-    Out.pop_back();
-}
-
-/// Out = P·U + Q·V for a window-matrix row applied to the (nonnegative)
-/// remainder pair: one coefficient is >= 0 and the other <= 0, and the
-/// result is a true remainder, hence nonnegative.
-void applyRemainderRow(Limbs64 &Out, std::int64_t P, const Limbs64 &U,
-                       std::int64_t Q, const Limbs64 &V) {
-  if (P >= 0 && Q >= 0)
-    linAddLimbs(Out, static_cast<std::uint64_t>(P), U,
-                static_cast<std::uint64_t>(Q), V);
-  else if (P >= 0)
-    linSubLimbs(Out, static_cast<std::uint64_t>(P), U,
-                static_cast<std::uint64_t>(-Q), V);
-  else
-    linSubLimbs(Out, static_cast<std::uint64_t>(Q), V,
-                static_cast<std::uint64_t>(-P), U);
-}
-
-/// gcd of magnitudes with Lehmer batching — the coprimality check of
-/// rational reconstruction runs on multi-limb convergents, where the
-/// one-division-per-step BigInt::gcd is the bottleneck.
-BigInt lehmerGcd(const BigInt &X, const BigInt &Y) {
-  Limbs64 R0 = X.magnitudeLimbs64(), R1 = Y.magnitudeLimbs64();
-  if (limbsBitLength(R0) < limbsBitLength(R1))
-    std::swap(R0, R1);
-  Limbs64 S0, S1; // Ping-pong scratch; capacity persists across windows.
-  while (limbsBitLength(R1) > 62) {
-    unsigned Shift = limbsBitLength(R0) - 62;
-    std::int64_t A, B, C, D;
-    lehmerWindow(limbsWindow(R0, Shift), limbsWindow(R1, Shift), A, B, C, D);
-    if (B == 0) {
-      // Window produced no certain quotient (rare: huge true quotient);
-      // take one exact step instead.
-      BigInt RB = BigInt::fromLimbs64(false, R0) %
-                  BigInt::fromLimbs64(false, R1);
-      R0 = std::move(R1);
-      R1 = RB.magnitudeLimbs64();
-      continue;
-    }
-    applyRemainderRow(S0, A, R0, B, R1);
-    applyRemainderRow(S1, C, R0, D, R1);
-    std::swap(R0, S0);
-    std::swap(R1, S1);
-  }
-  // Word-size tail: the binary-GCD fast path.
-  return BigInt::gcd(BigInt::fromLimbs64(false, R0),
-                     BigInt::fromLimbs64(false, R1));
-}
-
-} // namespace
-
 void crtFoldLimbs64(std::vector<std::uint64_t> &X,
                     const std::vector<std::uint64_t> &M64, std::uint64_t T) {
   if (T == 0)
@@ -379,15 +212,6 @@ void crtFoldLimbs64(std::vector<std::uint64_t> &X,
   }
   while (!X.empty() && X.back() == 0)
     X.pop_back();
-}
-
-std::uint64_t limbs64ModU64(const std::vector<std::uint64_t> &V,
-                            std::uint64_t Mod) {
-  assert(Mod != 0 && "modulus must be nonzero");
-  unsigned __int128 R = 0;
-  for (std::size_t I = V.size(); I-- > 0;)
-    R = ((R << 64) | V[I]) % Mod;
-  return static_cast<std::uint64_t>(R);
 }
 
 BigInt crtLift(const BigInt &X, const BigInt &M, const PrimeField &F,
@@ -482,7 +306,7 @@ bool rationalReconstruct(const BigInt &X, const BigInt &M,
   BigInt D = T1.abs();
   if (D.isZero() || D > Bound)
     return false;
-  if (!lehmerGcd(R1, D).isOne())
+  if (!BigInt::gcd(R1, D).isOne())
     return false;
   // The gcd check just proved the pair reduced; skip Rational's
   // normalizing gcd, which would redo the same multi-limb work.

@@ -129,11 +129,6 @@ BigInt crtLift(const BigInt &X, const BigInt &M, const PrimeField &F,
 void crtFoldLimbs64(std::vector<std::uint64_t> &X,
                     const std::vector<std::uint64_t> &M64, std::uint64_t T);
 
-/// Magnitude of a little-endian 64-bit limb vector modulo \p Mod (the
-/// limb-format counterpart of BigInt::modU64).
-std::uint64_t limbs64ModU64(const std::vector<std::uint64_t> &V,
-                            std::uint64_t Mod);
-
 /// Wang-style rational reconstruction: finds the unique N/D with
 /// |N| <= Bound, 0 < D <= Bound, gcd(N, D) = 1 and N ≡ X·D (mod M), if it
 /// exists. Pass Bound = isqrtBigInt((M - 1) / 2) for the symmetric Wang

@@ -6,7 +6,8 @@
 /// binary GCD normalization, cross-reduction before multiplying, overflow
 /// detected with the `__builtin_*_overflow` intrinsics and __int128
 /// intermediates — and falls back to BigInt limb arithmetic only when a
-/// result leaves the word-sized range.
+/// result leaves the word-sized range, where normalization is the Lehmer
+/// gcd of BigInt::gcd.
 ///
 //===----------------------------------------------------------------------===//
 

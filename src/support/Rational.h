@@ -8,8 +8,9 @@
 /// Arithmetic runs on an int64 numerator/denominator fast path (binary GCD
 /// normalization, overflow checked with the `__builtin_*_overflow`
 /// intrinsics) and falls back to BigInt limb arithmetic only when a result
-/// leaves the word-sized range; compound operators mutate in place. See
-/// docs/ARCHITECTURE.md S9.
+/// leaves the word-sized range; compound operators mutate in place. Wide
+/// values normalize through BigInt::gcd, which is Lehmer's algorithm on
+/// multi-limb pairs. See docs/ARCHITECTURE.md S9.
 ///
 //===----------------------------------------------------------------------===//
 

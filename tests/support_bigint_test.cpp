@@ -3,8 +3,8 @@
 /// \file
 /// BigInt unit and property tests. The property suites check BigInt
 /// arithmetic against native __int128 as an oracle on a grid of interesting
-/// values (including limb boundaries), and ring axioms on wide random
-/// values where no native oracle exists.
+/// values (including limb boundaries), ring axioms on wide random values
+/// where no native oracle exists, and gcd against a plain-Euclid reference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 #include <vector>
@@ -47,6 +48,46 @@ std::string i128ToString(__int128 Value) {
     Digits.push_back('-');
   std::reverse(Digits.begin(), Digits.end());
   return Digits;
+}
+
+/// Reference gcd: plain Euclid, one long division per step — the loop
+/// whose steps BigInt::gcd's Lehmer windows batch.
+BigInt euclidGcd(BigInt X, BigInt Y) {
+  X = X.abs();
+  Y = Y.abs();
+  while (!Y.isZero()) {
+    BigInt R = X % Y;
+    X = std::move(Y);
+    Y = std::move(R);
+  }
+  return X;
+}
+
+/// Checks BigInt::gcd(A, B) against the Euclid reference, its symmetry,
+/// and that the cofactors A/G and B/G are coprime — which a common
+/// divisor that is not the greatest (the constant 1, say) fails.
+void expectGcd(const BigInt &A, const BigInt &B) {
+  BigInt G = BigInt::gcd(A, B);
+  EXPECT_EQ(G, euclidGcd(A, B)) << "gcd(" << A.toString() << ", "
+                                << B.toString() << ")";
+  EXPECT_EQ(G, BigInt::gcd(B, A));
+  EXPECT_FALSE(G.isNegative());
+  if (G.isZero()) {
+    EXPECT_TRUE(A.isZero() && B.isZero());
+    return;
+  }
+  EXPECT_EQ(A % G, BigInt(0));
+  EXPECT_EQ(B % G, BigInt(0));
+  EXPECT_TRUE(euclidGcd(A / G, B / G).isOne());
+}
+
+/// Random magnitude of exactly \p Limbs 32-bit limbs (0 for none).
+BigInt randomLimbs(std::mt19937_64 &Rng, unsigned Limbs) {
+  std::uniform_int_distribution<uint32_t> Limb(1, UINT32_MAX);
+  BigInt Value;
+  for (unsigned I = 0; I < Limbs; ++I)
+    Value = Value.shl(32) + BigInt(static_cast<int64_t>(Limb(Rng)));
+  return Value;
 }
 
 /// Interesting 64-bit magnitudes around limb and word boundaries.
@@ -247,17 +288,84 @@ TEST_P(BigIntRandomProperty, RingAxiomsAndDivision) {
     ASSERT_TRUE(BigInt::fromString(A.toString(), Parsed));
     EXPECT_EQ(Parsed, A);
 
-    // gcd divides both operands.
-    BigInt G = BigInt::gcd(A, B);
-    if (!G.isZero()) {
-      EXPECT_EQ(A % G, BigInt(0));
-      EXPECT_EQ(B % G, BigInt(0));
-    }
+    expectGcd(A, B);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntRandomProperty,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+/// gcd on operands built around a planted common factor: sizes from zero
+/// to 64 limbs in every mix (word against multi-limb, equal and lopsided
+/// lengths), random signs, and zero cofactors.
+class BigIntGcdProperty : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(BigIntGcdProperty, MatchesEuclidReference) {
+  std::mt19937_64 Rng(GetParam());
+  std::uniform_int_distribution<unsigned> Size(0, 64);
+  for (int Round = 0; Round < 40; ++Round) {
+    unsigned ALimbs = Size(Rng), BLimbs = Size(Rng);
+    unsigned GLimbs = 1 + Size(Rng) % (1 + std::min(ALimbs, BLimbs));
+    BigInt G = randomLimbs(Rng, GLimbs);
+    BigInt A = G * randomLimbs(Rng, ALimbs > GLimbs ? ALimbs - GLimbs : 0);
+    BigInt B = G * randomLimbs(Rng, BLimbs > GLimbs ? BLimbs - GLimbs : 0);
+    if (Rng() & 1)
+      A = -A;
+    if (Rng() & 1)
+      B = -B;
+    expectGcd(A, B);
+    expectGcd(A, randomLimbs(Rng, BLimbs));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BigIntGcdProperty,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
+
+TEST(BigIntTest, GcdInt64MinAgainstMultiLimb) {
+  // |INT64_MIN| = 2^63 does not fit int64, so a gcd of 2^63 must come
+  // back in limb form.
+  BigInt Min(INT64_MIN);
+  BigInt TwoTo63 = BigInt(1).shl(63);
+  for (const BigInt &Big :
+       {BigInt(3).shl(64), -BigInt(5).shl(63), BigInt(1).shl(200), TwoTo63}) {
+    BigInt G = BigInt::gcd(Min, Big);
+    EXPECT_EQ(G, TwoTo63) << Big.toString();
+    EXPECT_FALSE(G.isSmallRep());
+    EXPECT_EQ(BigInt::gcd(Big, Min), TwoTo63);
+  }
+  expectGcd(Min, BigInt(3).shl(64) + BigInt(1));
+  expectGcd(Min, BigInt::pow(BigInt(6), 40));
+}
+
+TEST(BigIntTest, GcdConsecutiveFibonacci) {
+  // Consecutive Fibonacci numbers are Euclid's worst case: every quotient
+  // is 1, so a Lehmer window certifies the fewest bits per step.
+  std::vector<BigInt> Fib = {BigInt(0), BigInt(1)};
+  while (Fib.size() <= 2400)
+    Fib.push_back(Fib[Fib.size() - 1] + Fib[Fib.size() - 2]);
+  BigInt K = BigInt::pow(BigInt(7), 50);
+  for (std::size_t N : {93u, 94u, 200u, 1000u, 2399u}) {
+    EXPECT_TRUE(BigInt::gcd(Fib[N], Fib[N + 1]).isOne()) << N;
+    EXPECT_EQ(BigInt::gcd(Fib[N] * K, Fib[N + 1] * K), K) << N;
+    expectGcd(Fib[N + 1], -Fib[N]);
+  }
+  // gcd(F(m), F(n)) = F(gcd(m, n)).
+  EXPECT_EQ(BigInt::gcd(Fib[1800], Fib[2400]), Fib[600]);
+  EXPECT_EQ(BigInt::gcd(Fib[2310], Fib[1925]), Fib[385]);
+}
+
+TEST(BigIntTest, GcdHugeQuotientTakesExactStep) {
+  // A = B·2^256 + C: B's bits start 256 below A's, so the leading window
+  // of B is zero, no quotient is certain, and gcd must take one exact
+  // division before windows can resume.
+  BigInt C = BigInt::pow(BigInt(3), 40);
+  BigInt B = BigInt::pow(BigInt(7), 100) * C;
+  BigInt A = B.shl(256) + BigInt(1);
+  EXPECT_TRUE(BigInt::gcd(A, B).isOne());
+  expectGcd(A, B);
+  EXPECT_EQ(BigInt::gcd(B.shl(256) + C, B), C);
+  expectGcd(B.shl(256) + C, -B);
+}
 
 TEST(BigIntTest, KnuthDivisionAddBackCase) {
   // A crafted case exercising the rare "add back" branch of Algorithm D:
