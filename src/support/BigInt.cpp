@@ -168,12 +168,12 @@ std::vector<uint64_t> BigInt::magnitudeLimbs64() const {
 }
 
 BigInt BigInt::fromLimbs64(bool Negative,
-                           const std::vector<uint64_t> &Limbs64) {
+                           const std::vector<uint64_t> &Words) {
   BigInt Result;
   Result.SmallRep = false;
   Result.Negative = Negative;
-  Result.Limbs.reserve(Limbs64.size() * 2);
-  for (uint64_t Word : Limbs64) {
+  Result.Limbs.reserve(Words.size() * 2);
+  for (uint64_t Word : Words) {
     Result.Limbs.push_back(static_cast<Limb>(Word));
     Result.Limbs.push_back(static_cast<Limb>(Word >> LimbBits));
   }

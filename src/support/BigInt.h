@@ -74,8 +74,7 @@ public:
   std::vector<uint64_t> magnitudeLimbs64() const;
   /// Rebuilds a value from 64-bit limbs (trailing zeros allowed; the
   /// result is canonicalized).
-  static BigInt fromLimbs64(bool Negative,
-                            const std::vector<uint64_t> &Limbs64);
+  static BigInt fromLimbs64(bool Negative, const std::vector<uint64_t> &Words);
 
   /// Best-effort conversion to double (rounds; may overflow to +/-inf).
   double toDouble() const;
