@@ -14,12 +14,13 @@
 /// timeout discipline). Knobs: MCNK_FIG7_MAXP (default 12),
 /// MCNK_TIME_LIMIT seconds (default 30).
 ///
-/// MCNK_FIG7_BLOCKED_JSON=<path> switches to the block-structured solver
+/// MCNK_FIG7_BLOCKED_JSON=<path> switches to the block-schedule
 /// trajectory point (docs/ARCHITECTURE.md S13): the same FatTree family
-/// compiled with the Exact solver, monolithic vs SCC/DAG block
-/// elimination with RCM ordering. Reference equality of the two diagrams
-/// is enforced (nonzero exit on mismatch) and the JSON records wall time
-/// plus the elimination-op / fill-in counters of each configuration.
+/// compiled with the Exact solver, its SCC blocks solved serially vs as a
+/// DAG on a worker pool. Reference equality of the two diagrams and equal
+/// elimination counters are enforced (nonzero exit on mismatch) and the
+/// JSON records both wall times plus the elimination-op / fill-in
+/// counters.
 ///
 /// MCNK_FIG7_MODULAR_JSON=<path> switches to the multi-prime modular
 /// solver trajectory point (docs/ARCHITECTURE.md S14): the FatTree family
@@ -40,8 +41,10 @@
 #include "prism/Translate.h"
 #include "routing/Routing.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
+#include <thread>
 
 using namespace mcnk;
 using namespace mcnk::bench;
@@ -136,18 +139,20 @@ int runGolden(unsigned MaxP) {
   return 0;
 }
 
-/// MCNK_FIG7_BLOCKED_JSON: the S13 blocked-solver trajectory point. Both
-/// engines are Exact, so the compiled diagrams must be reference-equal;
-/// the interesting deltas are the counters — on the (acyclic) FatTree
-/// forwarding chains the condensation is all singleton classes, so the
-/// blocked elimination does strictly less multiply-subtract work and
-/// creates no fill-in.
+/// MCNK_FIG7_BLOCKED_JSON: the S13 block-schedule trajectory point. Both
+/// runs are Exact and solve the same SCC block plan, serially in block-id
+/// order vs as a dependency-counted DAG on a worker pool, so the compiled
+/// diagrams must be reference-equal and the elimination counters
+/// identical; the interesting delta is the wall clock. On the (acyclic)
+/// FatTree forwarding chains the condensation is all singleton classes.
 int runBlocked(unsigned MaxP, const char *Path) {
-  std::printf("=== Fig 7 blocked-solver point: Exact monolithic vs "
-              "SCC/DAG blocks (RCM) ===\n");
-  std::printf("%4s %9s  %8s %8s  %11s %11s  %9s %9s  %7s %7s\n", "p",
-              "switches", "mono s", "blk s", "mono ops", "blk ops",
-              "mono fill", "blk fill", "blocks", "maxblk");
+  unsigned Threads = std::max(2u, std::thread::hardware_concurrency());
+  std::printf("=== Fig 7 block-schedule point: Exact, serial vs pooled "
+              "SCC/DAG blocks (%u workers) ===\n",
+              Threads);
+  std::printf("%4s %9s  %8s %8s  %9s %9s  %7s %7s\n", "p", "switches",
+              "serial s", "pool s", "elim ops", "fill-in", "blocks",
+              "maxblk");
   FailureModel Fail = FailureModel::iid(Rational(1, 1000));
   std::string Points;
   bool AllEqual = true;
@@ -160,56 +165,53 @@ int runBlocked(unsigned MaxP, const char *Path) {
     O.Failures = Fail;
     NetworkModel M = buildFatTreeModel(L, O, Ctx);
 
-    analysis::Verifier Mono; // Exact, monolithic solve.
-    WallTimer MonoTimer;
-    fdd::FddRef RM = Mono.compile(M.Program);
-    double MonoSec = MonoTimer.elapsed();
-    fdd::LoopSolveStats MS = Mono.manager().lastLoopStats();
+    analysis::Verifier Serial; // Exact, blocks in id order.
+    WallTimer SerialTimer;
+    fdd::FddRef RS = Serial.compile(M.Program);
+    double SerialSec = SerialTimer.elapsed();
+    fdd::LoopSolveStats SS = Serial.manager().lastLoopStats();
 
-    analysis::Verifier Blk; // Exact, block-structured solve.
+    analysis::Verifier Pooled; // Exact, blocks as a DAG on a pool.
     markov::SolverStructure S;
-    S.Blocked = true;
-    S.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-    Blk.setSolverStructure(S);
-    WallTimer BlkTimer;
-    fdd::FddRef RB = Blk.compile(M.Program);
-    double BlkSec = BlkTimer.elapsed();
-    const fdd::LoopSolveStats &BS = Blk.manager().lastLoopStats();
+    S.Pool = &Pooled.compilePool(Threads);
+    Pooled.setSolverStructure(S);
+    WallTimer PoolTimer;
+    fdd::FddRef RP = Pooled.compile(M.Program);
+    double PoolSec = PoolTimer.elapsed();
+    const fdd::LoopSolveStats &PS = Pooled.manager().lastLoopStats();
 
-    bool Equal =
-        fdd::importFdd(Mono.manager(), fdd::exportFdd(Blk.manager(), RB)) ==
-        RM;
+    bool Equal = fdd::importFdd(Serial.manager(),
+                                fdd::exportFdd(Pooled.manager(), RP)) ==
+                     RS &&
+                 PS.EliminationOps == SS.EliminationOps &&
+                 PS.FillIn == SS.FillIn && PS.NumBlocks == SS.NumBlocks;
     AllEqual = AllEqual && Equal;
     if (!Equal)
       std::fprintf(stderr,
-                   "MISMATCH: blocked compile differs from monolithic at "
-                   "p=%u\n",
+                   "MISMATCH: pooled-block compile differs from the serial "
+                   "one at p=%u\n",
                    P);
 
-    std::printf("%4u %9u  %8.3f %8.3f  %11zu %11zu  %9zu %9zu  %7zu "
-                "%7zu\n",
-                P, L.numSwitches(), MonoSec, BlkSec, MS.EliminationOps,
-                BS.EliminationOps, MS.FillIn, BS.FillIn, BS.NumBlocks,
-                BS.MaxBlockSize);
+    std::printf("%4u %9u  %8.3f %8.3f  %9zu %9zu  %7zu %7zu\n", P,
+                L.numSwitches(), SerialSec, PoolSec, SS.EliminationOps,
+                SS.FillIn, SS.NumBlocks, SS.MaxBlockSize);
     std::fflush(stdout);
 
     char Point[512];
     std::snprintf(Point, sizeof(Point),
                   "%s    {\"p\": %u, \"switches\": %u, "
                   "\"solved_states\": %zu, "
-                  "\"mono_seconds\": %.6f, \"blocked_seconds\": %.6f, "
-                  "\"mono_elim_ops\": %zu, \"blocked_elim_ops\": %zu, "
-                  "\"mono_fill_in\": %zu, \"blocked_fill_in\": %zu, "
+                  "\"serial_seconds\": %.6f, \"pooled_seconds\": %.6f, "
+                  "\"elim_ops\": %zu, \"fill_in\": %zu, "
                   "\"num_blocks\": %zu, \"max_block\": %zu}",
                   Points.empty() ? "" : ",\n", P, L.numSwitches(),
-                  BS.NumSolved, MonoSec, BlkSec, MS.EliminationOps,
-                  BS.EliminationOps, MS.FillIn, BS.FillIn, BS.NumBlocks,
-                  BS.MaxBlockSize);
+                  SS.NumSolved, SerialSec, PoolSec, SS.EliminationOps,
+                  SS.FillIn, SS.NumBlocks, SS.MaxBlockSize);
     Points += Point;
   }
   std::printf(AllEqual
-                  ? "blocked solver: all points reference-equal\n"
-                  : "blocked solver: MISMATCH (see stderr)\n");
+                  ? "block schedule: all points reference-equal\n"
+                  : "block schedule: MISMATCH (see stderr)\n");
 
   if (std::FILE *F = std::fopen(Path, "w")) {
     std::fprintf(F,
@@ -217,11 +219,14 @@ int runBlocked(unsigned MaxP, const char *Path) {
                  "  \"name\": \"solver_blocked\",\n"
                  "  \"model\": \"FatTree ECMP with iid 1/1000 link "
                  "failures (Fig 7 family), Exact solver\",\n"
-                 "  \"engine\": \"SCC/DAG block elimination, RCM ordering "
-                 "(ARCHITECTURE S13)\",\n"
+                 "  \"engine\": \"SCC/DAG block pipeline, serial vs "
+                 "pooled schedule (ARCHITECTURE S13)\",\n"
+                 "  \"pool_threads\": %u,\n"
+                 "  \"host_hardware_concurrency\": %u,\n"
                  "  \"reference_equal\": %s,\n"
                  "  \"points\": [\n%s\n  ]\n"
                  "}\n",
+                 Threads, std::thread::hardware_concurrency(),
                  AllEqual ? "true" : "false", Points.c_str());
     std::fclose(F);
     std::printf("wrote %s\n", Path);

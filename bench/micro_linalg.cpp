@@ -136,21 +136,20 @@ static void BM_ModSolvePrime(benchmark::State &State) {
   (void)rationalMod(Rational(1, 2), F, Half);
   std::uint64_t MinusHalf = F.encode(F.prime() - Half);
   std::vector<linalg::ModTriplet> A;
-  std::vector<std::uint64_t> B(N, 0);
+  linalg::DenseMatrix<std::uint64_t> B(N, 1);
   for (std::size_t K = 0; K < N; ++K) {
     A.push_back({K, K, F.one()});
     if (K + 1 < N)
       A.push_back({K, K + 1, MinusHalf});
     else
-      B[K] = F.encode(Half);
+      B.at(K, 0) = F.encode(Half);
     if (K > 0)
       A.push_back({K, K - 1, MinusHalf});
   }
   for (auto _ : State) {
-    std::vector<std::uint64_t> Rhs = B;
+    linalg::DenseMatrix<std::uint64_t> Rhs = B;
     std::size_t Ops = 0, Fill = 0;
-    benchmark::DoNotOptimize(linalg::modSolveOrdered(
-        F, N, A, Rhs, 1, linalg::OrderingKind::Natural, Ops, Fill));
+    benchmark::DoNotOptimize(linalg::modSolve(F, N, A, Rhs, Ops, Fill));
   }
 }
 BENCHMARK(BM_ModSolvePrime)->Arg(128)->Arg(512);

@@ -19,7 +19,7 @@
 ///   MCNK_SWEEP_TABLE      run the per-scenario table (default 1)
 ///   MCNK_SWEEP_CACHE      run the cache sweep       (default 1)
 ///   MCNK_SWEEP_CACHE_JSON write the cache-sweep trajectory point here
-///   MCNK_SWEEP_BLOCKED    run the blocked-solver sweep (default 1)
+///   MCNK_SWEEP_BLOCKED    run the block-schedule sweep (default 1)
 ///   MCNK_SWEEP_BLOCKED_JSON write the blocked-sweep trajectory point here
 ///   MCNK_SWEEP_MODULAR    run the modular-solver sweep (default 1)
 ///   MCNK_SWEEP_MODULAR_JSON write the modular-sweep trajectory point here
@@ -34,10 +34,10 @@
 /// and records the cache-hit-rate and wall-clock delta of the pre-pass.
 ///
 /// The *blocked sweep* recompiles every registry scenario with the Exact
-/// solver, monolithic vs block-structured (SCC/DAG elimination with RCM
-/// ordering, docs/ARCHITECTURE.md S13), enforces reference equality of
-/// the two diagrams, and aggregates wall time plus the elimination-op /
-/// fill-in counters of each configuration.
+/// solver, its SCC blocks (docs/ARCHITECTURE.md S13) solved serially vs
+/// as a DAG on a worker pool, enforces reference equality of the two
+/// diagrams and equal elimination counters, and aggregates both wall
+/// times plus the elimination-op / fill-in counters.
 ///
 /// The *slice sweep* recompiles every registry scenario with the Exact
 /// solver under the S17 delivery-observation slice (docs/ARCHITECTURE.md
@@ -66,9 +66,11 @@
 #include "support/Timer.h"
 #include "topology/Topology.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 using namespace mcnk;
@@ -207,59 +209,58 @@ int main() {
     }
   }
 
-  // --- Blocked-solver sweep: Exact monolithic vs SCC/DAG blocks ---------
+  // --- Block-schedule sweep: Exact, serial vs pooled SCC/DAG blocks -----
   bool BlockedEqual = true;
   if (envUnsigned("MCNK_SWEEP_BLOCKED", 1)) {
-    std::printf("\n=== Blocked-solver sweep (Exact): monolithic vs "
-                "SCC/DAG blocks (RCM) ===\n\n");
-    std::printf("%-24s %8s %8s %11s %11s %9s %7s %7s\n", "scenario",
-                "mono s", "blk s", "mono ops", "blk ops", "blk fill",
-                "blocks", "maxblk");
-    double MonoTotal = 0, BlkTotal = 0;
-    std::size_t MonoOps = 0, BlkOps = 0, MonoFill = 0, BlkFill = 0;
+    unsigned Threads = std::max(2u, std::thread::hardware_concurrency());
+    std::printf("\n=== Block-schedule sweep (Exact): serial vs pooled "
+                "SCC/DAG blocks (%u workers) ===\n\n",
+                Threads);
+    std::printf("%-24s %8s %8s %11s %9s %7s %7s\n", "scenario",
+                "serial s", "pool s", "elim ops", "fill-in", "blocks",
+                "maxblk");
+    double SerialTotal = 0, PoolTotal = 0;
+    std::size_t TotalOps = 0, TotalFill = 0;
     for (const gen::ScenarioSpec &Spec : gen::buildRegistry(O)) {
       ast::Context Ctx;
       gen::Scenario S = Spec.Build(Ctx);
 
-      analysis::Verifier Mono; // Exact, monolithic solve.
-      WallTimer MonoTimer;
-      fdd::FddRef RM = Mono.compile(S.Program);
-      double MonoSec = MonoTimer.elapsed();
-      fdd::LoopSolveStats MS = Mono.manager().lastLoopStats();
+      analysis::Verifier Serial; // Exact, blocks in id order.
+      WallTimer SerialTimer;
+      fdd::FddRef RS = Serial.compile(S.Program);
+      double SerialSec = SerialTimer.elapsed();
+      fdd::LoopSolveStats SL = Serial.manager().lastLoopStats();
 
-      analysis::Verifier Blk; // Exact, block-structured solve.
+      analysis::Verifier Pooled; // Exact, blocks as a DAG on a pool.
       markov::SolverStructure SS;
-      SS.Blocked = true;
-      SS.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-      Blk.setSolverStructure(SS);
-      WallTimer BlkTimer;
-      fdd::FddRef RB = Blk.compile(S.Program);
-      double BlkSec = BlkTimer.elapsed();
-      const fdd::LoopSolveStats &BS = Blk.manager().lastLoopStats();
+      SS.Pool = &Pooled.compilePool(Threads);
+      Pooled.setSolverStructure(SS);
+      WallTimer PoolTimer;
+      fdd::FddRef RP = Pooled.compile(S.Program);
+      double PoolSec = PoolTimer.elapsed();
+      const fdd::LoopSolveStats &PL = Pooled.manager().lastLoopStats();
 
-      if (fdd::importFdd(Mono.manager(), fdd::exportFdd(Blk.manager(), RB)) !=
-          RM) {
+      if (fdd::importFdd(Serial.manager(),
+                         fdd::exportFdd(Pooled.manager(), RP)) != RS ||
+          PL.EliminationOps != SL.EliminationOps || PL.FillIn != SL.FillIn) {
         BlockedEqual = false;
         std::fprintf(stderr,
-                     "MISMATCH: blocked compile of %s is not "
-                     "reference-equal to the monolithic engine\n",
+                     "MISMATCH: pooled-block compile of %s differs from "
+                     "the serial one\n",
                      S.Name.c_str());
       }
-      MonoTotal += MonoSec;
-      BlkTotal += BlkSec;
-      MonoOps += MS.EliminationOps;
-      BlkOps += BS.EliminationOps;
-      MonoFill += MS.FillIn;
-      BlkFill += BS.FillIn;
-      std::printf("%-24s %8.3f %8.3f %11zu %11zu %9zu %7zu %7zu\n",
-                  S.Name.c_str(), MonoSec, BlkSec, MS.EliminationOps,
-                  BS.EliminationOps, BS.FillIn, BS.NumBlocks,
-                  BS.MaxBlockSize);
+      SerialTotal += SerialSec;
+      PoolTotal += PoolSec;
+      TotalOps += SL.EliminationOps;
+      TotalFill += SL.FillIn;
+      std::printf("%-24s %8.3f %8.3f %11zu %9zu %7zu %7zu\n",
+                  S.Name.c_str(), SerialSec, PoolSec, SL.EliminationOps,
+                  SL.FillIn, SL.NumBlocks, SL.MaxBlockSize);
       std::fflush(stdout);
     }
-    std::printf("totals: mono %.3f s / %zu ops / %zu fill, blocked %.3f s "
-                "/ %zu ops / %zu fill; %s\n",
-                MonoTotal, MonoOps, MonoFill, BlkTotal, BlkOps, BlkFill,
+    std::printf("totals: serial %.3f s, pooled %.3f s, %zu ops / %zu "
+                "fill; %s\n",
+                SerialTotal, PoolTotal, TotalOps, TotalFill,
                 BlockedEqual ? "all scenarios reference-equal"
                              : "MISMATCH (see stderr)");
 
@@ -271,18 +272,19 @@ int main() {
                      "  \"name\": \"scenario_sweep_blocked\",\n"
                      "  \"model\": \"scenario registry (ring max N%u), "
                      "Exact solver\",\n"
-                     "  \"engine\": \"SCC/DAG block elimination, RCM "
-                     "ordering (ARCHITECTURE S13)\",\n"
+                     "  \"engine\": \"SCC/DAG block pipeline, serial vs "
+                     "pooled schedule (ARCHITECTURE S13)\",\n"
+                     "  \"pool_threads\": %u,\n"
+                     "  \"host_hardware_concurrency\": %u,\n"
                      "  \"reference_equal\": %s,\n"
-                     "  \"mono_seconds\": %.6f,\n"
-                     "  \"blocked_seconds\": %.6f,\n"
-                     "  \"mono_elim_ops\": %zu,\n"
-                     "  \"blocked_elim_ops\": %zu,\n"
-                     "  \"mono_fill_in\": %zu,\n"
-                     "  \"blocked_fill_in\": %zu\n"
+                     "  \"serial_seconds\": %.6f,\n"
+                     "  \"pooled_seconds\": %.6f,\n"
+                     "  \"elim_ops\": %zu,\n"
+                     "  \"fill_in\": %zu\n"
                      "}\n",
-                     RingN, BlockedEqual ? "true" : "false", MonoTotal,
-                     BlkTotal, MonoOps, BlkOps, MonoFill, BlkFill);
+                     RingN, Threads, std::thread::hardware_concurrency(),
+                     BlockedEqual ? "true" : "false", SerialTotal, PoolTotal,
+                     TotalOps, TotalFill);
         std::fclose(F);
         std::printf("wrote %s\n", Path);
       } else {

@@ -251,8 +251,8 @@ if [ "$MODE" = "bench" ]; then
     "$BUILD_DIR/fig08_parallel_speedup"
   # Compile-cache trajectory point: the per-ingress query sweep across the
   # registry, cached vs uncached (reference-equality enforced; the run
-  # fails on any mismatch). The same invocation records the blocked-solver
-  # registry sweep (Exact monolithic vs SCC/DAG blocks, ARCHITECTURE S13)
+  # fails on any mismatch). The same invocation records the block-schedule
+  # registry sweep (Exact, serial vs pooled SCC/DAG blocks, ARCHITECTURE S13)
   # and the modular-solver registry sweep (Rational Exact vs multi-prime
   # ModularExact, ARCHITECTURE S14).
   # The same invocation also records the simplify-sweep point: the cached
@@ -268,15 +268,15 @@ if [ "$MODE" = "bench" ]; then
     MCNK_SWEEP_SIMPLIFY_JSON=bench/results/BENCH_sweep_simplify.json \
     MCNK_SWEEP_SLICE_JSON=bench/results/BENCH_sweep_slice.json \
     "$BUILD_DIR/scenario_sweep"
-  # Blocked-solver trajectory point on the Fig 7 FatTree family: Exact
-  # monolithic vs blocked, reference-equality enforced, elimination-op and
+  # Block-schedule trajectory point on the Fig 7 FatTree family: Exact,
+  # serial vs pooled blocks, reference-equality enforced, elimination-op and
   # fill-in counters recorded per point.
   MCNK_FIG7_BLOCKED_JSON=bench/results/BENCH_solver_blocked.json \
     "$BUILD_DIR/fig07_fattree_scalability"
   # Modular-solver trajectory point: Rational Exact vs multi-prime
   # ModularExact on the Fig 7 FatTree family and the Fig 10 diamond-chain
   # family (reference-equality enforced; the chains are where the wide
-  # CRT moduli and the >= 5x exact-solve speedups live).
+  # CRT moduli live).
   MCNK_FIG7_MODULAR_JSON=bench/results/BENCH_solver_modular.json \
     "$BUILD_DIR/fig07_fattree_scalability"
   # Serving-layer trajectory point: the registry replayed through one

@@ -38,20 +38,18 @@
 /// subcommands; an engine crash aborts with SIGABRT).
 ///
 /// The global option -j[N] compiles `case` constructs on the verifier's
-/// persistent worker pool (N workers; bare -j means hardware concurrency).
-/// The global option --cache enables the cross-compile memoization cache
-/// (ARCHITECTURE S12) on every verifier the command builds and prints the
-/// hit/miss statistics on exit. The global option --blocked switches
-/// while-loop solves to block-structured SCC/DAG elimination with
-/// reverse-Cuthill–McKee ordering (ARCHITECTURE S13) — combined with -j,
-/// independent blocks solve concurrently on the same worker pool — and
-/// prints the per-solve block statistics. The global option --modular
+/// persistent worker pool (N workers; bare -j means hardware concurrency),
+/// and while-loop solves run their independent SCC blocks (ARCHITECTURE
+/// S13) on the same pool. The global option --cache enables the
+/// cross-compile memoization cache (ARCHITECTURE S12) on every verifier
+/// the command builds and prints the hit/miss statistics on exit. The
+/// global option --modular
 /// switches loop solves to the multi-prime modular exact engine
 /// (ARCHITECTURE S14): elimination runs over word-size prime fields and
 /// the exact rationals are recovered by CRT + verified rational
 /// reconstruction; the answers are identical to the default engine, and
 /// the per-solve prime statistics are printed. --modular composes with
-/// --blocked and -j (blocks and primes fan out on one pool). The global
+/// -j (blocks and primes fan out on one pool). The global
 /// option --simplify runs the verified S15 simplifier over every program
 /// before compiling it (semantics-preserving: the diagrams are
 /// reference-identical, a contract the oracle enforces). The global
@@ -158,30 +156,26 @@ bool parseInputPacket(const std::string &Spec, ast::Context &Ctx,
 
 int usage() {
   std::fprintf(stderr,
-               "usage: mcnk [-j[N]] [--cache] [--blocked] [--modular] "
+               "usage: mcnk [-j[N]] [--cache] [--modular] "
                "[--simplify] [--slice] check|dump <file.pnk>\n"
                "       mcnk lint [--fix] [--json] <file.pnk>\n"
                "       mcnk lint [--json] --registry\n"
-               "       mcnk [-j[N]] [--cache] [--blocked] [--modular] "
+               "       mcnk [-j[N]] [--cache] [--modular] "
                "[--simplify] [--slice] run|prism <file.pnk> f=v[,g=w...]\n"
-               "       mcnk [-j[N]] [--cache] [--blocked] [--modular] "
+               "       mcnk [-j[N]] [--cache] [--modular] "
                "[--simplify] [--slice] equiv <a.pnk> <b.pnk>\n"
                "       mcnk [--cache] fuzz [--seed N] [--iters N] "
                "[--no-scenarios]\n"
-               "  -j[N]     compile `case` on N worker threads (default: "
-               "hardware concurrency)\n"
+               "  -j[N]     compile `case` and solve independent loop "
+               "blocks on N worker\n"
+               "            threads (default: hardware concurrency)\n"
                "  --cache   enable the cross-compile memoization cache and "
                "print its stats\n"
-               "  --blocked solve loops block-by-block (SCC/DAG "
-               "elimination, RCM ordering;\n"
-               "            with -j, independent blocks solve in parallel) "
-               "and print block stats\n"
                "  --modular solve loops with the multi-prime modular exact "
                "engine (mod-p\n"
                "            elimination + CRT/rational reconstruction; "
                "same exact answers)\n"
-               "            and print prime stats; composes with --blocked "
-               "and -j\n"
+               "            and print prime stats; composes with -j\n"
                "  --simplify run the verified S15 simplifier over every\n"
                "            program before compiling (same diagrams,\n"
                "            enforced by the oracle)\n"
@@ -203,28 +197,12 @@ int usage() {
   return 2;
 }
 
-/// Applies the --blocked solver structure to a verifier: SCC/DAG block
-/// elimination with RCM ordering, block tasks sharing the compile pool
-/// when -j is also given.
-void applyBlockedStructure(analysis::Verifier &V, bool Parallel,
-                           unsigned Threads) {
+/// The -j loop-solve setting: independent SCC blocks of every loop solve
+/// run on the verifier's compile pool, the one `case` branches use.
+void shareCompilePool(analysis::Verifier &V, unsigned Threads) {
   markov::SolverStructure S;
-  S.Blocked = true;
-  S.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-  if (Parallel)
-    S.Pool = &V.compilePool(Threads);
+  S.Pool = &V.compilePool(Threads);
   V.setSolverStructure(S);
-}
-
-/// Prints the last loop's block statistics (the --blocked report). Silent
-/// when the program solved no loop.
-void printBlockStats(const fdd::LoopSolveStats &LS) {
-  if (LS.NumStates == 0)
-    return;
-  std::printf("solver: %zu states in %zu block(s), largest %zu; "
-              "%zu elimination ops, %zu fill-in\n",
-              LS.NumSolved, LS.NumBlocks, LS.MaxBlockSize,
-              LS.EliminationOps, LS.FillIn);
 }
 
 /// Prints the last loop's modular-solver statistics (the --modular
@@ -463,11 +441,10 @@ int runFuzz(const std::vector<std::string> &Args, bool Parallel,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  // Strip the global -j, --cache, and --blocked options wherever they
-  // appear; -j accepts -j, -jN, and the make-style separate form `-j N`.
+  // Strip the global options wherever they appear; -j accepts -j, -jN,
+  // and the make-style separate form `-j N`.
   bool Parallel = false;
   bool UseCache = false;
-  bool Blocked = false;
   bool Modular = false;
   bool Simplify = false;
   bool Slice = false;
@@ -485,10 +462,6 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     if (Arg == "--cache") {
       UseCache = true;
-      continue;
-    }
-    if (Arg == "--blocked") {
-      Blocked = true;
       continue;
     }
     if (Arg == "--modular") {
@@ -559,8 +532,8 @@ int main(int Argc, char **Argv) {
                                  : markov::SolverKind::Exact);
     if (UseCache)
       V.enableCompileCache();
-    if (Blocked)
-      applyBlockedStructure(V, Parallel, Threads);
+    if (Parallel)
+      shareCompilePool(V, Threads);
     if (Simplify)
       V.setSimplify(&Ctx);
     if (Slice)
@@ -578,8 +551,6 @@ int main(int Argc, char **Argv) {
                   S.AssignmentsRemoved, S.NodesBefore, S.NodesAfter,
                   S.FieldsRelevant, S.FieldsBefore);
     }
-    if (Blocked)
-      printBlockStats(V.manager().lastLoopStats());
     if (Modular)
       printModularStats(V.manager().lastLoopStats());
     if (UseCache)
@@ -600,8 +571,8 @@ int main(int Argc, char **Argv) {
                                  : markov::SolverKind::Exact);
     if (UseCache)
       V.enableCompileCache();
-    if (Blocked)
-      applyBlockedStructure(V, Parallel, Threads);
+    if (Parallel)
+      shareCompilePool(V, Threads);
     if (Simplify)
       V.setSimplify(&Ctx);
     if (Slice)
@@ -635,8 +606,8 @@ int main(int Argc, char **Argv) {
                                  : markov::SolverKind::Exact);
     if (UseCache)
       V.enableCompileCache();
-    if (Blocked)
-      applyBlockedStructure(V, Parallel, Threads);
+    if (Parallel)
+      shareCompilePool(V, Threads);
     if (Simplify)
       V.setSimplify(&Ctx);
     if (Slice)
@@ -654,8 +625,6 @@ int main(int Argc, char **Argv) {
     }
     if (!Out.Dropped.isZero())
       std::printf("drop @ %s\n", Out.Dropped.toString().c_str());
-    if (Blocked)
-      printBlockStats(V.manager().lastLoopStats());
     if (Modular)
       printModularStats(V.manager().lastLoopStats());
     if (UseCache)

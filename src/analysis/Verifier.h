@@ -49,9 +49,9 @@ public:
 
   fdd::FddManager &manager() { return Manager; }
 
-  /// Solver structure for while-loop solves (blocked SCC/DAG elimination
-  /// with fill-reducing ordering; docs/ARCHITECTURE.md S13). Forwards to
-  /// the manager: the structure applies to every subsequent compile, and
+  /// Solver structure for while-loop solves (block-schedule pool and
+  /// modular knobs; docs/ARCHITECTURE.md S13). Forwards to the manager:
+  /// the structure applies to every subsequent compile, and
   /// parallel-`case` worker managers inherit it. Pass a structure whose
   /// Pool is this verifier's compilePool() to solve independent blocks
   /// concurrently.

@@ -220,25 +220,6 @@ FddRef compileNode(FddManager &M, const Node *P, const CompileOptions &O,
 
 } // namespace
 
-namespace {
-
-/// Applies a CompileOptions solver-structure override for the duration of
-/// one compile() call, restoring the manager's own setting afterwards.
-/// The parallel-`case` workers read the manager's structure, so the
-/// override propagates to them for free.
-struct StructureOverride {
-  StructureOverride(FddManager &M, const markov::SolverStructure *S)
-      : Manager(M), Saved(M.solverStructure()) {
-    if (S)
-      Manager.setSolverStructure(*S);
-  }
-  ~StructureOverride() { Manager.setSolverStructure(Saved); }
-  FddManager &Manager;
-  markov::SolverStructure Saved;
-};
-
-} // namespace
-
 FddRef fdd::compile(FddManager &Manager, const Node *Program,
                     const CompileOptions &Options) {
   CompileOptions O = Options;
@@ -257,7 +238,6 @@ FddRef fdd::compile(FddManager &Manager, const Node *Program,
     Program = ast::simplify(*O.Simplify, Program);
     O.Simplify = nullptr;
   }
-  StructureOverride Override(Manager, O.Structure);
   std::unique_ptr<ThreadPool> Owned;
   if (O.ParallelCase && !O.Pool) {
     if (O.Threads == 0) {

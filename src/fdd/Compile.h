@@ -85,16 +85,6 @@ struct CompileOptions {
   /// of queries within Observed are unchanged, a contract the oracle's
   /// CheckSlice lane enforces.
   const SliceHook *Slice = nullptr;
-  /// Solver-structure override for while-loop solves during this compile
-  /// (docs/ARCHITECTURE.md S13). When null, the manager's own structure
-  /// applies; either way, parallel-`case` worker managers inherit the
-  /// effective structure, so blocked solves nest inside the parallel
-  /// backend (block tasks and branch tasks share the pool; the engine's
-  /// help-first waiting keeps that composition deadlock-free). The same
-  /// override carries the ModularOptions knobs when the manager runs the
-  /// ModularExact engine (S14), whose per-prime fan-out nests the same
-  /// way.
-  const markov::SolverStructure *Structure = nullptr;
 };
 
 /// Compiles a guarded ProbNetKAT program into an FDD owned by \p Manager.

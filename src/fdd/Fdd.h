@@ -41,11 +41,10 @@ using FddRef = uint32_t;
 inline bool isLeafRef(FddRef Ref) { return Ref & 1; }
 
 /// Statistics describing the last solved loop (benchmark diagnostics).
-/// The class counts are reported per solve block and always sum to the
-/// monolithic totals: Σ Blocks[i].NumStates == NumSolved and
-/// Σ Blocks[i].NumQEntries == NumSolvedQ, whether the solver ran blocked
-/// (one block per strongly connected class, docs/ARCHITECTURE.md S13) or
-/// monolithically (a single block covering the whole kept system).
+/// The class counts are reported per solve block (one per strongly
+/// connected class of the kept transient states, docs/ARCHITECTURE.md
+/// S13) and always sum to the totals: Σ Blocks[i].NumStates == NumSolved
+/// and Σ Blocks[i].NumQEntries == NumSolvedQ.
 struct LoopSolveStats {
   std::size_t NumStates = 0;    ///< Symbolic-packet product size.
   std::size_t NumTransient = 0; ///< Guard-true classes (matrix dimension).
@@ -53,18 +52,18 @@ struct LoopSolveStats {
   std::size_t NumQEntries = 0;  ///< Sparse entries of Q.
   std::size_t NumSolved = 0;    ///< Transient classes kept after pruning.
   std::size_t NumSolvedQ = 0;   ///< Q entries within the kept subgraph.
-  std::size_t NumBlocks = 0;    ///< Solve blocks (1 for monolithic).
+  std::size_t NumBlocks = 0;    ///< Strongly connected solve blocks.
   std::size_t MaxBlockSize = 0; ///< Largest block's state count.
   std::size_t EliminationOps = 0; ///< Multiply-subtract operations.
   std::size_t FillIn = 0;         ///< Entries created by elimination.
   /// ModularExact only (zero for the other engines): accepted primes,
   /// unlucky primes discarded, and the accepted reconstruction's
-  /// prime-product bit length (max over blocks when blocked). See
+  /// prime-product bit length, all over the whole system. See
   /// docs/ARCHITECTURE.md S14.
   std::size_t NumPrimes = 0;
   std::size_t RetriedPrimes = 0;
   std::size_t ReconstructionBits = 0;
-  std::size_t ModularFallbacks = 0; ///< Blocks that fell back to Rational.
+  std::size_t ModularFallbacks = 0; ///< 1 if the solve fell back to Rational.
   std::vector<markov::BlockMetrics> Blocks; ///< Per-block breakdown.
 };
 
@@ -92,13 +91,10 @@ public:
 
   markov::SolverKind solverKind() const { return Solver; }
 
-  /// The solver structure (blocked SCC/DAG elimination, fill-reducing
-  /// ordering, optional pool; docs/ARCHITECTURE.md S13) used by subsequent
-  /// solveLoop calls. Orthogonal to solverKind: the default reproduces the
-  /// monolithic solve. Loops already in the loop cache are returned as
-  /// cached — their diagrams are structure-independent in Exact mode, but
-  /// their recorded stats describe the structure that first solved them;
-  /// reset() clears the cache when a clean re-solve is needed.
+  /// The solver structure (optional block-schedule pool and modular
+  /// knobs; docs/ARCHITECTURE.md S13) used by subsequent solveLoop calls.
+  /// Orthogonal to solverKind; loops already in the loop cache are
+  /// returned as cached.
   void setSolverStructure(const markov::SolverStructure &S) {
     Structure = S;
   }

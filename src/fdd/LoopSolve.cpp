@@ -260,8 +260,7 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
   LastLoop.NumQEntries = Chain.QEntries.size();
 
   // --- Solve (Theorem 4.7) -------------------------------------------------
-  // The manager's solver structure selects between the monolithic system
-  // and per-SCC blocked elimination (docs/ARCHITECTURE.md S13); either way
+  // One SCC block pipeline for every engine (docs/ARCHITECTURE.md S13);
   // the per-block metrics land in lastLoopStats().
   markov::SolveMetrics Metrics;
   linalg::DenseMatrix<Rational> Absorption(NumTransient, Chain.NumAbsorbing);

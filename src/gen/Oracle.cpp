@@ -329,16 +329,15 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
             "all-fields slice changed the compiled diagram");
 
     fdd::PortableFdd Sliced = fdd::exportFdd(VS.manager(), SE);
-    if (O.CheckBlocked) {
+    if (O.CheckBlocked && O.CheckParallel) {
       analysis::Verifier VB(markov::SolverKind::Exact);
       markov::SolverStructure SS;
-      SS.Blocked = true;
-      SS.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
+      SS.Pool = &VB.compilePool(O.ParallelThreads);
       VB.setSolverStructure(SS);
       VB.setSlice(&Ctx, ast::ObservationSet::delivery());
       C.check(fdd::importFdd(VB.manager(), Sliced) == VB.compile(Program),
-              "sliced blocked compile is not reference-equal to the "
-              "sliced monolithic compile");
+              "sliced pooled-block compile is not reference-equal to the "
+              "sliced serial compile");
     }
     if (O.CheckModular) {
       analysis::Verifier VM(markov::SolverKind::ModularExact);
@@ -367,14 +366,12 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     }
   }
 
-  // --- Block-structured solver cross-checks (ARCHITECTURE S13) ----------
-  // The exact blocked solve computes the unique rational solution of the
-  // same system as the monolithic one, so the compiled diagrams must be
-  // reference-equal — serial and with block tasks on a worker pool. The
-  // Direct(float) blocked solve only agrees up to elimination-order ulps,
-  // so it is held to the float tolerance like any other float engine.
-  // Shared by the blocked and modular sections: per-block metrics must sum
-  // (or, for ReconstructionBits, max) to the run's totals.
+  // --- Block-schedule cross-checks (ARCHITECTURE S13) -------------------
+  // Every engine solves loops block by block over the SCC condensation;
+  // the schedule (serial in block-id order, or a dependency-counted DAG on
+  // a worker pool) must not change the exact diagram, and every engine's
+  // per-block metrics must sum (or, for the block size, max) to the run's
+  // totals. Shared by the modular section below.
   auto CheckStatSums = [&C](const fdd::LoopSolveStats &LS,
                             const std::string &Mode) {
     std::size_t States = 0, QEntries = 0, Ops = 0, Fill = 0, Largest = 0;
@@ -393,40 +390,20 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
   };
 
   if (O.CheckBlocked) {
-    fdd::PortableFdd Mono = fdd::exportFdd(VExact.manager(), E);
-    for (bool Parallel : {false, true}) {
-      if (Parallel && !O.CheckParallel)
-        continue;
+    CheckStatSums(VExact.manager().lastLoopStats(), "exact");
+    CheckStatSums(VDirect.manager().lastLoopStats(), "direct");
+    CheckStatSums(VIter.manager().lastLoopStats(), "iterative");
+    if (O.CheckParallel) {
       analysis::Verifier VB(markov::SolverKind::Exact);
       markov::SolverStructure SS;
-      SS.Blocked = true;
-      SS.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-      if (Parallel)
-        SS.Pool = &VB.compilePool(O.ParallelThreads);
+      SS.Pool = &VB.compilePool(O.ParallelThreads);
       VB.setSolverStructure(SS);
       fdd::FddRef B = VB.compile(Program);
-      const std::string Mode =
-          Parallel ? "exact blocked, parallel" : "exact blocked, serial";
-      C.check(fdd::importFdd(VB.manager(), Mono) == B,
-              Mode + " compile is not reference-equal to the monolithic "
-                     "exact engine");
-      CheckStatSums(VB.manager().lastLoopStats(), Mode);
-    }
-
-    analysis::Verifier VBD(markov::SolverKind::Direct);
-    markov::SolverStructure SS;
-    SS.Blocked = true;
-    SS.Ordering = linalg::OrderingKind::MinimumDegree;
-    VBD.setSolverStructure(SS);
-    fdd::FddRef BD = VBD.compile(Program);
-    CheckStatSums(VBD.manager().lastLoopStats(), "direct blocked");
-    for (const Packet &In : Inputs) {
-      double Del = VBD.deliveryProbability(BD, In).toDouble();
-      double Expected = VExact.deliveryProbability(E, In).toDouble();
-      C.check(std::fabs(Del - Expected) <= O.Tolerance,
-              "direct blocked delivery " + std::to_string(Del) +
-                  " != exact " + std::to_string(Expected) + " on input " +
-                  renderPacket(Ctx, In));
+      C.check(fdd::importFdd(VB.manager(),
+                             fdd::exportFdd(VExact.manager(), E)) == B,
+              "pooled-block exact compile is not reference-equal to the "
+              "serial one");
+      CheckStatSums(VB.manager().lastLoopStats(), "exact, pooled blocks");
     }
   }
 
@@ -435,9 +412,9 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
   // Rational elimination (every reconstruction is re-verified against
   // fresh primes, with a Rational fallback when the prime budget runs
   // out), so it is held to strict reference equality in EVERY
-  // configuration: serial, parallel-case, blocked serial/pooled (block
-  // tasks and per-prime tasks composing on one engine), and cache-backed
-  // cold and hit paths.
+  // configuration: serial, parallel-case, pooled blocks (block tasks and
+  // per-prime tasks composing on one engine), and cache-backed cold and
+  // hit paths.
   if (O.CheckModular) {
     fdd::PortableFdd Mono = fdd::exportFdd(VExact.manager(), E);
 
@@ -446,28 +423,19 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     C.check(fdd::importFdd(VM.manager(), Mono) == M,
             "modular serial compile is not reference-equal to the "
             "Rational exact engine");
-    if (O.CheckParallel)
+    CheckStatSums(VM.manager().lastLoopStats(), "modular, serial blocks");
+    if (O.CheckParallel) {
       C.check(VM.compile(Program, true, O.ParallelThreads) == M,
               "modular parallel compile differs from the serial modular "
               "compile");
-
-    for (bool Parallel : {false, true}) {
-      if (Parallel && !O.CheckParallel)
-        continue;
-      analysis::Verifier VMB(markov::SolverKind::ModularExact);
+      analysis::Verifier VMP(markov::SolverKind::ModularExact);
       markov::SolverStructure SS;
-      SS.Blocked = true;
-      SS.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-      if (Parallel)
-        SS.Pool = &VMB.compilePool(O.ParallelThreads);
-      VMB.setSolverStructure(SS);
-      fdd::FddRef B = VMB.compile(Program);
-      const std::string Mode =
-          Parallel ? "modular blocked, parallel" : "modular blocked, serial";
-      C.check(fdd::importFdd(VMB.manager(), Mono) == B,
-              Mode + " compile is not reference-equal to the Rational "
-                     "exact engine");
-      CheckStatSums(VMB.manager().lastLoopStats(), Mode);
+      SS.Pool = &VMP.compilePool(O.ParallelThreads);
+      VMP.setSolverStructure(SS);
+      C.check(fdd::importFdd(VMP.manager(), Mono) == VMP.compile(Program),
+              "modular pooled-block compile is not reference-equal to the "
+              "Rational exact engine");
+      CheckStatSums(VMP.manager().lastLoopStats(), "modular, pooled blocks");
     }
 
     {

@@ -64,17 +64,17 @@ struct OracleOptions {
   /// Inputs per case on which the cached engine's output distributions
   /// are compared point-for-point against the uncached one.
   std::size_t MaxCacheCheckInputs = 4;
-  /// Cross-check the block-structured solver (docs/ARCHITECTURE.md S13):
-  /// Exact compiles with blocked SCC/DAG elimination — serial and, when
-  /// CheckParallel is set, on a worker pool — must be reference-equal to
-  /// the monolithic exact engine; Direct(float) blocked with a
-  /// fill-reducing ordering must agree within Tolerance; and every
-  /// engine's per-block LoopSolveStats must sum to its totals.
+  /// Cross-check the block schedule of the loop solver
+  /// (docs/ARCHITECTURE.md S13): Exact compiles with blocks solved
+  /// serially and, when CheckParallel is set, as a DAG on a worker pool
+  /// (also for the delivery-sliced program) must be reference-equal to the
+  /// exact engine, and every engine's per-block LoopSolveStats must sum to
+  /// its totals.
   bool CheckBlocked = true;
   /// Cross-check the multi-prime modular exact solver (docs/ARCHITECTURE.md
-  /// S14): ModularExact compiles — serial, parallel-case, blocked (serial
-  /// and pooled, so block tasks and per-prime tasks share one engine), and
-  /// cache-backed cold/hit — must all be reference-equal to the Rational
+  /// S14): ModularExact compiles — serial, parallel-case, pooled blocks
+  /// (block tasks and per-prime tasks share one engine), and cache-backed
+  /// cold/hit — must all be reference-equal to the Rational
   /// exact engine's diagram; reconstruction is verified, never trusted.
   bool CheckModular = true;
   /// Cross-check the serving layer (docs/ARCHITECTURE.md S16): an
@@ -95,7 +95,7 @@ struct OracleOptions {
   /// diagram after projecting out-of-cone modifications away (out-of-cone
   /// tests whose projected children still differ are kept, so a missed
   /// dependency fails loudly); per-input delivery probabilities must be
-  /// string-equal; the sliced parallel / blocked / modular / cached
+  /// string-equal; the sliced parallel / pooled-block / modular / cached
   /// engines must reproduce the sliced serial diagram; the all-fields
   /// slice must not change the compiled diagram at all; and slicing must
   /// be idempotent. Scenarios additionally pin the sliced average

@@ -2,14 +2,13 @@
 ///
 /// \file
 /// Mod-p elimination kernels: Gilbert-Peierls sparse LU over GF(p) and
-/// the ordered driver combining it with the dense prime-field path. See
+/// the entry point combining it with the dense prime-field path. See
 /// linalg/ModSolve.h and docs/ARCHITECTURE.md S14.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "linalg/ModSolve.h"
 
-#include "linalg/Dense.h"
 #include "linalg/Solve.h"
 
 #include <cassert>
@@ -185,75 +184,40 @@ std::size_t ModSparseLU::numFactorEntries() const {
   return Count;
 }
 
-bool linalg::modSolveOrdered(const PrimeField &F, std::size_t Dim,
-                             const std::vector<ModTriplet> &A,
-                             std::vector<std::uint64_t> &B,
-                             std::size_t NumRhs, OrderingKind Ordering,
-                             std::size_t &EliminationOps,
-                             std::size_t &FillIn) {
-  assert(B.size() == Dim * NumRhs && "RHS shape mismatch");
+bool linalg::modSolve(const PrimeField &F, std::size_t Dim,
+                      const std::vector<ModTriplet> &A,
+                      DenseMatrix<std::uint64_t> &B,
+                      std::size_t &EliminationOps, std::size_t &FillIn) {
+  assert(B.numRows() == Dim && "RHS shape mismatch");
   if (Dim == 0)
     return true;
 
   if (Dim <= ModDenseCutoff) {
-    // Dense path: orderings do not matter below the cutoff; run the
-    // shared elimination loop under the prime-field policy.
+    // Dense path: run the shared elimination loop under the prime-field
+    // policy.
     DenseMatrix<std::uint64_t> DA(Dim, Dim);
     for (const ModTriplet &T : A) {
       std::uint64_t &Cell = DA.at(T.Row, T.Col);
       Cell = F.add(Cell, T.Value);
     }
-    DenseMatrix<std::uint64_t> DB(Dim, NumRhs);
-    for (std::size_t I = 0; I < Dim; ++I)
-      for (std::size_t C = 0; C < NumRhs; ++C)
-        DB.at(I, C) = B[I * NumRhs + C];
     PrimeFieldOps Ops{F, &EliminationOps};
-    if (!denseSolveInPlaceOps(Ops, DA, DB))
-      return false;
-    for (std::size_t I = 0; I < Dim; ++I)
-      for (std::size_t C = 0; C < NumRhs; ++C)
-        B[I * NumRhs + C] = DB.at(I, C);
-    return true;
-  }
-
-  // Fill-reducing permutation over the symmetrized off-diagonal pattern,
-  // exactly as the Rational and double engines order their blocks.
-  bool Permute = Ordering != OrderingKind::Natural;
-  std::vector<std::size_t> Inverse;
-  if (Permute) {
-    AdjacencyList Adj(Dim);
-    for (const ModTriplet &T : A)
-      if (T.Row != T.Col)
-        Adj[T.Row].push_back(T.Col);
-    std::vector<std::size_t> Perm =
-        fillReducingOrdering(Ordering, symmetrizedPattern(Adj));
-    Inverse = inversePermutation(Perm);
-  }
-
-  std::vector<ModTriplet> Permuted;
-  const std::vector<ModTriplet> *Assembled = &A;
-  if (Permute) {
-    Permuted.reserve(A.size());
-    for (const ModTriplet &T : A)
-      Permuted.push_back({Inverse[T.Row], Inverse[T.Col], T.Value});
-    Assembled = &Permuted;
+    return denseSolveInPlaceOps(Ops, DA, B);
   }
 
   ModSparseLU LU(F);
-  if (!LU.factor(Dim, *Assembled))
+  if (!LU.factor(Dim, A))
     return false;
   EliminationOps += LU.numEliminationOps();
   std::size_t FactorEntries = LU.numFactorEntries();
   FillIn += FactorEntries > A.size() ? FactorEntries - A.size() : 0;
 
-  // Solve P A P^T x' = P b per column; undo the permutation on write-back.
   std::vector<std::uint64_t> Col(Dim);
-  for (std::size_t C = 0; C < NumRhs; ++C) {
+  for (std::size_t C = 0; C < B.numCols(); ++C) {
     for (std::size_t I = 0; I < Dim; ++I)
-      Col[Permute ? Inverse[I] : I] = B[I * NumRhs + C];
+      Col[I] = B.at(I, C);
     LU.solve(Col);
     for (std::size_t I = 0; I < Dim; ++I)
-      B[I * NumRhs + C] = Col[Permute ? Inverse[I] : I];
+      B.at(I, C) = Col[I];
   }
   return true;
 }

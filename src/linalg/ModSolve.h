@@ -11,8 +11,7 @@
 ///     shared denseSolveInPlaceOps() loop (linalg/Solve.h) with a
 ///     prime-field scalar policy, and
 ///   - ModSparseLU, a left-looking Gilbert-Peierls LU mirroring
-///     linalg/SparseLU over GF(p), combined with PR 6's fill-reducing
-///     orderings.
+///     linalg/SparseLU over GF(p).
 ///
 /// Over a prime field every nonzero pivot is exact, so "pivoting" is purely
 /// structural — but a rationally nonsingular system can still hit a zero
@@ -25,7 +24,7 @@
 #ifndef MCNK_LINALG_MODSOLVE_H
 #define MCNK_LINALG_MODSOLVE_H
 
-#include "linalg/Ordering.h"
+#include "linalg/Dense.h"
 #include "support/ModArith.h"
 
 #include <cstddef>
@@ -109,17 +108,15 @@ private:
 
 /// Solves A X = B over GF(p), where \p A is the full Dim x Dim system in
 /// coordinate form (Montgomery residues, duplicates accumulated) and \p B
-/// is the dense right-hand side, row-major Dim x NumRhs, overwritten with
-/// the solution. Small systems run the dense kernel; larger ones apply
-/// the fill-reducing \p Ordering (symmetrized pattern, exactly as the
-/// Rational and double engines do) and factor with ModSparseLU.
-/// \p EliminationOps and \p FillIn accumulate the per-prime work metrics.
-/// Returns false on a zero pivot — the unlucky-prime signal.
-bool modSolveOrdered(const PrimeField &F, std::size_t Dim,
-                     const std::vector<ModTriplet> &A,
-                     std::vector<std::uint64_t> &B, std::size_t NumRhs,
-                     OrderingKind Ordering, std::size_t &EliminationOps,
-                     std::size_t &FillIn);
+/// is the dense Dim x NumRhs right-hand side, overwritten with the
+/// solution. Small systems run the dense kernel; larger ones factor with
+/// ModSparseLU in the given numbering (the block plan numbers large blocks
+/// in RCM order). \p EliminationOps and \p FillIn accumulate the
+/// per-prime work metrics. Returns false on a zero pivot — the
+/// unlucky-prime signal.
+bool modSolve(const PrimeField &F, std::size_t Dim,
+              const std::vector<ModTriplet> &A, DenseMatrix<std::uint64_t> &B,
+              std::size_t &EliminationOps, std::size_t &FillIn);
 
 /// Systems at or below this dimension take the dense kernel (pattern
 /// bookkeeping costs more than it saves on tiny blocks).

@@ -1,8 +1,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Reverse Cuthill–McKee and greedy minimum-degree orderings over
-/// symmetric sparsity patterns (see Ordering.h for the contract).
+/// The Reverse Cuthill–McKee ordering over symmetric sparsity patterns (see Ordering.h for the contract).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -10,22 +9,9 @@
 
 #include <algorithm>
 #include <cassert>
-#include <set>
 
 using namespace mcnk;
 using namespace mcnk::linalg;
-
-const char *linalg::orderingName(OrderingKind Kind) {
-  switch (Kind) {
-  case OrderingKind::Natural:
-    return "natural";
-  case OrderingKind::ReverseCuthillMcKee:
-    return "rcm";
-  case OrderingKind::MinimumDegree:
-    return "amd";
-  }
-  return "?";
-}
 
 AdjacencyList linalg::symmetrizedPattern(const AdjacencyList &Adj) {
   std::size_t N = Adj.size();
@@ -77,10 +63,14 @@ linalg::reverseCuthillMcKee(const AdjacencyList &Adj) {
       for (std::size_t V : Adj[U])
         if (!Visited[V])
           Neighbors.push_back(V);
-      std::stable_sort(Neighbors.begin(), Neighbors.end(),
-                       [&](std::size_t A, std::size_t B) {
-                         return Adj[A].size() < Adj[B].size();
-                       });
+      // Ties by index: on sorted adjacency lists this is the stable order,
+      // without stable_sort's per-call scratch allocation.
+      std::sort(Neighbors.begin(), Neighbors.end(),
+                [&](std::size_t A, std::size_t B) {
+                  return Adj[A].size() != Adj[B].size()
+                             ? Adj[A].size() < Adj[B].size()
+                             : A < B;
+                });
       for (std::size_t V : Neighbors) {
         Visited[V] = true;
         Order.push_back(V);
@@ -89,67 +79,6 @@ linalg::reverseCuthillMcKee(const AdjacencyList &Adj) {
   }
   std::reverse(Order.begin(), Order.end());
   return Order;
-}
-
-std::vector<std::size_t>
-linalg::minimumDegreeOrdering(const AdjacencyList &Adj) {
-  std::size_t N = Adj.size();
-  // Evolving elimination graph: set-based neighbor lists support the
-  // clique updates; (degree, vertex) keys in an ordered set give O(log n)
-  // minimum extraction with deterministic ties.
-  std::vector<std::set<std::size_t>> Graph(N);
-  for (std::size_t U = 0; U < N; ++U)
-    for (std::size_t V : Adj[U])
-      if (V != U) {
-        Graph[U].insert(V);
-        Graph[V].insert(U);
-      }
-
-  std::set<std::pair<std::size_t, std::size_t>> Queue; // (degree, vertex)
-  for (std::size_t U = 0; U < N; ++U)
-    Queue.emplace(Graph[U].size(), U);
-
-  std::vector<std::size_t> Order;
-  Order.reserve(N);
-  while (!Queue.empty()) {
-    auto [Degree, U] = *Queue.begin();
-    Queue.erase(Queue.begin());
-    assert(Degree == Graph[U].size() && "stale queue entry");
-    Order.push_back(U);
-
-    // Eliminate U: its neighbors become a clique, U disappears.
-    std::vector<std::size_t> Clique(Graph[U].begin(), Graph[U].end());
-    for (std::size_t V : Clique) {
-      Queue.erase({Graph[V].size(), V});
-      Graph[V].erase(U);
-    }
-    for (std::size_t I = 0; I < Clique.size(); ++I)
-      for (std::size_t J = I + 1; J < Clique.size(); ++J) {
-        Graph[Clique[I]].insert(Clique[J]);
-        Graph[Clique[J]].insert(Clique[I]);
-      }
-    for (std::size_t V : Clique)
-      Queue.emplace(Graph[V].size(), V);
-    Graph[U].clear();
-  }
-  return Order;
-}
-
-std::vector<std::size_t>
-linalg::fillReducingOrdering(OrderingKind Kind, const AdjacencyList &Adj) {
-  switch (Kind) {
-  case OrderingKind::Natural: {
-    std::vector<std::size_t> Identity(Adj.size());
-    for (std::size_t I = 0; I < Identity.size(); ++I)
-      Identity[I] = I;
-    return Identity;
-  }
-  case OrderingKind::ReverseCuthillMcKee:
-    return reverseCuthillMcKee(Adj);
-  case OrderingKind::MinimumDegree:
-    return minimumDegreeOrdering(Adj);
-  }
-  return {};
 }
 
 std::vector<std::size_t>

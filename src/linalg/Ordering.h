@@ -5,18 +5,13 @@
 /// on a sparse matrix creates fill-in wherever a pivot row scatters into
 /// rows that did not previously share its pattern; permuting the matrix
 /// symmetrically (P A P^T) before factoring can shrink that fill by orders
-/// of magnitude. Two classic heuristics are provided:
+/// of magnitude. The solver blocks use Reverse Cuthill–McKee: breadth-
+/// first level sets from a peripheral vertex, reversed — it minimizes
+/// bandwidth, ideal for the long chain / ring / grid blocks network models
+/// produce. The kernels take an order as a permutation, where an empty
+/// one keeps the natural (identity) numbering.
 ///
-///   - Reverse Cuthill–McKee: breadth-first level sets from a peripheral
-///     vertex, reversed — minimizes bandwidth, ideal for the long chain /
-///     ring / grid blocks network models produce.
-///   - Minimum degree: greedily eliminates the vertex of smallest degree
-///     in the elimination graph (neighbors form a clique after each step)
-///     — the classic fill heuristic behind AMD, here in its exact
-///     elimination-graph form (our solve blocks are small enough that the
-///     quotient-graph machinery of true AMD is not needed).
-///
-/// Both operate on the *symmetrized* nonzero pattern A + A^T, as is
+/// RCM operates on the *symmetrized* nonzero pattern A + A^T, as is
 /// standard for unsymmetric LU with partial pivoting (the pattern of
 /// P A P^T is what drives fill regardless of numeric pivoting).
 ///
@@ -31,23 +26,12 @@
 namespace mcnk {
 namespace linalg {
 
-/// Selection of the fill-reducing ordering applied (inside each solve
-/// block) before sparse LU factorization.
-enum class OrderingKind {
-  Natural,            ///< Identity permutation: factor in given order.
-  ReverseCuthillMcKee,///< Bandwidth-minimizing level-set ordering.
-  MinimumDegree,      ///< Greedy minimum-degree (AMD-style) ordering.
-};
-
-/// Short stable name for logs / JSON ("natural", "rcm", "amd").
-const char *orderingName(OrderingKind Kind);
-
 /// Undirected adjacency lists over vertices [0, Adj.size()). Neighbor
 /// lists need not be sorted; self-loops and duplicates are tolerated.
 using AdjacencyList = std::vector<std::vector<std::size_t>>;
 
 /// The symmetrized, deduplicated, self-loop-free closure of \p Adj:
-/// u ∈ result[v] iff v ∈ result[u]. The canonical input to the orderings
+/// u ∈ result[v] iff v ∈ result[u]. The canonical input to the ordering
 /// below when the original pattern is directed (as Q-matrix patterns are).
 AdjacencyList symmetrizedPattern(const AdjacencyList &Adj);
 
@@ -58,17 +42,6 @@ AdjacencyList symmetrizedPattern(const AdjacencyList &Adj);
 /// breadth-first with neighbors in increasing-degree order; the final
 /// sequence is reversed (the "R" in RCM).
 std::vector<std::size_t> reverseCuthillMcKee(const AdjacencyList &Adj);
-
-/// Greedy minimum-degree ordering over \p Adj (must be symmetric).
-/// Eliminates the minimum-degree vertex of the evolving elimination graph
-/// at every step, connecting its remaining neighbors into a clique. Ties
-/// break toward the smallest vertex index, so the result is deterministic.
-/// Returns Perm with Perm[k] = original vertex eliminated k-th.
-std::vector<std::size_t> minimumDegreeOrdering(const AdjacencyList &Adj);
-
-/// Dispatches on \p Kind; Natural returns the identity permutation.
-std::vector<std::size_t> fillReducingOrdering(OrderingKind Kind,
-                                              const AdjacencyList &Adj);
 
 /// Inverse of a permutation: Result[Perm[k]] = k.
 std::vector<std::size_t>

@@ -1,18 +1,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Absorption probabilities A = (I - Q)^{-1} R (Thm 4.7) via the three
-/// engines: exact rational elimination, sparse-LU over double, and
-/// Neumann iteration. The monolithic paths live here; the SCC-blocked
-/// paths (docs/ARCHITECTURE.md S13) are in BlockSolve.cpp and share this
-/// file's pruning and elimination kernels so their operation counts are
-/// directly comparable.
+/// Chain pruning, the per-block kernels of the exact and Direct engines,
+/// and the stochasticity check. The block pipeline that drives the
+/// kernels lives in BlockSolve.cpp, the modular engine's prime loop in
+/// ModularSolve.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "markov/Absorbing.h"
 
-#include "linalg/Solve.h"
 #include "linalg/SparseLU.h"
 
 #include <cassert>
@@ -64,10 +61,10 @@ ChainPruning markov::pruneUnreachableStates(const AbsorbingChain &Chain) {
 
 bool markov::detail::eliminateRationalSystem(
     std::vector<std::map<std::size_t, Rational>> &Rows,
-    std::vector<std::vector<Rational>> &Rhs, std::size_t &EliminationOps,
+    DenseMatrix<Rational> &Rhs, std::size_t &EliminationOps,
     std::size_t &FillIn) {
   std::size_t NK = Rows.size();
-  std::size_t NA = NK == 0 ? 0 : Rhs[0].size();
+  std::size_t NA = Rhs.numCols();
 
   // Sparse Gauss-Jordan with min-degree pivoting on the (always nonzero)
   // diagonal. Network chains are nearly acyclic, so a fill-minimizing
@@ -112,9 +109,9 @@ bool markov::detail::eliminateRationalSystem(
     if (!Inv.isOne()) {
       for (auto &[Col, V] : Rows[Pivot])
         V *= Inv;
-      for (Rational &V : Rhs[Pivot])
-        if (!V.isZero())
-          V *= Inv;
+      for (std::size_t C = 0; C < NA; ++C)
+        if (!Rhs.at(Pivot, C).isZero())
+          Rhs.at(Pivot, C) *= Inv;
     }
     Eliminated[Pivot] = true;
 
@@ -148,8 +145,8 @@ bool markov::detail::eliminateRationalSystem(
         }
       }
       for (std::size_t C = 0; C < NA; ++C)
-        if (!Rhs[Pivot][C].isZero()) {
-          Rhs[User][C].subMul(Coeff, Rhs[Pivot][C]);
+        if (!Rhs.at(Pivot, C).isZero()) {
+          Rhs.at(User, C).subMul(Coeff, Rhs.at(Pivot, C));
           ++EliminationOps;
         }
     }
@@ -163,93 +160,15 @@ bool markov::detail::eliminateRationalSystem(
   return true;
 }
 
-bool markov::solveAbsorptionExact(const AbsorbingChain &Chain,
-                                  DenseMatrix<Rational> &Out,
-                                  const SolverStructure &Structure,
-                                  SolveMetrics *Metrics) {
-  if (Structure.Blocked)
-    return detail::solveAbsorptionExactBlocked(Chain, Out, Structure,
-                                               Metrics);
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  ChainPruning Pruned = pruneUnreachableStates(Chain);
-  std::size_t NK = Pruned.NumKept;
-
-  Out = DenseMatrix<Rational>(NT, NA);
-  if (Metrics)
-    *Metrics = SolveMetrics();
-  if (NK == 0)
-    return true;
-
-  std::vector<std::map<std::size_t, Rational>> Rows(NK);
-  std::vector<std::vector<Rational>> Rhs(NK,
-                                         std::vector<Rational>(NA));
-  std::size_t NumKeptQ = 0;
-  for (std::size_t K = 0; K < NK; ++K)
-    Rows[K][K] = Rational(1);
-  for (const RationalTriplet &E : Chain.QEntries) {
-    assert(E.Row < NT && E.Col < NT && "Q entry out of range");
-    if (E.Value.isZero() || !Pruned.CanReach[E.Row] ||
-        !Pruned.CanReach[E.Col])
-      continue;
-    ++NumKeptQ;
-    Rational &Cell =
-        Rows[Pruned.Compact[E.Row]][Pruned.Compact[E.Col]];
-    Cell -= E.Value;
-    if (Cell.isZero())
-      Rows[Pruned.Compact[E.Row]].erase(Pruned.Compact[E.Col]);
-  }
-  for (const RationalTriplet &E : Chain.REntries) {
-    assert(E.Row < NT && E.Col < NA && "R entry out of range");
-    if (Pruned.CanReach[E.Row])
-      Rhs[Pruned.Compact[E.Row]][E.Col] += E.Value;
-  }
-
-  std::size_t Ops = 0, Fill = 0;
-  if (!detail::eliminateRationalSystem(Rows, Rhs, Ops, Fill))
-    return false;
-
-  for (std::size_t K = 0; K < NK; ++K)
-    for (std::size_t C = 0; C < NA; ++C)
-      Out.at(Pruned.Original[K], C) = Rhs[K][C];
-
-  if (Metrics) {
-    Metrics->NumSolved = NK;
-    Metrics->NumSolvedQ = NumKeptQ;
-    Metrics->NumBlocks = 1;
-    Metrics->MaxBlockSize = NK;
-    Metrics->EliminationOps = Ops;
-    Metrics->FillIn = Fill;
-    Metrics->Blocks.push_back({NK, NumKeptQ, Ops, Fill});
-  }
-  return true;
-}
-
-bool markov::detail::luSolveOrdered(std::size_t N,
-                                    const std::vector<Triplet> &QTriplets,
-                                    DenseMatrix<double> &Rhs,
-                                    linalg::OrderingKind Ordering,
-                                    std::size_t &EliminationOps,
-                                    std::size_t &FillIn) {
-  // Fill-reducing permutation over the symmetrized pattern of I - Q (the
-  // diagonal is structurally present, so Q's off-diagonal pattern is the
-  // whole story). Natural skips the permutation machinery entirely and
-  // reproduces the historical factorization bit for bit.
-  bool Permute = Ordering != linalg::OrderingKind::Natural;
-  std::vector<std::size_t> Inverse;
-  if (Permute) {
-    linalg::AdjacencyList Adj(N);
-    for (const Triplet &E : QTriplets)
-      Adj[E.Row].push_back(E.Col);
-    std::vector<std::size_t> Perm =
-        linalg::fillReducingOrdering(Ordering, linalg::symmetrizedPattern(Adj));
-    Inverse = linalg::inversePermutation(Perm);
-  }
-
+bool markov::detail::luSolve(std::size_t N,
+                             const std::vector<Triplet> &QTriplets,
+                             DenseMatrix<double> &Rhs,
+                             std::size_t &EliminationOps,
+                             std::size_t &FillIn) {
   std::vector<Triplet> Entries;
   Entries.reserve(QTriplets.size() + N);
   for (const Triplet &E : QTriplets)
-    Entries.push_back({Permute ? Inverse[E.Row] : E.Row,
-                       Permute ? Inverse[E.Col] : E.Col, -E.Value});
+    Entries.push_back({E.Row, E.Col, -E.Value});
   for (std::size_t I = 0; I < N; ++I)
     Entries.push_back({I, I, 1.0});
   SparseMatrix IminusQ =
@@ -262,89 +181,13 @@ bool markov::detail::luSolveOrdered(std::size_t N,
   std::size_t Assembled = IminusQ.numNonZeros();
   FillIn += FactorEntries > Assembled ? FactorEntries - Assembled : 0;
 
-  // Solve P(I-Q)P^T x' = P b per column, with x'[k] the solution entry of
-  // the original index Perm[k]; undo the permutation on write-back.
-  std::size_t NA = Rhs.numCols();
   std::vector<double> Col(N);
-  for (std::size_t J = 0; J < NA; ++J) {
+  for (std::size_t J = 0; J < Rhs.numCols(); ++J) {
     for (std::size_t I = 0; I < N; ++I)
-      Col[Permute ? Inverse[I] : I] = Rhs.at(I, J);
+      Col[I] = Rhs.at(I, J);
     LU.solve(Col);
     for (std::size_t I = 0; I < N; ++I)
-      Rhs.at(I, J) = Col[Permute ? Inverse[I] : I];
-  }
-  return true;
-}
-
-bool markov::solveAbsorptionDouble(const AbsorbingChain &Chain,
-                                   DenseMatrix<double> &Out,
-                                   SolverKind Kind,
-                                   const SolverStructure &Structure,
-                                   SolveMetrics *Metrics) {
-  assert(Kind != SolverKind::Exact && Kind != SolverKind::ModularExact &&
-         "use solveAbsorptionExact / solveAbsorptionModular");
-  if (Structure.Blocked && Kind == SolverKind::Direct)
-    return detail::solveAbsorptionDoubleBlocked(Chain, Out, Structure,
-                                                Metrics);
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  ChainPruning Pruned = pruneUnreachableStates(Chain);
-  std::size_t NK = Pruned.NumKept;
-
-  Out = DenseMatrix<double>(NT, NA);
-  if (Metrics)
-    *Metrics = SolveMetrics();
-  if (NK == 0)
-    return true;
-
-  std::vector<Triplet> QT;
-  QT.reserve(Chain.QEntries.size());
-  std::size_t NumKeptQ = 0;
-  for (const RationalTriplet &E : Chain.QEntries)
-    if (!E.Value.isZero() && Pruned.CanReach[E.Row] &&
-        Pruned.CanReach[E.Col]) {
-      ++NumKeptQ;
-      QT.push_back({Pruned.Compact[E.Row], Pruned.Compact[E.Col],
-                    E.Value.toDouble()});
-    }
-
-  DenseMatrix<double> R(NK, NA);
-  for (const RationalTriplet &E : Chain.REntries)
-    if (Pruned.CanReach[E.Row])
-      R.at(Pruned.Compact[E.Row], E.Col) += E.Value.toDouble();
-
-  std::size_t Ops = 0, Fill = 0;
-  if (Kind == SolverKind::Direct) {
-    // Assemble I - Q and factor once; back-solve per absorbing column.
-    if (!detail::luSolveOrdered(NK, QT, R, Structure.Ordering, Ops, Fill))
-      return false;
-  } else {
-    // Iterative: x = Qx + r per absorbing column.
-    SparseMatrix Q = SparseMatrix::fromTriplets(NK, NK, QT);
-    std::vector<double> Col(NK), X;
-    for (std::size_t J = 0; J < NA; ++J) {
-      for (std::size_t I = 0; I < NK; ++I)
-        Col[I] = R.at(I, J);
-      std::size_t Iterations = linalg::neumannSolve(Q, Col, X);
-      if (Iterations == 0)
-        return false;
-      Ops += Iterations * Q.numNonZeros();
-      for (std::size_t I = 0; I < NK; ++I)
-        R.at(I, J) = X[I];
-    }
-  }
-
-  for (std::size_t K = 0; K < NK; ++K)
-    for (std::size_t C = 0; C < NA; ++C)
-      Out.at(Pruned.Original[K], C) = R.at(K, C);
-
-  if (Metrics) {
-    Metrics->NumSolved = NK;
-    Metrics->NumSolvedQ = NumKeptQ;
-    Metrics->NumBlocks = 1;
-    Metrics->MaxBlockSize = NK;
-    Metrics->EliminationOps = Ops;
-    Metrics->FillIn = Fill;
-    Metrics->Blocks.push_back({NK, NumKeptQ, Ops, Fill});
+      Rhs.at(I, J) = Col[I];
   }
   return true;
 }

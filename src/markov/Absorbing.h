@@ -4,20 +4,19 @@
 /// Absorbing Markov chain analysis (paper §4). Given the transient-to-
 /// transient block Q and transient-to-absorbing block R of an absorbing
 /// chain, computes the absorption probabilities A = (I - Q)^{-1} R
-/// (Equation 2 / Theorem 4.7). Three engines:
+/// (Equation 2 / Theorem 4.7). Four engines share one pipeline
+/// (docs/ARCHITECTURE.md S13): prune states that cannot reach absorption,
+/// decompose the rest into strongly connected blocks, and solve the
+/// blocks in reverse topological order of the condensation DAG —
+/// absorption out of a block depends only on already solved downstream
+/// blocks, so independent blocks solve concurrently on a shared
+/// ThreadPool. Only the per-block kernel depends on the scalar field:
 ///   - exact:     sparse Gauss-Jordan elimination over Rational
 ///   - direct:    sparse LU over double (the paper's UMFPACK configuration)
 ///   - iterative: Neumann-series iteration over double (PRISM-style approx)
-///
-/// Each engine can additionally run *blocked* (docs/ARCHITECTURE.md S13):
-/// the transient graph is decomposed into strongly connected components,
-/// and the condensation DAG is eliminated class by class in reverse
-/// topological order — absorption out of a class depends only on already
-/// solved downstream classes, so independent classes solve concurrently on
-/// a shared ThreadPool and each block can be permuted by a fill-reducing
-/// ordering before factorization. The exact blocked solve is
-/// reference-equal to the monolithic one (rationals have no rounding);
-/// the double blocked solve agrees up to elimination-order ulps.
+///   - modular:   the GF(p) instance of the same pipeline per prime, with
+///                CRT and rational reconstruction over the whole solution
+///                (docs/ARCHITECTURE.md S14)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,7 +24,6 @@
 #define MCNK_MARKOV_ABSORBING_H
 
 #include "linalg/Dense.h"
-#include "linalg/Ordering.h"
 #include "linalg/Sparse.h"
 #include "support/Rational.h"
 
@@ -78,39 +76,30 @@ struct ModularOptions {
   /// entries incrementally), so the default is a runaway guard — ~250k
   /// bits of answer — not a tuning knob.
   std::size_t MaxPrimes = 4096;
-  /// Fresh primes the reconstructed solution is re-verified against
-  /// (residue check of the full system) before being accepted.
+  /// Fresh primes the reconstructed solution is re-verified against (the
+  /// full system solved mod each, compared entry for entry) before being
+  /// accepted.
   std::size_t CheckPrimes = 2;
   /// Index into the deterministic modPrime() table where this solve
   /// starts drawing primes.
   std::size_t FirstPrimeIndex = 0;
 };
 
-/// How the linear system is decomposed, orthogonal to SolverKind. The
-/// default reproduces the monolithic solve exactly.
+/// Execution knobs of a solve. Every engine runs the same SCC
+/// block-scheduled pipeline (docs/ARCHITECTURE.md S13); these only choose
+/// where its work runs and bound the modular engine.
 struct SolverStructure {
-  /// Eliminate per strongly-connected block of the transient graph, in
-  /// reverse topological order of the condensation DAG, instead of as one
-  /// monolithic system. Applies to the Exact and Direct engines; the
-  /// Iterative engine always solves monolithically (its convergence
-  /// criterion is a whole-system residual).
-  bool Blocked = false;
-  /// Fill-reducing permutation applied inside each block before sparse LU
-  /// (Direct engine only; the exact engine already pivots dynamically by
-  /// minimum degree). Natural leaves the system untouched.
-  linalg::OrderingKind Ordering = linalg::OrderingKind::Natural;
-  /// When non-null and Blocked is set, independent blocks solve
-  /// concurrently on this pool (dependency-counted DAG schedule). Null
-  /// solves blocks serially in id order. The ModularExact engine also
-  /// fans independent primes out on the same pool (the pool is nestable,
-  /// so blocks and primes compose).
+  /// When non-null, independent blocks solve concurrently on this pool
+  /// (dependency-counted DAG schedule). Null solves blocks serially in id
+  /// order. The ModularExact engine also fans independent primes out on
+  /// the same pool (the pool is nestable, so blocks and primes compose).
   ThreadPool *Pool = nullptr;
   /// Multi-prime knobs; only read by SolverKind::ModularExact.
   ModularOptions Modular;
 };
 
-/// Elimination statistics of one solve block (or of the whole system for a
-/// monolithic solve, which reports itself as a single block).
+/// Elimination statistics of one solve block (one strongly connected class
+/// of the kept transient states).
 struct BlockMetrics {
   std::size_t NumStates = 0;       ///< Transient states in the block.
   std::size_t NumQEntries = 0;     ///< Kept Q entries rooted in the block.
@@ -120,8 +109,8 @@ struct BlockMetrics {
 
 /// Aggregated solve statistics. Per-block entries always sum to the
 /// totals: Σ Blocks[i].NumStates == NumSolved, Σ NumQEntries ==
-/// NumSolvedQ, and likewise for EliminationOps / FillIn — a monolithic
-/// solve is simply the one-block case.
+/// NumSolvedQ, and likewise for EliminationOps / FillIn. No counter
+/// depends on the block schedule (serial or pooled).
 struct SolveMetrics {
   std::size_t NumSolved = 0;      ///< Transient states kept after pruning.
   std::size_t NumSolvedQ = 0;     ///< Q entries inside the kept subgraph.
@@ -131,9 +120,10 @@ struct SolveMetrics {
   std::size_t FillIn = 0;
   /// ModularExact only (zero elsewhere): primes accepted into the CRT
   /// product, unlucky primes discarded along the way, the bit length of
-  /// the prime product backing the accepted reconstruction (max over
-  /// blocks for a blocked solve), and systems that exhausted the prime
-  /// budget and fell back to the Rational kernel.
+  /// the prime product backing the accepted reconstruction, and whether
+  /// the solve exhausted the prime budget and fell back to the Rational
+  /// kernel (0 or 1). Primes and reconstruction span the whole system,
+  /// never a single block.
   std::size_t NumPrimes = 0;
   std::size_t RetriedPrimes = 0;
   std::size_t ReconstructionBits = 0;
@@ -174,9 +164,8 @@ bool solveAbsorptionExact(const AbsorbingChain &Chain,
 /// rational reconstruction, verify the reconstruction against fresh
 /// primes, and fall back to the Rational kernel if the prime budget runs
 /// out. Reference-equal to solveAbsorptionExact by construction; the
-/// same divergence and singularity conventions apply. Composes with
-/// Structure.Blocked and Structure.Pool (independent SCC blocks and
-/// independent primes both fan out).
+/// same divergence and singularity conventions apply. Independent blocks
+/// and independent primes both fan out on Structure.Pool.
 bool solveAbsorptionModular(const AbsorbingChain &Chain,
                             linalg::DenseMatrix<Rational> &Out,
                             const SolverStructure &Structure = {},
@@ -198,9 +187,7 @@ bool rowsAreStochastic(const AbsorbingChain &Chain, double Tol = 1e-9);
 namespace detail {
 
 /// Sparse Gauss-Jordan elimination over Rational with min-degree pivoting
-/// — the shared kernel of the exact engine, used unchanged for monolithic
-/// systems and for every block of a blocked solve (so operation counts
-/// are comparable across structures). \p Rows holds the square system
+/// — the exact engine's per-block kernel. \p Rows holds the square system
 /// (Rows[i] maps column -> coefficient, diagonals nonzero on entry for
 /// well-formed chains); \p Rhs the dense right-hand-side block. On success
 /// Rows is reduced to the identity and Rhs holds the solution in place.
@@ -209,58 +196,18 @@ namespace detail {
 /// Returns false if a zero pivot is hit (singular system).
 bool eliminateRationalSystem(
     std::vector<std::map<std::size_t, Rational>> &Rows,
-    std::vector<std::vector<Rational>> &Rhs, std::size_t &EliminationOps,
+    linalg::DenseMatrix<Rational> &Rhs, std::size_t &EliminationOps,
     std::size_t &FillIn);
 
-/// Assembles I - Q from \p QTriplets (local indices, values +q), applies
-/// the fill-reducing \p Ordering symmetrically, factors with sparse LU,
+/// The Direct engine's per-block kernel: assembles I - Q from
+/// \p QTriplets (local indices, values +q), factors it with sparse LU in
+/// the given numbering (the block plan numbers large blocks in RCM order),
 /// and solves in place for each column of \p Rhs (N x NumAbsorbing).
-/// Shared by the monolithic Direct engine (one call for the whole system)
-/// and the blocked one (one call per block). \p EliminationOps
-/// accumulates the factorization's multiply-subtract count and \p FillIn
-/// the factor entries beyond the assembled pattern.
-bool luSolveOrdered(std::size_t N,
-                    const std::vector<linalg::Triplet> &QTriplets,
-                    linalg::DenseMatrix<double> &Rhs,
-                    linalg::OrderingKind Ordering,
-                    std::size_t &EliminationOps, std::size_t &FillIn);
-
-/// Modular-engine counters of one system solve (folded into SolveMetrics
-/// by the drivers; blocked solves keep one per block and fold after the
-/// DAG completes).
-struct ModularStats {
-  std::size_t NumPrimes = 0;
-  std::size_t RetriedPrimes = 0;
-  std::size_t ReconstructionBits = 0;
-};
-
-/// Multi-prime modular solve of the same system layout
-/// eliminateRationalSystem consumes — but \p Rows is read non-
-/// destructively, so on a false return (prime budget exhausted without a
-/// verified reconstruction, or the system is singular mod every prime
-/// tried) the caller can run the Rational kernel on the untouched
-/// system. On success \p Rhs holds the verified exact solution.
-/// Independent primes fan out on \p Pool when non-null.
-bool modularEliminateSystem(
-    const std::vector<std::map<std::size_t, Rational>> &Rows,
-    std::vector<std::vector<Rational>> &Rhs, linalg::OrderingKind Ordering,
-    ThreadPool *Pool, const ModularOptions &Options,
-    std::size_t &EliminationOps, std::size_t &FillIn, ModularStats &Stats);
-
-/// Blocked implementations (BlockSolve.cpp); the public entry points
-/// dispatch here when Structure.Blocked is set.
-bool solveAbsorptionExactBlocked(const AbsorbingChain &Chain,
-                                 linalg::DenseMatrix<Rational> &Out,
-                                 const SolverStructure &Structure,
-                                 SolveMetrics *Metrics);
-bool solveAbsorptionModularBlocked(const AbsorbingChain &Chain,
-                                   linalg::DenseMatrix<Rational> &Out,
-                                   const SolverStructure &Structure,
-                                   SolveMetrics *Metrics);
-bool solveAbsorptionDoubleBlocked(const AbsorbingChain &Chain,
-                                  linalg::DenseMatrix<double> &Out,
-                                  const SolverStructure &Structure,
-                                  SolveMetrics *Metrics);
+/// \p EliminationOps accumulates the factorization's multiply-subtract
+/// count and \p FillIn the factor entries beyond the assembled pattern.
+bool luSolve(std::size_t N, const std::vector<linalg::Triplet> &QTriplets,
+             linalg::DenseMatrix<double> &Rhs, std::size_t &EliminationOps,
+             std::size_t &FillIn);
 
 } // namespace detail
 

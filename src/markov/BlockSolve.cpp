@@ -1,85 +1,169 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Block-structured absorbing-chain solves (docs/ARCHITECTURE.md S13).
-/// The transient graph decomposes into strongly connected classes; in the
-/// condensation DAG, absorption out of a class depends only on classes
-/// downstream of it:
-///
-///   (I - Q_BB) A_B = R_B + Q_{B,ext} A_ext
-///
-/// where ext ranges over states in already-solved successor blocks. Blocks
-/// are eliminated in reverse topological order (block ids from Tarjan pop
-/// order make that simply increasing id order); when a ThreadPool is
-/// supplied, independent classes solve concurrently under a
-/// dependency-counted DAG schedule — each task writes only its own block's
-/// rows of the shared absorption matrix, and every cross-block read is
-/// ordered behind the writer by the scheduling edge.
-///
-/// The exact blocked solve is reference-equal to the monolithic one: both
-/// compute the unique rational solution of the same nonsingular system.
-/// The double blocked solve agrees up to elimination-order ulps only.
+/// The block plan, the condensation-DAG scheduler, and the Rational and
+/// double instances of the block pipeline (docs/ARCHITECTURE.md S13; see
+/// BlockSolve.h). Blocks are eliminated in reverse topological order
+/// (block ids from Tarjan pop order make that simply increasing id
+/// order); when a ThreadPool is supplied, independent blocks solve
+/// concurrently under a dependency-counted DAG schedule — each task
+/// writes only its own block's rows of the shared absorption matrix, and
+/// every cross-block read is ordered behind the writer by the scheduling
+/// edge. Rational solves are schedule-independent (rationals have no
+/// rounding); double solves agree across schedules bit for bit too, since
+/// each block's arithmetic is fixed by the plan.
 ///
 //===----------------------------------------------------------------------===//
 
-#include "markov/Absorbing.h"
-#include "markov/Scc.h"
+#include "markov/BlockSolve.h"
 
+#include "linalg/Ordering.h"
+#include "linalg/Solve.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <functional>
 #include <mutex>
 
 using namespace mcnk;
 using namespace mcnk::markov;
+using namespace mcnk::markov::detail;
 using linalg::DenseMatrix;
 using linalg::Triplet;
 
 namespace {
 
-/// The pruned chain reorganized for per-block assembly: per compact state,
-/// its kept Q row (compact column indices) and R row.
-struct BlockPlan {
-  ChainPruning Pruned;
-  SccDecomposition Scc; // Over compact transient indices.
-  std::vector<std::vector<std::pair<std::size_t, Rational>>> QRows;
-  std::vector<std::vector<std::pair<std::size_t, Rational>>> RRows;
-  std::size_t NumKeptQ = 0;
+/// A kept chain entry in compact coordinates.
+struct Kept {
+  std::size_t Row;
+  std::size_t Col;
+  const Rational *Value;
 };
 
-BlockPlan planBlocks(const AbsorbingChain &Chain) {
+/// Sorts \p Entries by (row, column) and returns the row starts: row U's
+/// entries are Entries[Start[U], Start[U + 1]), duplicates adjacent.
+std::vector<std::size_t> sortByRow(std::vector<Kept> &Entries,
+                                   std::size_t NumRows) {
+  std::sort(Entries.begin(), Entries.end(), [](const Kept &A, const Kept &B) {
+    return A.Row != B.Row ? A.Row < B.Row : A.Col < B.Col;
+  });
+  std::vector<std::size_t> Start(NumRows + 1, 0);
+  for (const Kept &E : Entries)
+    ++Start[E.Row + 1];
+  for (std::size_t U = 0; U < NumRows; ++U)
+    Start[U + 1] += Start[U];
+  return Start;
+}
+
+/// Emits one cell per distinct column of the sorted run
+/// Entries[Begin, End), summing duplicate coordinates and skipping cells
+/// that sum to zero — the cells of the assembled I - Q or R row.
+template <typename Fn>
+void mergeRun(const std::vector<Kept> &Entries, std::size_t Begin,
+              std::size_t End, Fn Emit) {
+  for (std::size_t I = Begin; I < End;) {
+    Rational V = *Entries[I].Value;
+    std::size_t J = I + 1;
+    for (; J < End && Entries[J].Col == Entries[I].Col; ++J)
+      V += *Entries[J].Value;
+    if (!V.isZero())
+      Emit(Entries[I].Col, std::move(V));
+    I = J;
+  }
+}
+
+} // namespace
+
+BlockPlan detail::planBlocks(const AbsorbingChain &Chain,
+                             std::size_t MinOrdered) {
   BlockPlan Plan;
   Plan.Pruned = pruneUnreachableStates(Chain);
-  std::size_t NK = Plan.Pruned.NumKept;
-  Plan.QRows.resize(NK);
-  Plan.RRows.resize(NK);
+  Plan.NumAbsorbing = Chain.NumAbsorbing;
+  const ChainPruning &P = Plan.Pruned;
+  std::size_t NK = P.NumKept;
+
+  std::vector<Kept> Q, R;
+  Q.reserve(Chain.QEntries.size());
+  R.reserve(Chain.REntries.size());
   std::vector<std::vector<std::size_t>> Adj(NK);
-  for (const RationalTriplet &E : Chain.QEntries)
-    if (!E.Value.isZero() && Plan.Pruned.CanReach[E.Row] &&
-        Plan.Pruned.CanReach[E.Col]) {
-      std::size_t U = Plan.Pruned.Compact[E.Row];
-      std::size_t V = Plan.Pruned.Compact[E.Col];
-      Plan.QRows[U].emplace_back(V, E.Value);
-      Adj[U].push_back(V);
-      ++Plan.NumKeptQ;
-    }
-  for (const RationalTriplet &E : Chain.REntries)
-    if (Plan.Pruned.CanReach[E.Row])
-      Plan.RRows[Plan.Pruned.Compact[E.Row]].emplace_back(E.Col, E.Value);
+  for (const RationalTriplet &E : Chain.QEntries) {
+    assert(E.Row < Chain.NumTransient && E.Col < Chain.NumTransient &&
+           "Q entry out of range");
+    if (E.Value.isZero() || !P.CanReach[E.Row] || !P.CanReach[E.Col])
+      continue;
+    Q.push_back({P.Compact[E.Row], P.Compact[E.Col], &E.Value});
+    Adj[P.Compact[E.Row]].push_back(P.Compact[E.Col]);
+  }
+  for (const RationalTriplet &E : Chain.REntries) {
+    assert(E.Row < Chain.NumTransient && E.Col < Chain.NumAbsorbing &&
+           "R entry out of range");
+    if (P.CanReach[E.Row])
+      R.push_back({P.Compact[E.Row], E.Col, &E.Value});
+  }
+  std::vector<std::size_t> QStart = sortByRow(Q, NK);
+  std::vector<std::size_t> RStart = sortByRow(R, NK);
+  Plan.NumKeptQ = Q.size();
   Plan.Scc = computeScc(NK, Adj);
+
+  std::vector<std::size_t> LocalOf(NK);
+  for (const std::vector<std::size_t> &Members : Plan.Scc.Blocks)
+    for (std::size_t L = 0; L < Members.size(); ++L)
+      LocalOf[Members[L]] = L;
+
+  // Reserve each block's cell lists up front (raw entry counts bound the
+  // merged cells): the plan is allocation-bound on large blocks.
+  Plan.Blocks.resize(Plan.Scc.NumBlocks);
+  std::vector<std::size_t> NumInner(Plan.Scc.NumBlocks, 0);
+  for (const Kept &E : Q)
+    NumInner[Plan.Scc.BlockOf[E.Row]] +=
+        Plan.Scc.BlockOf[E.Row] == Plan.Scc.BlockOf[E.Col];
+  for (std::size_t B = 0; B < Plan.Scc.NumBlocks; ++B) {
+    PlanBlock &PB = Plan.Blocks[B];
+    PB.Members = Plan.Scc.Blocks[B];
+    if (PB.Members.size() >= std::max<std::size_t>(MinOrdered, 2)) {
+      linalg::AdjacencyList Pattern(PB.Members.size());
+      for (std::size_t G : PB.Members)
+        for (std::size_t I = QStart[G]; I < QStart[G + 1]; ++I)
+          if (Plan.Scc.BlockOf[Q[I].Col] == B)
+            Pattern[LocalOf[G]].push_back(LocalOf[Q[I].Col]);
+      std::vector<std::size_t> Ascending;
+      Ascending.swap(PB.Members);
+      for (std::size_t L : linalg::reverseCuthillMcKee(
+               linalg::symmetrizedPattern(Pattern)))
+        PB.Members.push_back(Ascending[L]);
+      for (std::size_t L = 0; L < PB.Members.size(); ++L)
+        LocalOf[PB.Members[L]] = L;
+    }
+    std::size_t NumQ = 0, NumR = 0;
+    for (std::size_t G : PB.Members) {
+      NumQ += QStart[G + 1] - QStart[G];
+      NumR += RStart[G + 1] - RStart[G];
+    }
+    PB.Inner.reserve(NumInner[B]);
+    PB.Outer.reserve(NumQ - NumInner[B]);
+    PB.R.reserve(NumR);
+    for (std::size_t L = 0; L < PB.Members.size(); ++L) {
+      std::size_t G = PB.Members[L];
+      PB.NumQEntries += QStart[G + 1] - QStart[G];
+      mergeRun(Q, QStart[G], QStart[G + 1], [&](std::size_t Col, Rational V) {
+        if (Plan.Scc.BlockOf[Col] == B) {
+          PB.Inner.push_back({L, LocalOf[Col], std::move(V)});
+          return;
+        }
+        assert(Plan.Scc.BlockOf[Col] < B && "unsolved successor");
+        PB.Outer.push_back({L, Col, std::move(V)});
+      });
+      mergeRun(R, RStart[G], RStart[G + 1], [&](std::size_t Col, Rational V) {
+        PB.R.push_back({L, Col, std::move(V)});
+      });
+    }
+  }
   return Plan;
 }
 
-/// Runs Solve(BlockId) once per block, respecting condensation-DAG order.
-/// Serial fallback processes ids in increasing order (successors first);
-/// on a pool, blocks become ready when their dependency counter drains,
-/// each completion enqueuing newly ready dependents. Returns false as
-/// soon as any Solve fails (remaining ready work is abandoned).
-bool runBlocks(const SccDecomposition &Scc, ThreadPool *Pool,
-               const std::function<bool(std::size_t)> &Solve) {
+bool detail::runBlocks(const SccDecomposition &Scc, ThreadPool *Pool,
+                       const std::function<bool(std::size_t)> &Solve) {
   std::size_t NB = Scc.NumBlocks;
   if (!Pool || NB <= 1) {
     for (std::size_t B = 0; B < NB; ++B)
@@ -137,249 +221,152 @@ bool runBlocks(const SccDecomposition &Scc, ThreadPool *Pool,
   return Ok.load();
 }
 
-/// Folds per-block metrics into the totals after all blocks completed.
-void finishMetrics(SolveMetrics &M, const BlockPlan &Plan,
-                   std::vector<BlockMetrics> Blocks) {
+void detail::finishMetrics(SolveMetrics &M, const BlockPlan &Plan,
+                           std::vector<BlockMetrics> Blocks) {
+  M = SolveMetrics();
   M.NumSolved = Plan.Pruned.NumKept;
   M.NumSolvedQ = Plan.NumKeptQ;
   M.NumBlocks = Plan.Scc.NumBlocks;
   M.Blocks = std::move(Blocks);
-  for (const BlockMetrics &B : M.Blocks) {
+  for (std::size_t Id = 0; Id < M.Blocks.size(); ++Id) {
+    BlockMetrics &B = M.Blocks[Id];
+    B.NumStates = Plan.Blocks[Id].Members.size();
+    B.NumQEntries = Plan.Blocks[Id].NumQEntries;
     M.MaxBlockSize = std::max(M.MaxBlockSize, B.NumStates);
     M.EliminationOps += B.EliminationOps;
     M.FillIn += B.FillIn;
   }
 }
 
+namespace {
+
+/// Rational field: the exact engine's Gauss-Jordan kernel per block.
+struct RationalField {
+  using Scalar = Rational;
+  /// Min-degree pivoting orders the elimination dynamically.
+  static constexpr std::size_t MinOrdered = SIZE_MAX;
+  Rational zero() const { return Rational(); }
+  bool isZero(const Rational &V) const { return V.isZero(); }
+  bool lower(const Rational &V, Rational &Out) const {
+    Out = V;
+    return true;
+  }
+  void add(Rational &Acc, const Rational &V) const { Acc += V; }
+  void addMul(Rational &Acc, const Rational &A, const Rational &B) const {
+    Acc.addMul(A, B);
+  }
+  bool solveBlock(const PlanBlock &PB, DenseMatrix<Rational> &Rhs,
+                  BlockMetrics &BM) const {
+    std::vector<std::map<std::size_t, Rational>> Rows(PB.Members.size());
+    for (std::size_t L = 0; L < Rows.size(); ++L)
+      Rows[L][L] = Rational(1);
+    for (const PlanCell &E : PB.Inner) {
+      Rational &Cell = Rows[E.Row][E.Col];
+      Cell -= E.Value;
+      if (Cell.isZero())
+        Rows[E.Row].erase(E.Col);
+    }
+    return eliminateRationalSystem(Rows, Rhs, BM.EliminationOps, BM.FillIn);
+  }
+};
+
+/// Double arithmetic shared by the Direct and Iterative kernels.
+struct DoubleField {
+  using Scalar = double;
+  double zero() const { return 0.0; }
+  bool isZero(double V) const { return V == 0.0; }
+  bool lower(const Rational &V, double &Out) const {
+    Out = V.toDouble();
+    return true;
+  }
+  void add(double &Acc, double V) const { Acc += V; }
+  void addMul(double &Acc, double A, double B) const { Acc += A * B; }
+  static std::vector<Triplet> innerTriplets(const PlanBlock &PB) {
+    std::vector<Triplet> QT;
+    QT.reserve(PB.Inner.size());
+    for (const PlanCell &E : PB.Inner)
+      QT.push_back({E.Row, E.Col, E.Value.toDouble()});
+    return QT;
+  }
+};
+
+/// Direct: sparse LU of I - Q_BB in the plan's RCM numbering.
+struct LUField : DoubleField {
+  static constexpr std::size_t MinOrdered = 2;
+  bool solveBlock(const PlanBlock &PB, DenseMatrix<double> &Rhs,
+                  BlockMetrics &BM) const {
+    return luSolve(PB.Members.size(), innerTriplets(PB), Rhs,
+                   BM.EliminationOps, BM.FillIn);
+  }
+};
+
+/// Iterative: x = Q_BB x + rhs per absorbing column. Each block converges
+/// on its own residual; its RHS already carries the solved successors.
+struct NeumannField : DoubleField {
+  static constexpr std::size_t MinOrdered = SIZE_MAX;
+  bool solveBlock(const PlanBlock &PB, DenseMatrix<double> &Rhs,
+                  BlockMetrics &BM) const {
+    std::size_t N = PB.Members.size();
+    linalg::SparseMatrix Q =
+        linalg::SparseMatrix::fromTriplets(N, N, innerTriplets(PB));
+    std::vector<double> Col(N), X;
+    for (std::size_t J = 0; J < Rhs.numCols(); ++J) {
+      for (std::size_t I = 0; I < N; ++I)
+        Col[I] = Rhs.at(I, J);
+      std::size_t Iterations = linalg::neumannSolve(Q, Col, X);
+      if (Iterations == 0)
+        return false;
+      BM.EliminationOps += Iterations * Q.numNonZeros();
+      for (std::size_t I = 0; I < N; ++I)
+        Rhs.at(I, J) = X[I];
+    }
+    return true;
+  }
+};
+
+/// Plan, solve over \p F, scatter, and report: the whole pipeline for the
+/// single-field engines.
+template <typename Field>
+bool solvePipeline(const AbsorbingChain &Chain, const Field &F,
+                   const SolverStructure &Structure,
+                   DenseMatrix<typename Field::Scalar> &Out,
+                   SolveMetrics *Metrics) {
+  BlockPlan Plan = planBlocks(Chain, Field::MinOrdered);
+  std::vector<BlockMetrics> Blocks(Plan.Blocks.size());
+  DenseMatrix<typename Field::Scalar> X;
+  if (!solveBlocks(Plan, F, Structure.Pool, X, Blocks))
+    return false;
+  Out = DenseMatrix<typename Field::Scalar>(Chain.NumTransient,
+                                            Chain.NumAbsorbing);
+  scatterSolution(Plan, X, Out);
+  if (Metrics)
+    finishMetrics(*Metrics, Plan, std::move(Blocks));
+  return true;
+}
+
 } // namespace
 
-bool markov::detail::solveAbsorptionExactBlocked(
-    const AbsorbingChain &Chain, DenseMatrix<Rational> &Out,
-    const SolverStructure &Structure, SolveMetrics *Metrics) {
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  BlockPlan Plan = planBlocks(Chain);
-  std::size_t NK = Plan.Pruned.NumKept;
-
-  Out = DenseMatrix<Rational>(NT, NA);
-  if (Metrics)
-    *Metrics = SolveMetrics();
-  if (NK == 0)
-    return true;
-
-  // Absorption rows in compact index space: block B writes rows of its
-  // members, later (higher-id) blocks read rows of their successors.
-  DenseMatrix<Rational> Absorb(NK, NA);
-  std::vector<BlockMetrics> Blocks(Plan.Scc.NumBlocks);
-
-  auto SolveBlock = [&](std::size_t B) -> bool {
-    const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
-    std::size_t N = Members.size();
-    auto LocalOf = [&](std::size_t Global) {
-      return static_cast<std::size_t>(
-          std::lower_bound(Members.begin(), Members.end(), Global) -
-          Members.begin());
-    };
-
-    BlockMetrics &BM = Blocks[B];
-    BM.NumStates = N;
-    std::vector<std::map<std::size_t, Rational>> Rows(N);
-    std::vector<std::vector<Rational>> Rhs(N, std::vector<Rational>(NA));
-    for (std::size_t L = 0; L < N; ++L)
-      Rows[L][L] = Rational(1);
-    for (std::size_t L = 0; L < N; ++L) {
-      std::size_t G = Members[L];
-      for (const auto &[Col, V] : Plan.RRows[G])
-        Rhs[L][Col] += V;
-      for (const auto &[Target, V] : Plan.QRows[G]) {
-        ++BM.NumQEntries;
-        if (Plan.Scc.BlockOf[Target] == B) {
-          Rational &Cell = Rows[L][LocalOf(Target)];
-          Cell -= V;
-          if (Cell.isZero())
-            Rows[L].erase(LocalOf(Target));
-        } else {
-          // Back-substitution along a condensation edge: the successor
-          // block already solved, fold its absorption row into the RHS.
-          assert(Plan.Scc.BlockOf[Target] < B && "unsolved successor");
-          for (std::size_t C = 0; C < NA; ++C)
-            if (!Absorb.at(Target, C).isZero())
-              Rhs[L][C].addMul(V, Absorb.at(Target, C));
-        }
-      }
-    }
-
-    if (!eliminateRationalSystem(Rows, Rhs, BM.EliminationOps, BM.FillIn))
-      return false;
-    for (std::size_t L = 0; L < N; ++L)
-      for (std::size_t C = 0; C < NA; ++C)
-        Absorb.at(Members[L], C) = std::move(Rhs[L][C]);
-    return true;
-  };
-
-  if (!runBlocks(Plan.Scc, Structure.Pool, SolveBlock))
-    return false;
-
-  for (std::size_t K = 0; K < NK; ++K)
-    for (std::size_t C = 0; C < NA; ++C)
-      Out.at(Plan.Pruned.Original[K], C) = std::move(Absorb.at(K, C));
-  if (Metrics)
-    finishMetrics(*Metrics, Plan, std::move(Blocks));
-  return true;
+bool detail::solveBlocksRational(const BlockPlan &Plan, ThreadPool *Pool,
+                                 DenseMatrix<Rational> &X,
+                                 std::vector<BlockMetrics> &Metrics) {
+  return solveBlocks(Plan, RationalField(), Pool, X, Metrics);
 }
 
-bool markov::detail::solveAbsorptionModularBlocked(
-    const AbsorbingChain &Chain, DenseMatrix<Rational> &Out,
-    const SolverStructure &Structure, SolveMetrics *Metrics) {
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  BlockPlan Plan = planBlocks(Chain);
-  std::size_t NK = Plan.Pruned.NumKept;
-
-  Out = DenseMatrix<Rational>(NT, NA);
-  if (Metrics)
-    *Metrics = SolveMetrics();
-  if (NK == 0)
-    return true;
-
-  DenseMatrix<Rational> Absorb(NK, NA);
-  std::vector<BlockMetrics> Blocks(Plan.Scc.NumBlocks);
-  // Per-block modular counters, folded after the DAG completes (tasks
-  // write only their own slot, so no synchronization is needed beyond
-  // the scheduling edges).
-  std::vector<ModularStats> Stats(Plan.Scc.NumBlocks);
-  std::vector<char> FellBack(Plan.Scc.NumBlocks, 0);
-
-  auto SolveBlock = [&](std::size_t B) -> bool {
-    const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
-    std::size_t N = Members.size();
-    auto LocalOf = [&](std::size_t Global) {
-      return static_cast<std::size_t>(
-          std::lower_bound(Members.begin(), Members.end(), Global) -
-          Members.begin());
-    };
-
-    BlockMetrics &BM = Blocks[B];
-    BM.NumStates = N;
-    std::vector<std::map<std::size_t, Rational>> Rows(N);
-    std::vector<std::vector<Rational>> Rhs(N, std::vector<Rational>(NA));
-    for (std::size_t L = 0; L < N; ++L)
-      Rows[L][L] = Rational(1);
-    for (std::size_t L = 0; L < N; ++L) {
-      std::size_t G = Members[L];
-      for (const auto &[Col, V] : Plan.RRows[G])
-        Rhs[L][Col] += V;
-      for (const auto &[Target, V] : Plan.QRows[G]) {
-        ++BM.NumQEntries;
-        if (Plan.Scc.BlockOf[Target] == B) {
-          Rational &Cell = Rows[L][LocalOf(Target)];
-          Cell -= V;
-          if (Cell.isZero())
-            Rows[L].erase(LocalOf(Target));
-        } else {
-          assert(Plan.Scc.BlockOf[Target] < B && "unsolved successor");
-          for (std::size_t C = 0; C < NA; ++C)
-            if (!Absorb.at(Target, C).isZero())
-              Rhs[L][C].addMul(V, Absorb.at(Target, C));
-        }
-      }
-    }
-
-    // Independent primes fan out on the same pool the blocks run on —
-    // the pool is nestable (help-first workers), so a block task's
-    // parallelFor executes pending prime chunks inline.
-    if (!modularEliminateSystem(Rows, Rhs, Structure.Ordering,
-                                Structure.Pool, Structure.Modular,
-                                BM.EliminationOps, BM.FillIn, Stats[B])) {
-      FellBack[B] = 1;
-      if (!eliminateRationalSystem(Rows, Rhs, BM.EliminationOps, BM.FillIn))
-        return false;
-    }
-    for (std::size_t L = 0; L < N; ++L)
-      for (std::size_t C = 0; C < NA; ++C)
-        Absorb.at(Members[L], C) = std::move(Rhs[L][C]);
-    return true;
-  };
-
-  if (!runBlocks(Plan.Scc, Structure.Pool, SolveBlock))
-    return false;
-
-  for (std::size_t K = 0; K < NK; ++K)
-    for (std::size_t C = 0; C < NA; ++C)
-      Out.at(Plan.Pruned.Original[K], C) = std::move(Absorb.at(K, C));
-  if (Metrics) {
-    finishMetrics(*Metrics, Plan, std::move(Blocks));
-    for (std::size_t B = 0; B < Plan.Scc.NumBlocks; ++B) {
-      Metrics->NumPrimes += Stats[B].NumPrimes;
-      Metrics->RetriedPrimes += Stats[B].RetriedPrimes;
-      Metrics->ReconstructionBits =
-          std::max(Metrics->ReconstructionBits, Stats[B].ReconstructionBits);
-      Metrics->ModularFallbacks += FellBack[B] ? 1 : 0;
-    }
-  }
-  return true;
+bool markov::solveAbsorptionExact(const AbsorbingChain &Chain,
+                                  DenseMatrix<Rational> &Out,
+                                  const SolverStructure &Structure,
+                                  SolveMetrics *Metrics) {
+  return solvePipeline(Chain, RationalField(), Structure, Out, Metrics);
 }
 
-bool markov::detail::solveAbsorptionDoubleBlocked(
-    const AbsorbingChain &Chain, DenseMatrix<double> &Out,
-    const SolverStructure &Structure, SolveMetrics *Metrics) {
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  BlockPlan Plan = planBlocks(Chain);
-  std::size_t NK = Plan.Pruned.NumKept;
-
-  Out = DenseMatrix<double>(NT, NA);
-  if (Metrics)
-    *Metrics = SolveMetrics();
-  if (NK == 0)
-    return true;
-
-  DenseMatrix<double> Absorb(NK, NA);
-  std::vector<BlockMetrics> Blocks(Plan.Scc.NumBlocks);
-
-  auto SolveBlock = [&](std::size_t B) -> bool {
-    const std::vector<std::size_t> &Members = Plan.Scc.Blocks[B];
-    std::size_t N = Members.size();
-    auto LocalOf = [&](std::size_t Global) {
-      return static_cast<std::size_t>(
-          std::lower_bound(Members.begin(), Members.end(), Global) -
-          Members.begin());
-    };
-
-    BlockMetrics &BM = Blocks[B];
-    BM.NumStates = N;
-    std::vector<Triplet> QT;
-    DenseMatrix<double> Rhs(N, NA);
-    for (std::size_t L = 0; L < N; ++L) {
-      std::size_t G = Members[L];
-      for (const auto &[Col, V] : Plan.RRows[G])
-        Rhs.at(L, Col) += V.toDouble();
-      for (const auto &[Target, V] : Plan.QRows[G]) {
-        ++BM.NumQEntries;
-        if (Plan.Scc.BlockOf[Target] == B) {
-          QT.push_back({L, LocalOf(Target), V.toDouble()});
-        } else {
-          assert(Plan.Scc.BlockOf[Target] < B && "unsolved successor");
-          double W = V.toDouble();
-          for (std::size_t C = 0; C < NA; ++C)
-            Rhs.at(L, C) += W * Absorb.at(Target, C);
-        }
-      }
-    }
-
-    if (!luSolveOrdered(N, QT, Rhs, Structure.Ordering, BM.EliminationOps,
-                        BM.FillIn))
-      return false;
-    for (std::size_t L = 0; L < N; ++L)
-      for (std::size_t C = 0; C < NA; ++C)
-        Absorb.at(Members[L], C) = Rhs.at(L, C);
-    return true;
-  };
-
-  if (!runBlocks(Plan.Scc, Structure.Pool, SolveBlock))
-    return false;
-
-  for (std::size_t K = 0; K < NK; ++K)
-    for (std::size_t C = 0; C < NA; ++C)
-      Out.at(Plan.Pruned.Original[K], C) = Absorb.at(K, C);
-  if (Metrics)
-    finishMetrics(*Metrics, Plan, std::move(Blocks));
-  return true;
+bool markov::solveAbsorptionDouble(const AbsorbingChain &Chain,
+                                   DenseMatrix<double> &Out,
+                                   SolverKind Kind,
+                                   const SolverStructure &Structure,
+                                   SolveMetrics *Metrics) {
+  assert(Kind != SolverKind::Exact && Kind != SolverKind::ModularExact &&
+         "use solveAbsorptionExact / solveAbsorptionModular");
+  if (Kind == SolverKind::Direct)
+    return solvePipeline(Chain, LUField(), Structure, Out, Metrics);
+  return solvePipeline(Chain, NeumannField(), Structure, Out, Metrics);
 }

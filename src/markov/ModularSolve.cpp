@@ -1,136 +1,156 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The multi-prime modular exact engine (docs/ARCHITECTURE.md S14):
-/// modularEliminateSystem — solve the absorption system mod word-size
-/// primes with the linalg/ModSolve.h kernels, combine residues by CRT,
-/// recover Rationals by Wang reconstruction, and verify the result
-/// against fresh primes before accepting it — plus the monolithic
-/// solveAbsorptionModular driver. The SCC-blocked driver shares the
-/// block machinery in BlockSolve.cpp.
+/// The multi-prime modular exact engine (docs/ARCHITECTURE.md S14): the
+/// GF(p) instance of the block pipeline (BlockSolve.h), run once per
+/// word-size prime over one block plan, with the residues combined by CRT
+/// over the *whole* solution, recovered as Rationals by Wang
+/// reconstruction, and verified against fresh primes before being
+/// accepted. CRT and reconstruction deliberately never run per block:
+/// the GF(p) solve is block-triangular, so det(I - Q) = Π det(I - Q_BB)
+/// mod p, and the whole-system prime walk — lucky primes, residues,
+/// prime count, reconstruction bits — is exactly that of one monolithic
+/// solve, while a per-block walk would pay the CRT/verification overhead
+/// once per block (hundreds of times more primes on acyclic chains).
 ///
 //===----------------------------------------------------------------------===//
 
-#include "markov/Absorbing.h"
+#include "markov/BlockSolve.h"
 
 #include "linalg/ModSolve.h"
 #include "support/ModArith.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <cassert>
-#include <map>
 #include <numeric>
-#include <vector>
 
 using namespace mcnk;
 using namespace mcnk::markov;
+using namespace mcnk::markov::detail;
 using linalg::DenseMatrix;
 using linalg::ModTriplet;
 
 namespace {
 
-/// One flattened coefficient of the system (pointer into the caller's
-/// Rows maps — the system itself is never copied or mutated).
-struct Coeff {
-  std::size_t Row;
-  std::size_t Col;
-  const Rational *Value;
+/// GF(p) field policy over Montgomery residues: the mod-p sparse/dense
+/// kernels per block, in the plan's RCM numbering.
+struct ModField {
+  using Scalar = std::uint64_t;
+  /// Blocks up to the cutoff take the dense kernel; numbering is moot.
+  static constexpr std::size_t MinOrdered = linalg::ModDenseCutoff + 1;
+  const PrimeField &F;
+
+  std::uint64_t zero() const { return 0; }
+  bool isZero(std::uint64_t V) const { return V == 0; }
+  /// False when p divides the denominator — the conversion-side
+  /// unlucky-prime signal.
+  bool lower(const Rational &V, std::uint64_t &Out) const {
+    std::uint64_t R;
+    if (!rationalMod(V, F, R))
+      return false;
+    Out = F.encode(R);
+    return true;
+  }
+  void add(std::uint64_t &Acc, std::uint64_t V) const { Acc = F.add(Acc, V); }
+  void addMul(std::uint64_t &Acc, std::uint64_t A, std::uint64_t B) const {
+    Acc = F.add(Acc, F.mul(A, B));
+  }
+  bool solveBlock(const PlanBlock &PB, DenseMatrix<std::uint64_t> &Rhs,
+                  BlockMetrics &BM) const {
+    std::size_t N = PB.Members.size();
+    std::vector<ModTriplet> A;
+    A.reserve(N + PB.Inner.size());
+    for (std::size_t L = 0; L < N; ++L)
+      A.push_back({L, L, F.one()});
+    for (const PlanCell &E : PB.Inner) {
+      std::uint64_t Q;
+      if (!lower(E.Value, Q))
+        return false;
+      A.push_back({E.Row, E.Col, F.neg(Q)});
+    }
+    return linalg::modSolve(F, N, A, Rhs, BM.EliminationOps, BM.FillIn);
+  }
 };
 
-/// Per-prime image of the system: every coefficient and right-hand-side
-/// entry reduced mod p (Montgomery form). Returns false when p divides
-/// any denominator — the conversion-side unlucky-prime signal.
-bool convertSystem(const std::vector<Coeff> &Entries,
-                   const std::vector<std::vector<Rational>> &Rhs,
-                   std::size_t N, std::size_t NA, const PrimeField &F,
-                   std::vector<ModTriplet> &A,
-                   std::vector<std::uint64_t> &B) {
-  A.clear();
-  A.reserve(Entries.size());
-  for (const Coeff &E : Entries) {
-    std::uint64_t R;
-    if (!rationalMod(*E.Value, F, R))
-      return false;
-    A.push_back({E.Row, E.Col, F.encode(R)});
-  }
-  B.assign(N * NA, 0);
-  for (std::size_t I = 0; I < N; ++I)
-    for (std::size_t C = 0; C < NA; ++C) {
-      const Rational &V = Rhs[I][C];
-      if (V.isZero())
-        continue;
-      std::uint64_t R;
-      if (!rationalMod(V, F, R))
-        return false;
-      B[I * NA + C] = F.encode(R);
-    }
-  return true;
-}
-
-/// Residue check of the reconstructed candidate against one fresh prime:
-/// A·X ≡ Rhs (mod q) entry for entry. Returns false on a mismatch;
-/// \p Unlucky reports that q divides some denominator (candidate or
-/// system), in which case nothing was decided and the caller draws
-/// another check prime.
-bool verifyAgainstPrime(const std::vector<Coeff> &Entries,
-                        const std::vector<std::vector<Rational>> &Rhs,
+/// Checks the reconstructed candidate (compact index order) against one
+/// fresh prime q with the GF(q) instance of the pipeline: where I - Q is
+/// nonsingular mod q, the candidate satisfies (I - Q)·X ≡ R (mod q) over
+/// the whole system exactly when it equals that solution entry for entry.
+/// Returns false on a mismatch; \p Unlucky reports that q divides some
+/// denominator (candidate or system) or leaves the system singular, in
+/// which case nothing was decided and the caller draws another check
+/// prime.
+bool verifyAgainstPrime(const BlockPlan &Plan, ThreadPool *Pool,
                         const std::vector<Rational> &Candidate,
-                        std::size_t N, std::size_t NA, const PrimeField &F,
-                        bool &Unlucky) {
-  Unlucky = false;
-  std::vector<std::uint64_t> CX(N * NA);
-  for (std::size_t E = 0; E < N * NA; ++E) {
-    std::uint64_t R;
-    if (!rationalMod(Candidate[E], F, R)) {
-      Unlucky = true;
+                        const PrimeField &F, bool &Unlucky) {
+  ModField MF{F};
+  DenseMatrix<std::uint64_t> Images;
+  std::vector<BlockMetrics> Unused(Plan.Blocks.size());
+  Unlucky = !solveBlocks(Plan, MF, Pool, Images, Unused);
+  std::size_t NA = Plan.NumAbsorbing;
+  for (std::size_t E = 0; E < Candidate.size() && !Unlucky; ++E) {
+    std::uint64_t C;
+    Unlucky = !MF.lower(Candidate[E], C);
+    if (!Unlucky && C != Images.at(E / NA, E % NA))
       return false;
-    }
-    CX[E] = F.encode(R);
   }
-  // Accumulate A·X row by row and compare to the RHS residues.
-  std::vector<std::uint64_t> Acc(N * NA, 0);
-  for (const Coeff &E : Entries) {
-    std::uint64_t R;
-    if (!rationalMod(*E.Value, F, R)) {
-      Unlucky = true;
-      return false;
-    }
-    std::uint64_t AV = F.encode(R);
-    for (std::size_t C = 0; C < NA; ++C) {
-      std::size_t Slot = E.Row * NA + C;
-      Acc[Slot] = F.add(Acc[Slot], F.mul(AV, CX[E.Col * NA + C]));
-    }
-  }
-  for (std::size_t I = 0; I < N; ++I)
-    for (std::size_t C = 0; C < NA; ++C) {
-      std::uint64_t Want;
-      if (!rationalMod(Rhs[I][C], F, Want)) {
-        Unlucky = true;
-        return false;
-      }
-      if (F.decode(Acc[I * NA + C]) != Want)
-        return false;
-    }
-  return true;
+  return !Unlucky;
 }
 
-} // namespace
+/// Reconstruction scan order: rows nearer absorption (BFS distance
+/// through the transition structure, absorbing exits as seeds) tend to
+/// have the smallest answers, so trying them first lets each attempt
+/// retire its whole in-range frontier and stop at the failure cap,
+/// instead of burning full-width EGCDs on the hardest rows every time.
+std::vector<std::size_t> scanOrder(const BlockPlan &Plan) {
+  std::size_t N = Plan.Pruned.NumKept;
+  std::vector<std::size_t> Dist(N, SIZE_MAX);
+  std::vector<std::vector<std::size_t>> RevAdj(N);
+  std::vector<std::size_t> Queue;
+  for (const PlanBlock &PB : Plan.Blocks) {
+    for (const PlanCell &E : PB.Inner)
+      if (E.Row != E.Col)
+        RevAdj[PB.Members[E.Col]].push_back(PB.Members[E.Row]);
+    for (const PlanCell &E : PB.Outer)
+      RevAdj[E.Col].push_back(PB.Members[E.Row]);
+    for (const PlanCell &E : PB.R)
+      if (Dist[PB.Members[E.Row]] == SIZE_MAX) {
+        Dist[PB.Members[E.Row]] = 0;
+        Queue.push_back(PB.Members[E.Row]);
+      }
+  }
+  for (std::size_t Head = 0; Head < Queue.size(); ++Head)
+    for (std::size_t P : RevAdj[Queue[Head]])
+      if (Dist[P] == SIZE_MAX) {
+        Dist[P] = Dist[Queue[Head]] + 1;
+        Queue.push_back(P);
+      }
+  std::vector<std::size_t> Order(N);
+  std::iota(Order.begin(), Order.end(), std::size_t{0});
+  std::stable_sort(Order.begin(), Order.end(),
+                   [&](std::size_t A, std::size_t B) {
+                     return Dist[A] < Dist[B];
+                   });
+  return Order;
+}
 
-bool markov::detail::modularEliminateSystem(
-    const std::vector<std::map<std::size_t, Rational>> &Rows,
-    std::vector<std::vector<Rational>> &Rhs, linalg::OrderingKind Ordering,
-    ThreadPool *Pool, const ModularOptions &Options,
-    std::size_t &EliminationOps, std::size_t &FillIn, ModularStats &Stats) {
-  std::size_t N = Rows.size();
-  std::size_t NA = N == 0 ? 0 : Rhs[0].size();
+/// The prime loop of the modular engine over a block plan: per prime, the
+/// GF(p) instance of the block pipeline; across primes, CRT folding, Wang
+/// reconstruction and fresh-prime verification of the whole solution. On
+/// success \p X holds the verified exact solution in compact index order.
+/// Returns false (the caller falls back to the Rational instance) when the
+/// prime budget runs out without a verified reconstruction, or the system
+/// is singular mod every prime tried.
+bool solvePlanModular(const BlockPlan &Plan, ThreadPool *Pool,
+                      const ModularOptions &Options,
+                      DenseMatrix<Rational> &X,
+                      std::vector<BlockMetrics> &Blocks,
+                      SolveMetrics &Stats) {
+  std::size_t N = Plan.Pruned.NumKept;
+  std::size_t NA = Plan.NumAbsorbing;
+  X = DenseMatrix<Rational>(N, NA);
   if (N == 0 || NA == 0)
     return true; // Nothing to solve; avoid spending primes on it.
-
-  std::vector<Coeff> Entries;
-  for (std::size_t I = 0; I < N; ++I)
-    for (const auto &[Col, V] : Rows[I])
-      Entries.push_back({I, Col, &V});
 
   std::size_t PrimeCursor = Options.FirstPrimeIndex;
   // A system singular mod one prime may just be unlucky; singular mod
@@ -159,41 +179,7 @@ bool markov::detail::modularEliminateSystem(
   std::vector<char> State(N * NA, 0);
   std::size_t Restarts = 0;
 
-  // Reconstruction scan order: rows nearer absorption (BFS distance
-  // through the transition structure, absorbing exits as seeds) tend to
-  // have the smallest answers, so trying them first lets each attempt
-  // retire its whole in-range frontier and stop at the failure cap,
-  // instead of burning full-width EGCDs on the hardest rows every time.
-  std::vector<std::size_t> ScanOrder(N);
-  {
-    std::vector<std::size_t> Dist(N, SIZE_MAX);
-    std::vector<std::vector<std::size_t>> RevAdj(N);
-    std::vector<std::size_t> Queue;
-    for (std::size_t I = 0; I < N; ++I) {
-      for (const auto &[Col, V] : Rows[I])
-        if (Col != I)
-          RevAdj[Col].push_back(I);
-      for (const Rational &V : Rhs[I])
-        if (!V.isZero()) {
-          if (Dist[I] == SIZE_MAX) {
-            Dist[I] = 0;
-            Queue.push_back(I);
-          }
-          break;
-        }
-    }
-    for (std::size_t Head = 0; Head < Queue.size(); ++Head)
-      for (std::size_t P : RevAdj[Queue[Head]])
-        if (Dist[P] == SIZE_MAX) {
-          Dist[P] = Dist[Queue[Head]] + 1;
-          Queue.push_back(P);
-        }
-    std::iota(ScanOrder.begin(), ScanOrder.end(), std::size_t{0});
-    std::stable_sort(ScanOrder.begin(), ScanOrder.end(),
-                     [&](std::size_t A, std::size_t B) {
-                       return Dist[A] < Dist[B];
-                     });
-  }
+  std::vector<std::size_t> ScanOrder = scanOrder(Plan);
 
   while (true) {
     std::size_t Target = std::min(NextAttempt, Options.MaxPrimes);
@@ -210,17 +196,17 @@ bool markov::detail::modularEliminateSystem(
       // scheduling.
       std::vector<std::vector<std::uint64_t>> Residues(Want);
       std::vector<char> Lucky(Want, 0);
-      std::vector<std::size_t> POps(Want, 0), PFill(Want, 0);
+      std::vector<std::vector<BlockMetrics>> PrimeBlocks(
+          Want, std::vector<BlockMetrics>(Blocks.size()));
       auto SolveOne = [&](std::size_t I) {
         PrimeField F(Batch[I]);
-        std::vector<ModTriplet> A;
-        if (!convertSystem(Entries, Rhs, N, NA, F, A, Residues[I]))
+        DenseMatrix<std::uint64_t> Images;
+        if (!solveBlocks(Plan, ModField{F}, Pool, Images, PrimeBlocks[I]))
           return;
-        if (!linalg::modSolveOrdered(F, N, A, Residues[I], NA, Ordering,
-                                     POps[I], PFill[I]))
-          return;
-        for (std::uint64_t &V : Residues[I])
-          V = F.decode(V);
+        Residues[I].resize(N * NA);
+        for (std::size_t K = 0; K < N; ++K)
+          for (std::size_t C = 0; C < NA; ++C)
+            Residues[I][K * NA + C] = F.decode(Images.at(K, C));
         Lucky[I] = 1;
       };
       if (Pool && Want > 1)
@@ -230,8 +216,10 @@ bool markov::detail::modularEliminateSystem(
           SolveOne(I);
 
       for (std::size_t I = 0; I < Want; ++I) {
-        EliminationOps += POps[I];
-        FillIn += PFill[I];
+        for (std::size_t B = 0; B < Blocks.size(); ++B) {
+          Blocks[B].EliminationOps += PrimeBlocks[I][B].EliminationOps;
+          Blocks[B].FillIn += PrimeBlocks[I][B].FillIn;
+        }
         if (!Lucky[I]) {
           ++Stats.RetriedPrimes;
           if (RetryBudget-- == 0)
@@ -294,7 +282,7 @@ bool markov::detail::modularEliminateSystem(
       while (Verified < Options.CheckPrimes && !Mismatch) {
         PrimeField F(modPrime(PrimeCursor++));
         bool Unlucky = false;
-        if (verifyAgainstPrime(Entries, Rhs, Candidate, N, NA, F, Unlucky))
+        if (verifyAgainstPrime(Plan, Pool, Candidate, F, Unlucky))
           ++Verified;
         else if (Unlucky) {
           ++Stats.RetriedPrimes;
@@ -305,9 +293,9 @@ bool markov::detail::modularEliminateSystem(
         }
       }
       if (!Mismatch) {
-        for (std::size_t I = 0; I < N; ++I)
+        for (std::size_t K = 0; K < N; ++K)
           for (std::size_t C = 0; C < NA; ++C)
-            Rhs[I][C] = Candidate[I * NA + C];
+            X.at(K, C) = std::move(Candidate[K * NA + C]);
         Stats.ReconstructionBits = M.bitLength();
         return true;
       }
@@ -343,76 +331,32 @@ bool markov::detail::modularEliminateSystem(
   }
 }
 
+} // namespace
+
 bool markov::solveAbsorptionModular(const AbsorbingChain &Chain,
                                     DenseMatrix<Rational> &Out,
                                     const SolverStructure &Structure,
                                     SolveMetrics *Metrics) {
-  if (Structure.Blocked)
-    return detail::solveAbsorptionModularBlocked(Chain, Out, Structure,
-                                                 Metrics);
-  std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
-  ChainPruning Pruned = pruneUnreachableStates(Chain);
-  std::size_t NK = Pruned.NumKept;
-
-  Out = DenseMatrix<Rational>(NT, NA);
-  if (Metrics)
-    *Metrics = SolveMetrics();
-  if (NK == 0)
-    return true;
-
-  // Assemble I - Q and the R right-hand side exactly as the Rational
-  // engine does; the modular path reads the system non-destructively, so
-  // a fallback reuses it as-is.
-  std::vector<std::map<std::size_t, Rational>> Rows(NK);
-  std::vector<std::vector<Rational>> Rhs(NK, std::vector<Rational>(NA));
-  std::size_t NumKeptQ = 0;
-  for (std::size_t K = 0; K < NK; ++K)
-    Rows[K][K] = Rational(1);
-  for (const RationalTriplet &E : Chain.QEntries) {
-    assert(E.Row < NT && E.Col < NT && "Q entry out of range");
-    if (E.Value.isZero() || !Pruned.CanReach[E.Row] ||
-        !Pruned.CanReach[E.Col])
-      continue;
-    ++NumKeptQ;
-    Rational &Cell = Rows[Pruned.Compact[E.Row]][Pruned.Compact[E.Col]];
-    Cell -= E.Value;
-    if (Cell.isZero())
-      Rows[Pruned.Compact[E.Row]].erase(Pruned.Compact[E.Col]);
-  }
-  for (const RationalTriplet &E : Chain.REntries) {
-    assert(E.Row < NT && E.Col < NA && "R entry out of range");
-    if (Pruned.CanReach[E.Row])
-      Rhs[Pruned.Compact[E.Row]][E.Col] += E.Value;
-  }
-
-  std::size_t Ops = 0, Fill = 0, Fallbacks = 0;
-  detail::ModularStats Stats;
-  if (!detail::modularEliminateSystem(Rows, Rhs, Structure.Ordering,
-                                      Structure.Pool, Structure.Modular,
-                                      Ops, Fill, Stats)) {
-    // Prime budget exhausted (or the system is singular): the Rows maps
-    // are untouched, so the Rational kernel takes over authoritatively.
-    ++Fallbacks;
-    if (!detail::eliminateRationalSystem(Rows, Rhs, Ops, Fill))
+  BlockPlan Plan = planBlocks(Chain, ModField::MinOrdered);
+  std::vector<BlockMetrics> Blocks(Plan.Blocks.size());
+  DenseMatrix<Rational> X;
+  SolveMetrics Stats;
+  if (!solvePlanModular(Plan, Structure.Pool, Structure.Modular, X, Blocks,
+                        Stats)) {
+    // Prime budget exhausted (or the system is singular): the Rational
+    // instance of the pipeline solves the same plan authoritatively.
+    Stats.ModularFallbacks = 1;
+    if (!solveBlocksRational(Plan, Structure.Pool, X, Blocks))
       return false;
   }
-
-  for (std::size_t K = 0; K < NK; ++K)
-    for (std::size_t C = 0; C < NA; ++C)
-      Out.at(Pruned.Original[K], C) = Rhs[K][C];
-
+  Out = DenseMatrix<Rational>(Chain.NumTransient, Chain.NumAbsorbing);
+  scatterSolution(Plan, X, Out);
   if (Metrics) {
-    Metrics->NumSolved = NK;
-    Metrics->NumSolvedQ = NumKeptQ;
-    Metrics->NumBlocks = 1;
-    Metrics->MaxBlockSize = NK;
-    Metrics->EliminationOps = Ops;
-    Metrics->FillIn = Fill;
+    finishMetrics(*Metrics, Plan, std::move(Blocks));
     Metrics->NumPrimes = Stats.NumPrimes;
     Metrics->RetriedPrimes = Stats.RetriedPrimes;
     Metrics->ReconstructionBits = Stats.ReconstructionBits;
-    Metrics->ModularFallbacks = Fallbacks;
-    Metrics->Blocks.push_back({NK, NumKeptQ, Ops, Fill});
+    Metrics->ModularFallbacks = Stats.ModularFallbacks;
   }
   return true;
 }

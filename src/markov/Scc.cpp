@@ -2,7 +2,7 @@
 ///
 /// \file
 /// Iterative Tarjan SCC with reverse-topological block numbering (see
-/// Scc.h for why pop order is exactly the order the blocked solver wants).
+/// Scc.h for why pop order is exactly the order the block solver wants).
 ///
 //===----------------------------------------------------------------------===//
 

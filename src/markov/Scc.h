@@ -1,8 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Strongly connected components of the transient-state graph. The exact
-/// blocked solver (docs/ARCHITECTURE.md S13) decomposes the Q matrix into
+/// Strongly connected components of the transient-state graph. The block
+/// solver (docs/ARCHITECTURE.md S13) decomposes the Q matrix into
 /// its communicating classes: absorption out of a class depends only on
 /// classes *downstream* of it in the condensation DAG, so each class is an
 /// independent solve block once its successors are done. Tarjan's

@@ -305,10 +305,12 @@ TEST(ConformanceTest, LoopSolveStatsChainClassCounts) {
 TEST(ConformanceTest, BlockedChainStatsSumToMonolithic) {
   // The chain model's transient graph is acyclic (packets only move
   // forward), so after pruning the unreachable wildcard class every kept
-  // state is its own strongly connected class: the blocked solver must
-  // report 4K singleton blocks whose per-block counts sum exactly to the
-  // monolithic totals, while solving the identical system (NumSolved,
-  // NumSolvedQ, and the compiled diagram itself all match).
+  // state is its own strongly connected class: the solver must report 4K
+  // singleton blocks whose per-block counts sum exactly to the totals of
+  // the monolithic system, which is small enough to predict by hand (see
+  // LoopSolveStatsChainClassCounts). The monolithic reference answer is
+  // the closed form (1 - pfail/2)^K; the pooled block schedule must
+  // reproduce the serial diagram reference-equally.
   for (unsigned K = 1; K <= 3; ++K) {
     Context Ctx;
     topology::ChainLayout L;
@@ -316,39 +318,36 @@ TEST(ConformanceTest, BlockedChainStatsSumToMonolithic) {
     routing::NetworkModel M =
         routing::buildChainModel(L, Rational(1, 10), Ctx);
 
-    analysis::Verifier Mono;
-    fdd::FddRef PM = Mono.compile(M.Program);
-    fdd::LoopSolveStats MS = Mono.manager().lastLoopStats();
-
     analysis::Verifier V;
-    markov::SolverStructure S;
-    S.Blocked = true;
-    S.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-    V.setSolverStructure(S);
-    fdd::FddRef PB = V.compile(M.Program);
+    fdd::FddRef PS = V.compile(M.Program);
     const fdd::LoopSolveStats &LS = V.manager().lastLoopStats();
 
-    // Same solved system as the monolithic engine: the wildcard class is
-    // pruned (4K states kept of 4K+1 transient), every kept Q entry
-    // survives, and the exact diagrams are reference-equal.
+    // The monolithic system: the wildcard class is pruned (4K states kept
+    // of 4K+1 transient) and every kept Q entry survives.
     EXPECT_EQ(LS.NumSolved, 4 * K) << "K=" << K;
     EXPECT_EQ(LS.NumSolvedQ, 5 * K - 1u) << "K=" << K;
-    EXPECT_EQ(MS.NumSolved, LS.NumSolved) << "K=" << K;
-    EXPECT_EQ(MS.NumSolvedQ, LS.NumSolvedQ) << "K=" << K;
-    EXPECT_EQ(fdd::importFdd(V.manager(),
-                             fdd::exportFdd(Mono.manager(), PM)),
-              PB)
+    Rational Closed(1);
+    for (unsigned D = 0; D < K; ++D)
+      Closed *= Rational(1) - Rational(1, 20);
+    EXPECT_EQ(V.deliveryProbability(PS, M.ingressPacket(0, Ctx)), Closed)
         << "K=" << K;
 
-    // ...decomposed into singleton classes, versus one monolithic block.
+    analysis::Verifier VP;
+    markov::SolverStructure S;
+    S.Pool = &VP.compilePool(2);
+    VP.setSolverStructure(S);
+    fdd::FddRef PP = VP.compile(M.Program);
+    EXPECT_EQ(fdd::importFdd(V.manager(), fdd::exportFdd(VP.manager(), PP)),
+              PS)
+        << "K=" << K;
+    EXPECT_EQ(VP.manager().lastLoopStats().NumBlocks, LS.NumBlocks)
+        << "K=" << K;
+
+    // ...decomposed into singleton classes.
     EXPECT_EQ(LS.NumBlocks, 4 * K) << "K=" << K;
     EXPECT_EQ(LS.MaxBlockSize, 1u) << "K=" << K;
-    EXPECT_EQ(MS.NumBlocks, 1u) << "K=" << K;
-    EXPECT_EQ(MS.MaxBlockSize, 4 * K) << "K=" << K;
-    ASSERT_EQ(MS.Blocks.size(), 1u) << "K=" << K;
-    EXPECT_EQ(MS.Blocks[0].NumQEntries, MS.NumSolvedQ) << "K=" << K;
 
-    // Per-block counts sum to the blocked totals.
+    // Per-block counts sum to the totals.
     ASSERT_EQ(LS.Blocks.size(), LS.NumBlocks) << "K=" << K;
     std::size_t States = 0, QEntries = 0, Ops = 0, Fill = 0;
     for (const markov::BlockMetrics &B : LS.Blocks) {
@@ -362,9 +361,30 @@ TEST(ConformanceTest, BlockedChainStatsSumToMonolithic) {
     EXPECT_EQ(QEntries, LS.NumSolvedQ) << "K=" << K;
     EXPECT_EQ(Ops, LS.EliminationOps) << "K=" << K;
     EXPECT_EQ(Fill, LS.FillIn) << "K=" << K;
-    // Singleton blocks never create fill-in, and never do more work than
-    // the monolithic elimination.
+    // Singleton blocks without self-loops are identity systems: no
+    // elimination work and no fill-in at all (the monolithic elimination
+    // of the same 4K-state system does strictly more).
     EXPECT_EQ(LS.FillIn, 0u) << "K=" << K;
-    EXPECT_LE(LS.EliminationOps, MS.EliminationOps) << "K=" << K;
+    EXPECT_EQ(LS.EliminationOps, 0u) << "K=" << K;
   }
+}
+
+TEST(ConformanceTest, ModularPrimeWalkSpansTheWholeChain) {
+  // CRT, reconstruction and verification run once over the whole
+  // solution, never per block: the K=128 diamond chain (512 singleton
+  // blocks) takes exactly the primes and reconstruction width of one
+  // whole-system solve. A per-block prime walk would take hundreds of
+  // times more primes.
+  Context Ctx;
+  topology::ChainLayout L;
+  topology::makeChain(128, L);
+  routing::NetworkModel M =
+      routing::buildChainModel(L, Rational(1, 1000), Ctx);
+  analysis::Verifier V(markov::SolverKind::ModularExact);
+  V.compile(M.Program);
+  const fdd::LoopSolveStats &LS = V.manager().lastLoopStats();
+  EXPECT_EQ(LS.NumBlocks, 512u);
+  EXPECT_EQ(LS.NumPrimes, 47u);
+  EXPECT_EQ(LS.ReconstructionBits, 2914u);
+  EXPECT_EQ(LS.ModularFallbacks, 0u);
 }

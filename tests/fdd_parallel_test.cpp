@@ -194,7 +194,7 @@ TEST(ParallelCompileTest, GlobalPoolServesPoolLessCallers) {
 }
 
 TEST(ParallelCompileTest, ConcurrentBlockedSolvesOnOneEngine) {
-  // Many block-structured exact solves race on one engine: each solve
+  // Many pooled-block exact solves race on one engine: each solve
   // schedules its condensation-DAG block tasks on the pool while sibling
   // solves (themselves running as pool tasks via parallelFor) do the
   // same. This pins down the DAG scheduler's happens-before edges —
@@ -221,17 +221,16 @@ TEST(ParallelCompileTest, ConcurrentBlockedSolvesOnOneEngine) {
         Chain.REntries.push_back(
             {Row, Rng() % Chain.NumAbsorbing, Rational(1, 4)});
     }
-    linalg::DenseMatrix<Rational> Mono, Blocked;
-    bool OkMono = markov::solveAbsorptionExact(Chain, Mono);
+    linalg::DenseMatrix<Rational> Serial, Pooled;
+    bool OkSerial = markov::solveAbsorptionExact(Chain, Serial);
     markov::SolverStructure S;
-    S.Blocked = true;
     S.Pool = &Pool;
-    bool OkBlocked = markov::solveAbsorptionExact(Chain, Blocked, S);
-    bool Same = OkMono == OkBlocked;
-    if (Same && OkMono)
+    bool OkPooled = markov::solveAbsorptionExact(Chain, Pooled, S);
+    bool Same = OkSerial == OkPooled;
+    if (Same && OkSerial)
       for (std::size_t R = 0; R < Chain.NumTransient; ++R)
         for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
-          Same = Same && Mono.at(R, C) == Blocked.at(R, C);
+          Same = Same && Serial.at(R, C) == Pooled.at(R, C);
     Agree[I] = Same ? 1 : 0;
   });
   for (std::size_t I = 0; I < NumSolves; ++I)
@@ -240,8 +239,8 @@ TEST(ParallelCompileTest, ConcurrentBlockedSolvesOnOneEngine) {
 
 TEST(ParallelCompileTest, BlockedLoopsNestInsideParallelCase) {
   // Parallel `case` arms containing while loops, compiled on the same
-  // engine the blocked solver schedules its block tasks on: worker
-  // managers inherit the blocked structure, so block tasks are enqueued
+  // engine the loop solver schedules its block tasks on: worker managers
+  // inherit the pooled structure, so block tasks are enqueued
   // from threads that are themselves pool tasks (help-first waiting keeps
   // the composition deadlock-free). Runs under TSan via ./ci.sh tsan.
   Context Ctx;
@@ -272,8 +271,6 @@ TEST(ParallelCompileTest, BlockedLoopsNestInsideParallelCase) {
 
   ThreadPool Pool(4);
   markov::SolverStructure S;
-  S.Blocked = true;
-  S.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
   S.Pool = &Pool;
   CompileOptions O;
   O.ParallelCase = true;
@@ -291,7 +288,7 @@ TEST(ParallelCompileTest, ConcurrentModularSolvesOnOneEngine) {
   // The S14 analogue of ConcurrentBlockedSolvesOnOneEngine: many modular
   // solves race on one engine, each fanning its per-prime batch out via
   // parallelFor while sibling solves (themselves pool tasks) do the same,
-  // and the blocked+modular combination adds block tasks on top. The
+  // with block tasks on the same pool on top. The
   // lazily extended prime table is shared by every worker, so this pins
   // its locking and the per-prime result slots under ThreadSanitizer
   // (./ci.sh tsan).
@@ -313,20 +310,16 @@ TEST(ParallelCompileTest, ConcurrentModularSolvesOnOneEngine) {
         Chain.REntries.push_back(
             {Row, Rng() % Chain.NumAbsorbing, Rational(1, 4)});
     }
-    linalg::DenseMatrix<Rational> Exact, Modular, ModularBlocked;
+    linalg::DenseMatrix<Rational> Exact, Modular;
     bool OkExact = markov::solveAbsorptionExact(Chain, Exact);
     markov::SolverStructure S;
     S.Pool = &Pool;
     bool OkModular = markov::solveAbsorptionModular(Chain, Modular, S);
-    S.Blocked = true;
-    bool OkBlocked =
-        markov::solveAbsorptionModular(Chain, ModularBlocked, S);
-    bool Same = OkExact == OkModular && OkExact == OkBlocked;
+    bool Same = OkExact == OkModular;
     if (Same && OkExact)
       for (std::size_t R = 0; R < Chain.NumTransient; ++R)
         for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
-          Same = Same && Exact.at(R, C) == Modular.at(R, C) &&
-                 Exact.at(R, C) == ModularBlocked.at(R, C);
+          Same = Same && Exact.at(R, C) == Modular.at(R, C);
     Agree[I] = Same ? 1 : 0;
   });
   for (std::size_t I = 0; I < NumSolves; ++I)

@@ -3,8 +3,8 @@
 /// \file
 /// Randomized properties of the fill-reducing ordering layer and the
 /// solver kernels it feeds (docs/ARCHITECTURE.md S13): orderings are
-/// permutations with exact round-trips, sparse LU under any ordering
-/// agrees with dense elimination, the shared sparse Gauss-Jordan kernel
+/// permutations with exact round-trips, sparse LU under the natural and
+/// the RCM numbering agrees with dense elimination, the shared sparse Gauss-Jordan kernel
 /// agrees exactly (Rational) with dense elimination, singular blocks are
 /// detected by every path, and 1x1/empty blocks are handled.
 ///
@@ -24,7 +24,7 @@
 using namespace mcnk;
 using namespace mcnk::linalg;
 using markov::detail::eliminateRationalSystem;
-using markov::detail::luSolveOrdered;
+using markov::detail::luSolve;
 
 namespace {
 
@@ -81,6 +81,31 @@ RandomSystem randomSystem(std::mt19937_64 &Rng, std::size_t N) {
   return S;
 }
 
+/// The numberings the LU kernel is exercised under: the natural one (the
+/// kernel-level baseline) and RCM of the symmetrized pattern, as the
+/// solver's block plan numbers a block. Each maps an index to its position.
+std::vector<std::pair<const char *, std::vector<std::size_t>>>
+numberingsFor(std::size_t N, const std::vector<Triplet> &QTriplets) {
+  AdjacencyList Adj(N);
+  for (const Triplet &E : QTriplets)
+    Adj[E.Row].push_back(E.Col);
+  std::vector<std::size_t> Natural(N);
+  for (std::size_t I = 0; I < N; ++I)
+    Natural[I] = I;
+  return {{"natural", Natural},
+          {"rcm", inversePermutation(
+                      reverseCuthillMcKee(symmetrizedPattern(Adj)))}};
+}
+
+/// \p QTriplets with every index I renumbered to Pos[I].
+std::vector<Triplet> renumbered(const std::vector<Triplet> &QTriplets,
+                                const std::vector<std::size_t> &Pos) {
+  std::vector<Triplet> Out;
+  for (const Triplet &E : QTriplets)
+    Out.push_back({Pos[E.Row], Pos[E.Col], E.Value});
+  return Out;
+}
+
 } // namespace
 
 class OrderingProperty : public ::testing::TestWithParam<unsigned> {};
@@ -97,17 +122,13 @@ TEST_P(OrderingProperty, OrderingsArePermutationsAndRoundTrip) {
         EXPECT_NE(U, V);
         EXPECT_TRUE(std::binary_search(Sym[V].begin(), Sym[V].end(), U));
       }
-    for (OrderingKind Kind :
-         {OrderingKind::Natural, OrderingKind::ReverseCuthillMcKee,
-          OrderingKind::MinimumDegree}) {
-      std::vector<std::size_t> Perm = fillReducingOrdering(Kind, Sym);
-      ASSERT_EQ(Perm.size(), N) << orderingName(Kind);
-      EXPECT_TRUE(isPermutation(Perm)) << orderingName(Kind);
-      std::vector<std::size_t> Inv = inversePermutation(Perm);
-      for (std::size_t K = 0; K < N; ++K) {
-        EXPECT_EQ(Inv[Perm[K]], K);
-        EXPECT_EQ(Perm[Inv[K]], K);
-      }
+    std::vector<std::size_t> Perm = reverseCuthillMcKee(Sym);
+    ASSERT_EQ(Perm.size(), N);
+    EXPECT_TRUE(isPermutation(Perm));
+    std::vector<std::size_t> Inv = inversePermutation(Perm);
+    for (std::size_t K = 0; K < N; ++K) {
+      EXPECT_EQ(Inv[Perm[K]], K);
+      EXPECT_EQ(Perm[Inv[K]], K);
     }
   }
 }
@@ -128,17 +149,17 @@ TEST_P(OrderingProperty, SparseLUWithOrderingMatchesDenseElimination) {
     DenseMatrix<double> A = S.DenseA;
     ASSERT_TRUE(denseSolveInPlace(A, Reference));
 
-    for (OrderingKind Kind :
-         {OrderingKind::Natural, OrderingKind::ReverseCuthillMcKee,
-          OrderingKind::MinimumDegree}) {
-      DenseMatrix<double> X = B;
-      std::size_t Ops = 0, Fill = 0;
-      ASSERT_TRUE(luSolveOrdered(S.N, S.QTriplets, X, Kind, Ops, Fill))
-          << orderingName(Kind);
+    for (const auto &[Name, Pos] : numberingsFor(S.N, S.QTriplets)) {
+      DenseMatrix<double> X(S.N, NumRhs);
       for (std::size_t I = 0; I < S.N; ++I)
         for (std::size_t J = 0; J < NumRhs; ++J)
-          EXPECT_NEAR(X.at(I, J), Reference.at(I, J), 1e-9)
-              << orderingName(Kind);
+          X.at(Pos[I], J) = B.at(I, J);
+      std::size_t Ops = 0, Fill = 0;
+      ASSERT_TRUE(luSolve(S.N, renumbered(S.QTriplets, Pos), X, Ops, Fill))
+          << Name;
+      for (std::size_t I = 0; I < S.N; ++I)
+        for (std::size_t J = 0; J < NumRhs; ++J)
+          EXPECT_NEAR(X.at(Pos[I], J), Reference.at(I, J), 1e-9) << Name;
     }
   }
 }
@@ -149,16 +170,12 @@ TEST_P(OrderingProperty, SparseGaussJordanMatchesDenseExactly) {
     std::uniform_int_distribution<std::size_t> Size(1, 30);
     RandomSystem S = randomSystem(Rng, Size(Rng));
     std::size_t NumRhs = 2;
-    std::vector<std::vector<Rational>> Rhs(S.N,
-                                           std::vector<Rational>(NumRhs));
     DenseMatrix<Rational> B(S.N, NumRhs);
     std::uniform_int_distribution<int> Num(0, 6);
     for (std::size_t I = 0; I < S.N; ++I)
-      for (std::size_t J = 0; J < NumRhs; ++J) {
-        Rational V(Num(Rng), 7);
-        Rhs[I][J] = V;
-        B.at(I, J) = V;
-      }
+      for (std::size_t J = 0; J < NumRhs; ++J)
+        B.at(I, J) = Rational(Num(Rng), 7);
+    DenseMatrix<Rational> Rhs = B;
 
     DenseMatrix<Rational> A = S.DenseAExact;
     ASSERT_TRUE(denseSolveInPlace(A, B));
@@ -168,7 +185,7 @@ TEST_P(OrderingProperty, SparseGaussJordanMatchesDenseExactly) {
     // rationals, not merely close ones.
     for (std::size_t I = 0; I < S.N; ++I)
       for (std::size_t J = 0; J < NumRhs; ++J)
-        EXPECT_EQ(Rhs[I][J], B.at(I, J));
+        EXPECT_EQ(Rhs.at(I, J), B.at(I, J));
   }
 }
 
@@ -181,12 +198,9 @@ TEST(OrderingTest, SingularBlockDetectedByEveryPath) {
   DenseMatrix<double> Rhs(2, 1);
   Rhs.at(0, 0) = 1.0;
   std::size_t Ops = 0, Fill = 0;
-  for (OrderingKind Kind :
-       {OrderingKind::Natural, OrderingKind::ReverseCuthillMcKee,
-        OrderingKind::MinimumDegree}) {
+  for (const auto &[Name, Pos] : numberingsFor(2, QT)) {
     DenseMatrix<double> B = Rhs;
-    EXPECT_FALSE(luSolveOrdered(2, QT, B, Kind, Ops, Fill))
-        << orderingName(Kind);
+    EXPECT_FALSE(luSolve(2, renumbered(QT, Pos), B, Ops, Fill)) << Name;
   }
 
   std::vector<std::map<std::size_t, Rational>> Rows(2);
@@ -194,8 +208,8 @@ TEST(OrderingTest, SingularBlockDetectedByEveryPath) {
   Rows[0][1] = Rational(-1);
   Rows[1][0] = Rational(-1);
   Rows[1][1] = Rational(1);
-  std::vector<std::vector<Rational>> RhsR(2, std::vector<Rational>(1));
-  RhsR[0][0] = Rational(1);
+  DenseMatrix<Rational> RhsR(2, 1);
+  RhsR.at(0, 0) = Rational(1);
   EXPECT_FALSE(eliminateRationalSystem(Rows, RhsR, Ops, Fill));
 
   DenseMatrix<Rational> A(2, 2), B(2, 1);
@@ -211,35 +225,31 @@ TEST(OrderingTest, OneByOneAndEmptyBlocks) {
   // Empty block: nothing to factor, nothing to solve.
   DenseMatrix<double> Empty(0, 3);
   std::size_t Ops = 0, Fill = 0;
-  EXPECT_TRUE(luSolveOrdered(0, {}, Empty, OrderingKind::ReverseCuthillMcKee,
-                             Ops, Fill));
+  EXPECT_TRUE(luSolve(0, {}, Empty, Ops, Fill));
   EXPECT_EQ(Ops, 0u);
   EXPECT_EQ(Fill, 0u);
   std::vector<std::map<std::size_t, Rational>> NoRows;
-  std::vector<std::vector<Rational>> NoRhs;
+  DenseMatrix<Rational> NoRhs;
   EXPECT_TRUE(eliminateRationalSystem(NoRows, NoRhs, Ops, Fill));
 
   // 1x1 block with a self-loop: (1 - 1/2) x = 1/4 -> x = 1/2.
   std::vector<Triplet> QT = {{0, 0, 0.5}};
   DenseMatrix<double> Rhs(1, 1);
   Rhs.at(0, 0) = 0.25;
-  EXPECT_TRUE(
-      luSolveOrdered(1, QT, Rhs, OrderingKind::MinimumDegree, Ops, Fill));
+  EXPECT_TRUE(luSolve(1, QT, Rhs, Ops, Fill));
   EXPECT_DOUBLE_EQ(Rhs.at(0, 0), 0.5);
 
   std::vector<std::map<std::size_t, Rational>> Rows(1);
   Rows[0][0] = Rational(1, 2);
-  std::vector<std::vector<Rational>> RhsR(1, std::vector<Rational>(1));
-  RhsR[0][0] = Rational(1, 4);
+  DenseMatrix<Rational> RhsR(1, 1);
+  RhsR.at(0, 0) = Rational(1, 4);
   EXPECT_TRUE(eliminateRationalSystem(Rows, RhsR, Ops, Fill));
-  EXPECT_EQ(RhsR[0][0], Rational(1, 2));
+  EXPECT_EQ(RhsR.at(0, 0), Rational(1, 2));
 
   // Ordering a singleton / empty graph is the identity.
-  EXPECT_TRUE(fillReducingOrdering(OrderingKind::ReverseCuthillMcKee, {})
-                  .empty());
-  EXPECT_EQ(
-      fillReducingOrdering(OrderingKind::MinimumDegree, AdjacencyList(1)),
-      std::vector<std::size_t>{0});
+  EXPECT_TRUE(reverseCuthillMcKee({}).empty());
+  EXPECT_EQ(reverseCuthillMcKee(AdjacencyList(1)),
+            std::vector<std::size_t>{0});
 }
 
 TEST(OrderingTest, RcmReducesBandwidthOnAShuffledPath) {

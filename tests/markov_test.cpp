@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 
 using namespace mcnk;
@@ -258,6 +259,50 @@ void expectMetricsConsistent(const SolveMetrics &M) {
   EXPECT_EQ(MaxSize, M.MaxBlockSize);
 }
 
+/// What the test-local monolithic reference solved.
+struct MonolithicStats {
+  std::size_t NumSolved = 0;
+  std::size_t NumSolvedQ = 0;
+  std::size_t EliminationOps = 0;
+};
+
+/// Test-local monolithic reference: the whole pruned system, assembled as
+/// one I - Q and one R and eliminated by the exact kernel in a single
+/// call, with no block decomposition — the unique rational solution the
+/// block pipeline must reproduce exactly.
+bool solveMonolithic(const AbsorbingChain &Chain, DenseMatrix<Rational> &Out,
+                     MonolithicStats &Stats) {
+  ChainPruning P = pruneUnreachableStates(Chain);
+  std::size_t NK = P.NumKept;
+  Out = DenseMatrix<Rational>(Chain.NumTransient, Chain.NumAbsorbing);
+  Stats = MonolithicStats();
+  Stats.NumSolved = NK;
+  std::vector<std::map<std::size_t, Rational>> Rows(NK);
+  DenseMatrix<Rational> Rhs(NK, Chain.NumAbsorbing);
+  for (std::size_t K = 0; K < NK; ++K)
+    Rows[K][K] = Rational(1);
+  for (const RationalTriplet &E : Chain.QEntries) {
+    if (E.Value.isZero() || !P.CanReach[E.Row] || !P.CanReach[E.Col])
+      continue;
+    ++Stats.NumSolvedQ;
+    Rational &Cell = Rows[P.Compact[E.Row]][P.Compact[E.Col]];
+    Cell -= E.Value;
+    if (Cell.isZero())
+      Rows[P.Compact[E.Row]].erase(P.Compact[E.Col]);
+  }
+  for (const RationalTriplet &E : Chain.REntries)
+    if (P.CanReach[E.Row])
+      Rhs.at(P.Compact[E.Row], E.Col) += E.Value;
+  std::size_t Fill = 0;
+  if (!detail::eliminateRationalSystem(Rows, Rhs, Stats.EliminationOps,
+                                       Fill))
+    return false;
+  for (std::size_t K = 0; K < NK; ++K)
+    for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
+      Out.at(P.Original[K], C) = Rhs.at(K, C);
+  return true;
+}
+
 } // namespace
 
 /// Seeded SCC-decomposition properties: the blocks are a valid partition,
@@ -329,9 +374,9 @@ TEST_P(SccProperty, DecompositionIsCorrect) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SccProperty,
                          ::testing::Values(81u, 82u, 83u, 84u));
 
-/// Blocked solves must reproduce the monolithic results: exactly (same
-/// rationals) for the exact engine, within ulps for sparse LU — serial
-/// and on a shared pool.
+/// The block pipeline must reproduce the monolithic reference: exactly
+/// (same rationals) for the exact engine, within ulps for sparse LU —
+/// serial and on a shared pool.
 class BlockedSolveProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(BlockedSolveProperty, BlockedEqualsMonolithic) {
@@ -342,28 +387,25 @@ TEST_P(BlockedSolveProperty, BlockedEqualsMonolithic) {
     std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
 
     DenseMatrix<Rational> Mono;
-    SolveMetrics MonoMetrics;
-    ASSERT_TRUE(solveAbsorptionExact(Chain, Mono, {}, &MonoMetrics));
-    expectMetricsConsistent(MonoMetrics);
-    EXPECT_EQ(MonoMetrics.NumBlocks, MonoMetrics.NumSolved ? 1u : 0u);
+    MonolithicStats MonoStats;
+    ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
 
     for (ThreadPool *Engine : {static_cast<ThreadPool *>(nullptr), &Pool}) {
       SolverStructure Structure;
-      Structure.Blocked = true;
       Structure.Pool = Engine;
       DenseMatrix<Rational> Blocked;
       SolveMetrics Metrics;
       ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, Structure, &Metrics));
       expectMetricsConsistent(Metrics);
-      // Same kept subsystem, finer or equal decomposition.
-      EXPECT_EQ(Metrics.NumSolved, MonoMetrics.NumSolved);
-      EXPECT_EQ(Metrics.NumSolvedQ, MonoMetrics.NumSolvedQ);
-      EXPECT_GE(Metrics.NumBlocks, MonoMetrics.NumBlocks);
+      // Same kept subsystem, decomposed into at least one block per
+      // nonempty system.
+      EXPECT_EQ(Metrics.NumSolved, MonoStats.NumSolved);
+      EXPECT_EQ(Metrics.NumSolvedQ, MonoStats.NumSolvedQ);
+      EXPECT_GE(Metrics.NumBlocks, MonoStats.NumSolved ? 1u : 0u);
       for (std::size_t R = 0; R < NT; ++R)
         for (std::size_t C = 0; C < NA; ++C)
           EXPECT_EQ(Blocked.at(R, C), Mono.at(R, C)) << R << "," << C;
 
-      Structure.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
       DenseMatrix<double> Direct;
       ASSERT_TRUE(solveAbsorptionDouble(Chain, Direct, SolverKind::Direct,
                                         Structure, &Metrics));
@@ -380,16 +422,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, BlockedSolveProperty,
 
 TEST(BlockedSolveTest, SingleSccExtreme) {
   // Gambler's ruin: every transient state reaches every other (birth-death
-  // chain), so the blocked solve degenerates to one block == monolithic.
+  // chain), so the pipeline degenerates to one block == monolithic.
   AbsorbingChain Chain = gamblersRuin(8, Rational(3, 5));
-  SolverStructure Structure;
-  Structure.Blocked = true;
   DenseMatrix<Rational> Blocked, Mono;
   SolveMetrics Metrics;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, Structure, &Metrics));
-  ASSERT_TRUE(solveAbsorptionExact(Chain, Mono));
+  MonolithicStats MonoStats;
+  ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, {}, &Metrics));
+  ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
   EXPECT_EQ(Metrics.NumBlocks, 1u);
   EXPECT_EQ(Metrics.MaxBlockSize, Chain.NumTransient);
+  EXPECT_EQ(Metrics.NumSolvedQ, MonoStats.NumSolvedQ);
+  // One block is the whole system: the same kernel does the same work.
+  EXPECT_EQ(Metrics.EliminationOps, MonoStats.EliminationOps);
   for (std::size_t R = 0; R < Chain.NumTransient; ++R)
     for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
       EXPECT_EQ(Blocked.at(R, C), Mono.at(R, C));
@@ -405,16 +449,20 @@ TEST(BlockedSolveTest, FullyDisconnectedExtreme) {
     Chain.QEntries.push_back({S, S, Rational(1, 2)});
     Chain.REntries.push_back({S, 0, Rational(1, 2)});
   }
-  SolverStructure Structure;
-  Structure.Blocked = true;
-  DenseMatrix<Rational> A;
+  DenseMatrix<Rational> A, Mono;
   SolveMetrics Metrics;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A, Structure, &Metrics));
+  MonolithicStats MonoStats;
+  ASSERT_TRUE(solveAbsorptionExact(Chain, A, {}, &Metrics));
+  ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
   EXPECT_EQ(Metrics.NumBlocks, 6u);
   EXPECT_EQ(Metrics.MaxBlockSize, 1u);
   EXPECT_EQ(Metrics.NumSolved, 6u);
-  for (std::size_t S = 0; S < 6; ++S)
+  EXPECT_EQ(Metrics.NumSolvedQ, MonoStats.NumSolvedQ);
+  EXPECT_LE(Metrics.EliminationOps, MonoStats.EliminationOps);
+  for (std::size_t S = 0; S < 6; ++S) {
     EXPECT_EQ(A.at(S, 0), Rational(1));
+    EXPECT_EQ(A.at(S, 0), Mono.at(S, 0));
+  }
 }
 
 TEST(BlockedSolveTest, DivergingStatesPrunedBeforeBlocking) {
@@ -425,15 +473,17 @@ TEST(BlockedSolveTest, DivergingStatesPrunedBeforeBlocking) {
   Chain.NumAbsorbing = 1;
   Chain.QEntries.push_back({0, 1, Rational(1)});
   Chain.QEntries.push_back({1, 0, Rational(1)});
-  SolverStructure Structure;
-  Structure.Blocked = true;
-  DenseMatrix<Rational> A;
+  DenseMatrix<Rational> A, Mono;
   SolveMetrics Metrics;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A, Structure, &Metrics));
+  MonolithicStats MonoStats;
+  ASSERT_TRUE(solveAbsorptionExact(Chain, A, {}, &Metrics));
+  ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
   EXPECT_EQ(Metrics.NumBlocks, 0u);
   EXPECT_EQ(Metrics.NumSolved, 0u);
+  EXPECT_EQ(MonoStats.NumSolved, 0u);
   EXPECT_EQ(A.at(0, 0), Rational(0));
   EXPECT_EQ(A.at(1, 0), Rational(0));
+  EXPECT_EQ(A, Mono);
 }
 
 TEST(AbsorbingTest, LongChainDirectSolver) {
@@ -451,8 +501,9 @@ TEST(AbsorbingTest, LongChainDirectSolver) {
 //===----------------------------------------------------------------------===//
 
 /// The multi-prime engine must reproduce the Rational engine's answers
-/// exactly — serial, pooled, and blocked — while reporting its prime and
-/// reconstruction metrics consistently.
+/// exactly — with blocks solved serially and on a pool — while reporting
+/// its prime and reconstruction metrics consistently and independently of
+/// the schedule.
 class ModularSolveProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ModularSolveProperty, ModularEqualsExact) {
@@ -465,27 +516,31 @@ TEST_P(ModularSolveProperty, ModularEqualsExact) {
     DenseMatrix<Rational> Exact;
     ASSERT_TRUE(solveAbsorptionExact(Chain, Exact));
 
-    for (ThreadPool *Engine : {static_cast<ThreadPool *>(nullptr), &Pool})
-      for (bool Blocked : {false, true}) {
-        SolverStructure Structure;
-        Structure.Blocked = Blocked;
-        Structure.Pool = Engine;
-        if (Blocked)
-          Structure.Ordering = linalg::OrderingKind::ReverseCuthillMcKee;
-        DenseMatrix<Rational> Modular;
-        SolveMetrics Metrics;
-        ASSERT_TRUE(
-            solveAbsorptionModular(Chain, Modular, Structure, &Metrics));
-        expectMetricsConsistent(Metrics);
-        for (std::size_t R = 0; R < NT; ++R)
-          for (std::size_t C = 0; C < NA; ++C)
-            EXPECT_EQ(Modular.at(R, C), Exact.at(R, C)) << R << "," << C;
-        if (Metrics.NumSolved > 0) {
-          EXPECT_GE(Metrics.NumPrimes, 1u);
-          EXPECT_GT(Metrics.ReconstructionBits, 0u);
-          EXPECT_EQ(Metrics.ModularFallbacks, 0u);
-        }
+    SolveMetrics Serial;
+    for (ThreadPool *Engine : {static_cast<ThreadPool *>(nullptr), &Pool}) {
+      SolverStructure Structure;
+      Structure.Pool = Engine;
+      DenseMatrix<Rational> Modular;
+      SolveMetrics Metrics;
+      ASSERT_TRUE(solveAbsorptionModular(Chain, Modular, Structure, &Metrics));
+      expectMetricsConsistent(Metrics);
+      for (std::size_t R = 0; R < NT; ++R)
+        for (std::size_t C = 0; C < NA; ++C)
+          EXPECT_EQ(Modular.at(R, C), Exact.at(R, C)) << R << "," << C;
+      if (Metrics.NumSolved > 0) {
+        EXPECT_GE(Metrics.NumPrimes, 1u);
+        EXPECT_GT(Metrics.ReconstructionBits, 0u);
+        EXPECT_EQ(Metrics.ModularFallbacks, 0u);
       }
+      if (!Engine) {
+        Serial = Metrics;
+        continue;
+      }
+      EXPECT_EQ(Metrics.NumPrimes, Serial.NumPrimes);
+      EXPECT_EQ(Metrics.RetriedPrimes, Serial.RetriedPrimes);
+      EXPECT_EQ(Metrics.ReconstructionBits, Serial.ReconstructionBits);
+      EXPECT_EQ(Metrics.EliminationOps, Serial.EliminationOps);
+    }
   }
 }
 
