@@ -4,7 +4,8 @@
 # Usage: ./ci.sh [build-dir]        # configure + build + full test suite
 #                                   # (the repository's tier-1 verify) in a
 #                                   # fresh build directory
-#        ./ci.sh bench [build-dir]  # build micro_support + micro_linalg +
+#        ./ci.sh bench [build-dir]  # build micro_fdd_ops + micro_support +
+#                                   # micro_linalg +
 #                                   # fig08 + scenario_sweep and emit
 #                                   # bench/results/BENCH_<name>.json
 #                                   # (the recorded performance trajectory,
@@ -227,10 +228,10 @@ if [ "$MODE" = "bench" ]; then
     exit 1
   fi
   cmake --build "$BUILD_DIR" -j "$JOBS" \
-    --target micro_support micro_linalg fig08_parallel_speedup \
+    --target micro_fdd_ops micro_support micro_linalg fig08_parallel_speedup \
              fig07_fattree_scalability scenario_sweep serve_throughput
   mkdir -p bench/results
-  for bench in micro_support micro_linalg; do
+  for bench in micro_fdd_ops micro_support micro_linalg; do
     if [ ! -x "$BUILD_DIR/$bench" ]; then
       echo "error: $bench was not built (is Google Benchmark installed?)" >&2
       exit 1
@@ -284,7 +285,7 @@ if [ "$MODE" = "bench" ]; then
   # come from disk and be byte-identical; the run fails otherwise).
   MCNK_SERVE_JSON=bench/results/BENCH_serve_throughput.json \
     "$BUILD_DIR/serve_throughput"
-  echo "Wrote bench/results/BENCH_micro_{support,linalg}.json, BENCH_fig08_parallel.json, BENCH_sweep_{cache,blocked,modular,simplify,slice}.json, BENCH_solver_{blocked,modular}.json, and BENCH_serve_throughput.json"
+  echo "Wrote bench/results/BENCH_micro_{fdd_ops,support,linalg}.json, BENCH_fig08_parallel.json, BENCH_sweep_{cache,blocked,modular,simplify,slice}.json, BENCH_solver_{blocked,modular}.json, and BENCH_serve_throughput.json"
   exit 0
 fi
 

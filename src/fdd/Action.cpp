@@ -82,6 +82,7 @@ ActionDist::fromEntries(std::vector<std::pair<Action, Rational>> Raw) {
   std::sort(Raw.begin(), Raw.end(),
             [](const auto &A, const auto &B) { return A.first < B.first; });
   ActionDist Result;
+  Result.Entries.reserve(Raw.size());
   for (auto &Entry : Raw) {
     if (Entry.second.isZero())
       continue;
@@ -104,21 +105,34 @@ ActionDist::fromEntries(std::vector<std::pair<Action, Rational>> Raw) {
 ActionDist ActionDist::convex(const Rational &R, const ActionDist &Lhs,
                               const ActionDist &Rhs) {
   assert(R.isProbability() && "convex weight outside [0,1]");
-  std::vector<std::pair<Action, Rational>> Raw;
-  Raw.reserve(Lhs.Entries.size() + Rhs.Entries.size());
+  if (R.isZero())
+    return Rhs;
+  if (R.isOne())
+    return Lhs;
   Rational OneMinusR(1);
   OneMinusR -= R;
-  // Scale each copied weight in place rather than materializing R * W
-  // temporaries (the distribution-arithmetic hot path of choice()).
-  for (const auto &[A, W] : Lhs.Entries) {
-    Raw.emplace_back(A, W);
-    Raw.back().second *= R;
+  // Both sides are sorted by action with positive weights, so one merge
+  // pass yields the canonical result: scale each copied weight in place
+  // (no R * W temporaries on this hot path of choice()) and fold an action
+  // present on both sides into one entry.
+  ActionDist Result;
+  Result.Entries.reserve(Lhs.Entries.size() + Rhs.Entries.size());
+  auto L = Lhs.Entries.begin(), LEnd = Lhs.Entries.end();
+  auto Rt = Rhs.Entries.begin(), REnd = Rhs.Entries.end();
+  while (L != LEnd || Rt != REnd) {
+    if (Rt == REnd || (L != LEnd && L->first < Rt->first)) {
+      Result.Entries.push_back(*L++);
+      Result.Entries.back().second *= R;
+    } else if (L == LEnd || Rt->first < L->first) {
+      Result.Entries.push_back(*Rt++);
+      Result.Entries.back().second *= OneMinusR;
+    } else {
+      Result.Entries.push_back(*L++);
+      Result.Entries.back().second *= R;
+      Result.Entries.back().second.addMul(Rt++->second, OneMinusR);
+    }
   }
-  for (const auto &[A, W] : Rhs.Entries) {
-    Raw.emplace_back(A, W);
-    Raw.back().second *= OneMinusR;
-  }
-  return fromEntries(std::move(Raw));
+  return Result;
 }
 
 Rational ActionDist::dropMass() const {

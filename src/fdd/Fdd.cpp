@@ -24,6 +24,10 @@ namespace {
 constexpr FieldId NoField = std::numeric_limits<FieldId>::max();
 constexpr FieldValue NoValue = std::numeric_limits<FieldValue>::max();
 
+std::size_t innerHash(const FddManager::InnerNode &N) {
+  return hashValues(N.Field, N.Value, N.Hi, N.Lo);
+}
+
 /// Lexicographic order on tests; leaves order after every real test.
 bool testLess(std::pair<FieldId, FieldValue> A,
               std::pair<FieldId, FieldValue> B) {
@@ -36,16 +40,9 @@ FddManager::FddManager(markov::SolverKind SolverMode) : Solver(SolverMode) {
   DropLeaf = leaf(ActionDist::dirac(Action::drop()));
 }
 
-FddRef FddManager::leaf(const ActionDist &Dist) {
+FddRef FddManager::leaf(ActionDist Dist) {
   std::size_t Hash = Dist.hash();
-  auto &Bucket = LeafTable[Hash];
-  for (uint32_t Idx : Bucket)
-    if (Leaves[Idx] == Dist)
-      return (Idx << 1) | 1;
-  uint32_t Idx = static_cast<uint32_t>(Leaves.size());
-  Leaves.push_back(Dist);
-  Bucket.push_back(Idx);
-  return (Idx << 1) | 1;
+  return (LeafTable.intern(Leaves, Hash, std::move(Dist)) << 1) | 1;
 }
 
 FddRef FddManager::inner(FieldId Field, FieldValue Value, FddRef Hi,
@@ -65,15 +62,7 @@ FddRef FddManager::inner(FieldId Field, FieldValue Value, FddRef Hi,
   if (cofactorTrue(Lo, Field, Value) == Hi)
     return Lo;
   InnerNode Node{Field, Value, Hi, Lo};
-  std::size_t Hash = hashValues(Field, Value, Hi, Lo);
-  auto &Bucket = InnerTable[Hash];
-  for (uint32_t Idx : Bucket)
-    if (Inners[Idx] == Node)
-      return Idx << 1;
-  uint32_t Idx = static_cast<uint32_t>(Inners.size());
-  Inners.push_back(Node);
-  Bucket.push_back(Idx);
-  return Idx << 1;
+  return InnerTable.intern(Inners, innerHash(Node), Node) << 1;
 }
 
 const ActionDist &FddManager::leafDist(FddRef Leaf) const {
@@ -87,15 +76,11 @@ const FddManager::InnerNode &FddManager::innerNode(FddRef Ref) const {
 }
 
 uint32_t FddManager::internAction(const Action &A) {
-  std::size_t Hash = A.hash();
-  auto &Bucket = ActionTable[Hash];
-  for (uint32_t Idx : Bucket)
-    if (Actions[Idx] == A)
-      return Idx;
-  uint32_t Idx = static_cast<uint32_t>(Actions.size());
-  Actions.push_back(A);
-  Bucket.push_back(Idx);
-  return Idx;
+  return ActionTable.intern(Actions, A.hash(), A);
+}
+
+uint32_t FddManager::internWeight(const Rational &R) {
+  return WeightTable.intern(Weights, R.hash(), R);
 }
 
 FddRef FddManager::test(FieldId Field, FieldValue Value) {
@@ -153,8 +138,8 @@ FddRef FddManager::negate(FddRef Pred) {
   if (Pred == DropLeaf)
     return IdentityLeaf;
   assert(!isLeafRef(Pred) && "negate on a non-predicate leaf");
-  if (auto It = NegateCache.find(Pred); It != NegateCache.end())
-    return It->second;
+  if (const FddRef *Hit = NegateCache.find({Pred}))
+    return *Hit;
 
   struct Frame {
     FddRef Ref;
@@ -175,8 +160,8 @@ FddRef FddManager::negate(FddRef Pred) {
         continue;
       }
       assert(!isLeafRef(Ref) && "negate on a non-predicate leaf");
-      if (auto It = NegateCache.find(Ref); It != NegateCache.end()) {
-        Values.push_back(It->second);
+      if (const FddRef *Hit = NegateCache.find({Ref})) {
+        Values.push_back(*Hit);
         Stack.pop_back();
         continue;
       }
@@ -194,7 +179,7 @@ FddRef FddManager::negate(FddRef Pred) {
     FddRef HiRes = Values.back();
     Values.pop_back();
     FddRef Result = inner(Top.Field, Top.Value, HiRes, LoRes);
-    NegateCache.emplace(Top.Ref, Result);
+    NegateCache.insert({Top.Ref}, Result);
     Values.push_back(Result);
     Stack.pop_back();
   }
@@ -243,9 +228,9 @@ FddRef FddManager::disjoin(FddRef PredA, FddRef PredB) {
       }
       assert(!isLeafRef(A) && !isLeafRef(B) &&
              "disjoin on a non-predicate leaf");
-      std::pair<FddRef, FddRef> Key = {std::min(A, B), std::max(A, B)};
-      if (auto It = DisjoinCache.find(Key); It != DisjoinCache.end()) {
-        Values.push_back(It->second);
+      if (const FddRef *Hit =
+              DisjoinCache.find({std::min(A, B), std::max(A, B)})) {
+        Values.push_back(*Hit);
         Stack.pop_back();
         continue;
       }
@@ -265,9 +250,8 @@ FddRef FddManager::disjoin(FddRef PredA, FddRef PredB) {
     FddRef HiRes = Values.back();
     Values.pop_back();
     FddRef Result = inner(Top.Field, Top.Value, HiRes, LoRes);
-    DisjoinCache.emplace(
-        std::make_pair(std::min(Top.A, Top.B), std::max(Top.A, Top.B)),
-        Result);
+    DisjoinCache.insert({std::min(Top.A, Top.B), std::max(Top.A, Top.B)},
+                        Result);
     Values.push_back(Result);
     Stack.pop_back();
   }
@@ -282,8 +266,9 @@ FddRef FddManager::choice(const Rational &R, FddRef P, FddRef Q) {
   if (R.isZero())
     return Q;
 
-  // R is invariant across the whole decomposition, so frames carry only
-  // the operand pair.
+  // R is invariant across the whole decomposition: intern it once, so
+  // frames carry only the operand pair and cache keys only its id.
+  const uint32_t Weight = internWeight(R);
   struct Frame {
     FddRef P, Q;
     FieldId Field;
@@ -302,15 +287,14 @@ FddRef FddManager::choice(const Rational &R, FddRef P, FddRef Q) {
         Stack.pop_back();
         continue;
       }
-      if (auto It = ChoiceCache.find(ChoiceKey{R, A, B});
-          It != ChoiceCache.end()) {
-        Values.push_back(It->second);
+      if (const FddRef *Hit = ChoiceCache.find({Weight, A, B})) {
+        Values.push_back(*Hit);
         Stack.pop_back();
         continue;
       }
       if (isLeafRef(A) && isLeafRef(B)) {
         FddRef Result = leaf(ActionDist::convex(R, leafDist(A), leafDist(B)));
-        ChoiceCache.emplace(ChoiceKey{R, A, B}, Result);
+        ChoiceCache.insert({Weight, A, B}, Result);
         Values.push_back(Result);
         Stack.pop_back();
         continue;
@@ -331,7 +315,7 @@ FddRef FddManager::choice(const Rational &R, FddRef P, FddRef Q) {
     FddRef HiRes = Values.back();
     Values.pop_back();
     FddRef Result = inner(Top.Field, Top.Value, HiRes, LoRes);
-    ChoiceCache.emplace(ChoiceKey{R, Top.P, Top.Q}, Result);
+    ChoiceCache.insert({Weight, Top.P, Top.Q}, Result);
     Values.push_back(Result);
     Stack.pop_back();
   }
@@ -379,9 +363,8 @@ FddRef FddManager::branch(FddRef Guard, FddRef Then, FddRef Else) {
         continue;
       }
       assert(!isLeafRef(G) && "guard leaf must be pass or drop");
-      if (auto It = BranchCache.find(std::make_tuple(G, T, E));
-          It != BranchCache.end()) {
-        Values.push_back(It->second);
+      if (const FddRef *Hit = BranchCache.find({G, T, E})) {
+        Values.push_back(*Hit);
         Stack.pop_back();
         continue;
       }
@@ -402,8 +385,7 @@ FddRef FddManager::branch(FddRef Guard, FddRef Then, FddRef Else) {
     FddRef HiRes = Values.back();
     Values.pop_back();
     FddRef Result = inner(Top.Field, Top.Value, HiRes, LoRes);
-    BranchCache.emplace(std::make_tuple(Top.Guard, Top.Then, Top.Else),
-                        Result);
+    BranchCache.insert({Top.Guard, Top.Then, Top.Else}, Result);
     Values.push_back(Result);
     Stack.pop_back();
   }
@@ -418,9 +400,8 @@ FddRef FddManager::seqAction(uint32_t ActionId, FddRef Q) {
   const Action A = Actions[ActionId];
   if (A.isDrop())
     return DropLeaf;
-  if (auto It = SeqActionCache.find({ActionId, Q});
-      It != SeqActionCache.end())
-    return It->second;
+  if (const FddRef *Hit = SeqActionCache.find({ActionId, Q}))
+    return *Hit;
 
   // The action is invariant across the decomposition; frames carry the
   // sub-diagram plus whether the test was statically resolved (one child)
@@ -439,18 +420,19 @@ FddRef FddManager::seqAction(uint32_t ActionId, FddRef Q) {
     Frame &Top = Stack.back();
     if (!Top.Expanded) {
       FddRef Cur = Top.Q;
-      if (auto It = SeqActionCache.find({ActionId, Cur});
-          It != SeqActionCache.end()) {
-        Values.push_back(It->second);
+      if (const FddRef *Hit = SeqActionCache.find({ActionId, Cur})) {
+        Values.push_back(*Hit);
         Stack.pop_back();
         continue;
       }
       if (isLeafRef(Cur)) {
+        const auto &CurEntries = leafDist(Cur).entries();
         std::vector<std::pair<Action, Rational>> Entries;
-        for (const auto &[B, W] : leafDist(Cur).entries())
+        Entries.reserve(CurEntries.size());
+        for (const auto &[B, W] : CurEntries)
           Entries.emplace_back(A.then(B), W);
         FddRef Result = leaf(ActionDist::fromEntries(std::move(Entries)));
-        SeqActionCache.emplace(std::make_pair(ActionId, Cur), Result);
+        SeqActionCache.insert({ActionId, Cur}, Result);
         Values.push_back(Result);
         Stack.pop_back();
         continue;
@@ -482,7 +464,7 @@ FddRef FddManager::seqAction(uint32_t ActionId, FddRef Q) {
       Values.pop_back();
       Result = inner(Top.Field, Top.Value, HiRes, LoRes);
     }
-    SeqActionCache.emplace(std::make_pair(ActionId, Top.Q), Result);
+    SeqActionCache.insert({ActionId, Top.Q}, Result);
     Values.push_back(Result);
     Stack.pop_back();
   }
@@ -543,8 +525,8 @@ FddRef FddManager::seq(FddRef P, FddRef Q) {
         Stack.pop_back();
         continue;
       }
-      if (auto It = SeqCache.find({A, B}); It != SeqCache.end()) {
-        Values.push_back(It->second);
+      if (const FddRef *Hit = SeqCache.find({A, B})) {
+        Values.push_back(*Hit);
         Stack.pop_back();
         continue;
       }
@@ -557,10 +539,11 @@ FddRef FddManager::seq(FddRef P, FddRef Q) {
         const std::vector<std::pair<Action, Rational>> Entries =
             leafDist(A).entries();
         std::vector<std::pair<Rational, FddRef>> Terms;
+        Terms.reserve(Entries.size());
         for (const auto &[Act, W] : Entries)
           Terms.emplace_back(W, seqAction(internAction(Act), B));
         FddRef Result = weightedSum(std::move(Terms));
-        SeqCache.emplace(std::make_pair(A, B), Result);
+        SeqCache.insert({A, B}, Result);
         Values.push_back(Result);
         Stack.pop_back();
         continue;
@@ -582,7 +565,7 @@ FddRef FddManager::seq(FddRef P, FddRef Q) {
     // float above this node's test; route through branch() which
     // re-interleaves in canonical order.
     FddRef Result = branch(test(Top.Field, Top.Value), HiRes, LoRes);
-    SeqCache.emplace(std::make_pair(Top.P, Top.Q), Result);
+    SeqCache.insert({Top.P, Top.Q}, Result);
     Values.push_back(Result);
     Stack.pop_back();
   }
@@ -685,6 +668,8 @@ void FddManager::reset() {
   InnerTable.clear();
   Actions.clear();
   ActionTable.clear();
+  Weights.clear();
+  WeightTable.clear();
   SeqCache.clear();
   DisjoinCache.clear();
   NegateCache.clear();
@@ -753,31 +738,25 @@ GcStats FddManager::gc(const std::vector<FddRef *> &Roots) {
   {
     std::vector<ActionDist> NewLeaves;
     NewLeaves.reserve(Stats.LiveLeaves);
-    LeafTable.clear();
-    for (std::size_t I = 0; I < Leaves.size(); ++I) {
-      if (!LeafLive[I])
-        continue;
-      LeafTable[Leaves[I].hash()].push_back(
-          static_cast<uint32_t>(NewLeaves.size()));
-      NewLeaves.push_back(std::move(Leaves[I]));
-    }
+    for (std::size_t I = 0; I < Leaves.size(); ++I)
+      if (LeafLive[I])
+        NewLeaves.push_back(std::move(Leaves[I]));
     Leaves = std::move(NewLeaves);
+    LeafTable.reindex(Leaves, [](const ActionDist &D) { return D.hash(); });
   }
   {
     std::vector<InnerNode> NewInners;
     NewInners.reserve(Stats.LiveInners);
-    InnerTable.clear();
     for (std::size_t I = 0; I < Inners.size(); ++I) {
       if (!InnerLive[I])
         continue;
       InnerNode N = Inners[I];
       N.Hi = RemapRef(N.Hi);
       N.Lo = RemapRef(N.Lo);
-      InnerTable[hashValues(N.Field, N.Value, N.Hi, N.Lo)].push_back(
-          static_cast<uint32_t>(NewInners.size()));
       NewInners.push_back(N);
     }
     Inners = std::move(NewInners);
+    InnerTable.reindex(Inners, innerHash);
   }
 
   IdentityLeaf = RemapRef(IdentityLeaf);
@@ -796,112 +775,59 @@ GcStats FddManager::gc(const std::vector<FddRef *> &Roots) {
   // survives iff every operand and its result are still reachable; the
   // rest would pin dead structure (or dangle), so they are dropped and
   // simply recomputed on demand. -----------------------------------------
-  auto RebuildPair = [&](auto &Cache) {
-    std::remove_reference_t<decltype(Cache)> New;
-    New.reserve(Cache.size());
-    for (const auto &[K, V] : Cache) {
-      if (!LiveRef(K.first) || !LiveRef(K.second) || !LiveRef(V)) {
-        ++Stats.DroppedCacheEntries;
-        continue;
-      }
-      New.emplace(std::make_pair(RemapRef(K.first), RemapRef(K.second)),
-                  RemapRef(V));
-      ++Stats.KeptCacheEntries;
+  auto Keep = [&](auto &Key, std::size_t FirstRef, FddRef &Result) {
+    bool Live = LiveRef(Result);
+    for (std::size_t I = FirstRef; I < Key.size(); ++I)
+      Live = Live && LiveRef(Key[I]);
+    if (!Live) {
+      ++Stats.DroppedCacheEntries;
+      return false;
     }
-    Cache = std::move(New);
+    for (std::size_t I = FirstRef; I < Key.size(); ++I)
+      Key[I] = RemapRef(Key[I]);
+    Result = RemapRef(Result);
+    ++Stats.KeptCacheEntries;
+    return true;
   };
-  RebuildPair(SeqCache);
-  {
-    // Disjoin keys carry a (min, max) normalization. Both operands are
-    // always inner refs (leaves are swallowed by the terminal cases), so
-    // order-preserving compaction cannot actually flip them — but
-    // re-normalize locally so the lookup invariant is evident here
-    // rather than resting on that argument.
-    decltype(DisjoinCache) New;
-    New.reserve(DisjoinCache.size());
-    for (const auto &[K, V] : DisjoinCache) {
-      if (!LiveRef(K.first) || !LiveRef(K.second) || !LiveRef(V)) {
-        ++Stats.DroppedCacheEntries;
-        continue;
+  auto KeepRefs = [&](auto &Key, FddRef &Result) {
+    return Keep(Key, 0, Result);
+  };
+  SeqCache.rebuild(KeepRefs);
+  // Disjoin keys stay (min, max)-normalized: both operands are always inner
+  // refs (the terminal cases swallow leaves), and RemapRef is monotone on
+  // inner refs.
+  DisjoinCache.rebuild(KeepRefs);
+  NegateCache.rebuild(KeepRefs);
+  BranchCache.rebuild(KeepRefs);
+  // Choice and seqAction keys lead with a weight / action id. Those pools
+  // are cache-support structures, so each is compacted down to the ids
+  // that surviving entries still reference.
+  auto RebuildWithIds = [&](auto &Cache, auto &Pool, IndexSet &Table,
+                            auto Hash) {
+    std::vector<uint32_t> IdRemap(Pool.size(), Dead);
+    std::remove_reference_t<decltype(Pool)> NewPool;
+    Cache.rebuild([&](auto &Key, FddRef &Result) {
+      if (!Keep(Key, 1, Result))
+        return false;
+      uint32_t &NewId = IdRemap[Key[0]];
+      if (NewId == Dead) {
+        NewId = static_cast<uint32_t>(NewPool.size());
+        NewPool.push_back(std::move(Pool[Key[0]]));
       }
-      New.emplace(std::minmax(RemapRef(K.first), RemapRef(K.second)),
-                  RemapRef(V));
-      ++Stats.KeptCacheEntries;
-    }
-    DisjoinCache = std::move(New);
-  }
-  {
-    decltype(NegateCache) New;
-    New.reserve(NegateCache.size());
-    for (const auto &[K, V] : NegateCache) {
-      if (!LiveRef(K) || !LiveRef(V)) {
-        ++Stats.DroppedCacheEntries;
-        continue;
-      }
-      New.emplace(RemapRef(K), RemapRef(V));
-      ++Stats.KeptCacheEntries;
-    }
-    NegateCache = std::move(New);
-  }
-  {
-    decltype(ChoiceCache) New;
-    New.reserve(ChoiceCache.size());
-    for (const auto &[K, V] : ChoiceCache) {
-      if (!LiveRef(K.P) || !LiveRef(K.Q) || !LiveRef(V)) {
-        ++Stats.DroppedCacheEntries;
-        continue;
-      }
-      New.emplace(ChoiceKey{K.R, RemapRef(K.P), RemapRef(K.Q)},
-                  RemapRef(V));
-      ++Stats.KeptCacheEntries;
-    }
-    ChoiceCache = std::move(New);
-  }
-  {
-    decltype(BranchCache) New;
-    New.reserve(BranchCache.size());
-    for (const auto &[K, V] : BranchCache) {
-      auto [G, T, E] = K;
-      if (!LiveRef(G) || !LiveRef(T) || !LiveRef(E) || !LiveRef(V)) {
-        ++Stats.DroppedCacheEntries;
-        continue;
-      }
-      New.emplace(std::make_tuple(RemapRef(G), RemapRef(T), RemapRef(E)),
-                  RemapRef(V));
-      ++Stats.KeptCacheEntries;
-    }
-    BranchCache = std::move(New);
-  }
-  {
-    // SeqAction keys embed interned action ids; the action pool is itself
-    // a cache-support structure, so compact it down to the actions that
-    // surviving entries still reference.
-    decltype(SeqActionCache) New;
-    New.reserve(SeqActionCache.size());
-    std::vector<uint32_t> ActionRemap(Actions.size(), Dead);
-    std::vector<Action> NewActions;
-    ActionTable.clear();
-    for (const auto &[K, V] : SeqActionCache) {
-      if (!LiveRef(K.second) || !LiveRef(V)) {
-        ++Stats.DroppedCacheEntries;
-        continue;
-      }
-      uint32_t OldAction = K.first;
-      if (ActionRemap[OldAction] == Dead) {
-        ActionRemap[OldAction] = static_cast<uint32_t>(NewActions.size());
-        ActionTable[Actions[OldAction].hash()].push_back(
-            static_cast<uint32_t>(NewActions.size()));
-        NewActions.push_back(Actions[OldAction]);
-      }
-      New.emplace(
-          std::make_pair(ActionRemap[OldAction], RemapRef(K.second)),
-          RemapRef(V));
-      ++Stats.KeptCacheEntries;
-    }
-    Stats.FreedActions = Actions.size() - NewActions.size();
-    Actions = std::move(NewActions);
-    SeqActionCache = std::move(New);
-  }
+      Key[0] = NewId;
+      return true;
+    });
+    std::size_t Freed = Pool.size() - NewPool.size();
+    Pool = std::move(NewPool);
+    Table.reindex(Pool, Hash);
+    return Freed;
+  };
+  Stats.FreedWeights =
+      RebuildWithIds(ChoiceCache, Weights, WeightTable,
+                     [](const Rational &R) { return R.hash(); });
+  Stats.FreedActions =
+      RebuildWithIds(SeqActionCache, Actions, ActionTable,
+                     [](const Action &A) { return A.hash(); });
   {
     decltype(LoopCache) New;
     New.reserve(LoopCache.size());

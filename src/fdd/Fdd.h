@@ -21,6 +21,7 @@
 #define MCNK_FDD_FDD_H
 
 #include "fdd/Action.h"
+#include "fdd/FlatTable.h"
 #include "markov/Absorbing.h"
 #include "packet/Packet.h"
 #include "support/Hashing.h"
@@ -73,7 +74,9 @@ struct GcStats {
   std::size_t FreedLeaves = 0;
   std::size_t LiveInners = 0;
   std::size_t FreedInners = 0;
+  /// Action and choice-weight pool entries no surviving cache entry uses.
   std::size_t FreedActions = 0;
+  std::size_t FreedWeights = 0;
   /// Operation-cache entries rebuilt onto the compacted pools vs dropped
   /// because an operand or result died.
   std::size_t KeptCacheEntries = 0;
@@ -101,7 +104,8 @@ public:
   const markov::SolverStructure &solverStructure() const { return Structure; }
 
   // --- Node construction and inspection ---------------------------------
-  FddRef leaf(const ActionDist &Dist);
+  /// Interns \p Dist (moved into the pool when it is new).
+  FddRef leaf(ActionDist Dist);
   /// Interning constructor; collapses Hi == Lo and checks ordering
   /// invariants in assert builds.
   FddRef inner(FieldId Field, FieldValue Value, FddRef Hi, FddRef Lo);
@@ -195,7 +199,8 @@ public:
   std::pair<FieldId, FieldValue> rootTest(FddRef Ref) const;
 
 private:
-  FddRef internAction(const Action &A);
+  uint32_t internAction(const Action &A);
+  uint32_t internWeight(const Rational &R);
   /// a ▷ q: runs q on the output of the single action a.
   FddRef seqAction(uint32_t ActionId, FddRef Q);
   /// Weighted sum of FDDs (weights positive, summing to at most one; the
@@ -205,39 +210,28 @@ private:
   markov::SolverKind Solver;
   markov::SolverStructure Structure;
 
-  // Interning pools.
+  // Interning pools, each indexed by a flat hash set over the pool.
   std::vector<ActionDist> Leaves;
-  std::unordered_map<std::size_t, std::vector<uint32_t>> LeafTable;
+  IndexSet LeafTable;
   std::vector<InnerNode> Inners;
-  std::unordered_map<std::size_t, std::vector<uint32_t>> InnerTable;
+  IndexSet InnerTable;
   std::vector<Action> Actions;
-  std::unordered_map<std::size_t, std::vector<uint32_t>> ActionTable;
+  IndexSet ActionTable;
+  /// Choice weights: choice() interns its weight once per call, so the
+  /// choice cache keys on a weight id instead of a Rational.
+  std::vector<Rational> Weights;
+  IndexSet WeightTable;
 
   FddRef IdentityLeaf = 0;
   FddRef DropLeaf = 0;
 
-  // Operation caches (generic hashers from support/Hashing.h).
-  std::unordered_map<std::pair<FddRef, FddRef>, FddRef, PairHash> SeqCache;
-  std::unordered_map<std::pair<FddRef, FddRef>, FddRef, PairHash>
-      DisjoinCache;
-  std::unordered_map<FddRef, FddRef> NegateCache;
-  struct ChoiceKey {
-    Rational R;
-    FddRef P, Q;
-    bool operator==(const ChoiceKey &K) const {
-      return R == K.R && P == K.P && Q == K.Q;
-    }
-  };
-  struct ChoiceKeyHash {
-    std::size_t operator()(const ChoiceKey &K) const {
-      return hashValues(K.R, K.P, K.Q);
-    }
-  };
-  std::unordered_map<ChoiceKey, FddRef, ChoiceKeyHash> ChoiceCache;
-  std::unordered_map<std::tuple<FddRef, FddRef, FddRef>, FddRef, TupleHash>
-      BranchCache;
-  std::unordered_map<std::pair<uint32_t, FddRef>, FddRef, PairHash>
-      SeqActionCache;
+  // Operation caches, keyed on operand refs (and action / weight ids).
+  MemoTable<2> SeqCache;       ///< (P, Q)
+  MemoTable<2> DisjoinCache;   ///< (min, max) of the two predicates
+  MemoTable<1> NegateCache;    ///< (Pred)
+  MemoTable<3> ChoiceCache;    ///< (weight id, P, Q)
+  MemoTable<3> BranchCache;    ///< (Guard, Then, Else)
+  MemoTable<2> SeqActionCache; ///< (action id, Q)
   /// Loop results carry their solve statistics so a cache hit can refresh
   /// lastLoopStats() exactly as the original solve did.
   struct LoopEntry {

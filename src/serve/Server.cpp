@@ -764,13 +764,16 @@ void TcpServer::serveConnection(int Fd) {
 void TcpServer::stop() {
   if (Stopping.exchange(true))
     return;
-  if (ListenFd >= 0) {
+  // shutdown() wakes the blocked accept(); the descriptor is closed and
+  // reset only once the acceptor, which reads it, has been joined.
+  if (ListenFd >= 0)
     ::shutdown(ListenFd, SHUT_RDWR);
+  if (Acceptor.joinable())
+    Acceptor.join();
+  if (ListenFd >= 0) {
     ::close(ListenFd);
     ListenFd = -1;
   }
-  if (Acceptor.joinable())
-    Acceptor.join();
   std::vector<std::thread> Threads;
   {
     std::lock_guard<std::mutex> Lock(ConnMutex);

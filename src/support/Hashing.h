@@ -12,7 +12,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <tuple>
 #include <utility>
 
 namespace mcnk {
@@ -60,15 +59,6 @@ struct PairHash {
 struct RangeHash {
   template <typename C> std::size_t operator()(const C &Container) const {
     return hashRange(Container.begin(), Container.end());
-  }
-};
-
-/// Generic hasher for std::tuple of any arity.
-struct TupleHash {
-  template <typename... Ts>
-  std::size_t operator()(const std::tuple<Ts...> &T) const {
-    return std::apply(
-        [](const Ts &...Values) { return hashValues(Values...); }, T);
   }
 };
 

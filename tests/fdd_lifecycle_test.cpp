@@ -8,7 +8,8 @@
 /// FddManager::gc() must compact the pools without changing any query
 /// answer on live roots, and reset() must return the manager to its
 /// freshly constructed state. Also home of the regression test for the
-/// solveLoop cache-hit path refreshing lastLoopStats().
+/// solveLoop cache-hit path refreshing lastLoopStats(), and of the property
+/// tests of the flat intern and memo tables behind the manager.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,10 +17,14 @@
 #include "ast/Hash.h"
 #include "fdd/CompileCache.h"
 #include "fdd/Export.h"
+#include "fdd/FlatTable.h"
 #include "routing/Routing.h"
+#include "support/Prng.h"
 #include "topology/Topology.h"
 
 #include <gtest/gtest.h>
+
+#include <unordered_map>
 
 using namespace mcnk;
 
@@ -334,6 +339,177 @@ TEST(FddLifecycleTest, ResetReturnsManagerToPristineState) {
   fdd::FddRef After = V.compile(M.Program);
   EXPECT_EQ(V.deliveryProbability(After, M.ingressPacket(0, Ctx)),
             Delivery);
+}
+
+TEST(FddLifecycleTest, ResetThenRebuildMatchesFreshManagerRefs) {
+  ast::Context Ctx;
+  routing::NetworkModel M1 = chainModel(1, Ctx);
+  routing::NetworkModel M2 = chainModel(2, Ctx);
+  analysis::Verifier V;
+  V.compile(M1.Program);
+  V.compile(M2.Program);
+  V.manager().reset();
+  // Refs are pool positions, so they only match a fresh manager's if
+  // reset() left no pool, intern table or operation cache behind.
+  fdd::FddRef Again = V.compile(M2.Program);
+  analysis::Verifier Fresh;
+  EXPECT_EQ(Again, Fresh.compile(M2.Program));
+  EXPECT_EQ(V.manager().numInnerNodes(), Fresh.manager().numInnerNodes());
+  EXPECT_EQ(V.manager().numLeaves(), Fresh.manager().numLeaves());
+}
+
+TEST(FddLifecycleTest, GcKeepsChoiceEntriesAndCompactsWeights) {
+  fdd::FddManager M;
+  fdd::FddRef P = M.test(0, 1);
+  fdd::FddRef Q = M.assign(0, 2);
+  fdd::FddRef Kept = M.choice(Rational(1, 3), P, Q);
+  // A second weight whose every entry dies with its operand.
+  M.choice(Rational(1, 5), M.test(1, 3), Q);
+
+  fdd::GcStats GS = M.gc({&P, &Q, &Kept});
+  // The kept choice decomposes into (P, Q) and the two leaf cofactor
+  // pairs (pass, Q), (drop, Q); the dead one into three more entries.
+  EXPECT_EQ(GS.KeptCacheEntries, 3u);
+  EXPECT_EQ(GS.DroppedCacheEntries, 3u);
+  EXPECT_EQ(GS.FreedWeights, 1u);
+  EXPECT_EQ(GS.FreedInners, 2u); // The dead test and its choice result.
+
+  // An equal but separately built weight hits the surviving entry.
+  std::size_t Leaves = M.numLeaves(), Inners = M.numInnerNodes();
+  Rational Equal(2, 6);
+  EXPECT_EQ(M.choice(Equal, P, Q), Kept);
+  EXPECT_EQ(M.numLeaves(), Leaves);
+  EXPECT_EQ(M.numInnerNodes(), Inners);
+
+  // Nothing routed through the roots keeps the weight alive any more.
+  fdd::GcStats Empty = M.gc({});
+  EXPECT_EQ(Empty.FreedWeights, 1u);
+  EXPECT_EQ(Empty.KeptCacheEntries, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Flat intern and memo tables (property tests against std::unordered_map)
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Interns \p Ops random keys from [0, \p Range) into an IndexSet over a
+/// pool, mirrored by an unordered_map, then compacts the pool to its even
+/// keys and re-checks every lookup. \p Hash may collide arbitrarily.
+template <typename HashFn>
+void checkIndexSet(uint64_t Seed, std::size_t Ops, uint64_t Range,
+                   HashFn Hash) {
+  Prng Rng(Seed);
+  fdd::IndexSet Set;
+  std::vector<uint64_t> Pool;
+  std::unordered_map<uint64_t, uint32_t> Ref;
+  for (std::size_t I = 0; I < Ops; ++I) {
+    uint64_t Key = Rng.below(Range);
+    uint32_t Index = Set.intern(Pool, Hash(Key), Key);
+    auto [It, Inserted] =
+        Ref.emplace(Key, static_cast<uint32_t>(Ref.size()));
+    ASSERT_EQ(Index, It->second) << "seed " << Seed << " op " << I;
+    ASSERT_EQ(Pool.size(), Ref.size());
+    ASSERT_EQ(Set.size(), Ref.size());
+    (void)Inserted;
+  }
+  ASSERT_GT(Ref.size(), 256u) << "too few keys to cross several doublings";
+
+  std::vector<uint64_t> Compacted;
+  for (uint64_t Key : Pool)
+    if (Key % 2 == 0)
+      Compacted.push_back(Key);
+  Pool = Compacted;
+  Set.reindex(Pool, Hash);
+  ASSERT_EQ(Set.size(), Pool.size());
+  for (std::size_t I = 0; I < Pool.size(); ++I)
+    ASSERT_EQ(Set.intern(Pool, Hash(Pool[I]), Pool[I]), I);
+  // A key compaction removed is new again and lands at the pool's end.
+  for (uint64_t Key = 1; Key < Range; Key += 2) {
+    if (!Ref.count(Key))
+      continue;
+    ASSERT_EQ(Set.intern(Pool, Hash(Key), Key), Compacted.size());
+    ASSERT_EQ(Pool.back(), Key);
+    break;
+  }
+}
+
+} // namespace
+
+TEST(FlatTableTest, IndexSetMatchesUnorderedMap) {
+  for (uint64_t Seed : {1u, 2u, 3u})
+    checkIndexSet(Seed, 20000, 8000,
+                  [](uint64_t Key) { return std::hash<uint64_t>{}(Key); });
+}
+
+TEST(FlatTableTest, IndexSetSurvivesAllKeysSharingOneHash) {
+  checkIndexSet(4, 2000, 700, [](uint64_t) { return std::size_t(42); });
+}
+
+TEST(FlatTableTest, MemoTableMatchesUnorderedMap) {
+  using Key = fdd::MemoTable<3>::Key;
+  struct KeyHash {
+    std::size_t operator()(const Key &K) const {
+      return hashValues(K[0], K[1], K[2]);
+    }
+  };
+  for (uint64_t Seed : {5u, 6u, 7u}) {
+    Prng Rng(Seed);
+    fdd::MemoTable<3> Memo;
+    std::unordered_map<Key, uint32_t, KeyHash> Ref;
+    auto RandomKey = [&] {
+      return Key{static_cast<uint32_t>(Rng.below(4)),
+                 static_cast<uint32_t>(Rng.below(64)),
+                 static_cast<uint32_t>(Rng.below(64))};
+    };
+    for (std::size_t I = 0; I < 30000; ++I) {
+      Key K = RandomKey();
+      const uint32_t *Hit = Memo.find(K);
+      auto It = Ref.find(K);
+      ASSERT_EQ(Hit != nullptr, It != Ref.end()) << "seed " << Seed;
+      if (Hit) {
+        ASSERT_EQ(*Hit, It->second);
+        continue;
+      }
+      auto Value = static_cast<uint32_t>(Rng.below(1u << 20));
+      Memo.insert(K, Value);
+      Ref.emplace(K, Value);
+      Memo.insert(K, Value + 1); // The first result recorded wins.
+      ASSERT_EQ(*Memo.find(K), Value);
+      ASSERT_EQ(Memo.size(), Ref.size());
+    }
+    ASSERT_GT(Ref.size(), 4096u) << "too few keys to cross several doublings";
+
+    // gc()-style rebuild: drop odd results, shift the kept keys' last
+    // operand and results, then compare against the same edit of Ref.
+    auto Edit = [](Key &K, uint32_t &Value) {
+      if (Value % 2)
+        return false;
+      K[2] += 1000;
+      Value /= 2;
+      return true;
+    };
+    Memo.rebuild(Edit);
+    std::unordered_map<Key, uint32_t, KeyHash> Edited;
+    for (const auto &[OldK, OldValue] : Ref) {
+      Key K = OldK;
+      uint32_t Value = OldValue;
+      if (Edit(K, Value))
+        Edited.emplace(K, Value);
+    }
+    ASSERT_EQ(Memo.size(), Edited.size());
+    for (const auto &[K, Value] : Ref) {
+      Key Moved = K;
+      Moved[2] += 1000;
+      const uint32_t *Hit = Memo.find(Moved);
+      auto It = Edited.find(Moved);
+      ASSERT_EQ(Hit != nullptr, It != Edited.end());
+      if (Hit) {
+        ASSERT_EQ(*Hit, It->second);
+      }
+      ASSERT_EQ(Memo.find(K), nullptr) << "an unmoved key survived rebuild";
+    }
+  }
 }
 
 //===----------------------------------------------------------------------===//
