@@ -2,7 +2,8 @@
 ///
 /// \file
 /// Shared helpers for the figure-reproduction harnesses: environment
-/// knobs, wall-clock timing with per-point budgets, and table printing.
+/// knobs, wall-clock timing with per-point budgets, medians, table
+/// printing, and the run description every BENCH_*.json records.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -11,9 +12,16 @@
 
 #include "support/Timer.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <vector>
+
+#ifndef MCNK_BUILD_TYPE
+#define MCNK_BUILD_TYPE "unknown"
+#endif
 
 namespace mcnk {
 namespace bench {
@@ -65,6 +73,29 @@ private:
   double Budget;
   bool Alive = true;
 };
+
+/// The median of \p Samples (the mean of the middle two for an even
+/// count); 0 when empty.
+inline double median(std::vector<double> Samples) {
+  if (Samples.empty())
+    return 0.0;
+  std::sort(Samples.begin(), Samples.end());
+  std::size_t Mid = Samples.size() / 2;
+  return Samples.size() % 2 ? Samples[Mid]
+                            : (Samples[Mid - 1] + Samples[Mid]) / 2;
+}
+
+/// Writes the JSON members every BENCH_*.json records, one per line and
+/// each followed by a comma: the build type, how many repetitions stand
+/// behind each reported number, and the host's hardware concurrency.
+inline void writeRunInfo(std::FILE *Out, unsigned Repetitions) {
+  std::fprintf(Out,
+               "  \"build_type\": \"%s\",\n"
+               "  \"repetitions\": %u,\n"
+               "  \"host_hardware_concurrency\": %u,\n",
+               MCNK_BUILD_TYPE, Repetitions,
+               std::thread::hardware_concurrency());
+}
 
 /// Prints a seconds cell, or "-" for a dead series.
 inline void printCell(double Seconds) {

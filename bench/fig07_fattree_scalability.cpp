@@ -172,9 +172,7 @@ int runBlocked(unsigned MaxP, const char *Path) {
     fdd::LoopSolveStats SS = Serial.manager().lastLoopStats();
 
     analysis::Verifier Pooled; // Exact, blocks as a DAG on a pool.
-    markov::SolverStructure S;
-    S.Pool = &Pooled.compilePool(Threads);
-    Pooled.setSolverStructure(S);
+    Pooled.enableSolverPool(Threads);
     WallTimer PoolTimer;
     fdd::FddRef RP = Pooled.compile(M.Program);
     double PoolSec = PoolTimer.elapsed();
@@ -221,12 +219,13 @@ int runBlocked(unsigned MaxP, const char *Path) {
                  "failures (Fig 7 family), Exact solver\",\n"
                  "  \"engine\": \"SCC/DAG block pipeline, serial vs "
                  "pooled schedule (ARCHITECTURE S13)\",\n"
-                 "  \"pool_threads\": %u,\n"
-                 "  \"host_hardware_concurrency\": %u,\n"
+                 "  \"pool_threads\": %u,\n",
+                 Threads);
+    writeRunInfo(F, 1);
+    std::fprintf(F,
                  "  \"reference_equal\": %s,\n"
                  "  \"points\": [\n%s\n  ]\n"
                  "}\n",
-                 Threads, std::thread::hardware_concurrency(),
                  AllEqual ? "true" : "false", Points.c_str());
     std::fclose(F);
     std::printf("wrote %s\n", Path);
@@ -339,7 +338,9 @@ int runModular(unsigned MaxP, unsigned MaxK, const char *Path) {
                  "  \"model\": \"FatTree ECMP (Fig 7 family) and diamond "
                  "chains (Fig 10 family), iid 1/1000 link failures\",\n"
                  "  \"engine\": \"mod-p elimination + CRT / verified "
-                 "rational reconstruction (ARCHITECTURE S14)\",\n"
+                 "rational reconstruction (ARCHITECTURE S14)\",\n");
+    writeRunInfo(F, 1);
+    std::fprintf(F,
                  "  \"reference_equal\": %s,\n"
                  "  \"points\": [\n%s\n  ]\n"
                  "}\n",

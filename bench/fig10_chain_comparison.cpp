@@ -11,7 +11,7 @@
 ///   ppnk ex   — ProbNetKAT -> PRISM translation, exact engine
 ///   ppnk ap   — translation, iterative engine
 ///   pnk       — native FDD backend (direct sparse LU)
-///   pnk par   — native backend with parallel case compilation
+///   pnk par   — native backend, loop blocks solved on a 4-worker pool
 ///
 /// Shape expected from the paper: bayonet dies orders of magnitude before
 /// the rest; the native backend scales furthest. Per-point budget retires
@@ -198,7 +198,8 @@ int main() {
       ast::Context Ctx;
       routing::NetworkModel M = routing::buildChainModel(L, PFail, Ctx);
       analysis::Verifier V(markov::SolverKind::Direct);
-      V.compile(M.Program, /*Parallel=*/true, /*Threads=*/4);
+      V.enableSolverPool(4);
+      V.compile(M.Program);
     }));
     std::printf("\n");
     std::fflush(stdout);

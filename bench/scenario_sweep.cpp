@@ -232,9 +232,7 @@ int main() {
       fdd::LoopSolveStats SL = Serial.manager().lastLoopStats();
 
       analysis::Verifier Pooled; // Exact, blocks as a DAG on a pool.
-      markov::SolverStructure SS;
-      SS.Pool = &Pooled.compilePool(Threads);
-      Pooled.setSolverStructure(SS);
+      Pooled.enableSolverPool(Threads);
       WallTimer PoolTimer;
       fdd::FddRef RP = Pooled.compile(S.Program);
       double PoolSec = PoolTimer.elapsed();
@@ -274,15 +272,16 @@ int main() {
                      "Exact solver\",\n"
                      "  \"engine\": \"SCC/DAG block pipeline, serial vs "
                      "pooled schedule (ARCHITECTURE S13)\",\n"
-                     "  \"pool_threads\": %u,\n"
-                     "  \"host_hardware_concurrency\": %u,\n"
+                     "  \"pool_threads\": %u,\n",
+                     RingN, Threads);
+        writeRunInfo(F, 1);
+        std::fprintf(F,
                      "  \"reference_equal\": %s,\n"
                      "  \"serial_seconds\": %.6f,\n"
                      "  \"pooled_seconds\": %.6f,\n"
                      "  \"elim_ops\": %zu,\n"
                      "  \"fill_in\": %zu\n"
                      "}\n",
-                     RingN, Threads, std::thread::hardware_concurrency(),
                      BlockedEqual ? "true" : "false", SerialTotal, PoolTotal,
                      TotalOps, TotalFill);
         std::fclose(F);
@@ -350,7 +349,10 @@ int main() {
                      "  \"name\": \"scenario_sweep_modular\",\n"
                      "  \"model\": \"scenario registry (ring max N%u)\",\n"
                      "  \"engine\": \"mod-p elimination + CRT / verified "
-                     "rational reconstruction (ARCHITECTURE S14)\",\n"
+                     "rational reconstruction (ARCHITECTURE S14)\",\n",
+                     RingN);
+        writeRunInfo(F, 1);
+        std::fprintf(F,
                      "  \"reference_equal\": %s,\n"
                      "  \"exact_seconds\": %.6f,\n"
                      "  \"modular_seconds\": %.6f,\n"
@@ -358,7 +360,7 @@ int main() {
                      "  \"retried_primes\": %zu,\n"
                      "  \"fallbacks\": %zu\n"
                      "}\n",
-                     RingN, ModularEqual ? "true" : "false", ExactTotal,
+                     ModularEqual ? "true" : "false", ExactTotal,
                      ModTotal, Primes, Retried, Fallbacks);
         std::fclose(F);
         std::printf("wrote %s\n", Path);
@@ -442,7 +444,11 @@ int main() {
             "  \"model\": \"scenario registry (ring max N%u), Exact "
             "solver\",\n"
             "  \"engine\": \"delivery cone-of-influence slice before "
-            "fdd::compile (ARCHITECTURE S17)\",\n"
+            "fdd::compile (ARCHITECTURE S17)\",\n",
+            RingN);
+        writeRunInfo(F, 1);
+        std::fprintf(
+            F,
             "  \"answers_equal\": %s,\n"
             "  \"plain_seconds\": %.6f,\n"
             "  \"sliced_seconds\": %.6f,\n"
@@ -453,7 +459,7 @@ int main() {
             "  \"best_family\": \"%s\",\n"
             "  \"best_node_reduction\": %.3f\n"
             "}\n",
-            RingN, SliceEqual ? "true" : "false", PlainTotal, SlicedTotal,
+            SliceEqual ? "true" : "false", PlainTotal, SlicedTotal,
             Speedup, FddPlain, FddSliced, Removed, BestName.c_str(),
             BestShrink);
         std::fclose(F);
@@ -504,7 +510,11 @@ int main() {
           "  \"model\": \"per-ingress query sweep across the registry "
           "(ring max N%u), Direct solver\",\n"
           "  \"engine\": \"CompileCache (structural fingerprints, LRU, "
-          "portable FDDs)\",\n"
+          "portable FDDs)\",\n",
+          RingN);
+      writeRunInfo(F, 1);
+      std::fprintf(
+          F,
           "  \"members\": %zu,\n"
           "  \"reference_equal\": %s,\n"
           "  \"uncached_seconds\": %.6f,\n"
@@ -514,7 +524,7 @@ int main() {
           "  \"cache_misses\": %llu,\n"
           "  \"cache_entries\": %zu\n"
           "}\n",
-          RingN, Members.size(), AllEqual ? "true" : "false", UncachedSec,
+          Members.size(), AllEqual ? "true" : "false", UncachedSec,
           CachedSec, Speedup, static_cast<unsigned long long>(CS.Hits),
           static_cast<unsigned long long>(CS.Misses), CS.Entries);
       std::fclose(F);
@@ -564,7 +574,11 @@ int main() {
             "  \"model\": \"per-ingress query sweep across the registry "
             "(ring max N%u), Direct solver, shared CompileCache\",\n"
             "  \"engine\": \"S15 verified simplifier before fdd::compile "
-            "(CompileOptions.Simplify)\",\n"
+            "(CompileOptions.Simplify)\",\n",
+            RingN);
+        writeRunInfo(F, 1);
+        std::fprintf(
+            F,
             "  \"members\": %zu,\n"
             "  \"reference_equal\": %s,\n"
             "  \"off_seconds\": %.6f,\n"
@@ -576,7 +590,7 @@ int main() {
             "  \"nodes_before\": %zu,\n"
             "  \"nodes_after\": %zu\n"
             "}\n",
-            RingN, Members.size(), SimplifyEqual ? "true" : "false",
+            Members.size(), SimplifyEqual ? "true" : "false",
             CachedSec, SimplifySec, static_cast<unsigned long long>(CS.Hits),
             static_cast<unsigned long long>(CS.Misses),
             static_cast<unsigned long long>(SS.Hits),

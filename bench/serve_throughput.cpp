@@ -102,8 +102,8 @@ PhaseResult runPhase(const std::string &StorePath,
   PhaseResult Out;
   serve::Service::Options Opts;
   Opts.StorePath = StorePath;
-  Opts.Threads = 1; // Serial compile: the bench measures serving, not
-                    // the parallel backend (fig08 covers that).
+  Opts.Threads = 1; // Serial loop solves: the bench measures serving,
+                    // not the solver pool (fig08 covers that).
   std::string Error;
   std::unique_ptr<serve::Service> Svc =
       serve::Service::create(Opts, &Error);
@@ -201,7 +201,11 @@ int main() {
           "  \"model\": \"scenario-registry replay through one daemon "
           "session, exact solver, x%u query repeats\",\n"
           "  \"engine\": \"mcnk_serve Session over CompileCache + "
-          "persistent CacheStore\",\n"
+          "persistent CacheStore\",\n",
+          Repeat);
+      bench::writeRunInfo(F, 1);
+      std::fprintf(
+          F,
           "  \"scenarios\": %zu,\n"
           "  \"requests_per_phase\": %zu,\n"
           "  \"cold_seconds\": %.6f,\n"
@@ -215,7 +219,7 @@ int main() {
           "  \"restart_speedup\": %.3f,\n"
           "  \"responses_identical\": %s\n"
           "}\n",
-          Repeat, NumScenarios, Lines.size(), Cold.Seconds, ColdRps,
+          NumScenarios, Lines.size(), Cold.Seconds, ColdRps,
           Cold.StoreAppends, Warm.Seconds, WarmRps, Warm.WarmedEntries,
           static_cast<unsigned long long>(Warm.CacheHits),
           Warm.StoreAppends,

@@ -5,14 +5,18 @@
 #                                   # (the repository's tier-1 verify) in a
 #                                   # fresh build directory
 #        ./ci.sh bench [build-dir]  # build micro_fdd_ops + micro_support +
-#                                   # micro_linalg +
-#                                   # fig08 + scenario_sweep and emit
+#                                   # micro_linalg + fig07 + fig08
+#                                   # (loop-solve pool sweep, median of 3
+#                                   # runs per width) + scenario_sweep +
+#                                   # serve_throughput and emit
 #                                   # bench/results/BENCH_<name>.json
-#                                   # (the recorded performance trajectory,
-#                                   # incl. the compile-cache sweep point)
-#        ./ci.sh tsan [build-dir]   # ThreadSanitizer pass over the
-#                                   # threadpool + parallel-compile suites
-#                                   # (default dir: build-tsan)
+#                                   # (the recorded performance trajectory;
+#                                   # each file records build type,
+#                                   # repetitions and host concurrency)
+#        ./ci.sh tsan [build-dir]   # ThreadSanitizer pass over the pool:
+#                                   # threadpool suite, pooled block and
+#                                   # prime solves, serve sessions sharing
+#                                   # one pool (default dir: build-tsan)
 #        ./ci.sh fuzz [build-dir]   # cross-engine differential fuzz: the
 #                                   # conformance suite with fixed seeds
 #                                   # plus the `mcnk fuzz` CLI oracle
@@ -66,8 +70,10 @@ SANITIZE="${MCNK_SANITIZE:-OFF}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 if [ "$MODE" = "tsan" ]; then
-  # Data-race pass over the concurrency-heavy suites: the persistent
-  # thread-pool engine and the parallel `case` compiler. A dedicated
+  # Data-race pass over the persistent thread-pool engine and its users:
+  # loop solves scheduling SCC blocks and ModularExact primes on one pool
+  # (fdd_parallel_test), and serve sessions whose solves share the
+  # service pool (serve_test). Compilation itself is serial. A dedicated
   # build tree keeps TSan instrumentation out of the main build.
   cmake -B "$BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -85,7 +91,8 @@ if [ "$MODE" = "tsan" ]; then
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     "$BUILD_DIR/fdd_parallel_test"
   # The serving layer's concurrency: sessions racing on one shared
-  # CompileCache + CacheStore, and the TCP accept/connection threads.
+  # CompileCache + CacheStore and one pool for their block solves, and
+  # the TCP accept/connection threads.
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     "$BUILD_DIR/serve_test" \
     --gtest_filter='-*DeathTest*'
@@ -245,9 +252,10 @@ if [ "$MODE" = "bench" ]; then
       --benchmark_repetitions=5 \
       --benchmark_report_aggregates_only=true
   done
-  # Fig 8 trajectory point: parallel-compile speedup on this host (the
-  # JSON records host concurrency, so single-core CI points stay
-  # interpretable next to multi-core ones).
+  # Fig 8 trajectory point: compile time as the loop-solve pool widens,
+  # median of 3 runs per width (the JSON records build type, repetitions
+  # and host concurrency, so single-core points stay interpretable next
+  # to multi-core ones).
   MCNK_FIG8_JSON=bench/results/BENCH_fig08_parallel.json \
     "$BUILD_DIR/fig08_parallel_speedup"
   # Compile-cache trajectory point: the per-ingress query sweep across the

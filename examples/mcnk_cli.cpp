@@ -37,10 +37,10 @@
 /// 2 usage/setup error (1 is the generic error code of the other
 /// subcommands; an engine crash aborts with SIGABRT).
 ///
-/// The global option -j[N] compiles `case` constructs on the verifier's
-/// persistent worker pool (N workers; bare -j means hardware concurrency),
-/// and while-loop solves run their independent SCC blocks (ARCHITECTURE
-/// S13) on the same pool. The global option --cache enables the
+/// The global option -j[N] solves the independent SCC blocks of every
+/// while loop (ARCHITECTURE S13) on a persistent pool of N workers owned
+/// by the verifier (bare -j means hardware concurrency); compilation
+/// itself stays serial. The global option --cache enables the
 /// cross-compile memoization cache (ARCHITECTURE S12) on every verifier
 /// the command builds and prints the hit/miss statistics on exit. The
 /// global option --modular
@@ -166,9 +166,10 @@ int usage() {
                "[--simplify] [--slice] equiv <a.pnk> <b.pnk>\n"
                "       mcnk [--cache] fuzz [--seed N] [--iters N] "
                "[--no-scenarios]\n"
-               "  -j[N]     compile `case` and solve independent loop "
-               "blocks on N worker\n"
-               "            threads (default: hardware concurrency)\n"
+               "  -j[N]     solve independent loop blocks (and --modular "
+               "primes) on N\n"
+               "            worker threads (default: hardware "
+               "concurrency)\n"
                "  --cache   enable the cross-compile memoization cache and "
                "print its stats\n"
                "  --modular solve loops with the multi-prime modular exact "
@@ -195,14 +196,6 @@ int usage() {
                "            registry; exit 3 on any disagreement (2 on\n"
                "            usage errors), printing the reproducing seed\n");
   return 2;
-}
-
-/// The -j loop-solve setting: independent SCC blocks of every loop solve
-/// run on the verifier's compile pool, the one `case` branches use.
-void shareCompilePool(analysis::Verifier &V, unsigned Threads) {
-  markov::SolverStructure S;
-  S.Pool = &V.compilePool(Threads);
-  V.setSolverStructure(S);
 }
 
 /// Prints the last loop's modular-solver statistics (the --modular
@@ -343,9 +336,9 @@ int runLint(const std::vector<std::string> &Args) {
 }
 
 /// `mcnk fuzz`: the CLI face of the src/gen differential oracle. The
-/// global -j[N] option carries through as the worker count for the
-/// serial-vs-parallel compile checks; --cache shares one compile cache
-/// across every case and reports its statistics.
+/// global -j[N] option carries through as the worker count of the
+/// pooled-block checks; --cache shares one compile cache across every
+/// case and reports its statistics.
 int runFuzz(const std::vector<std::string> &Args, bool Parallel,
             unsigned Threads, bool UseCache) {
   uint64_t Seed = 0xC1A0ULL;
@@ -410,7 +403,7 @@ int runFuzz(const std::vector<std::string> &Args, bool Parallel,
   Fuzz.Iterations = Iters;
   gen::OracleOptions Oracle;
   if (Parallel)
-    Oracle.ParallelThreads = Threads; // 0 = hardware concurrency.
+    Oracle.PoolThreads = Threads; // 0 = hardware concurrency.
   fdd::CompileCache SharedCache;
   if (UseCache)
     Oracle.Cache = &SharedCache;
@@ -533,14 +526,14 @@ int main(int Argc, char **Argv) {
     if (UseCache)
       V.enableCompileCache();
     if (Parallel)
-      shareCompilePool(V, Threads);
+      V.enableSolverPool(Threads);
     if (Simplify)
       V.setSimplify(&Ctx);
     if (Slice)
       // `dump` has no query attached, so slice for the most aggressive
       // still-meaningful observation: delivery (drop mass only).
       V.setSlice(&Ctx, ast::ObservationSet::delivery());
-    fdd::FddRef Ref = V.compile(Program, Parallel, Threads);
+    fdd::FddRef Ref = V.compile(Program);
     std::printf("%s", fdd::dumpFdd(V.manager(), Ref, Ctx.fields()).c_str());
     std::printf("// %zu nodes in the diagram\n",
                 V.manager().diagramSize(Ref));
@@ -564,7 +557,7 @@ int main(int Argc, char **Argv) {
     const ast::Node *Other = parseFile(Args[2], Ctx);
     if (!Other || !ast::isGuarded(Other))
       return 1;
-    // One verifier — and thus one persistent compile pool and compile
+    // One verifier — and thus one persistent solver pool and compile
     // cache — serves both compiles, so shared sub-programs of the two
     // inputs are compiled once.
     analysis::Verifier V(Modular ? markov::SolverKind::ModularExact
@@ -572,15 +565,14 @@ int main(int Argc, char **Argv) {
     if (UseCache)
       V.enableCompileCache();
     if (Parallel)
-      shareCompilePool(V, Threads);
+      V.enableSolverPool(Threads);
     if (Simplify)
       V.setSimplify(&Ctx);
     if (Slice)
       // Equivalence observes whole output packets; slicing for the
       // all-fields observation is a verified no-op rewrite.
       V.setSlice(&Ctx, ast::ObservationSet::all());
-    bool Equal = V.equivalent(V.compile(Program, Parallel, Threads),
-                              V.compile(Other, Parallel, Threads));
+    bool Equal = V.equivalent(V.compile(Program), V.compile(Other));
     std::printf("%s\n", Equal ? "equivalent" : "NOT equivalent");
     if (UseCache)
       printCacheStats(*V.compileCache());
@@ -607,13 +599,13 @@ int main(int Argc, char **Argv) {
     if (UseCache)
       V.enableCompileCache();
     if (Parallel)
-      shareCompilePool(V, Threads);
+      V.enableSolverPool(Threads);
     if (Simplify)
       V.setSimplify(&Ctx);
     if (Slice)
       // `run` prints whole output packets; all fields are observed.
       V.setSlice(&Ctx, ast::ObservationSet::all());
-    fdd::FddRef Ref = V.compile(Program, Parallel, Threads);
+    fdd::FddRef Ref = V.compile(Program);
     auto Out = V.manager().outputDistribution(Ref, In);
     for (const auto &[Pkt, W] : Out.Outputs) {
       std::printf("{");

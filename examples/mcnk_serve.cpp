@@ -14,8 +14,10 @@
 ///                       loaded at startup and appended on every compile
 ///                       miss, so a restarted daemon answers warm
 ///   --cache-capacity N  compile-cache entries (default 4096)
-///   -j[N]               worker threads for parallel `case` compilation
-///                       (default: hardware concurrency; -j1 = serial)
+///   -j[N]               worker threads that every request's loop solves
+///                       share for independent SCC blocks and modular
+///                       primes, as `mcnk -j` (default: hardware
+///                       concurrency; -j1 = serial)
 ///
 /// The protocol is one JSON request per line, one JSON response per line
 /// (see src/serve/Server.h for the schema). Exact probabilities travel as
@@ -51,7 +53,7 @@ int usage() {
       "port)\n"
       "  --store PATH       persistent on-disk FDD store\n"
       "  --cache-capacity N compile-cache capacity in entries\n"
-      "  -j[N]              parallel-case worker threads (-j1 = serial)\n");
+      "  -j[N]              loop-solve worker threads (-j1 = serial)\n");
   return 2;
 }
 

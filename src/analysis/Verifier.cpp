@@ -32,13 +32,8 @@ Rational HopStats::cumulative(unsigned MaxHops) const {
   return Total;
 }
 
-FddRef Verifier::compile(const ast::Node *Program, bool Parallel,
-                         unsigned Threads) {
+FddRef Verifier::compile(const ast::Node *Program) {
   fdd::CompileOptions Options;
-  Options.ParallelCase = Parallel;
-  Options.Threads = Threads;
-  if (Parallel)
-    Options.Pool = &compilePool(Threads);
   Options.Cache = Cache;
   Options.Simplify = SimplifyCtx;
   fdd::SliceHook Hook;
@@ -51,11 +46,12 @@ FddRef Verifier::compile(const ast::Node *Program, bool Parallel,
   return fdd::compile(Manager, Program, Options);
 }
 
-ThreadPool &Verifier::compilePool(unsigned Threads) {
-  if (Pool && Threads != 0 && Pool->numThreads() != Threads)
-    Pool.reset();
-  if (!Pool)
+ThreadPool &Verifier::enableSolverPool(unsigned Threads) {
+  if (!Pool || (Threads != 0 && Pool->numThreads() != Threads))
     Pool = std::make_unique<ThreadPool>(Threads);
+  markov::SolverStructure S = Manager.solverStructure();
+  S.Pool = Pool.get();
+  Manager.setSolverStructure(S);
   return *Pool;
 }
 

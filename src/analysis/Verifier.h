@@ -50,11 +50,9 @@ public:
   fdd::FddManager &manager() { return Manager; }
 
   /// Solver structure for while-loop solves (block-schedule pool and
-  /// modular knobs; docs/ARCHITECTURE.md S13). Forwards to the manager:
-  /// the structure applies to every subsequent compile, and
-  /// parallel-`case` worker managers inherit it. Pass a structure whose
-  /// Pool is this verifier's compilePool() to solve independent blocks
-  /// concurrently.
+  /// modular knobs; docs/ARCHITECTURE.md S13). Forwards to the manager and
+  /// applies to every subsequent compile. enableSolverPool() installs a
+  /// verifier-owned pool in it.
   void setSolverStructure(const markov::SolverStructure &S) {
     Manager.setSolverStructure(S);
   }
@@ -62,23 +60,22 @@ public:
     return Manager.solverStructure();
   }
 
-  /// Compiles a guarded program; optionally compiles `case` constructs on
-  /// the verifier's persistent worker pool (the §6 parallel backend).
+  /// Compiles a guarded program in this verifier's manager.
   ///
-  /// \param Program   Guarded-fragment program (ast::isGuarded must hold).
-  /// \param Parallel  Compile n-ary `case` branches on worker threads.
-  /// \param Threads   Worker count; 0 means hardware concurrency.
+  /// \param Program  Guarded-fragment program (ast::isGuarded must hold).
   /// \return The compiled diagram, owned by this verifier's manager. All
   ///         query methods below expect diagrams from that same manager.
-  fdd::FddRef compile(const ast::Node *Program, bool Parallel = false,
-                      unsigned Threads = 0);
+  fdd::FddRef compile(const ast::Node *Program);
 
-  /// The verifier-owned parallel compile engine: created on first use and
-  /// reused by every subsequent compile (one pool serves the pipeline;
-  /// docs/ARCHITECTURE.md S10). Passing a non-zero \p Threads that
-  /// differs from the current pool's width replaces the pool; 0 keeps
-  /// whatever exists (creating a hardware-concurrency pool if none does).
-  ThreadPool &compilePool(unsigned Threads = 0);
+  /// Solves the independent SCC blocks (and ModularExact primes) of every
+  /// subsequent loop solve on a verifier-owned pool of \p Threads workers
+  /// (0 = hardware concurrency), and installs that pool in the solver
+  /// structure in the same step, keeping its Modular knobs. The pool is
+  /// created on first use and persists across compiles. A non-zero
+  /// \p Threads that differs from the current width replaces the pool;
+  /// 0 keeps whatever exists. The structure never points at a replaced
+  /// pool, so widening between compiles is safe.
+  ThreadPool &enableSolverPool(unsigned Threads = 0);
 
   /// Enables the persistent cross-compile cache (docs/ARCHITECTURE.md
   /// S12): every subsequent compile() consults and fills it, so repeated
@@ -156,9 +153,11 @@ public:
                     FieldId HopField) const;
 
 private:
+  /// Declared before Manager so that the manager, which may point at it,
+  /// goes first.
+  std::unique_ptr<ThreadPool> Pool;
   fdd::FddManager Manager;
   double Tolerance;
-  std::unique_ptr<ThreadPool> Pool;
   /// Owned storage when enableCompileCache() created the cache; Cache may
   /// instead point at caller-owned shared storage (setCompileCache).
   std::unique_ptr<fdd::CompileCache> OwnedCache;

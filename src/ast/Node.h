@@ -4,8 +4,8 @@
 /// ProbNetKAT abstract syntax (paper Fig 2). Terms divide into predicates
 /// (drop, skip, f=n, &, ;, ¬) and programs (predicates, f:=n, &, ;, ⊕_r,
 /// *). The guarded fragment adds first-class conditionals, while loops, and
-/// the n-ary disjoint `case` construct (§6) that the parallel backend
-/// compiles map-reduce style.
+/// the n-ary disjoint `case` construct (§6), which the compiler reduces
+/// with the map-reduce segment algebra.
 ///
 /// Nodes are immutable, arena-allocated by Context, and use LLVM-style
 /// kind-based RTTI (isa/cast/dyn_cast via classof).
@@ -225,9 +225,8 @@ private:
 /// case t1 -> p1 | ... | tn -> pn | else -> q — n-ary branching (§6).
 /// Semantically a first-match conditional cascade: guards need not be
 /// disjoint, and branch i fires only where guards 1..i-1 failed (every
-/// backend, including the PRISM translation, implements this). The
-/// parallel backend compiles branches concurrently and merges the
-/// results.
+/// backend, including the PRISM translation, implements this). The FDD
+/// compiler merges adjacent arms pairwise (fdd/Compile.cpp).
 class CaseNode : public Node {
 public:
   using Branch = std::pair<const Node *, const Node *>; // (guard, program)

@@ -2,11 +2,12 @@
 ///
 /// \file
 /// AST -> FDD compilation (the native backend of §5.1). Accepts exactly
-/// the guarded fragment (ast::isGuarded); the n-ary `case` construct can
-/// be compiled in parallel on a persistent ThreadPool engine, one worker
-/// manager per branch, with results merged through the portable format by
-/// a log-depth pairwise tree reduction — the single-machine analogue of
-/// the paper's map-reduce backend (§6; docs/ARCHITECTURE.md S10).
+/// the guarded fragment (ast::isGuarded) and compiles serially in the
+/// caller's manager. The n-ary `case` construct is reduced with the
+/// associative segment algebra of the paper's map-reduce backend (§6),
+/// merging adjacent arms pairwise (docs/ARCHITECTURE.md S10). Parallelism
+/// lives in the loop solver: markov::SolverStructure::Pool schedules
+/// independent SCC blocks and primes.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -18,8 +19,6 @@
 #include "fdd/Fdd.h"
 
 namespace mcnk {
-
-class ThreadPool;
 
 namespace ast {
 class Context;
@@ -39,16 +38,6 @@ struct SliceHook {
 };
 
 struct CompileOptions {
-  /// Compile `case` branches on a worker pool.
-  bool ParallelCase = false;
-  /// Worker count when compile() has to create an engine itself (see
-  /// Pool); 0 means hardware concurrency.
-  unsigned Threads = 0;
-  /// The parallel compile engine. Nested `case` nodes share this pool
-  /// (workers help execute queued tasks inline, so nesting is safe).
-  /// When null and ParallelCase is set, compile() uses the process-global
-  /// pool (Threads == 0) or a pool private to that one call (Threads > 0).
-  ThreadPool *Pool = nullptr;
   /// Cross-compile memoization (docs/ARCHITECTURE.md S12): when non-null,
   /// compile() consults this cache at every composite sub-program
   /// boundary (seq / union / choice / if / while / case, gated by
@@ -66,24 +55,20 @@ struct CompileOptions {
   /// When non-null, run the verified S15 simplifier (ast/Simplify.h) over
   /// the program before compiling, building any rewritten nodes in this
   /// context (it must own the program's nodes). Happens exactly once at
-  /// the top of compile() — the option is cleared before parallel-`case`
-  /// workers copy the options, because ast::Context is not thread-safe —
-  /// and composes with the S12 cache: the fingerprint pass runs over the
-  /// already-simplified tree, so smaller programs fingerprint faster and
-  /// collapse onto shared cache entries.
+  /// the top of compile() and composes with the S12 cache: the
+  /// fingerprint pass runs over the already-simplified tree, so smaller
+  /// programs fingerprint faster and collapse onto shared cache entries.
   ast::Context *Simplify = nullptr;
   /// Query-directed cone-of-influence slicing (ast/Slice.h; ARCHITECTURE
   /// S17). When non-null (with a non-null Ctx), the program is sliced for
   /// Observed before compilation — assignments to fields outside the
   /// query's cone of influence are removed, so the diagram never pays for
   /// fields the query cannot see. Applied exactly once at the top of
-  /// compile(), like Simplify (and cleared before parallel-`case` workers
-  /// copy the options, for the same thread-safety reason); it likewise
-  /// composes with the S12 cache — the fingerprint pass sees the sliced
-  /// tree. Unlike Simplify, the sliced diagram is only equal to the
-  /// original *after projecting leaf actions onto the cone*; the answers
-  /// of queries within Observed are unchanged, a contract the oracle's
-  /// CheckSlice lane enforces.
+  /// compile(), before Simplify; it likewise composes with the S12 cache —
+  /// the fingerprint pass sees the sliced tree. Unlike Simplify, the
+  /// sliced diagram is only equal to the original *after projecting leaf
+  /// actions onto the cone*; the answers of queries within Observed are
+  /// unchanged, a contract the oracle's CheckSlice lane enforces.
   const SliceHook *Slice = nullptr;
 };
 
@@ -95,13 +80,11 @@ struct CompileOptions {
 /// \param Program  A guarded-fragment program (ast::isGuarded must hold).
 ///                 General Star or program-level Union abort with a
 ///                 diagnostic rather than returning an error value.
-/// \param Options  Parallel-`case` toggle, worker count, and engine.
+/// \param Options  Compile cache, simplifier and slice hooks.
 /// \return A canonical diagram denoting \p Program's sub-stochastic
 ///         single-packet semantics: each leaf maps actions to exact
 ///         rational probabilities summing to at most 1, the deficit being
-///         the probability of dropping the packet. Serial and parallel
-///         compilation produce reference-equal diagrams (the merge steps
-///         are arithmetic-free, so this holds in every solver mode).
+///         the probability of dropping the packet.
 FddRef compile(FddManager &Manager, const ast::Node *Program,
                const CompileOptions &Options = {});
 

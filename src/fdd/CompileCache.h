@@ -13,7 +13,7 @@
 /// Entries are keyed on (ProgramHash, SolverKind): loop solutions depend
 /// on the configured solver, so Exact/Direct/Iterative results never mix.
 /// Eviction is LRU by entry count. All operations are thread-safe; the
-/// parallel `case` workers consult one shared cache.
+/// daemon's concurrent sessions consult one shared cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -37,7 +37,7 @@ namespace fdd {
 /// Thread-safe LRU cache of compiled sub-programs in portable form.
 /// Stored diagrams are immutable (canonicity makes re-inserts identical),
 /// so hits hand out shared ownership instead of deep-copying inside the
-/// lock — parallel `case` workers sharing one cache only contend for the
+/// lock — concurrent compiles sharing one cache only contend for the
 /// recency splice, not an O(diagram) copy.
 class CompileCache {
 public:
@@ -53,7 +53,7 @@ public:
   /// Stores a compiled diagram under (\p Key, \p Solver). Re-inserting an
   /// existing key refreshes recency and keeps the first value (canonicity
   /// guarantees both are identical); duplicate inserts — the common case
-  /// when parallel `case` workers miss on the same fingerprint and race to
+  /// when concurrent compiles miss on the same fingerprint and race to
   /// fill it — are counted separately and never touch the size accounting.
   void insert(const ast::ProgramHash &Key, markov::SolverKind Solver,
               PortableFdd Diagram);

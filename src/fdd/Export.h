@@ -1,11 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Portable FDD representation for moving diagrams between managers. The
-/// paper's parallelizing backend compiles each switch program in its own
-/// process and merges the results (§6); our workers use separate
-/// FddManagers (they are not thread-safe by design) and ship diagrams
-/// through this format. Also handy for tests and golden files.
+/// Portable FDD representation for moving diagrams between managers: the
+/// compile cache and the on-disk store keep diagrams in this form so they
+/// outlive any one FddManager, and tests compare diagrams from different
+/// managers through it.
 ///
 //===----------------------------------------------------------------------===//
 

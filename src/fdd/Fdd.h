@@ -84,9 +84,8 @@ struct GcStats {
 };
 
 /// Owns all FDD nodes and implements the compiler's operations. Not
-/// thread-safe; the parallel backend uses one manager per worker and
-/// merges results via Export/Import (mirroring the paper's multi-process
-/// map-reduce design).
+/// thread-safe: a compile runs in one manager, and diagrams move between
+/// managers via Export/Import.
 class FddManager {
 public:
   explicit FddManager(

@@ -158,7 +158,7 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
   R.NumCases = 1;
   Checker C{R, Label};
 
-  // --- Compile under every solver, serial and parallel ------------------
+  // --- Compile under every solver ----------------------------------------
   std::unique_ptr<analysis::Verifier> OwnedExact;
   if (!ExactVerifier) {
     OwnedExact =
@@ -171,14 +171,6 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
   fdd::FddRef E = VExact.compile(Program);
   fdd::FddRef D = VDirect.compile(Program);
   fdd::FddRef I = VIter.compile(Program);
-  if (O.CheckParallel) {
-    C.check(VExact.compile(Program, true, O.ParallelThreads) == E,
-            "serial vs parallel compilation differ (exact solver)");
-    C.check(VDirect.compile(Program, true, O.ParallelThreads) == D,
-            "serial vs parallel compilation differ (direct solver)");
-    C.check(VIter.compile(Program, true, O.ParallelThreads) == I,
-            "serial vs parallel compilation differ (iterative solver)");
-  }
 
   // --- Per-input delivery / distribution agreement ----------------------
   for (std::size_t Idx = 0; Idx < Inputs.size(); ++Idx) {
@@ -316,10 +308,6 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
                   VExact.deliveryProbability(E, In).toString(),
               "sliced delivery != unsliced delivery on input " +
                   renderPacket(Ctx, In));
-    if (O.CheckParallel)
-      C.check(VS.compile(Program, true, O.ParallelThreads) == SE,
-              "sliced parallel compile differs from the sliced serial "
-              "compile");
 
     // The all-fields observation (what equivalence/refinement queries
     // observe) must make slicing a verified no-op on the diagram.
@@ -329,11 +317,9 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
             "all-fields slice changed the compiled diagram");
 
     fdd::PortableFdd Sliced = fdd::exportFdd(VS.manager(), SE);
-    if (O.CheckBlocked && O.CheckParallel) {
+    if (O.CheckBlocked && O.CheckPooled) {
       analysis::Verifier VB(markov::SolverKind::Exact);
-      markov::SolverStructure SS;
-      SS.Pool = &VB.compilePool(O.ParallelThreads);
-      VB.setSolverStructure(SS);
+      VB.enableSolverPool(O.PoolThreads);
       VB.setSlice(&Ctx, ast::ObservationSet::delivery());
       C.check(fdd::importFdd(VB.manager(), Sliced) == VB.compile(Program),
               "sliced pooled-block compile is not reference-equal to the "
@@ -393,11 +379,9 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     CheckStatSums(VExact.manager().lastLoopStats(), "exact");
     CheckStatSums(VDirect.manager().lastLoopStats(), "direct");
     CheckStatSums(VIter.manager().lastLoopStats(), "iterative");
-    if (O.CheckParallel) {
+    if (O.CheckPooled) {
       analysis::Verifier VB(markov::SolverKind::Exact);
-      markov::SolverStructure SS;
-      SS.Pool = &VB.compilePool(O.ParallelThreads);
-      VB.setSolverStructure(SS);
+      VB.enableSolverPool(O.PoolThreads);
       fdd::FddRef B = VB.compile(Program);
       C.check(fdd::importFdd(VB.manager(),
                              fdd::exportFdd(VExact.manager(), E)) == B,
@@ -412,9 +396,8 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
   // Rational elimination (every reconstruction is re-verified against
   // fresh primes, with a Rational fallback when the prime budget runs
   // out), so it is held to strict reference equality in EVERY
-  // configuration: serial, parallel-case, pooled blocks (block tasks and
-  // per-prime tasks composing on one engine), and cache-backed cold and
-  // hit paths.
+  // configuration: serial, pooled blocks (block tasks and per-prime tasks
+  // composing on one engine), and cache-backed cold and hit paths.
   if (O.CheckModular) {
     fdd::PortableFdd Mono = fdd::exportFdd(VExact.manager(), E);
 
@@ -424,14 +407,9 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
             "modular serial compile is not reference-equal to the "
             "Rational exact engine");
     CheckStatSums(VM.manager().lastLoopStats(), "modular, serial blocks");
-    if (O.CheckParallel) {
-      C.check(VM.compile(Program, true, O.ParallelThreads) == M,
-              "modular parallel compile differs from the serial modular "
-              "compile");
+    if (O.CheckPooled) {
       analysis::Verifier VMP(markov::SolverKind::ModularExact);
-      markov::SolverStructure SS;
-      SS.Pool = &VMP.compilePool(O.ParallelThreads);
-      VMP.setSolverStructure(SS);
+      VMP.enableSolverPool(O.PoolThreads);
       C.check(fdd::importFdd(VMP.manager(), Mono) == VMP.compile(Program),
               "modular pooled-block compile is not reference-equal to the "
               "Rational exact engine");
@@ -458,11 +436,10 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
   }
 
   // --- Compile-cache and GC cross-checks (ARCHITECTURE S12) -------------
-  // A cache-backed verifier runs the same program cold, on the hit path,
-  // and (when parallel checks are on) through the worker pool; then its
-  // manager is garbage-collected down to the one live root. Every stage
-  // must stay reference-equal to the uncached exact engine, and the
-  // post-GC diagram must answer queries identically.
+  // A cache-backed verifier runs the same program cold and on the hit
+  // path; then its manager is garbage-collected down to the one live
+  // root. Every stage must stay reference-equal to the uncached exact
+  // engine, and the post-GC diagram must answer queries identically.
   if (O.CheckCompileCache) {
     std::unique_ptr<fdd::CompileCache> Local;
     fdd::CompileCache *Cache = O.Cache;
@@ -476,10 +453,6 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     C.check(VC.compile(Program) == Cold,
             "cache-hit recompile is not reference-equal to the cold "
             "cached compile");
-    if (O.CheckParallel)
-      C.check(VC.compile(Program, true, O.ParallelThreads) == Cold,
-              "parallel compile with the cache differs from the serial "
-              "cached compile");
     fdd::PortableFdd Uncached = fdd::exportFdd(VExact.manager(), E);
     C.check(fdd::importFdd(VC.manager(), Uncached) == Cold,
             "cached compile is not reference-equal to the uncached "

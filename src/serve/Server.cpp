@@ -170,6 +170,15 @@ Json sliceStatsJson(const ast::SliceStats &S) {
   return O;
 }
 
+/// Points a request's verifier at the service pool (null when Threads is
+/// 1): its loop solves schedule independent SCC blocks and ModularExact
+/// primes there, the parallelism `-j` sizes.
+void useServicePool(analysis::Verifier &V, Service &Svc) {
+  markov::SolverStructure S;
+  S.Pool = Svc.pool();
+  V.setSolverStructure(S);
+}
+
 } // namespace
 
 Session::Slot &Session::slotFor(markov::SolverKind Kind) {
@@ -196,12 +205,12 @@ bool Session::ensureCompiled(Slot &S, markov::SolverKind Kind,
             "union of non-predicates)";
     return false;
   }
-  if (!S.V)
+  if (!S.V) {
     S.V = std::make_unique<analysis::Verifier>(Kind);
+    useServicePool(*S.V, Svc);
+  }
   fdd::CompileOptions Options;
   Options.Cache = &Svc.cache();
-  Options.Pool = Svc.pool();
-  Options.ParallelCase = Svc.pool() != nullptr;
   fdd::FddRef NewRoot = fdd::compile(S.V->manager(), Parsed.Program, Options);
   bool Replacing = S.HasProgram;
   S.Ctx = std::move(Ctx);
@@ -346,10 +355,9 @@ Json Session::handleSlicedQuery(const Json &Request,
   }
 
   analysis::Verifier V(Kind);
+  useServicePool(V, Svc);
   fdd::CompileOptions Options;
   Options.Cache = &Svc.cache();
-  Options.Pool = Svc.pool();
-  Options.ParallelCase = Svc.pool() != nullptr;
   ast::SliceStats Stats;
   fdd::SliceHook Hook;
   Hook.Ctx = &Ctx;
@@ -433,10 +441,9 @@ Json Session::handleQuery(const Json &Request) {
     if (!ast::isGuarded(Parsed2.Program))
       return errorResponse("\"program2\" is outside the guarded fragment");
     analysis::Verifier V(Kind);
+    useServicePool(V, Svc);
     fdd::CompileOptions Options;
     Options.Cache = &Svc.cache();
-    Options.Pool = Svc.pool();
-    Options.ParallelCase = Svc.pool() != nullptr;
     // With "slice": true, both sides slice for the all-fields observation
     // (the comparison observes whole output packets, so this is a
     // verified no-op rewrite). fdd::compile consumes the hook from its

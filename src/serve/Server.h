@@ -74,8 +74,9 @@ public:
     std::string StorePath;
     /// Compile-cache capacity (entries).
     std::size_t CacheCapacity = 1u << 12;
-    /// Worker threads for parallel `case` compilation; 0 = hardware
-    /// concurrency, 1 = compile serially (no pool).
+    /// Worker threads of the pool that every request's loop solves
+    /// schedule independent SCC blocks (and ModularExact primes) on;
+    /// 0 = hardware concurrency, 1 = solve serially (no pool).
     unsigned Threads = 0;
     fdd::CacheStore::Options Store;
   };

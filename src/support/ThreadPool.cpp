@@ -64,11 +64,6 @@ ThreadPool::~ThreadPool() {
     Worker.join();
 }
 
-ThreadPool &ThreadPool::global() {
-  static ThreadPool Pool;
-  return Pool;
-}
-
 void ThreadPool::pushTask(std::function<void()> Fn, TaskGroup *Group) {
   bool NotifyWaiters;
   {

@@ -1,12 +1,11 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Persistent worker-pool engine backing McNetKAT's parallelizing backend
-/// (§6): the n-ary `case sw=i` construct compiles each switch program on a
-/// separate worker and merges the resulting FDDs (map-reduce over
-/// switches). One pool serves the whole pipeline: it is created once (per
-/// process via global(), or per analysis::Verifier) and reused by every
-/// compile instead of being torn down per `case` node.
+/// Persistent worker-pool engine behind the loop solver's parallelism:
+/// independent SCC blocks of an absorbing-chain solve, and the primes of a
+/// ModularExact solve, run as tasks on one pool (markov::SolverStructure).
+/// The pool is created once — per analysis::Verifier
+/// (enableSolverPool) or per serve::Service — and reused by every solve.
 ///
 /// The engine is *nestable*: a worker whose task waits — e.g. called
 /// parallelFor — helps execute queued tasks inline instead of blocking, so
@@ -57,10 +56,6 @@ public:
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
-
-  /// The process-lifetime pool (hardware concurrency), created on first
-  /// use. The default engine when a caller does not supply its own.
-  static ThreadPool &global();
 
   unsigned numThreads() const { return static_cast<unsigned>(Workers.size()); }
 

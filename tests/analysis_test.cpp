@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Verifier.h"
+#include "fdd/Export.h"
 
 #include <gtest/gtest.h>
 
@@ -113,10 +114,20 @@ TEST_F(VerifierTest, StrictRefinementIsIrreflexive) {
 }
 
 TEST_F(VerifierTest, ParallelCompileMatchesSerial) {
+  // A `case` over loops: with the loop blocks on the verifier's pool,
+  // the compile is reference-equal to the serial one.
   std::vector<ast::CaseNode::Branch> Branches;
   for (FieldValue Val = 0; Val < 6; ++Val)
-    Branches.push_back({Ctx.test(F, Val), Ctx.assign(G, Val + 1)});
+    Branches.push_back(
+        {Ctx.test(F, Val),
+         Ctx.whileLoop(Ctx.test(G, 0),
+                       Ctx.choice(Rational(1, 2), Ctx.assign(G, Val + 1),
+                                  Ctx.assign(G, 0)))});
   const Node *C = Ctx.caseOf(std::move(Branches), Ctx.drop());
-  Verifier V;
-  EXPECT_EQ(V.compile(C), V.compile(C, /*Parallel=*/true, /*Threads=*/3));
+  Verifier Serial, Pooled;
+  Pooled.enableSolverPool(3);
+  fdd::FddRef R = Pooled.compile(C);
+  EXPECT_EQ(
+      fdd::importFdd(Serial.manager(), fdd::exportFdd(Pooled.manager(), R)),
+      Serial.compile(C));
 }

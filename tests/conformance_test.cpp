@@ -333,9 +333,7 @@ TEST(ConformanceTest, BlockedChainStatsSumToMonolithic) {
         << "K=" << K;
 
     analysis::Verifier VP;
-    markov::SolverStructure S;
-    S.Pool = &VP.compilePool(2);
-    VP.setSolverStructure(S);
+    VP.enableSolverPool(2);
     fdd::FddRef PP = VP.compile(M.Program);
     EXPECT_EQ(fdd::importFdd(V.manager(), fdd::exportFdd(VP.manager(), PP)),
               PS)

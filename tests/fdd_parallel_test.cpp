@@ -1,12 +1,16 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Parallel-compile equivalence suite: randomized nested `case` programs
-/// compiled serially and on the persistent worker-pool engine must produce
-/// reference-equal canonical FDDs — in the same manager directly, and
-/// across managers after an export/import round trip. Also covers the
-/// verifier-owned pool's persistence and nesting through while loops.
-/// Runs under ThreadSanitizer in `./ci.sh tsan`.
+/// `case` reduction and solver-pool suite. The compiler reduces `case`
+/// arms pairwise with the §6 segment algebra; every compile here must be
+/// reference-equal to a test-local reference compiler whose `case` is the
+/// plain right fold `branch(g_i, b_i, Acc)` — in the same manager
+/// directly, and across managers after an export/import round trip — for
+/// randomized nested `case` programs, arm counts from 0 to 64, overlapping
+/// guards, and `case` inside `while`, on every solver kind with the
+/// compile cache on and off. Also covers loop solves whose SCC blocks and
+/// primes run on one pool, and the verifier-owned pool's lifetime. Runs
+/// under ThreadSanitizer in `./ci.sh tsan`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,6 +20,7 @@
 #include "fdd/CompileCache.h"
 #include "fdd/Export.h"
 #include "markov/Absorbing.h"
+#include "support/Casting.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
@@ -28,8 +33,68 @@ using namespace mcnk;
 using namespace mcnk::fdd;
 using ast::Context;
 using ast::Node;
+using ast::NodeKind;
 
 namespace {
+
+/// The reference compiler: the same structural recursion as fdd::compile,
+/// except that `case` is the right fold Acc = branch(g_i, b_i, Acc) over
+/// the arms, last to first, starting from the default — the first-match
+/// cascade written out directly.
+FddRef foldCompile(FddManager &M, const Node *P) {
+  switch (P->kind()) {
+  case NodeKind::Drop:
+    return M.dropLeaf();
+  case NodeKind::Skip:
+    return M.identityLeaf();
+  case NodeKind::Test: {
+    const auto *T = cast<ast::TestNode>(P);
+    return M.test(T->field(), T->value());
+  }
+  case NodeKind::Assign: {
+    const auto *A = cast<ast::AssignNode>(P);
+    return M.assign(A->field(), A->value());
+  }
+  case NodeKind::Not:
+    return M.negate(foldCompile(M, cast<ast::NotNode>(P)->operand()));
+  case NodeKind::Seq: {
+    const auto *S = cast<ast::SeqNode>(P);
+    return M.seq(foldCompile(M, S->lhs()), foldCompile(M, S->rhs()));
+  }
+  case NodeKind::Union: {
+    const auto *U = cast<ast::UnionNode>(P);
+    return M.disjoin(foldCompile(M, U->lhs()), foldCompile(M, U->rhs()));
+  }
+  case NodeKind::Choice: {
+    const auto *C = cast<ast::ChoiceNode>(P);
+    return M.choice(C->probability(), foldCompile(M, C->lhs()),
+                    foldCompile(M, C->rhs()));
+  }
+  case NodeKind::IfThenElse: {
+    const auto *I = cast<ast::IfThenElseNode>(P);
+    return M.branch(foldCompile(M, I->cond()),
+                    foldCompile(M, I->thenBranch()),
+                    foldCompile(M, I->elseBranch()));
+  }
+  case NodeKind::While: {
+    const auto *W = cast<ast::WhileNode>(P);
+    return M.solveLoop(foldCompile(M, W->cond()),
+                       foldCompile(M, W->body()));
+  }
+  case NodeKind::Case: {
+    const auto *C = cast<ast::CaseNode>(P);
+    FddRef Acc = foldCompile(M, C->defaultBranch());
+    for (std::size_t I = C->branches().size(); I-- > 0;)
+      Acc = M.branch(foldCompile(M, C->branches()[I].first),
+                     foldCompile(M, C->branches()[I].second), Acc);
+    return Acc;
+  }
+  case NodeKind::Star:
+    break;
+  }
+  ADD_FAILURE() << "reference compiler reached a non-guarded node";
+  return M.dropLeaf();
+}
 
 /// Generates random guarded programs that are heavy on (nested) `case`
 /// constructs, the shape the parallel backend actually compiles.
@@ -99,42 +164,79 @@ struct CaseFixture {
   }
 };
 
+/// A loop whose two states reach each other, so its chain has a genuine
+/// multi-state strongly connected class:
+///   while (pos=1 | pos=2) { if pos=1 then coin(pos:=2 / pos:=0)
+///                           else coin(pos:=1 / pos:=3) }
+const Node *coinLoop(Context &Ctx, FieldId Pos, int Num, int Den) {
+  return Ctx.whileLoop(
+      Ctx.unite(Ctx.test(Pos, 1), Ctx.test(Pos, 2)),
+      Ctx.ite(Ctx.test(Pos, 1),
+              Ctx.choice(Rational(Num, Den), Ctx.assign(Pos, 2),
+                         Ctx.assign(Pos, 0)),
+              Ctx.choice(Rational(Num, Den), Ctx.assign(Pos, 1),
+                         Ctx.assign(Pos, 3))));
+}
+
+/// A `case` whose arms are loops, one of them two loops in sequence.
+const Node *caseOfLoops(Context &Ctx) {
+  FieldId Pos = Ctx.field("pos");
+  FieldId Sw = Ctx.field("sw");
+  std::vector<ast::CaseNode::Branch> Arms;
+  Arms.emplace_back(Ctx.test(Sw, 0), coinLoop(Ctx, Pos, 1, 2));
+  Arms.emplace_back(Ctx.test(Sw, 1), coinLoop(Ctx, Pos, 1, 3));
+  Arms.emplace_back(Ctx.test(Sw, 2), Ctx.seq(coinLoop(Ctx, Pos, 1, 2),
+                                             coinLoop(Ctx, Pos, 2, 3)));
+  Arms.emplace_back(Ctx.test(Sw, 3), coinLoop(Ctx, Pos, 3, 4));
+  return Ctx.caseOf(std::move(Arms), Ctx.drop());
+}
+
+/// A `case` inside a `while` whose arms hold a nested `case` and a
+/// probabilistic choice: while (pos=1 | pos=2) do case { ... }.
+const Node *caseInsideWhile(Context &Ctx) {
+  FieldId Pos = Ctx.field("pos");
+  FieldId Sw = Ctx.field("sw");
+  std::vector<ast::CaseNode::Branch> Inner;
+  Inner.emplace_back(Ctx.test(Sw, 0), Ctx.assign(Pos, 3));
+  Inner.emplace_back(Ctx.unite(Ctx.test(Sw, 0), Ctx.test(Sw, 1)),
+                     Ctx.choice(Rational(1, 3), Ctx.assign(Pos, 1),
+                                Ctx.assign(Pos, 0)));
+  std::vector<ast::CaseNode::Branch> Outer;
+  Outer.emplace_back(Ctx.test(Pos, 1),
+                     Ctx.choice(Rational(1, 2), Ctx.assign(Pos, 2),
+                                Ctx.assign(Pos, 0)));
+  Outer.emplace_back(Ctx.test(Pos, 2),
+                     Ctx.caseOf(std::move(Inner), Ctx.assign(Pos, 1)));
+  return Ctx.whileLoop(Ctx.unite(Ctx.test(Pos, 1), Ctx.test(Pos, 2)),
+                       Ctx.caseOf(std::move(Outer), Ctx.skip()));
+}
+
 } // namespace
 
 class ParallelCompileProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ParallelCompileProperty, MatchesSerialByReferenceEquality) {
+  // Randomized nested `case` programs: the pairwise reduction and the
+  // serial right fold give the same ref in one manager.
   CaseFixture F(GetParam());
   FddManager M;
   for (int Round = 0; Round < 12; ++Round) {
     const Node *P = F.randomCase(3);
-    FddRef Serial = compile(M, P);
-    for (unsigned Threads : {1u, 2u, 4u}) {
-      ThreadPool Pool(Threads);
-      CompileOptions O;
-      O.ParallelCase = true;
-      O.Pool = &Pool;
-      EXPECT_EQ(compile(M, P, O), Serial)
-          << "round " << Round << ", " << Threads << " threads";
-    }
+    EXPECT_EQ(compile(M, P), foldCompile(M, P)) << "round " << Round;
   }
 }
 
 TEST_P(ParallelCompileProperty, ReferenceEqualAfterImport) {
   CaseFixture F(GetParam());
-  ThreadPool Pool(3);
   for (int Round = 0; Round < 8; ++Round) {
     const Node *P = F.randomCase(3);
-    // Serial and parallel compiles in *separate* managers...
-    FddManager SerialM, ParallelM, Target;
-    FddRef Serial = compile(SerialM, P);
-    CompileOptions O;
-    O.ParallelCase = true;
-    O.Pool = &Pool;
-    FddRef Parallel = compile(ParallelM, P, O);
+    // The reduction and the fold in *separate* managers...
+    FddManager Reduced, Folded, Target;
+    FddRef R = compile(Reduced, P);
+    FddRef Reference = foldCompile(Folded, P);
     // ...become reference-equal once imported into a common manager.
-    EXPECT_EQ(importFdd(Target, exportFdd(SerialM, Serial)),
-              importFdd(Target, exportFdd(ParallelM, Parallel)))
+    EXPECT_EQ(importFdd(Target, exportFdd(Reduced, R)),
+              importFdd(Target, exportFdd(Folded, Reference)))
         << "round " << Round;
   }
 }
@@ -142,10 +244,108 @@ TEST_P(ParallelCompileProperty, ReferenceEqualAfterImport) {
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelCompileProperty,
                          ::testing::Values(101u, 102u, 103u, 104u, 105u));
 
+TEST(CaseReductionTest, MatchesTheFoldAtEveryArmCount) {
+  // Arm counts around the reduction's level boundaries (odd segments
+  // carried up, a single arm with no merge), with a drop default — the
+  // cascade is the result — and with a default that plugs into the
+  // outermost fall-through. Guards overlap: arm i also fires on b=i%3.
+  for (std::size_t Arms : {0u, 1u, 2u, 3u, 7u, 64u}) {
+    for (bool DropDefault : {true, false}) {
+      Context Ctx;
+      FieldId A = Ctx.field("a");
+      FieldId B = Ctx.field("b");
+      std::vector<ast::CaseNode::Branch> Branches;
+      for (std::size_t I = 0; I < Arms; ++I) {
+        auto V = static_cast<FieldValue>(I);
+        Branches.emplace_back(
+            Ctx.unite(Ctx.test(A, V), Ctx.test(B, V % 3)),
+            Ctx.seq(Ctx.assign(B, V + 1), Ctx.assign(A, V % 5)));
+      }
+      const Node *Default =
+          DropDefault ? Ctx.drop()
+                      : Ctx.choice(Rational(1, 4), Ctx.assign(B, 99),
+                                   Ctx.skip());
+      const Node *P = Ctx.caseOf(std::move(Branches), Default);
+      FddManager M;
+      EXPECT_EQ(compile(M, P), foldCompile(M, P))
+          << Arms << " arms, " << (DropDefault ? "drop" : "choice")
+          << " default";
+    }
+  }
+}
+
+TEST(CaseReductionTest, OverlappingGuardsKeepFirstMatch) {
+  Context Ctx;
+  FieldId A = Ctx.field("a");
+  FieldId B = Ctx.field("b");
+  auto Build = [&](bool Swapped) {
+    std::vector<ast::CaseNode::Branch> Arms;
+    ast::CaseNode::Branch Narrow{Ctx.test(A, 1), Ctx.assign(B, 1)};
+    ast::CaseNode::Branch Wide{Ctx.unite(Ctx.test(A, 1), Ctx.test(A, 2)),
+                               Ctx.assign(B, 2)};
+    Arms.push_back(Swapped ? Wide : Narrow);
+    Arms.push_back(Swapped ? Narrow : Wide);
+    Arms.emplace_back(Ctx.skip(), Ctx.assign(B, 3));
+    return Ctx.caseOf(std::move(Arms), Ctx.drop());
+  };
+  FddManager M;
+  const Node *P = Build(false);
+  FddRef R = compile(M, P);
+  EXPECT_EQ(R, foldCompile(M, P));
+  auto OutputB = [&](FddRef Ref, FieldValue InA) {
+    Packet In(2);
+    In.set(A, InA);
+    auto Out = M.outputDistribution(Ref, In);
+    EXPECT_EQ(Out.Outputs.size(), 1u);
+    return Out.Outputs.begin()->first.get(B);
+  };
+  EXPECT_EQ(OutputB(R, 1), 1u); // The narrow arm comes first.
+  EXPECT_EQ(OutputB(R, 2), 2u);
+  EXPECT_EQ(OutputB(R, 7), 3u); // The catch-all arm.
+  // Order matters: with the wide arm first, a=1 takes it instead.
+  const Node *Q = Build(true);
+  FddRef S = compile(M, Q);
+  EXPECT_EQ(S, foldCompile(M, Q));
+  EXPECT_NE(S, R);
+  EXPECT_EQ(OutputB(S, 1), 2u);
+}
+
+TEST(CaseReductionTest, MatchesTheFoldOnEverySolverWithAndWithoutCache) {
+  // `case` inside `while` (and loops inside `case` arms): the loop
+  // solver sees the reduced diagram, so every solver kind must get the
+  // fold's ref, cold and on the cache-hit path.
+  const markov::SolverKind Kinds[] = {markov::SolverKind::Exact,
+                                      markov::SolverKind::Direct,
+                                      markov::SolverKind::Iterative};
+  for (markov::SolverKind Kind : Kinds) {
+    for (bool UseCache : {false, true}) {
+      Context Ctx;
+      for (const Node *P : {caseInsideWhile(Ctx), caseOfLoops(Ctx)}) {
+        FddManager M(Kind);
+        FddRef Reference = foldCompile(M, P);
+        CompileCache Cache;
+        CompileOptions O;
+        if (UseCache) {
+          O.Cache = &Cache;
+          O.CacheMinNodes = 1;
+        }
+        EXPECT_EQ(compile(M, P, O), Reference)
+            << "solver " << static_cast<int>(Kind) << ", cache "
+            << UseCache;
+        if (UseCache) {
+          EXPECT_GT(Cache.stats().Insertions, 0u);
+          EXPECT_EQ(compile(M, P, O), Reference)
+              << "cache hit, solver " << static_cast<int>(Kind);
+          EXPECT_GT(Cache.stats().Hits, 0u);
+        }
+      }
+    }
+  }
+}
+
 TEST(ParallelCompileTest, NestedCaseThroughWhileLoops) {
-  // A case whose arms contain while loops which in turn contain cases:
-  // the shape that used to force serialization (and could deadlock on a
-  // per-case pool). All nesting levels now share one engine.
+  // A case whose arms contain while loops which in turn contain cases,
+  // with the loop blocks solved serially and on pools of 1 and 2 workers.
   Context Ctx;
   FieldId Pos = Ctx.field("pos");
   FieldId Sw = Ctx.field("sw");
@@ -170,26 +370,17 @@ TEST(ParallelCompileTest, NestedCaseThroughWhileLoops) {
   const Node *P = Ctx.caseOf(std::move(Outer), Ctx.drop());
 
   FddManager M;
-  FddRef Serial = compile(M, P);
+  FddRef Reference = foldCompile(M, P);
+  EXPECT_EQ(compile(M, P), Reference);
   for (unsigned Threads : {1u, 2u}) {
     ThreadPool Pool(Threads);
-    CompileOptions O;
-    O.ParallelCase = true;
-    O.Pool = &Pool;
-    EXPECT_EQ(compile(M, P, O), Serial);
-  }
-}
-
-TEST(ParallelCompileTest, GlobalPoolServesPoolLessCallers) {
-  // ParallelCase with no explicit engine: the process-global pool steps
-  // in; repeated compiles reuse it rather than spawning per-case pools.
-  CaseFixture F(201u);
-  FddManager M;
-  for (int Round = 0; Round < 4; ++Round) {
-    const Node *P = F.randomCase(2);
-    CompileOptions O;
-    O.ParallelCase = true;
-    EXPECT_EQ(compile(M, P, O), compile(M, P));
+    markov::SolverStructure S;
+    S.Pool = &Pool;
+    FddManager Pooled;
+    Pooled.setSolverStructure(S);
+    FddRef R = compile(Pooled, P);
+    EXPECT_EQ(importFdd(M, exportFdd(Pooled, R)), Reference)
+        << Threads << " threads";
   }
 }
 
@@ -237,48 +428,25 @@ TEST(ParallelCompileTest, ConcurrentBlockedSolvesOnOneEngine) {
     EXPECT_TRUE(Agree[I]) << "solve " << I;
 }
 
-TEST(ParallelCompileTest, BlockedLoopsNestInsideParallelCase) {
-  // Parallel `case` arms containing while loops, compiled on the same
-  // engine the loop solver schedules its block tasks on: worker managers
-  // inherit the pooled structure, so block tasks are enqueued
-  // from threads that are themselves pool tasks (help-first waiting keeps
-  // the composition deadlock-free). Runs under TSan via ./ci.sh tsan.
+
+TEST(ParallelCompileTest, BlockedLoopsInsideCaseArms) {
+  // `case` arms containing while loops whose SCC blocks run on a pool:
+  // the compile stays serial, the block tasks of each loop solve share
+  // the engine. Runs under TSan via ./ci.sh tsan.
   Context Ctx;
-  FieldId Pos = Ctx.field("pos");
-  FieldId Sw = Ctx.field("sw");
-  // while (pos=1 | pos=2) { if pos=1 then coin(pos:=2 / pos:=0)
-  //                         else coin(pos:=1 / pos:=3) }
-  // The two loop states reach each other, so the chain has a genuine
-  // multi-state strongly connected class.
-  auto Loop = [&](int Num, int Den) {
-    return Ctx.whileLoop(
-        Ctx.unite(Ctx.test(Pos, 1), Ctx.test(Pos, 2)),
-        Ctx.ite(Ctx.test(Pos, 1),
-                Ctx.choice(Rational(Num, Den), Ctx.assign(Pos, 2),
-                           Ctx.assign(Pos, 0)),
-                Ctx.choice(Rational(Num, Den), Ctx.assign(Pos, 1),
-                           Ctx.assign(Pos, 3))));
-  };
-  std::vector<ast::CaseNode::Branch> Arms;
-  Arms.emplace_back(Ctx.test(Sw, 0), Loop(1, 2));
-  Arms.emplace_back(Ctx.test(Sw, 1), Loop(1, 3));
-  Arms.emplace_back(Ctx.test(Sw, 2), Ctx.seq(Loop(1, 2), Loop(2, 3)));
-  Arms.emplace_back(Ctx.test(Sw, 3), Loop(3, 4));
-  const Node *P = Ctx.caseOf(std::move(Arms), Ctx.drop());
+  const Node *P = caseOfLoops(Ctx);
 
   FddManager Serial;
   FddRef Reference = compile(Serial, P);
+  EXPECT_EQ(Reference, foldCompile(Serial, P));
 
   ThreadPool Pool(4);
   markov::SolverStructure S;
   S.Pool = &Pool;
-  CompileOptions O;
-  O.ParallelCase = true;
-  O.Pool = &Pool;
   for (int Round = 0; Round < 3; ++Round) {
     FddManager M;
     M.setSolverStructure(S);
-    FddRef Blocked = compile(M, P, O);
+    FddRef Blocked = compile(M, P);
     EXPECT_EQ(importFdd(Serial, exportFdd(M, Blocked)), Reference)
         << "round " << Round;
   }
@@ -326,23 +494,51 @@ TEST(ParallelCompileTest, ConcurrentModularSolvesOnOneEngine) {
     EXPECT_TRUE(Agree[I]) << "solve " << I;
 }
 
+
 TEST(ParallelCompileTest, VerifierOwnsOnePersistentPool) {
-  CaseFixture F(301u);
+  Context Ctx;
+  const Node *P = caseOfLoops(Ctx);
   analysis::Verifier V;
-  ThreadPool &Pool = V.compilePool(2);
+  ThreadPool &Pool = V.enableSolverPool(2);
   EXPECT_EQ(Pool.numThreads(), 2u);
-  // Same width → same engine across compiles.
-  EXPECT_EQ(&V.compilePool(2), &Pool);
-  EXPECT_EQ(&V.compilePool(0), &Pool);
-  const Node *P = F.randomCase(2);
-  FddRef First = V.compile(P, /*Parallel=*/true, /*Threads=*/2);
-  FddRef Second = V.compile(P, /*Parallel=*/true, /*Threads=*/2);
-  FddRef SerialRef = V.compile(P);
+  // Installed in the solver structure in the same step.
+  EXPECT_EQ(V.solverStructure().Pool, &Pool);
+  // Same width (or 0) → same engine across compiles.
+  EXPECT_EQ(&V.enableSolverPool(2), &Pool);
+  EXPECT_EQ(&V.enableSolverPool(0), &Pool);
+  FddRef First = V.compile(P);
+  FddRef Second = V.compile(P);
   EXPECT_EQ(First, Second);
-  EXPECT_EQ(First, SerialRef);
-  // An explicit different width replaces the engine.
-  ThreadPool &Wider = V.compilePool(3);
+  analysis::Verifier Serial;
+  EXPECT_EQ(importFdd(Serial.manager(), exportFdd(V.manager(), First)),
+            Serial.compile(P));
+  // An explicit different width replaces the engine, and the structure
+  // follows it.
+  ThreadPool &Wider = V.enableSolverPool(3);
   EXPECT_EQ(Wider.numThreads(), 3u);
+  EXPECT_EQ(V.solverStructure().Pool, &Wider);
+}
+
+TEST(ParallelCompileTest, WideningThePoolBetweenCompilesIsSafe) {
+  // The structure holds the verifier's 2-worker pool; widening to 4
+  // replaces that pool, and the structure must not keep pointing at the
+  // freed one when the next loop solves (ASan via MCNK_SANITIZE=ON). The
+  // Modular knobs set alongside survive the swap.
+  Context Ctx;
+  const Node *P = caseOfLoops(Ctx);
+  analysis::Verifier V(markov::SolverKind::ModularExact);
+  markov::SolverStructure S;
+  S.Pool = &V.enableSolverPool(2);
+  S.Modular.FirstPrimeIndex = 7;
+  V.setSolverStructure(S);
+  ThreadPool &Wider = V.enableSolverPool(4);
+  EXPECT_EQ(V.solverStructure().Pool, &Wider);
+  EXPECT_EQ(Wider.numThreads(), 4u);
+  EXPECT_EQ(V.solverStructure().Modular.FirstPrimeIndex, 7u);
+  FddRef R = V.compile(P);
+  analysis::Verifier Serial;
+  EXPECT_EQ(importFdd(Serial.manager(), exportFdd(V.manager(), R)),
+            Serial.compile(P));
 }
 
 //===----------------------------------------------------------------------===//

@@ -216,18 +216,19 @@ TEST_F(FddTest, CompiledLawsHoldByReferenceEquality) {
             Prog("(a:=1 +[1/2] a:=2) +[2/3] a:=3"));
 }
 
-TEST_F(FddTest, CaseCompilesSeriallyAndInParallel) {
+TEST_F(FddTest, CaseCompilesAsFirstMatchCascade) {
   std::vector<ast::CaseNode::Branch> Branches;
+  const Node *Cascade = Ctx.drop();
+  for (FieldValue V = 4; V >= 1; --V)
+    Cascade = Ctx.ite(Ctx.test(A, V), Ctx.assign(B, V), Cascade);
   for (FieldValue V = 1; V <= 4; ++V)
     Branches.push_back({Ctx.test(A, V), Ctx.assign(B, V)});
   const Node *C = Ctx.caseOf(std::move(Branches), Ctx.drop());
 
+  // The pairwise `case` reduction and the if-then-else cascade it
+  // denotes compile to the same canonical diagram.
   FddRef Serial = compile(M, C);
-  CompileOptions Par;
-  Par.ParallelCase = true;
-  Par.Threads = 3;
-  FddRef Parallel = compile(M, C, Par);
-  EXPECT_EQ(Serial, Parallel);
+  EXPECT_EQ(Serial, compile(M, Cascade));
 
   auto Out = M.outputDistribution(Serial, packet(3, 0));
   EXPECT_EQ(Out.Outputs[packet(3, 3)], Rational(1));

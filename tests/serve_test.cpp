@@ -706,6 +706,57 @@ TEST(Service, ConcurrentSessionsShareOneCacheAndStore) {
   std::remove(Path.c_str());
 }
 
+TEST(Service, ConcurrentSessionsSharePooledBlockSolves) {
+  // Every session verifier hands its loop solves to the service pool, the
+  // one -j sizes: concurrent sessions schedule SCC block tasks (and, on
+  // modular-exact, prime tasks) on one engine — the TSan target for the
+  // pool under serving. Each request's program is distinct, so no solve
+  // is answered from the shared compile cache.
+  serve::Service::Options Opts;
+  Opts.Threads = 2;
+  std::string Error;
+  auto Svc = serve::Service::create(Opts, &Error);
+  ASSERT_TRUE(Svc) << Error;
+  ASSERT_NE(Svc->pool(), nullptr);
+
+  constexpr unsigned NumThreads = 4;
+  constexpr unsigned Rounds = 4;
+  std::atomic<unsigned> Failures{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&Svc, &Failures, T] {
+      serve::Session S(*Svc);
+      for (unsigned I = 0; I < Rounds; ++I) {
+        // sw=4 feeds the strongly connected pair {sw=1, sw=2}, so the
+        // chain has two blocks. From sw=1 the packet reaches sw=3 with
+        // probability p = 1/2 + p/(2K), i.e. K/(2K-1).
+        int64_t K = 2 + T * Rounds + I;
+        std::string Program =
+            "while !sw=3 do (if sw=1 then (sw:=2 +[1/2] sw:=3) else "
+            "if sw=2 then (sw:=1 +[1/" +
+            std::to_string(K) + "] drop) else sw:=1)";
+        std::string Query =
+            std::string("{\"verb\":\"query\",\"query\":\"delivery\","
+                        "\"solver\":\"") +
+            (I % 2 ? "modular-exact" : "exact") + "\",\"program\":\"" +
+            Program + "\",\"inputs\":[{\"sw\":1},{\"sw\":4}]}";
+        serve::Json R;
+        std::string ParseError;
+        std::string Want = Rational(K, 2 * K - 1).toString();
+        if (!serve::parseJson(S.handleLine(Query), R, &ParseError) ||
+            !okOf(R) || R.find("results")->elements().size() != 2 ||
+            R.find("results")->elements()[0].asString() != Want ||
+            R.find("results")->elements()[1].asString() != Want)
+          ++Failures;
+      }
+    });
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Failures.load(), 0u);
+  EXPECT_EQ(Svc->errors(), 0u);
+}
+
 TEST(TcpServer, ServesLoopbackClients) {
   auto Svc = serve::Service::create({}, nullptr);
   ASSERT_TRUE(Svc);
