@@ -14,6 +14,12 @@
 /// timeout discipline). Knobs: MCNK_FIG7_MAXP (default 12),
 /// MCNK_TIME_LIMIT seconds (default 30).
 ///
+/// MCNK_FIG7_NATIVE_JSON=<path> switches to the native trajectory point:
+/// both native series (#f=0 and iid 1/1000), each p the median of three
+/// compiles, from p = 4 until a series' median first exceeds
+/// MCNK_TIME_LIMIT (that point is recorded, then the series retires).
+/// MCNK_FIG7_MAXP caps p (default 64 in this mode).
+///
 /// MCNK_FIG7_BLOCKED_JSON=<path> switches to the block-schedule
 /// trajectory point (docs/ARCHITECTURE.md S13): the same FatTree family
 /// compiled with the Exact solver, its SCC blocks solved serially vs as a
@@ -136,6 +142,82 @@ int runGolden(unsigned MaxP) {
                 V.manager().diagramSize(Ref), Delivery.toString().c_str(),
                 States, Prob.c_str());
   }
+  return 0;
+}
+
+/// MCNK_FIG7_NATIVE_JSON: the native series as a trajectory point, each
+/// point the median of three compiles. A series retires after its first
+/// median over \p Limit; that point is still recorded.
+int runNative(unsigned MaxP, double Limit, const char *Path) {
+  constexpr unsigned Runs = 3;
+  struct Series {
+    const char *Name;
+    FailureModel Fail;
+    std::string Points;
+    unsigned LargestWithin = 0;
+    bool Alive = true;
+  };
+  Series All[] = {{"native_f0", FailureModel::none(), "", 0, true},
+                  {"native", FailureModel::iid(Rational(1, 1000)), "", 0,
+                   true}};
+  std::printf("=== Fig 7 native series: median of %u compiles per point, "
+              "budget %gs ===\n",
+              Runs, Limit);
+  std::printf("%-10s %4s %9s  %10s\n", "series", "p", "switches",
+              "median s");
+  for (unsigned P = 4; P <= MaxP && (All[0].Alive || All[1].Alive);
+       P += 2) {
+    topology::FatTreeLayout L;
+    topology::makeFatTree(P, L);
+    for (Series &S : All) {
+      if (!S.Alive)
+        continue;
+      std::vector<double> Samples;
+      for (unsigned R = 0; R < Runs; ++R)
+        Samples.push_back(compileNative(L, S.Fail));
+      double Median = median(Samples);
+      std::printf("%-10s %4u %9u  %10.3f\n", S.Name, P, L.numSwitches(),
+                  Median);
+      std::fflush(stdout);
+      char Point[256];
+      std::snprintf(Point, sizeof(Point),
+                    "%s        {\"p\": %u, \"switches\": %u, "
+                    "\"median_seconds\": %.6f, \"runs\": [%.6f, %.6f, "
+                    "%.6f]}",
+                    S.Points.empty() ? "" : ",\n", P, L.numSwitches(), Median,
+                    Samples[0], Samples[1], Samples[2]);
+      S.Points += Point;
+      if (Median > Limit)
+        S.Alive = false;
+      else
+        S.LargestWithin = P;
+    }
+  }
+
+  std::FILE *F = std::fopen(Path, "w");
+  if (!F) {
+    std::fprintf(stderr, "error: cannot write %s\n", Path);
+    return 1;
+  }
+  std::fprintf(F,
+               "{\n"
+               "  \"name\": \"fig07_fattree_native\",\n"
+               "  \"model\": \"FatTree ECMP to switch 1 (Fig 7 family), "
+               "native FDD compile of the full model, Direct solver\",\n"
+               "  \"engine\": \"pairwise case reduction (ARCHITECTURE "
+               "S10)\",\n");
+  writeRunInfo(F, Runs);
+  std::fprintf(F, "  \"time_limit_seconds\": %g,\n  \"series\": [\n",
+               Limit);
+  for (const Series &S : All)
+    std::fprintf(F,
+                 "    {\"name\": \"%s\", \"largest_p_within_limit\": %u, "
+                 "\"points\": [\n%s\n    ]}%s\n",
+                 S.Name, S.LargestWithin, S.Points.c_str(),
+                 &S == &All[1] ? "" : ",");
+  std::fprintf(F, "  ]\n}\n");
+  std::fclose(F);
+  std::printf("wrote %s\n", Path);
   return 0;
 }
 
@@ -358,6 +440,9 @@ int runModular(unsigned MaxP, unsigned MaxK, const char *Path) {
 
 int main() {
   unsigned MaxP = envUnsigned("MCNK_FIG7_MAXP", 12);
+  double Limit = envDouble("MCNK_TIME_LIMIT", 30.0);
+  if (const char *Path = std::getenv("MCNK_FIG7_NATIVE_JSON"); Path && *Path)
+    return runNative(envUnsigned("MCNK_FIG7_MAXP", 64), Limit, Path);
   if (const char *Path = std::getenv("MCNK_FIG7_MODULAR_JSON");
       Path && *Path)
     return runModular(std::min(MaxP, 6u),
@@ -367,7 +452,6 @@ int main() {
     return runBlocked(std::min(MaxP, 6u), Path);
   if (envUnsigned("MCNK_GOLDEN", 0))
     return runGolden(std::min(MaxP, 6u));
-  double Limit = envDouble("MCNK_TIME_LIMIT", 30.0);
   std::printf("=== Fig 7: FatTree scalability (ECMP to switch 1) ===\n");
   std::printf("series: native / native(#f=0) compile the full model; "
               "prism / prism(#f=0) answer one delivery query\n");

@@ -573,8 +573,8 @@ int main() {
             "  \"name\": \"scenario_sweep_simplify\",\n"
             "  \"model\": \"per-ingress query sweep across the registry "
             "(ring max N%u), Direct solver, shared CompileCache\",\n"
-            "  \"engine\": \"S15 verified simplifier before fdd::compile "
-            "(CompileOptions.Simplify)\",\n",
+            "  \"engine\": \"S15 verified simplifier (ast::simplify) "
+            "before fdd::compile\",\n",
             RingN);
         writeRunInfo(F, 1);
         std::fprintf(

@@ -520,6 +520,11 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
+  // --simplify rewrites a program just before the verifier compiles it.
+  auto Prepare = [&](const ast::Node *P) {
+    return Simplify ? ast::simplify(Ctx, P) : P;
+  };
+
   if (Command == "dump") {
     analysis::Verifier V(Modular ? markov::SolverKind::ModularExact
                                  : markov::SolverKind::Exact);
@@ -527,13 +532,11 @@ int main(int Argc, char **Argv) {
       V.enableCompileCache();
     if (Parallel)
       V.enableSolverPool(Threads);
-    if (Simplify)
-      V.setSimplify(&Ctx);
     if (Slice)
       // `dump` has no query attached, so slice for the most aggressive
       // still-meaningful observation: delivery (drop mass only).
       V.setSlice(&Ctx, ast::ObservationSet::delivery());
-    fdd::FddRef Ref = V.compile(Program);
+    fdd::FddRef Ref = V.compile(Prepare(Program));
     std::printf("%s", fdd::dumpFdd(V.manager(), Ref, Ctx.fields()).c_str());
     std::printf("// %zu nodes in the diagram\n",
                 V.manager().diagramSize(Ref));
@@ -566,13 +569,12 @@ int main(int Argc, char **Argv) {
       V.enableCompileCache();
     if (Parallel)
       V.enableSolverPool(Threads);
-    if (Simplify)
-      V.setSimplify(&Ctx);
     if (Slice)
       // Equivalence observes whole output packets; slicing for the
       // all-fields observation is a verified no-op rewrite.
       V.setSlice(&Ctx, ast::ObservationSet::all());
-    bool Equal = V.equivalent(V.compile(Program), V.compile(Other));
+    bool Equal = V.equivalent(V.compile(Prepare(Program)),
+                              V.compile(Prepare(Other)));
     std::printf("%s\n", Equal ? "equivalent" : "NOT equivalent");
     if (UseCache)
       printCacheStats(*V.compileCache());
@@ -600,12 +602,10 @@ int main(int Argc, char **Argv) {
       V.enableCompileCache();
     if (Parallel)
       V.enableSolverPool(Threads);
-    if (Simplify)
-      V.setSimplify(&Ctx);
     if (Slice)
       // `run` prints whole output packets; all fields are observed.
       V.setSlice(&Ctx, ast::ObservationSet::all());
-    fdd::FddRef Ref = V.compile(Program);
+    fdd::FddRef Ref = V.compile(Prepare(Program));
     auto Out = V.manager().outputDistribution(Ref, In);
     for (const auto &[Pkt, W] : Out.Outputs) {
       std::printf("{");

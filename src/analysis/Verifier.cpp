@@ -35,7 +35,6 @@ Rational HopStats::cumulative(unsigned MaxHops) const {
 FddRef Verifier::compile(const ast::Node *Program) {
   fdd::CompileOptions Options;
   Options.Cache = Cache;
-  Options.Simplify = SimplifyCtx;
   fdd::SliceHook Hook;
   if (SliceCtx) {
     Hook.Ctx = SliceCtx;

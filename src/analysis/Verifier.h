@@ -88,16 +88,6 @@ public:
   /// The active cache, or null when caching is off.
   fdd::CompileCache *compileCache() const { return Cache; }
 
-  /// Enables the verified S15 simplifier for every subsequent compile():
-  /// programs are rewritten (in \p Ctx, which must own their nodes and
-  /// outlive the verifier's compiles) before FDD compilation. Null
-  /// disables. Semantics are unchanged — simplified and original programs
-  /// compile to reference-equal diagrams, a contract the oracle's
-  /// CheckSimplify step enforces on every conformance and fuzz case.
-  void setSimplify(ast::Context *Ctx) { SimplifyCtx = Ctx; }
-  /// The context the simplifier rewrites into, or null when off.
-  ast::Context *simplifyContext() const { return SimplifyCtx; }
-
   /// Enables S17 cone-of-influence slicing for every subsequent compile():
   /// the program is sliced for \p Obs (ast/Slice.h) in \p Ctx — which
   /// must own the program's nodes and outlive the verifier's compiles —
@@ -162,7 +152,6 @@ private:
   /// instead point at caller-owned shared storage (setCompileCache).
   std::unique_ptr<fdd::CompileCache> OwnedCache;
   fdd::CompileCache *Cache = nullptr;
-  ast::Context *SimplifyCtx = nullptr;
   ast::Context *SliceCtx = nullptr;
   ast::ObservationSet SliceObs;
   ast::SliceStats LastSlice;

@@ -10,7 +10,6 @@
 #include "fdd/Compile.h"
 
 #include "ast/Hash.h"
-#include "ast/Simplify.h"
 #include "fdd/CompileCache.h"
 #include "fdd/Export.h"
 #include "support/Casting.h"
@@ -187,8 +186,8 @@ FddRef compileNode(FddManager &M, const Node *P, const CacheContext *CC) {
 
 FddRef fdd::compile(FddManager &Manager, const Node *Program,
                     const CompileOptions &Options) {
-  // Slice, then simplify, once for the whole term: the cache fingerprints
-  // the rewritten tree.
+  // Slice once for the whole term: the cache fingerprints the sliced
+  // tree.
   if (Options.Slice && Options.Slice->Ctx) {
     ast::SliceResult R =
         ast::slice(*Options.Slice->Ctx, Program, Options.Slice->Observed);
@@ -196,8 +195,6 @@ FddRef fdd::compile(FddManager &Manager, const Node *Program,
     if (Options.Slice->Stats)
       *Options.Slice->Stats = R.Stats;
   }
-  if (Options.Simplify)
-    Program = ast::simplify(*Options.Simplify, Program);
   if (!Options.Cache)
     return compileNode(Manager, Program, nullptr);
   CacheContext CC{Options.Cache, Options.CacheMinNodes, {}};

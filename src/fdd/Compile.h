@@ -52,23 +52,17 @@ struct CompileOptions {
   /// below a handful of nodes, recompiling is cheaper than a lookup plus
   /// portable-FDD import.
   std::size_t CacheMinNodes = 16;
-  /// When non-null, run the verified S15 simplifier (ast/Simplify.h) over
-  /// the program before compiling, building any rewritten nodes in this
-  /// context (it must own the program's nodes). Happens exactly once at
-  /// the top of compile() and composes with the S12 cache: the
-  /// fingerprint pass runs over the already-simplified tree, so smaller
-  /// programs fingerprint faster and collapse onto shared cache entries.
-  ast::Context *Simplify = nullptr;
   /// Query-directed cone-of-influence slicing (ast/Slice.h; ARCHITECTURE
   /// S17). When non-null (with a non-null Ctx), the program is sliced for
   /// Observed before compilation — assignments to fields outside the
   /// query's cone of influence are removed, so the diagram never pays for
   /// fields the query cannot see. Applied exactly once at the top of
-  /// compile(), before Simplify; it likewise composes with the S12 cache —
-  /// the fingerprint pass sees the sliced tree. Unlike Simplify, the
-  /// sliced diagram is only equal to the original *after projecting leaf
-  /// actions onto the cone*; the answers of queries within Observed are
-  /// unchanged, a contract the oracle's CheckSlice lane enforces.
+  /// compile(); it composes with the S12 cache — the fingerprint pass sees
+  /// the sliced tree. Unlike the S15 simplifier (ast/Simplify.h, which
+  /// callers run on the AST themselves), the sliced diagram is only equal
+  /// to the original *after projecting leaf actions onto the cone*; the
+  /// answers of queries within Observed are unchanged, a contract the
+  /// oracle's CheckSlice lane enforces.
   const SliceHook *Slice = nullptr;
 };
 

@@ -14,6 +14,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <optional>
 #include <set>
 #include <type_traits>
 
@@ -26,12 +27,6 @@ constexpr FieldValue NoValue = std::numeric_limits<FieldValue>::max();
 
 std::size_t innerHash(const FddManager::InnerNode &N) {
   return hashValues(N.Field, N.Value, N.Hi, N.Lo);
-}
-
-/// Lexicographic order on tests; leaves order after every real test.
-bool testLess(std::pair<FieldId, FieldValue> A,
-              std::pair<FieldId, FieldValue> B) {
-  return A.first != B.first ? A.first < B.first : A.second < B.second;
 }
 } // namespace
 
@@ -127,51 +122,74 @@ FddRef FddManager::cofactorFalse(FddRef Ref, FieldId Field,
 // The compiler operations below are written in the explicit-stack style of
 // Export.cpp rather than as direct recursion: diagrams shaped like long
 // test chains (one inner node per value, tens of thousands deep) would
-// otherwise overflow the call stack. Each operation keeps its terminal
-// cases and memo table exactly as before; the Frame stack replaces the
-// call stack and a value stack carries child results to their parent,
-// with children evaluated in the same order the recursive versions used.
+// otherwise overflow the call stack.
+//
+// negate, disjoin, choice and branch are one Shannon expansion over N
+// operands, run by apply(). A tuple resolves through the op's terminal
+// rule (unmemoized), then its memo entry, then, when every operand is a
+// leaf, the op's leaf combiner. Otherwise it splits on the least root test
+// (F, V) of its operands under testLess: the true cofactors are solved,
+// then the false ones, and inner(F, V, Hi, Lo) rebuilds the result. A
+// frame stack replaces the call stack and a value stack carries child
+// results to their parent. Frames resolve only when they reach the top,
+// so the Hi subtree completes (and fills the memo) before the Lo tuple is
+// looked at. That fixed depth-first, true-first order decides which nodes
+// are created and when, and so every FddRef the manager hands out.
+//
+// seq and seqAction keep their own loops: seq splits only its left
+// operand and rebuilds through branch(), and seqAction resolves tests
+// against its action's writes, taking one child instead of two.
 
-FddRef FddManager::negate(FddRef Pred) {
-  if (Pred == IdentityLeaf)
-    return DropLeaf;
-  if (Pred == DropLeaf)
-    return IdentityLeaf;
-  assert(!isLeafRef(Pred) && "negate on a non-predicate leaf");
-  if (const FddRef *Hit = NegateCache.find({Pred}))
-    return *Hit;
+template <std::size_t N, std::size_t K, typename TerminalFn, typename KeyFn,
+          typename CombineFn>
+FddRef FddManager::apply(std::array<FddRef, N> Operands, MemoTable<K> &Memo,
+                         TerminalFn Terminal, KeyFn Key, CombineFn Combine) {
+  if (std::optional<FddRef> Out = Terminal(Operands))
+    return *Out;
 
   struct Frame {
-    FddRef Ref;
+    std::array<FddRef, N> Ops;
     FieldId Field;
     FieldValue Value;
     bool Expanded;
   };
   std::vector<Frame> Stack;
   std::vector<FddRef> Values;
-  Stack.push_back({Pred, 0, 0, false});
+  Stack.push_back({Operands, 0, 0, false});
   while (!Stack.empty()) {
     Frame &Top = Stack.back();
     if (!Top.Expanded) {
-      FddRef Ref = Top.Ref;
-      if (Ref == IdentityLeaf || Ref == DropLeaf) {
-        Values.push_back(Ref == IdentityLeaf ? DropLeaf : IdentityLeaf);
+      const std::array<FddRef, N> Ops = Top.Ops;
+      std::optional<FddRef> Out = Terminal(Ops);
+      if (!Out) {
+        if (const FddRef *Hit = Memo.find(Key(Ops))) {
+          Out = *Hit;
+        } else if (std::all_of(Ops.begin(), Ops.end(),
+                               [](FddRef R) { return isLeafRef(R); })) {
+          Out = Combine(Ops);
+          Memo.insert(Key(Ops), *Out);
+        }
+      }
+      if (Out) {
+        Values.push_back(*Out);
         Stack.pop_back();
         continue;
       }
-      assert(!isLeafRef(Ref) && "negate on a non-predicate leaf");
-      if (const FddRef *Hit = NegateCache.find({Ref})) {
-        Values.push_back(*Hit);
-        Stack.pop_back();
-        continue;
-      }
-      const InnerNode &N = innerNode(Ref);
-      Top.Field = N.Field;
-      Top.Value = N.Value;
+      std::pair<FieldId, FieldValue> Split = rootTest(Ops[0]);
+      for (std::size_t I = 1; I < N; ++I)
+        Split = std::min(Split, rootTest(Ops[I]), testLess);
+      auto [F, V] = Split;
+      Top.Field = F;
+      Top.Value = V;
       Top.Expanded = true;
-      FddRef Hi = N.Hi, Lo = N.Lo; // Pushing below invalidates Top and N.
-      Stack.push_back({Lo, 0, 0, false});
-      Stack.push_back({Hi, 0, 0, false});
+      // Pushing below invalidates Top; cofactors allocate nothing.
+      Frame Hi{}, Lo{};
+      for (std::size_t I = 0; I < N; ++I) {
+        Hi.Ops[I] = cofactorTrue(Ops[I], F, V);
+        Lo.Ops[I] = cofactorFalse(Ops[I], F, V);
+      }
+      Stack.push_back(Lo);
+      Stack.push_back(Hi);
       continue;
     }
     FddRef LoRes = Values.back();
@@ -179,7 +197,7 @@ FddRef FddManager::negate(FddRef Pred) {
     FddRef HiRes = Values.back();
     Values.pop_back();
     FddRef Result = inner(Top.Field, Top.Value, HiRes, LoRes);
-    NegateCache.insert({Top.Ref}, Result);
+    Memo.insert(Key(Top.Ops), Result);
     Values.push_back(Result);
     Stack.pop_back();
   }
@@ -187,76 +205,45 @@ FddRef FddManager::negate(FddRef Pred) {
   return Values.back();
 }
 
-FddRef FddManager::disjoin(FddRef PredA, FddRef PredB) {
-  auto Terminal = [this](FddRef A, FddRef B, FddRef &Out) {
-    if (A == B || B == DropLeaf) {
-      Out = A;
-      return true;
-    }
-    if (A == DropLeaf) {
-      Out = B;
-      return true;
-    }
-    if (A == IdentityLeaf || B == IdentityLeaf) {
-      Out = IdentityLeaf;
-      return true;
-    }
-    return false;
-  };
-  FddRef Quick;
-  if (Terminal(PredA, PredB, Quick))
-    return Quick;
+namespace {
+/// The leaf combiner of the predicate operations: their terminal rules
+/// already resolve every tuple of pass/drop leaves.
+template <std::size_t N> FddRef notAPredicate(const std::array<FddRef, N> &) {
+  MCNK_UNREACHABLE("predicate operation on a non-predicate leaf");
+}
+} // namespace
 
-  struct Frame {
-    FddRef A, B;
-    FieldId Field;
-    FieldValue Value;
-    bool Expanded;
-  };
-  std::vector<Frame> Stack;
-  std::vector<FddRef> Values;
-  Stack.push_back({PredA, PredB, 0, 0, false});
-  while (!Stack.empty()) {
-    Frame &Top = Stack.back();
-    if (!Top.Expanded) {
-      FddRef A = Top.A, B = Top.B;
-      FddRef Out;
-      if (Terminal(A, B, Out)) {
-        Values.push_back(Out);
-        Stack.pop_back();
-        continue;
-      }
-      assert(!isLeafRef(A) && !isLeafRef(B) &&
-             "disjoin on a non-predicate leaf");
-      if (const FddRef *Hit =
-              DisjoinCache.find({std::min(A, B), std::max(A, B)})) {
-        Values.push_back(*Hit);
-        Stack.pop_back();
-        continue;
-      }
-      auto [F, V] = std::min(rootTest(A), rootTest(B), testLess);
-      Top.Field = F;
-      Top.Value = V;
-      Top.Expanded = true;
-      // Pushing below invalidates Top; cofactors allocate nothing.
-      Stack.push_back(
-          {cofactorFalse(A, F, V), cofactorFalse(B, F, V), 0, 0, false});
-      Stack.push_back(
-          {cofactorTrue(A, F, V), cofactorTrue(B, F, V), 0, 0, false});
-      continue;
-    }
-    FddRef LoRes = Values.back();
-    Values.pop_back();
-    FddRef HiRes = Values.back();
-    Values.pop_back();
-    FddRef Result = inner(Top.Field, Top.Value, HiRes, LoRes);
-    DisjoinCache.insert({std::min(Top.A, Top.B), std::max(Top.A, Top.B)},
-                        Result);
-    Values.push_back(Result);
-    Stack.pop_back();
-  }
-  assert(Values.size() == 1 && "unbalanced traversal");
-  return Values.back();
+FddRef FddManager::negate(FddRef Pred) {
+  return apply<1>(
+      {Pred}, NegateCache,
+      [this](const std::array<FddRef, 1> &O) -> std::optional<FddRef> {
+        if (O[0] == IdentityLeaf)
+          return DropLeaf;
+        if (O[0] == DropLeaf)
+          return IdentityLeaf;
+        return std::nullopt;
+      },
+      [](const std::array<FddRef, 1> &O) { return O; }, notAPredicate<1>);
+}
+
+FddRef FddManager::disjoin(FddRef PredA, FddRef PredB) {
+  return apply<2>(
+      {PredA, PredB}, DisjoinCache,
+      [this](const std::array<FddRef, 2> &O) -> std::optional<FddRef> {
+        auto [A, B] = O;
+        if (A == B || B == DropLeaf)
+          return A;
+        if (A == DropLeaf)
+          return B;
+        if (A == IdentityLeaf || B == IdentityLeaf)
+          return IdentityLeaf;
+        return std::nullopt;
+      },
+      [](const std::array<FddRef, 2> &O) {
+        return std::array<uint32_t, 2>{std::min(O[0], O[1]),
+                                       std::max(O[0], O[1])};
+      },
+      notAPredicate<2>);
 }
 
 FddRef FddManager::choice(const Rational &R, FddRef P, FddRef Q) {
@@ -265,132 +252,36 @@ FddRef FddManager::choice(const Rational &R, FddRef P, FddRef Q) {
     return P;
   if (R.isZero())
     return Q;
-
   // R is invariant across the whole decomposition: intern it once, so
-  // frames carry only the operand pair and cache keys only its id.
+  // cache keys carry only its id.
   const uint32_t Weight = internWeight(R);
-  struct Frame {
-    FddRef P, Q;
-    FieldId Field;
-    FieldValue Value;
-    bool Expanded;
-  };
-  std::vector<Frame> Stack;
-  std::vector<FddRef> Values;
-  Stack.push_back({P, Q, 0, 0, false});
-  while (!Stack.empty()) {
-    Frame &Top = Stack.back();
-    if (!Top.Expanded) {
-      FddRef A = Top.P, B = Top.Q;
-      if (A == B) {
-        Values.push_back(A);
-        Stack.pop_back();
-        continue;
-      }
-      if (const FddRef *Hit = ChoiceCache.find({Weight, A, B})) {
-        Values.push_back(*Hit);
-        Stack.pop_back();
-        continue;
-      }
-      if (isLeafRef(A) && isLeafRef(B)) {
-        FddRef Result = leaf(ActionDist::convex(R, leafDist(A), leafDist(B)));
-        ChoiceCache.insert({Weight, A, B}, Result);
-        Values.push_back(Result);
-        Stack.pop_back();
-        continue;
-      }
-      auto [F, V] = std::min(rootTest(A), rootTest(B), testLess);
-      Top.Field = F;
-      Top.Value = V;
-      Top.Expanded = true;
-      // Pushing below invalidates Top; cofactors allocate nothing.
-      Stack.push_back(
-          {cofactorFalse(A, F, V), cofactorFalse(B, F, V), 0, 0, false});
-      Stack.push_back(
-          {cofactorTrue(A, F, V), cofactorTrue(B, F, V), 0, 0, false});
-      continue;
-    }
-    FddRef LoRes = Values.back();
-    Values.pop_back();
-    FddRef HiRes = Values.back();
-    Values.pop_back();
-    FddRef Result = inner(Top.Field, Top.Value, HiRes, LoRes);
-    ChoiceCache.insert({Weight, Top.P, Top.Q}, Result);
-    Values.push_back(Result);
-    Stack.pop_back();
-  }
-  assert(Values.size() == 1 && "unbalanced traversal");
-  return Values.back();
+  return apply<2>(
+      {P, Q}, ChoiceCache,
+      [](const std::array<FddRef, 2> &O) -> std::optional<FddRef> {
+        if (O[0] == O[1])
+          return O[0];
+        return std::nullopt;
+      },
+      [Weight](const std::array<FddRef, 2> &O) {
+        return std::array<uint32_t, 3>{Weight, O[0], O[1]};
+      },
+      [this, &R](const std::array<FddRef, 2> &O) {
+        return leaf(ActionDist::convex(R, leafDist(O[0]), leafDist(O[1])));
+      });
 }
 
 FddRef FddManager::branch(FddRef Guard, FddRef Then, FddRef Else) {
-  auto Terminal = [this](FddRef G, FddRef T, FddRef E, FddRef &Out) {
-    if (G == IdentityLeaf) {
-      Out = T;
-      return true;
-    }
-    if (G == DropLeaf) {
-      Out = E;
-      return true;
-    }
-    if (T == E) {
-      Out = T;
-      return true;
-    }
-    return false;
-  };
-  FddRef Quick;
-  if (Terminal(Guard, Then, Else, Quick))
-    return Quick;
-
-  struct Frame {
-    FddRef Guard, Then, Else;
-    FieldId Field;
-    FieldValue Value;
-    bool Expanded;
-  };
-  std::vector<Frame> Stack;
-  std::vector<FddRef> Values;
-  Stack.push_back({Guard, Then, Else, 0, 0, false});
-  while (!Stack.empty()) {
-    Frame &Top = Stack.back();
-    if (!Top.Expanded) {
-      FddRef G = Top.Guard, T = Top.Then, E = Top.Else;
-      FddRef Out;
-      if (Terminal(G, T, E, Out)) {
-        Values.push_back(Out);
-        Stack.pop_back();
-        continue;
-      }
-      assert(!isLeafRef(G) && "guard leaf must be pass or drop");
-      if (const FddRef *Hit = BranchCache.find({G, T, E})) {
-        Values.push_back(*Hit);
-        Stack.pop_back();
-        continue;
-      }
-      auto [F, V] =
-          std::min({rootTest(G), rootTest(T), rootTest(E)}, testLess);
-      Top.Field = F;
-      Top.Value = V;
-      Top.Expanded = true;
-      // Pushing below invalidates Top; cofactors allocate nothing.
-      Stack.push_back({cofactorFalse(G, F, V), cofactorFalse(T, F, V),
-                       cofactorFalse(E, F, V), 0, 0, false});
-      Stack.push_back({cofactorTrue(G, F, V), cofactorTrue(T, F, V),
-                       cofactorTrue(E, F, V), 0, 0, false});
-      continue;
-    }
-    FddRef LoRes = Values.back();
-    Values.pop_back();
-    FddRef HiRes = Values.back();
-    Values.pop_back();
-    FddRef Result = inner(Top.Field, Top.Value, HiRes, LoRes);
-    BranchCache.insert({Top.Guard, Top.Then, Top.Else}, Result);
-    Values.push_back(Result);
-    Stack.pop_back();
-  }
-  assert(Values.size() == 1 && "unbalanced traversal");
-  return Values.back();
+  return apply<3>(
+      {Guard, Then, Else}, BranchCache,
+      [this](const std::array<FddRef, 3> &O) -> std::optional<FddRef> {
+        auto [G, T, E] = O;
+        if (G == IdentityLeaf || T == E)
+          return T;
+        if (G == DropLeaf)
+          return E;
+        return std::nullopt;
+      },
+      [](const std::array<FddRef, 3> &O) { return O; }, notAPredicate<3>);
 }
 
 FddRef FddManager::seqAction(uint32_t ActionId, FddRef Q) {

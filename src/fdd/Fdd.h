@@ -26,6 +26,7 @@
 #include "packet/Packet.h"
 #include "support/Hashing.h"
 
+#include <array>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
@@ -196,6 +197,13 @@ public:
   FddRef cofactorFalse(FddRef Ref, FieldId Field, FieldValue Value) const;
   /// The root test of \p Ref, or (max, max) for leaves.
   std::pair<FieldId, FieldValue> rootTest(FddRef Ref) const;
+  /// The global test order: lexicographic on (field, value), so a leaf's
+  /// rootTest orders after every real test. Every Shannon expansion
+  /// splits on the least root test of its operands under this order.
+  static bool testLess(std::pair<FieldId, FieldValue> A,
+                       std::pair<FieldId, FieldValue> B) {
+    return A.first != B.first ? A.first < B.first : A.second < B.second;
+  }
 
 private:
   uint32_t internAction(const Action &A);
@@ -205,6 +213,14 @@ private:
   /// Weighted sum of FDDs (weights positive, summing to at most one; the
   /// missing mass is implicit drop — callers pass full decompositions).
   FddRef weightedSum(std::vector<std::pair<Rational, FddRef>> Terms);
+  /// The Shannon-expansion engine behind negate, disjoin, choice and
+  /// branch (defined in Fdd.cpp). \p Terminal maps an operand tuple to
+  /// its unmemoized result or nullopt; \p Key gives its \p Memo key;
+  /// \p Combine builds the result of an all-leaf tuple.
+  template <std::size_t N, std::size_t K, typename TerminalFn,
+            typename KeyFn, typename CombineFn>
+  FddRef apply(std::array<FddRef, N> Operands, MemoTable<K> &Memo,
+               TerminalFn Terminal, KeyFn Key, CombineFn Combine);
 
   markov::SolverKind Solver;
   markov::SolverStructure Structure;

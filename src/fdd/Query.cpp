@@ -80,11 +80,8 @@ bool productWalk(const FddManager &M, FddRef A, FddRef B, Pins &Pinned,
                  CompareMode Mode, double Eps) {
   if (isLeafRef(A) && isLeafRef(B))
     return compareLeaves(M, A, B, Pinned, Mode, Eps);
-  auto Test =
-      std::min(M.rootTest(A), M.rootTest(B), [](auto X, auto Y) {
-        return X.first != Y.first ? X.first < Y.first : X.second < Y.second;
-      });
-  auto [F, V] = Test;
+  auto [F, V] =
+      std::min(M.rootTest(A), M.rootTest(B), FddManager::testLess);
 
   // True branch: F is pinned to V below here.
   auto SavedPin = Pinned.find(F) != Pinned.end()

@@ -88,9 +88,8 @@ struct OracleOptions {
   bool CheckServe = true;
   /// Cross-check the verified simplifier (docs/ARCHITECTURE.md S15):
   /// simplify(p) must compile to a diagram reference-equal to p's under
-  /// the exact engine (the simplifier's soundness contract), simplify
-  /// must be idempotent, and the CompileOptions.Simplify compile-time
-  /// hook must agree with the standalone rewrite.
+  /// the exact engine (the simplifier's soundness contract), and simplify
+  /// must be idempotent.
   bool CheckSimplify = true;
   /// Cross-check query-directed slicing (docs/ARCHITECTURE.md S17): the
   /// delivery-sliced compile must be reference-equal to the unsliced exact

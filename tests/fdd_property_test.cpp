@@ -4,8 +4,9 @@
 /// Deeper FDD property suites: the action algebra, closed-form loop
 /// solving against textbook closed forms (gambler's ruin expressed as a
 /// ProbNetKAT program), algebraic-law sweeps on random subterms (canonical
-/// diagrams turn semantic laws into reference equalities), and
-/// export/import preservation on random programs.
+/// diagrams turn semantic laws into reference equalities), export/import
+/// preservation on random programs, and an op-level differential of the
+/// apply operations against a recursive Shannon-expansion reference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -17,6 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <limits>
 #include <random>
 
 using namespace mcnk;
@@ -275,3 +278,191 @@ TEST_P(ExportProperty, RoundTripPreservesBehavior) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ExportProperty,
                          ::testing::Values(81u, 82u, 83u));
+
+//===----------------------------------------------------------------------===//
+// Op-level differential: apply operations vs a recursive Shannon reference
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+using Test = std::pair<FieldId, FieldValue>;
+
+/// A Shannon expansion written as plain recursion from inner()/leaf() and
+/// the node accessors only: split every operand on the least root test
+/// until all are leaves, then apply \p Leaf. No terminal shortcuts and no
+/// memo, so it is slow but independent of the manager's operations.
+class ShannonReference {
+public:
+  explicit ShannonReference(FddManager &Manager) : M(Manager) {}
+
+  template <typename LeafFn>
+  FddRef apply(const std::vector<FddRef> &Ops, LeafFn Leaf) {
+    if (std::all_of(Ops.begin(), Ops.end(), isLeafRef))
+      return Leaf(Ops);
+    Test Split{std::numeric_limits<FieldId>::max(),
+               std::numeric_limits<FieldValue>::max()};
+    for (FddRef Op : Ops)
+      if (!isLeafRef(Op))
+        Split = std::min(Split, Test{M.innerNode(Op).Field,
+                                     M.innerNode(Op).Value});
+    std::vector<FddRef> Hi, Lo;
+    for (FddRef Op : Ops) {
+      Hi.push_back(restrict(Op, Split, true));
+      Lo.push_back(restrict(Op, Split, false));
+    }
+    FddRef HiRes = apply(Hi, Leaf);
+    return M.inner(Split.first, Split.second, HiRes, apply(Lo, Leaf));
+  }
+
+  FddRef negate(FddRef P) {
+    return apply({P}, [&](const std::vector<FddRef> &L) {
+      return L[0] == M.identityLeaf() ? M.dropLeaf() : M.identityLeaf();
+    });
+  }
+  FddRef disjoin(FddRef A, FddRef B) {
+    return apply({A, B}, [&](const std::vector<FddRef> &L) {
+      return L[0] == M.identityLeaf() || L[1] == M.identityLeaf()
+                 ? M.identityLeaf()
+                 : M.dropLeaf();
+    });
+  }
+  FddRef choice(const Rational &R, FddRef P, FddRef Q) {
+    return apply({P, Q}, [&](const std::vector<FddRef> &L) {
+      return M.leaf(
+          ActionDist::convex(R, M.leafDist(L[0]), M.leafDist(L[1])));
+    });
+  }
+  FddRef branch(FddRef G, FddRef T, FddRef E) {
+    return apply({G, T, E}, [&](const std::vector<FddRef> &L) {
+      return L[0] == M.identityLeaf() ? L[1] : L[2];
+    });
+  }
+
+private:
+  /// \p Ref under the assumption that test \p T holds (\p Holds) or fails;
+  /// \p Ref's root test is not smaller than \p T.
+  FddRef restrict(FddRef Ref, Test T, bool Holds) {
+    while (!isLeafRef(Ref)) {
+      const FddManager::InnerNode &N = M.innerNode(Ref);
+      if (N.Field != T.first)
+        break;
+      if (N.Value == T.second)
+        return Holds ? N.Hi : N.Lo;
+      if (!Holds)
+        break;
+      Ref = N.Lo;
+    }
+    return Ref;
+  }
+
+  FddManager &M;
+};
+
+/// Random ordered diagrams over NumFields fields with values 0..MaxValue,
+/// built bottom-up through inner() so every one is canonical.
+struct RandomDiagrams {
+  FddManager &M;
+  std::mt19937_64 Rng;
+  FieldId NumFields;
+  FieldValue MaxValue = 2;
+
+  /// A diagram whose tests are all at least \p Min; predicate diagrams
+  /// end in pass/drop, the rest in random distributions.
+  FddRef build(Test Min, unsigned Depth, bool Predicate) {
+    if (Min.first >= NumFields || Depth == 0 ||
+        std::uniform_int_distribution<int>(0, 3)(Rng) == 0)
+      return Predicate ? (coin() ? M.identityLeaf() : M.dropLeaf())
+                       : randomLeaf();
+    FieldId F = std::uniform_int_distribution<FieldId>(Min.first,
+                                                       NumFields - 1)(Rng);
+    FieldValue V = std::uniform_int_distribution<FieldValue>(
+        F == Min.first ? Min.second : 0, MaxValue)(Rng);
+    FddRef Hi = build({F + 1, 0}, Depth - 1, Predicate);
+    Test LoMin = V < MaxValue ? Test{F, V + 1} : Test{F + 1, 0};
+    return M.inner(F, V, Hi, build(LoMin, Depth - 1, Predicate));
+  }
+
+  FddRef randomLeaf() {
+    std::vector<std::pair<Action, Rational>> Entries;
+    int Parts = std::uniform_int_distribution<int>(1, 3)(Rng);
+    for (int I = 0; I < Parts; ++I) {
+      Action A =
+          std::uniform_int_distribution<int>(0, 4)(Rng) == 0
+              ? Action::drop()
+              : Action::modify({{std::uniform_int_distribution<FieldId>(
+                                     0, NumFields - 1)(Rng),
+                                 std::uniform_int_distribution<FieldValue>(
+                                     0, MaxValue)(Rng)}});
+      Entries.emplace_back(A, Rational(1, Parts));
+    }
+    return M.leaf(ActionDist::fromEntries(std::move(Entries)));
+  }
+
+  bool coin() { return std::uniform_int_distribution<int>(0, 1)(Rng); }
+};
+
+} // namespace
+
+class ApplyDifferential : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(ApplyDifferential, OpsMatchRecursiveReference) {
+  FddManager M;
+  RandomDiagrams Gen{M, std::mt19937_64(GetParam()),
+                     static_cast<FieldId>(3 + GetParam() % 2)};
+  ShannonReference Ref(M);
+  const Rational Weights[] = {Rational(1, 2), Rational(1, 3),
+                              Rational(3, 4)};
+
+  // Operands first, then one result per op and round; both go to gc() as
+  // roots so the warm pass can compare against the remapped results.
+  constexpr int Rounds = 40;
+  std::vector<FddRef> Preds, Progs;
+  for (int I = 0; I < 3 * Rounds; ++I) {
+    Preds.push_back(Gen.build({0, 0}, 5, /*Predicate=*/true));
+    Progs.push_back(Gen.build({0, 0}, 5, /*Predicate=*/false));
+  }
+  auto RunOps = [&](int I) {
+    FddRef P0 = Preds[3 * I], P1 = Preds[3 * I + 1];
+    FddRef G0 = Progs[3 * I], G1 = Progs[3 * I + 1], G2 = Progs[3 * I + 2];
+    const Rational &W = Weights[I % 3];
+    return std::vector<FddRef>{
+        M.negate(P0),       M.disjoin(P0, P1),    M.disjoin(P1, P1),
+        M.choice(W, G0, G1), M.choice(W, G1, G1), M.branch(P0, G0, G1),
+        M.branch(P1, P0, G2), M.branch(P0, G2, G2)};
+  };
+  auto Reference = [&](int I) {
+    FddRef P0 = Preds[3 * I], P1 = Preds[3 * I + 1];
+    FddRef G0 = Progs[3 * I], G1 = Progs[3 * I + 1], G2 = Progs[3 * I + 2];
+    const Rational &W = Weights[I % 3];
+    return std::vector<FddRef>{
+        Ref.negate(P0),       Ref.disjoin(P0, P1),    Ref.disjoin(P1, P1),
+        Ref.choice(W, G0, G1), Ref.choice(W, G1, G1), Ref.branch(P0, G0, G1),
+        Ref.branch(P1, P0, G2), Ref.branch(P0, G2, G2)};
+  };
+
+  // Cold: every op result is computed before its reference.
+  std::vector<std::vector<FddRef>> Results;
+  for (int I = 0; I < Rounds; ++I) {
+    Results.push_back(RunOps(I));
+    EXPECT_EQ(Results.back(), Reference(I)) << "cold round " << I;
+  }
+
+  // Warm: gc keeps the operands, the results and the cache entries over
+  // them; the ops must return the remapped results.
+  std::vector<FddRef *> Roots;
+  for (std::vector<FddRef> *Pool : {&Preds, &Progs})
+    for (FddRef &R : *Pool)
+      Roots.push_back(&R);
+  for (std::vector<FddRef> &Row : Results)
+    for (FddRef &R : Row)
+      Roots.push_back(&R);
+  GcStats Stats = M.gc(Roots);
+  EXPECT_GT(Stats.KeptCacheEntries, 0u);
+  for (int I = 0; I < Rounds; ++I) {
+    EXPECT_EQ(RunOps(I), Results[I]) << "warm round " << I;
+    EXPECT_EQ(Reference(I), Results[I]) << "warm reference round " << I;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ApplyDifferential,
+                         ::testing::Values(91u, 92u, 93u, 94u));
