@@ -80,7 +80,7 @@ static void BM_BigIntSmallAccumulate(benchmark::State &State) {
 BENCHMARK(BM_BigIntSmallAccumulate);
 
 static void BM_RationalSmallAdd(benchmark::State &State) {
-  // Small-operand add: the weightedSum / leaf-merge hot path.
+  // Small-operand add: the leaf-merge hot path (equal actions' weights).
   Rational A(3, 7), B(5, 9);
   for (auto _ : State)
     benchmark::DoNotOptimize(A + B);
@@ -95,7 +95,8 @@ static void BM_RationalSmallMul(benchmark::State &State) {
 BENCHMARK(BM_RationalSmallMul);
 
 static void BM_RationalSmallAccumulate(benchmark::State &State) {
-  // Mass += W over a full decomposition, as in FddManager::weightedSum.
+  // Mass += W over a full decomposition, as validateFdd sums each leaf's
+  // weights when a stored or imported diagram is checked.
   for (auto _ : State) {
     Rational Mass(0);
     for (int I = 0; I < 64; ++I)

@@ -12,6 +12,7 @@
 #include "support/Error.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <limits>
 #include <optional>
@@ -124,8 +125,10 @@ FddRef FddManager::cofactorFalse(FddRef Ref, FieldId Field,
 // test chains (one inner node per value, tens of thousands deep) would
 // otherwise overflow the call stack.
 //
-// negate, disjoin, choice and branch are one Shannon expansion over N
-// operands, run by apply(). A tuple resolves through the op's terminal
+// negate, disjoin, choice, branch and weightedSum (the leaf case of seq)
+// are one Shannon expansion over a tuple of operands, run by apply(). The
+// tuple's width is fixed per call: 1 to 3 for the first four, one operand
+// per distinct term for the sum. A tuple resolves through the op's terminal
 // rule (unmemoized), then its memo entry, then, when every operand is a
 // leaf, the op's leaf combiner. Otherwise it splits on the least root test
 // (F, V) of its operands under testLess: the true cofactors are solved,
@@ -140,31 +143,84 @@ FddRef FddManager::cofactorFalse(FddRef Ref, FieldId Field,
 // operand and rebuilds through branch(), and seqAction resolves tests
 // against its action's writes, taking one child instead of two.
 
-template <std::size_t N, std::size_t K, typename TerminalFn, typename KeyFn,
+namespace {
+/// The per-call memo of weightedSum: operand tuples of one width, each
+/// stored back to back with its result in one array. Slots hold the
+/// tuple's hash tag and index, as IndexSet's do.
+class TupleMemo : public FlatSlots<IndexSlot> {
+  uint32_t tagOf(const uint32_t *Key) const {
+    uint64_t H = 0;
+    for (std::size_t I = 0; I < Width; ++I)
+      H = H * 0x9e3779b97f4a7c15ULL + Key[I];
+    return static_cast<uint32_t>(mixHash(H) >> 32);
+  }
+  const uint32_t *entry(uint32_t Index) const {
+    return Entries.data() + Index * (Width + 1);
+  }
+  auto equalTo(const uint32_t *Key, uint32_t Tag) const {
+    return [this, Key, Tag](const IndexSlot &S) {
+      return S.Tag == Tag && std::equal(Key, Key + Width, entry(S.Index));
+    };
+  }
+
+  std::size_t Width;
+  /// Per tuple: its Width refs, then its result.
+  std::vector<uint32_t> Entries;
+
+public:
+  explicit TupleMemo(std::size_t TupleWidth) : Width(TupleWidth) {}
+
+  /// The recorded result for the tuple at \p Key, or nullptr.
+  const uint32_t *find(const uint32_t *Key) const {
+    if (Slots.empty())
+      return nullptr;
+    uint32_t Tag = tagOf(Key);
+    const IndexSlot &S = Slots[probe(Tag, equalTo(Key, Tag))];
+    return S.empty() ? nullptr : entry(S.Index) + Width;
+  }
+
+  /// Records the tuple at \p Key -> \p Value unless it has a result.
+  void insert(const uint32_t *Key, uint32_t Value) {
+    uint32_t Tag = tagOf(Key);
+    IndexSlot &S = slotFor(Tag, equalTo(Key, Tag));
+    if (S.empty()) {
+      S = {Tag, static_cast<uint32_t>(Count++)};
+      Entries.insert(Entries.end(), Key, Key + Width);
+      Entries.push_back(Value);
+    }
+  }
+};
+} // namespace
+
+template <typename MemoT, typename TerminalFn, typename KeyFn,
           typename CombineFn>
-FddRef FddManager::apply(std::array<FddRef, N> Operands, MemoTable<K> &Memo,
-                         TerminalFn Terminal, KeyFn Key, CombineFn Combine) {
+FddRef FddManager::apply(const FddRef *Operands, std::size_t Width,
+                         MemoT &Memo, TerminalFn Terminal, KeyFn Key,
+                         CombineFn Combine) {
   if (std::optional<FddRef> Out = Terminal(Operands))
     return *Out;
 
-  struct Frame {
-    std::array<FddRef, N> Ops;
-    FieldId Field;
-    FieldValue Value;
-    bool Expanded;
-  };
-  std::vector<Frame> Stack;
-  std::vector<FddRef> Values;
-  Stack.push_back({Operands, 0, 0, false});
+  // The operands of every frame live in one arena: the top frame's tuple
+  // is always the arena's last Width refs, so frames carry only their
+  // split test, and popping a frame drops its tuple. The stacks are
+  // members, empty between calls, so their capacity carries over.
+  std::vector<ApplyFrame> &Stack = ApplyStack;
+  std::vector<FddRef> &Arena = ApplyArena;
+  std::vector<FddRef> &Values = ApplyValues;
+  assert(Stack.empty() && Arena.empty() && Values.empty() &&
+         "apply() re-entered");
+  Arena.assign(Operands, Operands + Width);
+  Stack.push_back({0, 0, false});
   while (!Stack.empty()) {
-    Frame &Top = Stack.back();
+    ApplyFrame &Top = Stack.back();
+    const std::size_t Base = Arena.size() - Width;
+    const FddRef *Ops = Arena.data() + Base;
     if (!Top.Expanded) {
-      const std::array<FddRef, N> Ops = Top.Ops;
       std::optional<FddRef> Out = Terminal(Ops);
       if (!Out) {
         if (const FddRef *Hit = Memo.find(Key(Ops))) {
           Out = *Hit;
-        } else if (std::all_of(Ops.begin(), Ops.end(),
+        } else if (std::all_of(Ops, Ops + Width,
                                [](FddRef R) { return isLeafRef(R); })) {
           Out = Combine(Ops);
           Memo.insert(Key(Ops), *Out);
@@ -172,24 +228,28 @@ FddRef FddManager::apply(std::array<FddRef, N> Operands, MemoTable<K> &Memo,
       }
       if (Out) {
         Values.push_back(*Out);
+        Arena.resize(Base);
         Stack.pop_back();
         continue;
       }
       std::pair<FieldId, FieldValue> Split = rootTest(Ops[0]);
-      for (std::size_t I = 1; I < N; ++I)
+      for (std::size_t I = 1; I < Width; ++I)
         Split = std::min(Split, rootTest(Ops[I]), testLess);
       auto [F, V] = Split;
       Top.Field = F;
       Top.Value = V;
       Top.Expanded = true;
-      // Pushing below invalidates Top; cofactors allocate nothing.
-      Frame Hi{}, Lo{};
-      for (std::size_t I = 0; I < N; ++I) {
-        Hi.Ops[I] = cofactorTrue(Ops[I], F, V);
-        Lo.Ops[I] = cofactorFalse(Ops[I], F, V);
+      // Growing the arena and the stack below invalidates Ops and Top;
+      // cofactors allocate nothing.
+      Arena.resize(Base + 3 * Width);
+      FddRef *Parent = Arena.data() + Base;
+      FddRef *Lo = Parent + Width, *Hi = Lo + Width;
+      for (std::size_t I = 0; I < Width; ++I) {
+        Hi[I] = cofactorTrue(Parent[I], F, V);
+        Lo[I] = cofactorFalse(Parent[I], F, V);
       }
-      Stack.push_back(Lo);
-      Stack.push_back(Hi);
+      Stack.push_back({0, 0, false});
+      Stack.push_back({0, 0, false});
       continue;
     }
     FddRef LoRes = Values.back();
@@ -197,40 +257,52 @@ FddRef FddManager::apply(std::array<FddRef, N> Operands, MemoTable<K> &Memo,
     FddRef HiRes = Values.back();
     Values.pop_back();
     FddRef Result = inner(Top.Field, Top.Value, HiRes, LoRes);
-    Memo.insert(Key(Top.Ops), Result);
+    Memo.insert(Key(Ops), Result);
     Values.push_back(Result);
+    Arena.resize(Base);
     Stack.pop_back();
   }
   assert(Values.size() == 1 && "unbalanced traversal");
-  return Values.back();
+  FddRef Result = Values.back();
+  Values.clear();
+  return Result;
 }
 
 namespace {
+/// The memo key of a fixed-width op: its N operand refs.
+template <std::size_t N> std::array<uint32_t, N> refsKey(const FddRef *O) {
+  std::array<uint32_t, N> Key;
+  std::copy(O, O + N, Key.begin());
+  return Key;
+}
+
 /// The leaf combiner of the predicate operations: their terminal rules
 /// already resolve every tuple of pass/drop leaves.
-template <std::size_t N> FddRef notAPredicate(const std::array<FddRef, N> &) {
+FddRef notAPredicate(const FddRef *) {
   MCNK_UNREACHABLE("predicate operation on a non-predicate leaf");
 }
 } // namespace
 
 FddRef FddManager::negate(FddRef Pred) {
-  return apply<1>(
-      {Pred}, NegateCache,
-      [this](const std::array<FddRef, 1> &O) -> std::optional<FddRef> {
+  const FddRef Ops[] = {Pred};
+  return apply(
+      Ops, 1, NegateCache,
+      [this](const FddRef *O) -> std::optional<FddRef> {
         if (O[0] == IdentityLeaf)
           return DropLeaf;
         if (O[0] == DropLeaf)
           return IdentityLeaf;
         return std::nullopt;
       },
-      [](const std::array<FddRef, 1> &O) { return O; }, notAPredicate<1>);
+      refsKey<1>, notAPredicate);
 }
 
 FddRef FddManager::disjoin(FddRef PredA, FddRef PredB) {
-  return apply<2>(
-      {PredA, PredB}, DisjoinCache,
-      [this](const std::array<FddRef, 2> &O) -> std::optional<FddRef> {
-        auto [A, B] = O;
+  const FddRef Ops[] = {PredA, PredB};
+  return apply(
+      Ops, 2, DisjoinCache,
+      [this](const FddRef *O) -> std::optional<FddRef> {
+        FddRef A = O[0], B = O[1];
         if (A == B || B == DropLeaf)
           return A;
         if (A == DropLeaf)
@@ -239,11 +311,11 @@ FddRef FddManager::disjoin(FddRef PredA, FddRef PredB) {
           return IdentityLeaf;
         return std::nullopt;
       },
-      [](const std::array<FddRef, 2> &O) {
+      [](const FddRef *O) {
         return std::array<uint32_t, 2>{std::min(O[0], O[1]),
                                        std::max(O[0], O[1])};
       },
-      notAPredicate<2>);
+      notAPredicate);
 }
 
 FddRef FddManager::choice(const Rational &R, FddRef P, FddRef Q) {
@@ -255,33 +327,35 @@ FddRef FddManager::choice(const Rational &R, FddRef P, FddRef Q) {
   // R is invariant across the whole decomposition: intern it once, so
   // cache keys carry only its id.
   const uint32_t Weight = internWeight(R);
-  return apply<2>(
-      {P, Q}, ChoiceCache,
-      [](const std::array<FddRef, 2> &O) -> std::optional<FddRef> {
+  const FddRef Ops[] = {P, Q};
+  return apply(
+      Ops, 2, ChoiceCache,
+      [](const FddRef *O) -> std::optional<FddRef> {
         if (O[0] == O[1])
           return O[0];
         return std::nullopt;
       },
-      [Weight](const std::array<FddRef, 2> &O) {
+      [Weight](const FddRef *O) {
         return std::array<uint32_t, 3>{Weight, O[0], O[1]};
       },
-      [this, &R](const std::array<FddRef, 2> &O) {
+      [this, &R](const FddRef *O) {
         return leaf(ActionDist::convex(R, leafDist(O[0]), leafDist(O[1])));
       });
 }
 
 FddRef FddManager::branch(FddRef Guard, FddRef Then, FddRef Else) {
-  return apply<3>(
-      {Guard, Then, Else}, BranchCache,
-      [this](const std::array<FddRef, 3> &O) -> std::optional<FddRef> {
-        auto [G, T, E] = O;
+  const FddRef Ops[] = {Guard, Then, Else};
+  return apply(
+      Ops, 3, BranchCache,
+      [this](const FddRef *O) -> std::optional<FddRef> {
+        FddRef G = O[0], T = O[1], E = O[2];
         if (G == IdentityLeaf || T == E)
           return T;
         if (G == DropLeaf)
           return E;
         return std::nullopt;
       },
-      [](const std::array<FddRef, 3> &O) { return O; }, notAPredicate<3>);
+      refsKey<3>, notAPredicate);
 }
 
 FddRef FddManager::seqAction(uint32_t ActionId, FddRef Q) {
@@ -366,18 +440,76 @@ FddRef FddManager::seqAction(uint32_t ActionId, FddRef Q) {
 FddRef FddManager::weightedSum(
     std::vector<std::pair<Rational, FddRef>> Terms) {
   assert(!Terms.empty() && "weighted sum of nothing");
-  FddRef Acc = Terms.back().second;
-  // Mass accumulates in place (int64 fast path for the typical small
-  // per-leaf weights); the per-step ratio W / Mass is the only temporary.
-  Rational Mass = std::move(Terms.back().first);
-  for (std::size_t I = Terms.size() - 1; I-- > 0;) {
-    auto &[W, Ref] = Terms[I];
-    Mass += W;
-    W /= Mass;
-    Acc = choice(W, Ref, Acc);
+  assert([&Terms] {
+    Rational Mass;
+    for (const auto &Term : Terms)
+      Mass += Term.first;
+    return Mass.isOne();
+  }() && "weighted sum must be a full decomposition");
+  // Equal operands merge up front, their weights adding, so each distinct
+  // diagram is one operand of the expansion.
+  std::sort(Terms.begin(), Terms.end(),
+            [](const auto &A, const auto &B) { return A.second < B.second; });
+  std::size_t Width = 1;
+  for (std::size_t I = 1; I < Terms.size(); ++I) {
+    if (Terms[I].second == Terms[Width - 1].second) {
+      Terms[Width - 1].first += Terms[I].first;
+    } else {
+      if (Width != I)
+        Terms[Width] = std::move(Terms[I]);
+      ++Width;
+    }
   }
-  assert(Mass.isOne() && "weighted sum must be a full decomposition");
-  return Acc;
+  if (Width == 1)
+    return Terms[0].second;
+  std::vector<FddRef> Operands(Width);
+  for (std::size_t I = 0; I < Width; ++I)
+    Operands[I] = Terms[I].second;
+
+  // The weights are fixed for the whole expansion, so a memo on the
+  // operand refs alone, scoped to this call, is exact; SeqCache keeps the
+  // result across calls.
+  TupleMemo Memo(Width);
+  // One leaf term per operand entry: the action, its probability in that
+  // leaf, and the operand's index. Reused across all-leaf tuples.
+  struct LeafTerm {
+    const Action *A;
+    const Rational *P;
+    std::size_t Operand;
+  };
+  std::vector<LeafTerm> LeafTerms;
+  return apply(
+      Operands.data(), Width, Memo,
+      [Width](const FddRef *O) -> std::optional<FddRef> {
+        if (std::all_of(O + 1, O + Width, [O](FddRef R) { return R == O[0]; }))
+          return O[0];
+        return std::nullopt;
+      },
+      [](const FddRef *O) { return O; },
+      [&, this](const FddRef *O) {
+        // Σ wᵢ·pᵢⱼ per action j: gather every operand's entries, group
+        // them by action, and build each output weight from the original
+        // weights in one pass.
+        LeafTerms.clear();
+        for (std::size_t I = 0; I < Width; ++I)
+          for (const auto &[A, P] : leafDist(O[I]).entries())
+            LeafTerms.push_back({&A, &P, I});
+        std::sort(LeafTerms.begin(), LeafTerms.end(),
+                  [](const LeafTerm &X, const LeafTerm &Y) {
+                    return *X.A < *Y.A;
+                  });
+        std::vector<std::pair<Action, Rational>> Entries;
+        Entries.reserve(LeafTerms.size());
+        for (const LeafTerm &T : LeafTerms) {
+          if (Entries.empty() || Entries.back().first != *T.A) {
+            Entries.emplace_back(*T.A, Terms[T.Operand].first);
+            Entries.back().second *= *T.P;
+          } else {
+            Entries.back().second.addMul(Terms[T.Operand].first, *T.P);
+          }
+        }
+        return leaf(ActionDist::fromEntries(std::move(Entries)));
+      });
 }
 
 FddRef FddManager::seq(FddRef P, FddRef Q) {
@@ -423,8 +555,8 @@ FddRef FddManager::seq(FddRef P, FddRef Q) {
       }
       if (isLeafRef(A)) {
         // Leaf ▷ diagram: decompose into per-action compositions (each
-        // one an iterative seqAction) and reassemble; weightedSum and
-        // choice are themselves non-recursive. Copy the entries: the
+        // one an iterative seqAction) and reassemble them with
+        // weightedSum, which runs on apply(). Copy the entries: the
         // seqAction calls intern new leaves, which can relocate the pool
         // the distribution lives in.
         const std::vector<std::pair<Action, Rational>> Entries =

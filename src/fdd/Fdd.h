@@ -26,7 +26,6 @@
 #include "packet/Packet.h"
 #include "support/Hashing.h"
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <unordered_map>
@@ -210,16 +209,23 @@ private:
   uint32_t internWeight(const Rational &R);
   /// a ▷ q: runs q on the output of the single action a.
   FddRef seqAction(uint32_t ActionId, FddRef Q);
-  /// Weighted sum of FDDs (weights positive, summing to at most one; the
-  /// missing mass is implicit drop — callers pass full decompositions).
+  /// Σ wᵢ·Refᵢ over the terms (weights positive and summing to one; a
+  /// caller's dropped mass is a term on the drop leaf). Terms with equal
+  /// refs merge first, their weights adding. The distinct refs are then
+  /// one operand tuple of apply(): a simultaneous Shannon expansion over
+  /// all of them, whose all-leaf tuples build Σ wᵢ·pᵢⱼ per action j
+  /// straight from the original weights. The memo is scoped to the call,
+  /// since the weights are; seq's cache keeps the result.
   FddRef weightedSum(std::vector<std::pair<Rational, FddRef>> Terms);
-  /// The Shannon-expansion engine behind negate, disjoin, choice and
-  /// branch (defined in Fdd.cpp). \p Terminal maps an operand tuple to
-  /// its unmemoized result or nullopt; \p Key gives its \p Memo key;
-  /// \p Combine builds the result of an all-leaf tuple.
-  template <std::size_t N, std::size_t K, typename TerminalFn,
-            typename KeyFn, typename CombineFn>
-  FddRef apply(std::array<FddRef, N> Operands, MemoTable<K> &Memo,
+  /// The Shannon-expansion engine behind negate, disjoin, choice, branch
+  /// and weightedSum (defined in Fdd.cpp), over a tuple of \p Width
+  /// operands. \p Terminal maps a tuple to its unmemoized result or
+  /// nullopt; \p Key gives its \p Memo key; \p Combine builds the result
+  /// of an all-leaf tuple. Each callback gets the tuple as a pointer to
+  /// its \p Width refs.
+  template <typename MemoT, typename TerminalFn, typename KeyFn,
+            typename CombineFn>
+  FddRef apply(const FddRef *Operands, std::size_t Width, MemoT &Memo,
                TerminalFn Terminal, KeyFn Key, CombineFn Combine);
 
   markov::SolverKind Solver;
@@ -255,6 +261,18 @@ private:
   };
   std::unordered_map<std::pair<FddRef, FddRef>, LoopEntry, PairHash>
       LoopCache;
+
+  /// apply()'s frame stack, operand arena and value stack. apply() never
+  /// re-enters itself, so they are empty between calls and keep their
+  /// capacity from one call to the next.
+  struct ApplyFrame {
+    FieldId Field;
+    FieldValue Value;
+    bool Expanded;
+  };
+  std::vector<ApplyFrame> ApplyStack;
+  std::vector<FddRef> ApplyArena;
+  std::vector<FddRef> ApplyValues;
 
   LoopSolveStats LastLoop;
 };

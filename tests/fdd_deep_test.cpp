@@ -17,6 +17,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 using namespace mcnk;
 using namespace mcnk::fdd;
 
@@ -125,17 +128,26 @@ TEST(FddDeepChainTest, SeqSurvivesDeepLhs) {
 TEST(FddDeepChainTest, SeqActionAndWeightedSumSurviveDeepRhs) {
   FddManager M;
   FddRef Chain = buildChain(M, Depth, 0, M.identityLeaf());
-  // A two-action leaf (the convex combination of two writes) composed
-  // before a deep diagram: drives seqAction down all 50k nodes for each
-  // action and reassembles through weightedSum + choice.
-  FddRef TwoWrites =
-      M.choice(Rational(1, 2), M.assign(Scratch0, 1), M.assign(Scratch1, 1));
-  ASSERT_TRUE(isLeafRef(TwoWrites));
-  FddRef Composite = M.seq(TwoWrites, Chain);
-  // Neither scratch write changes the chain's verdict.
+  // An eight-action leaf (writes of 1..8 to one scratch field, weights
+  // 1/2, 1/4, ..., 1/128, 1/128) composed before a deep diagram: drives
+  // seqAction down all 50k nodes for each action, then the weighted sum
+  // down all eight results at once.
+  constexpr int Terms = 8;
+  std::vector<std::pair<Action, Rational>> Entries;
+  for (int I = 1; I <= Terms; ++I)
+    Entries.emplace_back(
+        Action::modify({{Scratch0, static_cast<FieldValue>(I)}}),
+        Rational(1, int64_t(1) << std::min(I, Terms - 1)));
+  FddRef EightWrites = M.leaf(ActionDist::fromEntries(std::move(Entries)));
+  FddRef Composite = M.seq(EightWrites, Chain);
+  EXPECT_EQ(M.diagramSize(Composite), Depth + 2u);
+  // No scratch write changes the chain's verdict.
   auto OutPass = M.outputDistribution(Composite, allZero());
-  EXPECT_EQ(OutPass.Outputs.size(), 2u);
+  EXPECT_EQ(OutPass.Outputs.size(), std::size_t(Terms));
   EXPECT_TRUE(OutPass.Dropped.isZero());
+  Packet First = allZero();
+  First.set(Scratch0, 1);
+  EXPECT_EQ(OutPass.Outputs[First], Rational(1, 2));
   auto OutDrop = M.outputDistribution(Composite, allOnes());
   EXPECT_TRUE(OutDrop.Outputs.empty());
   EXPECT_TRUE(OutDrop.Dropped.isOne());

@@ -5,8 +5,10 @@
 /// solving against textbook closed forms (gambler's ruin expressed as a
 /// ProbNetKAT program), algebraic-law sweeps on random subterms (canonical
 /// diagrams turn semantic laws into reference equalities), export/import
-/// preservation on random programs, and an op-level differential of the
-/// apply operations against a recursive Shannon-expansion reference.
+/// preservation on random programs, an op-level differential of the
+/// apply operations against a recursive Shannon-expansion reference, and a
+/// differential of seq's n-ary weighted sum against a fold of binary
+/// choices.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -466,3 +468,159 @@ TEST_P(ApplyDifferential, OpsMatchRecursiveReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ApplyDifferential,
                          ::testing::Values(91u, 92u, 93u, 94u));
+
+//===----------------------------------------------------------------------===//
+// seq's weighted sum vs a fold of binary choices
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A prime in [Lo, 10^6], by trial division from a random start.
+int64_t randomPrime(std::mt19937_64 &Rng, int64_t Lo) {
+  int64_t N = std::uniform_int_distribution<int64_t>(Lo, 1000000)(Rng);
+  for (;; N = N < 1000000 ? N + 1 : Lo) {
+    bool Prime = N >= 2;
+    for (int64_t D = 2; Prime && D * D <= N; ++D)
+      Prime = N % D != 0;
+    if (Prime)
+      return N;
+  }
+}
+
+/// seq(L, Q) as a fold of binary choices: each action's composition
+/// seq(dirac(a_i), Q), folded right to left as n−1 choices with the ratio
+/// weights w_i / (w_i + ... + w_n). Adds to
+/// \p Shared the number of entries whose composition equals an earlier
+/// entry's.
+FddRef ratioFold(FddManager &M, FddRef L, FddRef Q, std::size_t &Shared) {
+  // Copy: the calls below intern leaves, which can move the pool.
+  const std::vector<std::pair<Action, Rational>> Entries =
+      M.leafDist(L).entries();
+  std::vector<FddRef> Seen;
+  auto Compose = [&](const Action &A) {
+    FddRef Ref = M.seq(M.leaf(ActionDist::dirac(A)), Q);
+    Shared += std::count(Seen.begin(), Seen.end(), Ref) != 0;
+    Seen.push_back(Ref);
+    return Ref;
+  };
+  FddRef Acc = Compose(Entries.back().first);
+  Rational Mass = Entries.back().second;
+  for (std::size_t I = Entries.size() - 1; I-- > 0;) {
+    Mass += Entries[I].second;
+    Acc = M.choice(Entries[I].second / Mass, Compose(Entries[I].first), Acc);
+  }
+  EXPECT_TRUE(Mass.isOne());
+  return Acc;
+}
+
+} // namespace
+
+class WeightedSumDifferential : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(WeightedSumDifferential, SeqMatchesRatioFold) {
+  FddManager M;
+  std::mt19937_64 Rng(GetParam());
+  RandomDiagrams Gen{M, std::mt19937_64(GetParam() + 1000), 3};
+  // Q never tests Scratch; the overwriting Qs end in Scratch := 0, so all
+  // actions that differ only in their Scratch write compose to one diagram.
+  const FieldId Scratch = Gen.NumFields;
+  std::vector<FddRef> Qs;
+  for (int I = 0; I < 3; ++I) {
+    Qs.push_back(Gen.build({0, 0}, 5, /*Predicate=*/false));
+    Qs.push_back(M.seq(Gen.build({0, 0}, 5, /*Predicate=*/false),
+                       M.assign(Scratch, 0)));
+  }
+
+  // Leaves of every size from 1 to 12 entries, twice over. Weights have
+  // pairwise coprime prime denominators up to 10^6; the last entry takes
+  // the remaining mass, so its denominator is their product (usually
+  // wider than 64 bits from five entries on).
+  std::vector<FddRef> Leaves;
+  for (int Size = 1; Size <= 24; ++Size) {
+    const int N = (Size - 1) % 12 + 1;
+    std::vector<std::pair<Action, Rational>> Entries;
+    std::vector<int64_t> Primes;
+    Rational Rest(1);
+    for (int I = 0; I < N; ++I) {
+      Action A;
+      switch (std::uniform_int_distribution<int>(0, 3)(Rng)) {
+      case 0: // Drop, or (once a drop is in) the identity.
+        A = std::any_of(Entries.begin(), Entries.end(),
+                        [](const auto &E) { return E.first.isDrop(); })
+                ? Action()
+                : Action::drop();
+        break;
+      case 1: // Only a Scratch write: collides under the overwriting Qs.
+        A = Action::modify({{Scratch, static_cast<FieldValue>(I)}});
+        break;
+      default:
+        A = Action::modify(
+            {{std::uniform_int_distribution<FieldId>(0, Scratch - 1)(Rng),
+              std::uniform_int_distribution<FieldValue>(0, 2)(Rng)},
+             {Scratch, static_cast<FieldValue>(I)}});
+      }
+      if (std::any_of(Entries.begin(), Entries.end(),
+                      [&A](const auto &E) { return E.first == A; }))
+        A = Action::modify({{Scratch, static_cast<FieldValue>(100 + I)}});
+      if (I + 1 == N) {
+        Entries.emplace_back(A, Rest);
+        break;
+      }
+      int64_t P;
+      do
+        P = randomPrime(Rng, 2 * N);
+      while (std::find(Primes.begin(), Primes.end(), P) != Primes.end());
+      Primes.push_back(P);
+      Rational W(std::uniform_int_distribution<int64_t>(1, P / (2 * N))(Rng),
+                 P);
+      Rest -= W;
+      Entries.emplace_back(A, W);
+    }
+    Leaves.push_back(M.leaf(ActionDist::fromEntries(std::move(Entries))));
+  }
+  // One weight of more than 64 bits: 2^-80 on a write, the rest split.
+  const Rational Tiny(BigInt(1), BigInt(1).shl(80));
+  Leaves.push_back(M.leaf(ActionDist::fromEntries(
+      {{Action::modify({{0, 1}}), Tiny},
+       {Action::drop(), Rational(1, 3)},
+       {Action::modify({{Scratch, 7}}), Rational(2, 3) - Tiny}})));
+  ASSERT_FALSE(Tiny.denominator().isSmallRep());
+
+  // Cold: each seq runs before its fold, in a manager that has not seen
+  // the pair. The first half of the pairs go here, the rest after gc().
+  const std::size_t Pairs = Leaves.size() * Qs.size();
+  std::vector<FddRef> Results(Pairs);
+  auto Pair = [&](std::size_t K) {
+    return std::make_pair(Leaves[K / Qs.size()], Qs[K % Qs.size()]);
+  };
+  std::size_t Shared = 0;
+  for (std::size_t K = 0; K < Pairs / 2; ++K) {
+    auto [L, Q] = Pair(K);
+    Results[K] = M.seq(L, Q);
+    EXPECT_EQ(Results[K], ratioFold(M, L, Q, Shared)) << "cold pair " << K;
+  }
+  EXPECT_GT(Shared, 0u) << "no two actions composed to one diagram";
+
+  // Warm: gc keeps the operands, the results and the cache entries over
+  // them; the first half must come back remapped, the second half is new
+  // work on compacted tables.
+  std::vector<FddRef *> Roots;
+  for (std::vector<FddRef> *Pool : {&Qs, &Leaves})
+    for (FddRef &R : *Pool)
+      Roots.push_back(&R);
+  for (std::size_t K = 0; K < Pairs / 2; ++K)
+    Roots.push_back(&Results[K]);
+  GcStats Stats = M.gc(Roots);
+  EXPECT_GT(Stats.KeptCacheEntries, 0u);
+  for (std::size_t K = 0; K < Pairs; ++K) {
+    auto [L, Q] = Pair(K);
+    FddRef Sum = M.seq(L, Q);
+    if (K < Pairs / 2) {
+      EXPECT_EQ(Sum, Results[K]) << "warm pair " << K;
+    }
+    EXPECT_EQ(Sum, ratioFold(M, L, Q, Shared)) << "warm pair " << K;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, WeightedSumDifferential,
+                         ::testing::Values(101u, 102u, 103u, 104u));
