@@ -8,9 +8,14 @@
 /// requests/second for each. The warm run must answer from the disk
 /// store: the bench asserts entries were warmed, compile requests hit the
 /// cache, nothing new was appended, and every response line is
-/// byte-identical to the cold run's. Knobs:
+/// byte-identical to the cold run's. A third row replays the front-end
+/// verbs, `lint` and sliced (`"slice":true`) delivery, each request
+/// repeated, through one in-memory service: every repeat must answer
+/// byte-identically, and the row records how many the daemon's front-end
+/// memo answered. Knobs:
 ///   MCNK_SERVE_STORE   store file path (default /tmp/mcnk_serve_tp.store)
-///   MCNK_SERVE_REPEAT  query repeats per scenario        (default 4)
+///   MCNK_SERVE_REPEAT  query, lint and sliced-query repeats per
+///                      scenario                          (default 4)
 ///   MCNK_SERVE_JSON    write the trajectory point here
 ///
 //===----------------------------------------------------------------------===//
@@ -24,6 +29,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -31,11 +37,17 @@ using namespace mcnk;
 
 namespace {
 
-/// One scenario's request lines: compile once, then the batched queries.
-std::vector<std::string> requestLines(ast::Context &Ctx,
-                                      const gen::Scenario &S,
-                                      unsigned Repeat) {
-  std::vector<std::string> Lines;
+/// One scenario's request lines. Replay: compile once, then the batched
+/// queries. FrontEnd: lint and sliced delivery, \p Repeat times each.
+struct ScenarioLines {
+  std::vector<std::string> Replay;
+  std::vector<std::string> FrontEnd;
+};
+
+ScenarioLines requestLines(ast::Context &Ctx, const gen::Scenario &S,
+                           unsigned Repeat) {
+  ScenarioLines Out;
+  std::vector<std::string> &Lines = Out.Replay;
   const std::string Printed = ast::print(S.Program, Ctx.fields());
 
   // Inputs travel by field NAME, restricted to fields the printed
@@ -44,7 +56,7 @@ std::vector<std::string> requestLines(ast::Context &Ctx,
   ast::Context ServedCtx;
   parser::ParseResult Parsed = parser::parseProgram(Printed, ServedCtx);
   if (!Parsed.ok())
-    return Lines;
+    return Out;
   serve::Json Inputs = serve::Json::array();
   for (const Packet &In : S.Inputs) {
     serve::Json Obj = serve::Json::object();
@@ -82,7 +94,17 @@ std::vector<std::string> requestLines(ast::Context &Ctx,
             serve::Json::string(Ctx.fields().name(S.HopField)));
     Lines.push_back(Hop.dump());
   }
-  return Lines;
+
+  serve::Json Lint = serve::Json::object();
+  Lint.set("verb", serve::Json::string("lint"));
+  Lint.set("program", serve::Json::string(Printed));
+  serve::Json Sliced = Delivery;
+  Sliced.set("slice", serve::Json::boolean(true));
+  for (unsigned R = 0; R < Repeat; ++R) {
+    Out.FrontEnd.push_back(Lint.dump());
+    Out.FrontEnd.push_back(Sliced.dump());
+  }
+  return Out;
 }
 
 struct PhaseResult {
@@ -130,6 +152,56 @@ PhaseResult runPhase(const std::string &StorePath,
   return Out;
 }
 
+struct FrontEndResult {
+  double Seconds = 0;
+  int64_t MemoHits = 0;
+  bool Ok = false;
+};
+
+/// Runs the front-end lines through one fresh in-memory Service + Session
+/// and checks that every repeat of a request answers byte-identically to
+/// its first answer. MemoHits comes from the stats verb's "memo" object
+/// (0 when the daemon reports none).
+FrontEndResult runFrontEnd(const std::vector<std::string> &Lines) {
+  FrontEndResult Out;
+  serve::Service::Options Opts;
+  Opts.Threads = 1;
+  std::string Error;
+  std::unique_ptr<serve::Service> Svc =
+      serve::Service::create(Opts, &Error);
+  if (!Svc) {
+    std::fprintf(stderr, "error: %s\n", Error.c_str());
+    return Out;
+  }
+  serve::Session Sess(*Svc);
+  std::vector<std::string> Responses;
+  Responses.reserve(Lines.size());
+  WallTimer Timer;
+  for (const std::string &Line : Lines)
+    Responses.push_back(Sess.handleLine(Line));
+  Out.Seconds = Timer.elapsed();
+
+  std::map<std::string, std::string> FirstAnswer;
+  bool Identical = true;
+  for (std::size_t I = 0; I < Lines.size(); ++I)
+    Identical &= FirstAnswer.emplace(Lines[I], Responses[I])
+                     .first->second == Responses[I];
+  if (!Identical)
+    std::fprintf(stderr, "error: a repeated front-end request answered "
+                         "differently\n");
+  serve::Json Stats;
+  if (serve::parseJson(Sess.handleLine("{\"verb\":\"stats\"}"), Stats,
+                        nullptr)) {
+    if (const serve::Json *Memo = Stats.find("memo"))
+      Out.MemoHits = Memo->find("hits")->asInt();
+  }
+  if (Svc->errors() != 0)
+    std::fprintf(stderr, "error: %llu front-end request(s) failed\n",
+                 static_cast<unsigned long long>(Svc->errors()));
+  Out.Ok = Identical && Svc->errors() == 0;
+  return Out;
+}
+
 } // namespace
 
 int main() {
@@ -143,13 +215,15 @@ int main() {
 
   std::vector<gen::ScenarioSpec> Registry = gen::buildRegistry();
   std::vector<std::unique_ptr<ast::Context>> Contexts;
-  std::vector<std::string> Lines;
+  std::vector<std::string> Lines, FrontEndLines;
   std::size_t NumScenarios = 0;
   for (const gen::ScenarioSpec &Spec : Registry) {
     Contexts.push_back(std::make_unique<ast::Context>());
     gen::Scenario S = Spec.Build(*Contexts.back());
-    std::vector<std::string> L = requestLines(*Contexts.back(), S, Repeat);
-    Lines.insert(Lines.end(), L.begin(), L.end());
+    ScenarioLines L = requestLines(*Contexts.back(), S, Repeat);
+    Lines.insert(Lines.end(), L.Replay.begin(), L.Replay.end());
+    FrontEndLines.insert(FrontEndLines.end(), L.FrontEnd.begin(),
+                         L.FrontEnd.end());
     ++NumScenarios;
   }
 
@@ -160,7 +234,8 @@ int main() {
 
   PhaseResult Cold = runPhase(StorePath, Lines);
   PhaseResult Warm = runPhase(StorePath, Lines);
-  if (!Cold.Ok || !Warm.Ok)
+  FrontEndResult Front = runFrontEnd(FrontEndLines);
+  if (!Cold.Ok || !Warm.Ok || !Front.Ok)
     return 1;
 
   // The restart contract: the warm service loaded the cold run's
@@ -191,6 +266,13 @@ int main() {
   std::printf("restart speedup %.2fx; responses %s\n",
               Warm.Seconds > 0 ? Cold.Seconds / Warm.Seconds : 0.0,
               Identical ? "byte-identical" : "MISMATCH");
+  double FrontRps =
+      Front.Seconds > 0 ? FrontEndLines.size() / Front.Seconds : 0;
+  std::printf("front-end (lint + sliced delivery, x%u each): %8.3f s  "
+              "%10.1f req/s  (%lld memo hits of %zu requests)\n",
+              Repeat, Front.Seconds, FrontRps,
+              static_cast<long long>(Front.MemoHits),
+              FrontEndLines.size());
 
   if (const char *Path = std::getenv("MCNK_SERVE_JSON"); Path && *Path) {
     if (std::FILE *F = std::fopen(Path, "w")) {
@@ -217,14 +299,19 @@ int main() {
           "  \"warm_cache_hits\": %llu,\n"
           "  \"warm_store_appends\": %zu,\n"
           "  \"restart_speedup\": %.3f,\n"
-          "  \"responses_identical\": %s\n"
+          "  \"responses_identical\": %s,\n"
+          "  \"frontend_requests\": %zu,\n"
+          "  \"frontend_seconds\": %.6f,\n"
+          "  \"frontend_requests_per_second\": %.1f,\n"
+          "  \"frontend_memo_hits\": %lld\n"
           "}\n",
           NumScenarios, Lines.size(), Cold.Seconds, ColdRps,
           Cold.StoreAppends, Warm.Seconds, WarmRps, Warm.WarmedEntries,
           static_cast<unsigned long long>(Warm.CacheHits),
           Warm.StoreAppends,
           Warm.Seconds > 0 ? Cold.Seconds / Warm.Seconds : 0.0,
-          Identical ? "true" : "false");
+          Identical ? "true" : "false", FrontEndLines.size(),
+          Front.Seconds, FrontRps, static_cast<long long>(Front.MemoHits));
       std::fclose(F);
       std::printf("wrote %s\n", Path);
     } else {

@@ -77,6 +77,20 @@ Packet Action::applyTo(const Packet &P) const {
   return Result;
 }
 
+namespace {
+
+/// The debug mass check, summed in its own pass so release builds skip the
+/// adds.
+[[maybe_unused]] bool
+sumsToOne(const std::vector<std::pair<Action, Rational>> &Entries) {
+  Rational Total;
+  for (const auto &Entry : Entries)
+    Total += Entry.second;
+  return Total.isOne();
+}
+
+} // namespace
+
 ActionDist
 ActionDist::fromEntries(std::vector<std::pair<Action, Rational>> Raw) {
   std::sort(Raw.begin(), Raw.end(),
@@ -92,13 +106,29 @@ ActionDist::fromEntries(std::vector<std::pair<Action, Rational>> Raw) {
     else
       Result.Entries.push_back(std::move(Entry));
   }
-  // The mass check sums in its own pass so release builds skip the adds.
-  assert([&Result] {
-    Rational Total;
-    for (const auto &Entry : Result.Entries)
-      Total += Entry.second;
-    return Total.isOne();
-  }() && "action distribution must sum to one");
+  assert(sumsToOne(Result.Entries) && "action distribution must sum to one");
+  return Result;
+}
+
+ActionDist ActionDist::fromCanonicalEntries(
+    std::vector<std::pair<Action, Rational>> Canonical) {
+  ActionDist Result;
+  Result.Entries = std::move(Canonical);
+  Result.Entries.erase(
+      std::remove_if(Result.Entries.begin(), Result.Entries.end(),
+                     [](const auto &Entry) { return Entry.second.isZero(); }),
+      Result.Entries.end());
+  assert(std::adjacent_find(Result.Entries.begin(), Result.Entries.end(),
+                            [](const auto &A, const auto &B) {
+                              return !(A.first < B.first);
+                            }) == Result.Entries.end() &&
+         "entries must be strictly sorted by action");
+  assert(std::none_of(Result.Entries.begin(), Result.Entries.end(),
+                      [](const auto &Entry) {
+                        return Entry.second.isNegative();
+                      }) &&
+         "negative probability");
+  assert(sumsToOne(Result.Entries) && "action distribution must sum to one");
   return Result;
 }
 

@@ -100,6 +100,12 @@ public:
   static ActionDist
   fromEntries(std::vector<std::pair<Action, Rational>> Entries);
 
+  /// Builds from entries already sorted by action with no duplicates
+  /// (asserted), skipping fromEntries' sort and merge; still drops zero
+  /// weights and asserts the total is one.
+  static ActionDist
+  fromCanonicalEntries(std::vector<std::pair<Action, Rational>> Entries);
+
   /// r·Lhs + (1-r)·Rhs.
   static ActionDist convex(const Rational &R, const ActionDist &Lhs,
                            const ActionDist &Rhs);

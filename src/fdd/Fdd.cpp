@@ -508,7 +508,7 @@ FddRef FddManager::weightedSum(
             Entries.back().second.addMul(Terms[T.Operand].first, *T.P);
           }
         }
-        return leaf(ActionDist::fromEntries(std::move(Entries)));
+        return leaf(ActionDist::fromCanonicalEntries(std::move(Entries)));
       });
 }
 

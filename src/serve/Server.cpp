@@ -83,6 +83,50 @@ std::unique_ptr<Service> Service::create(const Options &Opts,
   return Svc;
 }
 
+std::size_t Service::MemoKeyHasher::operator()(const MemoKey &K) const {
+  std::hash<std::string> H;
+  std::size_t Seed = H(K.Program);
+  Seed = Seed * 31 + H(K.Query);
+  Seed = Seed * 31 + static_cast<std::size_t>(K.Solver);
+  return Seed * 31 + H(K.HopField);
+}
+
+std::shared_ptr<const Service::MemoValue>
+Service::lookupMemo(const MemoKey &Key) {
+  std::lock_guard<std::mutex> Lock(MemoMutex);
+  auto It = MemoIndex.find(Key);
+  if (It == MemoIndex.end()) {
+    ++MemoMisses;
+    return nullptr;
+  }
+  ++MemoHits;
+  MemoLru.splice(MemoLru.begin(), MemoLru, It->second);
+  return It->second->second;
+}
+
+std::shared_ptr<const Service::MemoValue>
+Service::insertMemo(MemoKey Key, MemoValue Value) {
+  auto Stored = std::make_shared<const MemoValue>(std::move(Value));
+  std::lock_guard<std::mutex> Lock(MemoMutex);
+  auto It = MemoIndex.find(Key);
+  if (It != MemoIndex.end()) {
+    MemoLru.splice(MemoLru.begin(), MemoLru, It->second);
+    return It->second->second;
+  }
+  MemoLru.emplace_front(std::move(Key), Stored);
+  MemoIndex.emplace(MemoLru.front().first, MemoLru.begin());
+  if (MemoLru.size() > MemoCapacity) {
+    MemoIndex.erase(MemoLru.back().first);
+    MemoLru.pop_back();
+  }
+  return Stored;
+}
+
+std::size_t Service::memoEntries() const {
+  std::lock_guard<std::mutex> Lock(MemoMutex);
+  return MemoLru.size();
+}
+
 //===----------------------------------------------------------------------===//
 // Session
 //===----------------------------------------------------------------------===//
@@ -288,27 +332,37 @@ Json Session::handleLint(const Json &Request) {
       return errorResponse("\"file\" must be a string");
     File = F->asString();
   }
-  ast::Context Ctx;
-  parser::ParseResult Parsed = parser::parseProgram(*Program, Ctx);
-  if (!Parsed.ok())
-    return errorResponse(Parsed.Diagnostics.empty()
-                             ? "parse error"
-                             : Parsed.Diagnostics.front().render());
-  std::vector<LintEntry> Entries =
-      lintProgram(Ctx, Parsed.Program, Parsed.Warnings);
+  // The findings depend on the text alone (the label is applied below),
+  // so a hit skips the parse as well as the analyses.
+  Service::MemoKey Key;
+  Key.Program = *Program;
+  Key.Query = "lint";
+  std::shared_ptr<const Service::MemoValue> Memo = Svc.lookupMemo(Key);
+  if (!Memo) {
+    ast::Context Ctx;
+    parser::ParseResult Parsed = parser::parseProgram(*Program, Ctx);
+    if (!Parsed.ok())
+      return errorResponse(Parsed.Diagnostics.empty()
+                               ? "parse error"
+                               : Parsed.Diagnostics.front().render());
+    Service::MemoValue Value;
+    Value.Findings = lintProgram(Ctx, Parsed.Program, Parsed.Warnings);
+    Memo = Svc.insertMemo(std::move(Key), std::move(Value));
+  }
   Json R = okResponse();
-  R.set("clean", Json::boolean(Entries.empty()));
-  R.set("findings", lintJson(File, Entries));
+  R.set("clean", Json::boolean(Memo->Findings.empty()));
+  R.set("findings", lintJson(File, Memo->Findings));
   return R;
 }
 
-/// The self-contained sliced query path (S17): parse into a fresh
-/// context, compile with a SliceHook for the query's observation set, and
-/// answer from the transient verifier. Deliberately bypasses the
-/// session's program slot — the sliced diagram depends on the query, not
-/// just the program text, so caching it under the text would poison
-/// unsliced queries (the shared S12 cache still makes repeats cheap, and
-/// its fingerprint pass runs over the sliced tree).
+/// The sliced query path (S17): parse into a fresh context, decode the
+/// inputs against its field table, and answer from a transient verifier
+/// holding the sliced diagram. The diagram comes from the service's
+/// front-end memo when this (text, solver, query, hop field) was answered
+/// before; otherwise it is compiled with a SliceHook for the query's
+/// observation set and memoized. It never enters the session's program
+/// slot: the sliced diagram depends on the query, not just the program
+/// text, so caching it under the text would poison unsliced queries.
 Json Session::handleSlicedQuery(const Json &Request,
                                 const std::string &Program,
                                 const std::string &Query,
@@ -323,6 +377,10 @@ Json Session::handleSlicedQuery(const Json &Request,
   if (!ast::isGuarded(Parsed.Program))
     return errorResponse("program is outside the guarded fragment");
 
+  Service::MemoKey Key;
+  Key.Program = Program;
+  Key.Query = Query;
+  Key.Solver = Kind;
   ast::ObservationSet Obs = ast::ObservationSet::delivery();
   FieldId Hop = FieldTable::NotFound;
   if (Query == "hop-stats") {
@@ -334,6 +392,7 @@ Json Session::handleSlicedQuery(const Json &Request,
       return errorResponse("hop field \"" + *HopField +
                            "\" is not used by the program");
     Obs = ast::ObservationSet::fields({Hop});
+    Key.HopField = *HopField;
   } else if (Query != "delivery") {
     return errorResponse("unknown query \"" + Query +
                          "\" (expected \"delivery\", \"hop-stats\", "
@@ -356,15 +415,27 @@ Json Session::handleSlicedQuery(const Json &Request,
 
   analysis::Verifier V(Kind);
   useServicePool(V, Svc);
-  fdd::CompileOptions Options;
-  Options.Cache = &Svc.cache();
-  ast::SliceStats Stats;
-  fdd::SliceHook Hook;
-  Hook.Ctx = &Ctx;
-  Hook.Observed = Obs;
-  Hook.Stats = &Stats;
-  Options.Slice = &Hook;
-  fdd::FddRef Root = fdd::compile(V.manager(), Parsed.Program, Options);
+  fdd::FddRef Root;
+  // Parsing the same text interns the same field ids, so the memoized
+  // diagram imports as the ref a fresh sliced compile would build.
+  std::shared_ptr<const Service::MemoValue> Memo = Svc.lookupMemo(Key);
+  if (Memo) {
+    Root = fdd::importFdd(V.manager(), *Memo->Diagram);
+  } else {
+    fdd::CompileOptions Options;
+    Options.Cache = &Svc.cache();
+    Service::MemoValue Value;
+    fdd::SliceHook Hook;
+    Hook.Ctx = &Ctx;
+    Hook.Observed = Obs;
+    Hook.Stats = &Value.Slice;
+    Options.Slice = &Hook;
+    Root = fdd::compile(V.manager(), Parsed.Program, Options);
+    Value.Diagram = std::make_shared<const fdd::PortableFdd>(
+        fdd::exportFdd(V.manager(), Root));
+    Memo = Svc.insertMemo(std::move(Key), std::move(Value));
+  }
+  const ast::SliceStats &Stats = Memo->Slice;
   Svc.countSlice(Stats);
 
   Json R = okResponse();
@@ -587,6 +658,12 @@ Json Session::handleStats() {
   Sl.set("nodesAfter",
          Json::integer(static_cast<int64_t>(Svc.sliceNodesAfter())));
   R.set("slice", std::move(Sl));
+  Json Memo = Json::object();
+  Memo.set("hits", Json::integer(static_cast<int64_t>(Svc.memoHits())));
+  Memo.set("misses", Json::integer(static_cast<int64_t>(Svc.memoMisses())));
+  Memo.set("entries",
+           Json::integer(static_cast<int64_t>(Svc.memoEntries())));
+  R.set("memo", std::move(Memo));
   return R;
 }
 

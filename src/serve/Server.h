@@ -29,11 +29,14 @@
 /// shared pipeline). Query verbs accept "slice": true to run S17
 /// query-directed cone-of-influence slicing before compiling: delivery
 /// slices for the delivery observation, hop-stats for its counter field,
-/// equivalent/refines for the all-fields observation. Sliced queries are
-/// self-contained (they bypass the session's program slot — the sliced
-/// diagram depends on the query, not just the program) and the response
-/// carries a "slice" stats object; answers are identical with and without
-/// slicing, a contract the oracle's CheckSlice lane enforces.
+/// equivalent/refines for the all-fields observation. Sliced packet
+/// queries bypass the session's program slot (the sliced diagram depends
+/// on the query, not just the program) and the response carries a "slice"
+/// stats object; answers are identical with and without slicing, a
+/// contract the oracle's CheckSlice lane enforces. The Service's
+/// front-end memo answers a repeated lint request, or a repeated sliced
+/// delivery / hop-stats query, without rerunning the AST passes (see
+/// Service::lookupMemo).
 ///
 /// Every request may carry an "id", echoed in the response. Responses are
 /// {"ok":true, ...} or {"ok":false, "error":"..."}; exact probabilities
@@ -51,28 +54,32 @@
 #include "fdd/CacheStore.h"
 #include "fdd/CompileCache.h"
 #include "serve/Json.h"
+#include "serve/Lint.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <atomic>
 #include <iosfwd>
+#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 namespace mcnk {
 namespace serve {
 
 /// Process-wide shared state: one compile cache (optionally backed by a
-/// persistent CacheStore), one worker pool, request counters. Thread-safe;
-/// shared by every Session.
+/// persistent CacheStore), one front-end memo, one worker pool, request
+/// counters. Thread-safe; shared by every Session.
 class Service {
 public:
   struct Options {
     /// Path of the persistent FDD store; empty disables persistence.
     std::string StorePath;
-    /// Compile-cache capacity (entries).
+    /// Compile-cache capacity (entries); also bounds the front-end memo.
     std::size_t CacheCapacity = 1u << 12;
     /// Worker threads of the pool that every request's loop solves
     /// schedule independent SCC blocks (and ModularExact primes) on;
@@ -121,8 +128,54 @@ public:
   uint64_t sliceNodesBefore() const { return SliceNodesBefore.load(); }
   uint64_t sliceNodesAfter() const { return SliceNodesAfter.load(); }
 
+  /// Front-end memo key (docs/ARCHITECTURE.md S16). Always the exact
+  /// program text: lint findings carry source positions, which a
+  /// structural fingerprint ignores. Lint entries leave the rest at their
+  /// defaults; sliced entries add the solver kind and the query (plus the
+  /// hop field for hop-stats), which fix the observation set and the loop
+  /// solutions.
+  struct MemoKey {
+    std::string Program;
+    /// "lint", "delivery" or "hop-stats".
+    std::string Query;
+    markov::SolverKind Solver = markov::SolverKind::Exact;
+    std::string HopField;
+    bool operator==(const MemoKey &R) const {
+      return Solver == R.Solver && Query == R.Query &&
+             HopField == R.HopField && Program == R.Program;
+    }
+  };
+  /// A memoized front-end result: the findings of a lint entry, or the
+  /// slice statistics and sliced root diagram of a sliced entry.
+  struct MemoValue {
+    std::vector<LintEntry> Findings;
+    ast::SliceStats Slice;
+    std::shared_ptr<const fdd::PortableFdd> Diagram;
+  };
+
+  /// Looks \p Key up in the front-end memo, an LRU bounded by
+  /// Options::CacheCapacity entries and held in memory only (a restarted
+  /// service starts empty). Returns the shared, immutable value and
+  /// refreshes its recency on a hit; null on a miss.
+  std::shared_ptr<const MemoValue> lookupMemo(const MemoKey &Key);
+  /// Stores a result the caller computed after a miss and returns the
+  /// resident value. Only successful results go in: parse errors and
+  /// unguarded programs are never memoized. A key already present (two
+  /// sessions raced on one miss) keeps, and returns, its first value.
+  std::shared_ptr<const MemoValue> insertMemo(MemoKey Key, MemoValue Value);
+  uint64_t memoHits() const { return MemoHits.load(); }
+  uint64_t memoMisses() const { return MemoMisses.load(); }
+  std::size_t memoEntries() const;
+
 private:
-  explicit Service(const Options &O) : Opts(O), Cache(O.CacheCapacity) {}
+  explicit Service(const Options &O)
+      : Opts(O), Cache(O.CacheCapacity),
+        MemoCapacity(std::max<std::size_t>(O.CacheCapacity, 1)) {}
+
+  struct MemoKeyHasher {
+    std::size_t operator()(const MemoKey &K) const;
+  };
+  using MemoEntry = std::pair<MemoKey, std::shared_ptr<const MemoValue>>;
 
   Options Opts;
   fdd::CompileCache Cache;
@@ -135,6 +188,15 @@ private:
   std::atomic<uint64_t> SliceAssignmentsRemoved{0};
   std::atomic<uint64_t> SliceNodesBefore{0};
   std::atomic<uint64_t> SliceNodesAfter{0};
+
+  const std::size_t MemoCapacity;
+  mutable std::mutex MemoMutex;
+  /// Most-recently-used at the front; the index points into it.
+  std::list<MemoEntry> MemoLru;
+  std::unordered_map<MemoKey, std::list<MemoEntry>::iterator, MemoKeyHasher>
+      MemoIndex;
+  std::atomic<uint64_t> MemoHits{0};
+  std::atomic<uint64_t> MemoMisses{0};
 };
 
 /// One client's worker state. NOT thread-safe — each connection (or the

@@ -532,6 +532,181 @@ TEST(Session, SlicedQueriesMatchUnslicedAndCountInStats) {
   EXPECT_GE(Agg->find("assignmentsRemoved")->asInt(), 2);
 }
 
+//===----------------------------------------------------------------------===//
+// The front-end memo (lint findings and sliced results per program text)
+//===----------------------------------------------------------------------===//
+
+/// One counter of the stats verb's "memo" object.
+int64_t memoStat(serve::Session &S, const char *Counter) {
+  serve::Json Stats = roundTrip(S, "{\"verb\":\"stats\"}");
+  const serve::Json *Memo = Stats.find("memo");
+  EXPECT_NE(Memo, nullptr) << Stats.dump();
+  return Memo ? Memo->find(Counter)->asInt() : -1;
+}
+
+/// A program with both lint findings (the meter writes are never read)
+/// and something for a delivery or hop-counter slice to remove.
+const char *MemoProgram =
+    "meter:=7; (if sw=1 then (pt:=2 ; h:=1 +[1/3] drop) "
+    "else (meter:=1 ; h:=2))";
+
+std::string slicedQuery(const std::string &Query, const char *Solver) {
+  std::string Line = std::string("{\"verb\":\"query\",\"query\":\"") +
+                     Query + "\",\"solver\":\"" + Solver +
+                     "\",\"slice\":true,\"program\":\"" + MemoProgram +
+                     "\",\"inputs\":[{\"sw\":1},{\"sw\":0}]";
+  if (Query == "hop-stats")
+    Line += ",\"hopField\":\"h\"";
+  return Line + "}";
+}
+
+std::string lintRequest(const std::string &Program, const std::string &File) {
+  return "{\"verb\":\"lint\",\"program\":\"" + Program + "\",\"file\":\"" +
+         File + "\"}";
+}
+
+TEST(FrontEndMemo, LintHitAppliesTheNewFileLabel) {
+  auto Svc = serve::Service::create({}, nullptr);
+  ASSERT_TRUE(Svc);
+  serve::Session S(*Svc);
+  serve::Json First = roundTrip(S, lintRequest(MemoProgram, "a.pnk"));
+  ASSERT_TRUE(okOf(First)) << First.dump();
+  ASSERT_FALSE(First.find("findings")->elements().empty());
+  serve::Json Second = roundTrip(S, lintRequest(MemoProgram, "b.pnk"));
+  ASSERT_TRUE(okOf(Second)) << Second.dump();
+  EXPECT_EQ(memoStat(S, "hits"), 1);
+  EXPECT_EQ(memoStat(S, "misses"), 1);
+  EXPECT_EQ(memoStat(S, "entries"), 1);
+
+  // Same findings, relabelled: exactly the first response with every
+  // "a.pnk" replaced.
+  const auto &A = First.find("findings")->elements();
+  const auto &B = Second.find("findings")->elements();
+  ASSERT_EQ(A.size(), B.size());
+  for (std::size_t I = 0; I < A.size(); ++I) {
+    EXPECT_EQ(A[I].find("file")->asString(), "a.pnk");
+    EXPECT_EQ(B[I].find("file")->asString(), "b.pnk");
+    serve::Json Relabelled = A[I];
+    Relabelled.set("file", serve::Json::string("b.pnk"));
+    EXPECT_EQ(Relabelled.dump(), B[I].dump());
+  }
+  EXPECT_EQ(First.find("clean")->dump(), Second.find("clean")->dump());
+}
+
+TEST(FrontEndMemo, SlicedHitsAreByteIdentical) {
+  auto Svc = serve::Service::create({}, nullptr);
+  ASSERT_TRUE(Svc);
+  serve::Session S(*Svc);
+  for (const char *Query : {"delivery", "hop-stats"}) {
+    std::string Line = slicedQuery(Query, "exact");
+    std::string First = S.handleLine(Line);
+    serve::Json R;
+    ASSERT_TRUE(serve::parseJson(First, R, nullptr));
+    ASSERT_TRUE(okOf(R)) << First;
+    ASSERT_NE(R.find("slice"), nullptr) << First;
+    EXPECT_GE(R.find("slice")->find("assignmentsRemoved")->asInt(), 1);
+    for (int Repeat = 0; Repeat < 3; ++Repeat)
+      EXPECT_EQ(S.handleLine(Line), First) << Query;
+  }
+  EXPECT_EQ(memoStat(S, "misses"), 2);
+  EXPECT_EQ(memoStat(S, "hits"), 6);
+  EXPECT_EQ(memoStat(S, "entries"), 2);
+  // The slice counters still count every sliced request, hits included.
+  EXPECT_EQ(Svc->sliceRequests(), 8u);
+
+  // A fresh session on the same service answers from the memo too, and a
+  // fresh service (a restart: the memo is in memory only) recomputes the
+  // same bytes.
+  serve::Session Other(*Svc);
+  std::string Line = slicedQuery("delivery", "exact");
+  std::string Hit = Other.handleLine(Line);
+  EXPECT_EQ(memoStat(Other, "hits"), 7);
+  auto Restarted = serve::Service::create({}, nullptr);
+  ASSERT_TRUE(Restarted);
+  serve::Session Cold(*Restarted);
+  EXPECT_EQ(Cold.handleLine(Line), Hit);
+  EXPECT_EQ(memoStat(Cold, "hits"), 0);
+  EXPECT_EQ(memoStat(Cold, "entries"), 1);
+}
+
+TEST(FrontEndMemo, ParseErrorsAndUnguardedProgramsAreNeverMemoized) {
+  auto Svc = serve::Service::create({}, nullptr);
+  ASSERT_TRUE(Svc);
+  serve::Session S(*Svc);
+  const std::string Bad[] = {
+      lintRequest("sw:=", "x.pnk"),
+      "{\"verb\":\"query\",\"query\":\"delivery\",\"slice\":true,"
+      "\"program\":\"sw:=\",\"inputs\":[{\"sw\":1}]}",
+      "{\"verb\":\"query\",\"query\":\"delivery\",\"slice\":true,"
+      "\"program\":\"(sw:=1)*\",\"inputs\":[{\"sw\":1}]}",
+      "{\"verb\":\"query\",\"query\":\"hop-stats\",\"slice\":true,"
+      "\"program\":\"(sw:=1)*\",\"inputs\":[{\"sw\":1}],\"hopField\":\"sw\"}",
+  };
+  for (const std::string &Line : Bad) {
+    std::string First = S.handleLine(Line);
+    serve::Json R;
+    ASSERT_TRUE(serve::parseJson(First, R, nullptr));
+    EXPECT_FALSE(okOf(R)) << Line << " -> " << First;
+    for (int Repeat = 0; Repeat < 2; ++Repeat)
+      EXPECT_EQ(S.handleLine(Line), First) << Line;
+  }
+  EXPECT_EQ(memoStat(S, "entries"), 0);
+  EXPECT_EQ(memoStat(S, "hits"), 0);
+  // Only the lint requests reach the memo before failing (the sliced path
+  // parses and checks guardedness first); each of them missed.
+  EXPECT_EQ(memoStat(S, "misses"), 3);
+}
+
+TEST(FrontEndMemo, SolverKindsGetDistinctEntries) {
+  auto Svc = serve::Service::create({}, nullptr);
+  ASSERT_TRUE(Svc);
+  serve::Session S(*Svc);
+  const char *Solvers[] = {"exact", "direct", "modular-exact"};
+  std::vector<std::string> First;
+  for (const char *Solver : Solvers)
+    First.push_back(S.handleLine(slicedQuery("delivery", Solver)));
+  EXPECT_EQ(memoStat(S, "entries"), 3);
+  EXPECT_EQ(memoStat(S, "hits"), 0);
+  for (std::size_t I = 0; I < 3; ++I)
+    EXPECT_EQ(S.handleLine(slicedQuery("delivery", Solvers[I])), First[I]);
+  EXPECT_EQ(memoStat(S, "hits"), 3);
+  // Both exact engines agree on the rationals; the memo never handed one
+  // solver's diagram to another.
+  serve::Json Exact, Modular;
+  ASSERT_TRUE(serve::parseJson(First[0], Exact, nullptr));
+  ASSERT_TRUE(serve::parseJson(First[2], Modular, nullptr));
+  EXPECT_EQ(Exact.find("results")->dump(), Modular.find("results")->dump());
+}
+
+TEST(FrontEndMemo, EvictsAtCapacityAndStillAnswersIdentically) {
+  serve::Service::Options Opts;
+  Opts.CacheCapacity = 2;
+  auto Svc = serve::Service::create(Opts, nullptr);
+  ASSERT_TRUE(Svc);
+  serve::Session S(*Svc);
+  const std::string Lines[] = {
+      lintRequest(MemoProgram, "m.pnk"),
+      slicedQuery("delivery", "exact"),
+      slicedQuery("hop-stats", "exact"),
+      lintRequest("sw:=1 ; pt:=2", "n.pnk"),
+  };
+  std::vector<std::string> First;
+  for (const std::string &Line : Lines)
+    First.push_back(S.handleLine(Line));
+  for (int Round = 0; Round < 3; ++Round)
+    for (std::size_t I = 0; I < 4; ++I)
+      EXPECT_EQ(S.handleLine(Lines[I]), First[I]) << Lines[I];
+  EXPECT_EQ(memoStat(S, "entries"), 2);
+  // Four keys cycling through two slots: LRU evicts each before its turn
+  // comes round again, so every request missed.
+  EXPECT_EQ(memoStat(S, "hits"), 0);
+  EXPECT_EQ(memoStat(S, "misses"), 16);
+  // The two most recent keys are resident, so repeating them hits.
+  EXPECT_EQ(S.handleLine(Lines[3]), First[3]);
+  EXPECT_EQ(S.handleLine(Lines[2]), First[2]);
+  EXPECT_EQ(memoStat(S, "hits"), 2);
+}
+
 TEST(Session, RejectsBadRequestsWithoutDying) {
   auto Svc = serve::Service::create({}, nullptr);
   ASSERT_TRUE(Svc);
@@ -755,6 +930,55 @@ TEST(Service, ConcurrentSessionsSharePooledBlockSolves) {
     T.join();
   EXPECT_EQ(Failures.load(), 0u);
   EXPECT_EQ(Svc->errors(), 0u);
+}
+
+TEST(Service, ConcurrentSessionsShareTheFrontEndMemo) {
+  // Four sessions send the same lint and sliced requests at once: they
+  // race on the same memo keys (lookups, duplicate inserts, recency
+  // splices), the TSan target for the memo. Every response must equal
+  // the one a lone session on a separate service gives.
+  const std::string Lines[] = {
+      lintRequest(MemoProgram, "c.pnk"),
+      slicedQuery("delivery", "exact"),
+      slicedQuery("hop-stats", "exact"),
+      slicedQuery("delivery", "modular-exact"),
+  };
+  std::vector<std::string> Want;
+  {
+    auto Reference = serve::Service::create({}, nullptr);
+    ASSERT_TRUE(Reference);
+    serve::Session S(*Reference);
+    for (const std::string &Line : Lines)
+      Want.push_back(S.handleLine(Line));
+  }
+
+  serve::Service::Options Opts;
+  Opts.Threads = 1; // Sessions provide the concurrency here.
+  auto Svc = serve::Service::create(Opts, nullptr);
+  ASSERT_TRUE(Svc);
+  constexpr unsigned NumThreads = 4;
+  constexpr unsigned Rounds = 5;
+  std::atomic<unsigned> Failures{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&] {
+      serve::Session S(*Svc);
+      for (unsigned I = 0; I < Rounds; ++I)
+        for (std::size_t L = 0; L < 4; ++L)
+          if (S.handleLine(Lines[L]) != Want[L])
+            ++Failures;
+    });
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Failures.load(), 0u);
+  EXPECT_EQ(Svc->errors(), 0u);
+  EXPECT_EQ(Svc->memoEntries(), 4u);
+  EXPECT_EQ(Svc->memoHits() + Svc->memoMisses(),
+            uint64_t{NumThreads} * Rounds * 4);
+  // Racing sessions can each miss a key before the first insert lands,
+  // but every repeat after that hits.
+  EXPECT_GE(Svc->memoHits(), uint64_t{NumThreads} * (Rounds - 1) * 4);
 }
 
 TEST(TcpServer, ServesLoopbackClients) {
