@@ -25,6 +25,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
+#include <optional>
 #include <set>
 #include <unordered_map>
 
@@ -205,7 +207,7 @@ AbsState applyAssign(const Dom &D, AbsState S, unsigned FI, unsigned VB) {
 /// Bails (returns false) past \p Cap elements — heavily shared seq DAGs
 /// can unfold exponentially, and a truncated chain must not be scanned.
 bool flattenSeq(const Node *N, std::vector<const Node *> &Out,
-                std::size_t Cap) {
+                std::size_t Cap = std::size_t(1) << 20) {
   std::vector<const Node *> Stack{N};
   while (!Stack.empty()) {
     const Node *C = Stack.back();
@@ -332,10 +334,20 @@ struct DomainAnalysis::Impl {
   std::vector<const AssignNode *> AssignOrder;
   std::set<std::tuple<const Node *, unsigned, std::uint64_t>> Reported;
   std::vector<Finding> Findings;
+  bool PassesRun = false;
 
   Impl(const Context &C, const Node *Program, AnalyzeOptions O)
       : Ctx(C), Root(Program), Opts(O), D(Program) {
     eval(Root, topState(D), /*Neg=*/false, /*Report=*/true, SourceLoc{});
+  }
+
+  /// The eval-time reports plus the post passes, sorted and deduplicated.
+  /// The passes read only the recorded facts and run on the first call:
+  /// fact-only consumers (ast::simplify, ast::slice) never pay for them.
+  const std::vector<Finding> &findings() {
+    if (PassesRun)
+      return Findings;
+    PassesRun = true;
     dropEquivalencePass();
     overlapPass();
     deadAssignPass();
@@ -366,6 +378,7 @@ struct DomainAnalysis::Impl {
                                         A.Message == B.Message;
                                }),
                    Findings.end());
+    return Findings;
   }
 
   /// Best location for a diagnostic anchored at \p N: the node's own
@@ -891,11 +904,18 @@ struct DomainAnalysis::Impl {
     }
   }
 
-  /// Exact pairwise guard-overlap detection by concrete enumeration over
-  /// the values either guard mentions plus one unmentioned representative
-  /// per field (guards cannot distinguish unmentioned values, so this is
-  /// exhaustive). Pairs whose assignment space exceeds the budget are
-  /// skipped — the check never reports an unproven overlap.
+  /// A guard that is a `;`-conjunction of positive tests (and `skip`s),
+  /// as its sorted, distinct (field, value) tests. `skip` is the empty
+  /// cube; a cube testing one field for two values matches nothing.
+  using Cube = std::vector<std::pair<FieldId, FieldValue>>;
+
+  /// Exact pairwise guard-overlap detection. Guards that are cubes (see
+  /// asCube) are decided by merging their test lists; any other pair by
+  /// concrete enumeration over the values either guard mentions plus one
+  /// unmentioned representative per field (guards cannot distinguish
+  /// unmentioned values, so this is exhaustive). Pairs whose assignment
+  /// space exceeds the budget are skipped — the check never reports an
+  /// unproven overlap.
   void overlapPass() {
     // Collect case nodes in deterministic DFS order.
     std::vector<const CaseNode *> Cases;
@@ -912,12 +932,86 @@ struct DomainAnalysis::Impl {
         forEachChildRev(N, Stack);
       }
     }
+    // Each guard is decomposed once, however many cases and pairs share it.
+    std::unordered_map<const Node *, std::optional<Cube>> Cubes;
+    std::vector<const std::optional<Cube> *> ArmCubes;
     for (const CaseNode *C : Cases) {
       const auto &Br = C->branches();
+      ArmCubes.clear();
+      for (const auto &Arm : Br) {
+        auto [It, New] = Cubes.try_emplace(Arm.first);
+        if (New)
+          It->second = asCube(Arm.first);
+        ArmCubes.push_back(&It->second);
+      }
       for (std::size_t I = 0; I < Br.size(); ++I)
-        for (std::size_t J = I + 1; J < Br.size(); ++J)
-          checkOverlap(C, I, J);
+        for (std::size_t J = I + 1; J < Br.size(); ++J) {
+          if (*ArmCubes[I] && *ArmCubes[J])
+            checkCubeOverlap(C, I, J, **ArmCubes[I], **ArmCubes[J]);
+          else
+            checkOverlap(C, I, J);
+        }
     }
+  }
+
+  static std::optional<Cube> asCube(const Node *Guard) {
+    std::vector<const Node *> Elems;
+    if (!flattenSeq(Guard, Elems))
+      return std::nullopt;
+    Cube Out;
+    for (const Node *E : Elems) {
+      if (const auto *T = dyn_cast<TestNode>(E))
+        Out.emplace_back(T->field(), T->value());
+      else if (!isa<SkipNode>(E))
+        return std::nullopt;
+    }
+    std::sort(Out.begin(), Out.end());
+    Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
+    return Out;
+  }
+
+  /// The cube pair overlaps iff no field carries two values in the merged
+  /// list. The budget is the one the enumeration would apply (the product
+  /// of each field's distinct values + 1), so both paths report the same
+  /// pairs; the merged list is then the unique common packet over the
+  /// mentioned fields — the one the enumeration would find.
+  void checkCubeOverlap(const CaseNode *C, std::size_t I, std::size_t J,
+                        const Cube &A, const Cube &B) {
+    Cube Merged;
+    Merged.reserve(A.size() + B.size());
+    std::set_union(A.begin(), A.end(), B.begin(), B.end(),
+                   std::back_inserter(Merged));
+    std::size_t Count = 1;
+    bool Clash = false;
+    for (std::size_t K = 0; K < Merged.size();) {
+      std::size_t End = K + 1;
+      while (End < Merged.size() && Merged[End].first == Merged[K].first)
+        ++End;
+      std::size_t Cands = End - K + 1;
+      if (Count > Opts.OverlapBudget / Cands)
+        return; // Over budget; stay silent rather than guess.
+      Count *= Cands;
+      Clash |= End - K > 1;
+      K = End;
+    }
+    if (!Clash)
+      reportOverlap(C, I, J, Merged);
+  }
+
+  void reportOverlap(const CaseNode *C, std::size_t I, std::size_t J,
+                     const std::vector<std::pair<FieldId, FieldValue>> &Env) {
+    std::string Witness;
+    for (const auto &[F, V] : Env) {
+      if (!Witness.empty())
+        Witness += ", ";
+      Witness += Ctx.fields().name(F) + "=" + std::to_string(V);
+    }
+    report(CheckKind::OverlappingCaseGuards, C,
+           (static_cast<std::uint64_t>(I) << 32) | J,
+           "case guards of arms " + std::to_string(I + 1) + " and " +
+               std::to_string(J + 1) + " overlap" +
+               (Witness.empty() ? std::string() : " (e.g. " + Witness + ")") +
+               "; only the first match fires");
   }
 
   static void forEachChildRev(const Node *N, std::vector<const Node *> &Out) {
@@ -997,19 +1091,7 @@ struct DomainAnalysis::Impl {
       for (std::size_t K = 0; K < Axes.size(); ++K)
         Env[K] = {Axes[K].first, Axes[K].second[Odo[K]]};
       if (evalPredicate(GI, Env) && evalPredicate(GJ, Env)) {
-        std::string Witness;
-        for (const auto &[F, V] : Env) {
-          if (!Witness.empty())
-            Witness += ", ";
-          Witness += Ctx.fields().name(F) + "=" + std::to_string(V);
-        }
-        report(CheckKind::OverlappingCaseGuards, C,
-               (static_cast<std::uint64_t>(I) << 32) | J,
-               "case guards of arms " + std::to_string(I + 1) + " and " +
-                   std::to_string(J + 1) + " overlap" +
-                   (Witness.empty() ? std::string()
-                                    : " (e.g. " + Witness + ")") +
-                   "; only the first match fires");
+        reportOverlap(C, I, J, Env);
         return;
       }
       for (std::size_t K = 0; K < Axes.size(); ++K) {
@@ -1033,7 +1115,7 @@ struct DomainAnalysis::Impl {
       bool IsSeq = isa<SeqNode>(N);
       if (IsSeq && !ParentIsSeq) {
         std::vector<const Node *> Elems;
-        if (flattenSeq(N, Elems, /*Cap=*/std::size_t(1) << 20)) {
+        if (flattenSeq(N, Elems)) {
           for (std::size_t K = 0; K + 1 < Elems.size(); ++K) {
             const auto *A = dyn_cast<AssignNode>(Elems[K]);
             const auto *B = dyn_cast<AssignNode>(Elems[K + 1]);
@@ -1068,7 +1150,7 @@ DomainAnalysis::DomainAnalysis(const Context &Ctx, const Node *Program,
 DomainAnalysis::~DomainAnalysis() = default;
 
 const std::vector<Finding> &DomainAnalysis::findings() const {
-  return M->Findings;
+  return M->findings();
 }
 
 DomainAnalysis::Truth DomainAnalysis::testTruth(const TestNode *T) const {

@@ -67,8 +67,9 @@ struct Finding {
 };
 
 struct AnalyzeOptions {
-  /// Maximum number of concrete assignments enumerated per guard pair by
-  /// the overlap check; pairs over budget are skipped (no false
+  /// Maximum number of candidate assignments per guard pair in the
+  /// overlap check: the product over the pair's fields of (distinct
+  /// mentioned values + 1). Pairs over budget are skipped (no false
   /// positives, possible false negatives on huge guards).
   std::size_t OverlapBudget = 4096;
 };
@@ -84,7 +85,10 @@ public:
   DomainAnalysis(const DomainAnalysis &) = delete;
   DomainAnalysis &operator=(const DomainAnalysis &) = delete;
 
-  /// All diagnostics, deduplicated and sorted by source position.
+  /// All diagnostics, deduplicated and sorted by source position. The
+  /// constructor computes only the facts; the diagnostic passes run on the
+  /// first call, and later calls return the same list. Not safe to call
+  /// concurrently on one analysis.
   const std::vector<Finding> &findings() const;
 
   /// Three-valued truth of a test under the join of every abstract state

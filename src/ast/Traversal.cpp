@@ -12,132 +12,12 @@
 #include "support/Error.h"
 #include "support/Hashing.h"
 
+#include <algorithm>
+#include <unordered_set>
+#include <vector>
+
 using namespace mcnk;
 using namespace mcnk::ast;
-
-bool ast::structurallyEqual(const Node *A, const Node *B) {
-  if (A == B)
-    return true;
-  if (A->kind() != B->kind())
-    return false;
-  switch (A->kind()) {
-  case NodeKind::Drop:
-  case NodeKind::Skip:
-    return true;
-  case NodeKind::Test: {
-    const auto *TA = cast<TestNode>(A), *TB = cast<TestNode>(B);
-    return TA->field() == TB->field() && TA->value() == TB->value();
-  }
-  case NodeKind::Assign: {
-    const auto *TA = cast<AssignNode>(A), *TB = cast<AssignNode>(B);
-    return TA->field() == TB->field() && TA->value() == TB->value();
-  }
-  case NodeKind::Not:
-    return structurallyEqual(cast<NotNode>(A)->operand(),
-                             cast<NotNode>(B)->operand());
-  case NodeKind::Seq: {
-    const auto *SA = cast<SeqNode>(A), *SB = cast<SeqNode>(B);
-    return structurallyEqual(SA->lhs(), SB->lhs()) &&
-           structurallyEqual(SA->rhs(), SB->rhs());
-  }
-  case NodeKind::Union: {
-    const auto *UA = cast<UnionNode>(A), *UB = cast<UnionNode>(B);
-    return structurallyEqual(UA->lhs(), UB->lhs()) &&
-           structurallyEqual(UA->rhs(), UB->rhs());
-  }
-  case NodeKind::Choice: {
-    const auto *CA = cast<ChoiceNode>(A), *CB = cast<ChoiceNode>(B);
-    return CA->probability() == CB->probability() &&
-           structurallyEqual(CA->lhs(), CB->lhs()) &&
-           structurallyEqual(CA->rhs(), CB->rhs());
-  }
-  case NodeKind::Star:
-    return structurallyEqual(cast<StarNode>(A)->body(),
-                             cast<StarNode>(B)->body());
-  case NodeKind::IfThenElse: {
-    const auto *IA = cast<IfThenElseNode>(A), *IB = cast<IfThenElseNode>(B);
-    return structurallyEqual(IA->cond(), IB->cond()) &&
-           structurallyEqual(IA->thenBranch(), IB->thenBranch()) &&
-           structurallyEqual(IA->elseBranch(), IB->elseBranch());
-  }
-  case NodeKind::While: {
-    const auto *WA = cast<WhileNode>(A), *WB = cast<WhileNode>(B);
-    return structurallyEqual(WA->cond(), WB->cond()) &&
-           structurallyEqual(WA->body(), WB->body());
-  }
-  case NodeKind::Case: {
-    const auto *CA = cast<CaseNode>(A), *CB = cast<CaseNode>(B);
-    if (CA->branches().size() != CB->branches().size())
-      return false;
-    for (std::size_t I = 0; I < CA->branches().size(); ++I) {
-      if (!structurallyEqual(CA->branches()[I].first,
-                             CB->branches()[I].first) ||
-          !structurallyEqual(CA->branches()[I].second,
-                             CB->branches()[I].second))
-        return false;
-    }
-    return structurallyEqual(CA->defaultBranch(), CB->defaultBranch());
-  }
-  }
-  MCNK_UNREACHABLE("unhandled node kind");
-}
-
-std::size_t ast::structuralHash(const Node *N) {
-  std::size_t Seed = hashCombine(0x1234u, static_cast<unsigned>(N->kind()));
-  switch (N->kind()) {
-  case NodeKind::Drop:
-  case NodeKind::Skip:
-    return Seed;
-  case NodeKind::Test: {
-    const auto *T = cast<TestNode>(N);
-    return hashCombine(hashCombine(Seed, T->field()), T->value());
-  }
-  case NodeKind::Assign: {
-    const auto *T = cast<AssignNode>(N);
-    return hashCombine(hashCombine(Seed, T->field()), T->value());
-  }
-  case NodeKind::Not:
-    return hashCombine(Seed, structuralHash(cast<NotNode>(N)->operand()));
-  case NodeKind::Seq: {
-    const auto *S = cast<SeqNode>(N);
-    return hashCombine(hashCombine(Seed, structuralHash(S->lhs())),
-                       structuralHash(S->rhs()));
-  }
-  case NodeKind::Union: {
-    const auto *U = cast<UnionNode>(N);
-    return hashCombine(hashCombine(Seed, structuralHash(U->lhs())),
-                       structuralHash(U->rhs()));
-  }
-  case NodeKind::Choice: {
-    const auto *C = cast<ChoiceNode>(N);
-    Seed = hashCombine(Seed, C->probability().hash());
-    Seed = hashCombine(Seed, structuralHash(C->lhs()));
-    return hashCombine(Seed, structuralHash(C->rhs()));
-  }
-  case NodeKind::Star:
-    return hashCombine(Seed, structuralHash(cast<StarNode>(N)->body()));
-  case NodeKind::IfThenElse: {
-    const auto *I = cast<IfThenElseNode>(N);
-    Seed = hashCombine(Seed, structuralHash(I->cond()));
-    Seed = hashCombine(Seed, structuralHash(I->thenBranch()));
-    return hashCombine(Seed, structuralHash(I->elseBranch()));
-  }
-  case NodeKind::While: {
-    const auto *W = cast<WhileNode>(N);
-    return hashCombine(hashCombine(Seed, structuralHash(W->cond())),
-                       structuralHash(W->body()));
-  }
-  case NodeKind::Case: {
-    const auto *C = cast<CaseNode>(N);
-    for (const auto &[Guard, Program] : C->branches()) {
-      Seed = hashCombine(Seed, structuralHash(Guard));
-      Seed = hashCombine(Seed, structuralHash(Program));
-    }
-    return hashCombine(Seed, structuralHash(C->defaultBranch()));
-  }
-  }
-  MCNK_UNREACHABLE("unhandled node kind");
-}
 
 namespace {
 
@@ -188,50 +68,153 @@ template <typename Fn> void forEachChild(const Node *N, Fn Visit) {
   MCNK_UNREACHABLE("unhandled node kind");
 }
 
+/// The kind and scalar payload of \p A and \p B match (children aside).
+bool sameShallow(const Node *A, const Node *B) {
+  if (A->kind() != B->kind())
+    return false;
+  switch (A->kind()) {
+  case NodeKind::Test: {
+    const auto *TA = cast<TestNode>(A), *TB = cast<TestNode>(B);
+    return TA->field() == TB->field() && TA->value() == TB->value();
+  }
+  case NodeKind::Assign: {
+    const auto *TA = cast<AssignNode>(A), *TB = cast<AssignNode>(B);
+    return TA->field() == TB->field() && TA->value() == TB->value();
+  }
+  case NodeKind::Choice:
+    return cast<ChoiceNode>(A)->probability() ==
+           cast<ChoiceNode>(B)->probability();
+  case NodeKind::Case:
+    return cast<CaseNode>(A)->branches().size() ==
+           cast<CaseNode>(B)->branches().size();
+  default:
+    return true;
+  }
+}
+
+/// A node's own hash, before its children's hashes are folded in.
+std::size_t shallowHash(const Node *N) {
+  std::size_t Seed = hashCombine(0x1234u, static_cast<unsigned>(N->kind()));
+  switch (N->kind()) {
+  case NodeKind::Test: {
+    const auto *T = cast<TestNode>(N);
+    return hashCombine(hashCombine(Seed, T->field()), T->value());
+  }
+  case NodeKind::Assign: {
+    const auto *T = cast<AssignNode>(N);
+    return hashCombine(hashCombine(Seed, T->field()), T->value());
+  }
+  case NodeKind::Choice:
+    return hashCombine(Seed, cast<ChoiceNode>(N)->probability().hash());
+  default:
+    return Seed;
+  }
+}
+
 } // namespace
 
+// Every traversal below keeps its own stack: programs arrive from sockets
+// and files as 200k-deep `;` spines, and a recursive walk would overflow
+// the calling thread's stack on them.
+
+bool ast::structurallyEqual(const Node *A, const Node *B) {
+  // Equal shapes push equally many children, so the two stacks stay
+  // aligned pair by pair.
+  std::vector<const Node *> As{A}, Bs{B};
+  while (!As.empty()) {
+    const Node *X = As.back(), *Y = Bs.back();
+    As.pop_back();
+    Bs.pop_back();
+    if (X == Y)
+      continue;
+    if (!sameShallow(X, Y))
+      return false;
+    forEachChild(X, [&As](const Node *C) { As.push_back(C); });
+    forEachChild(Y, [&Bs](const Node *C) { Bs.push_back(C); });
+  }
+  return true;
+}
+
+std::size_t ast::structuralHash(const Node *N) {
+  // Post-order: a node folds its children's hashes, in child order, into
+  // its shallow hash. Frames are pushed twice; the second visit folds.
+  std::vector<std::pair<const Node *, bool>> Stack{{N, false}};
+  std::vector<std::size_t> Hashes;
+  while (!Stack.empty()) {
+    auto [X, Folding] = Stack.back();
+    Stack.pop_back();
+    if (!Folding) {
+      Stack.push_back({X, true});
+      std::size_t Mark = Stack.size();
+      forEachChild(X, [&Stack](const Node *C) { Stack.push_back({C, false}); });
+      std::reverse(Stack.begin() + static_cast<std::ptrdiff_t>(Mark),
+                   Stack.end());
+      continue;
+    }
+    std::size_t Arity = 0;
+    forEachChild(X, [&Arity](const Node *) { ++Arity; });
+    std::size_t Seed = shallowHash(X);
+    for (std::size_t I = Hashes.size() - Arity; I < Hashes.size(); ++I)
+      Seed = hashCombine(Seed, Hashes[I]);
+    Hashes.resize(Hashes.size() - Arity);
+    Hashes.push_back(Seed);
+  }
+  return Hashes.back();
+}
+
 std::size_t ast::countNodes(const Node *N) {
-  std::size_t Count = 1;
-  forEachChild(N, [&Count](const Node *C) { Count += countNodes(C); });
+  std::size_t Count = 0;
+  std::vector<const Node *> Stack{N};
+  while (!Stack.empty()) {
+    const Node *X = Stack.back();
+    Stack.pop_back();
+    ++Count;
+    forEachChild(X, [&Stack](const Node *C) { Stack.push_back(C); });
+  }
   return Count;
 }
 
 std::size_t ast::depth(const Node *N) {
-  std::size_t MaxChild = 0;
-  forEachChild(N, [&MaxChild](const Node *C) {
-    MaxChild = std::max(MaxChild, depth(C));
-  });
-  return MaxChild + 1;
+  std::size_t Max = 0;
+  std::vector<std::pair<const Node *, std::size_t>> Stack{{N, 1}};
+  while (!Stack.empty()) {
+    auto [X, D] = Stack.back();
+    Stack.pop_back();
+    Max = std::max(Max, D);
+    forEachChild(X, [&Stack, D = D](const Node *C) {
+      Stack.push_back({C, D + 1});
+    });
+  }
+  return Max;
 }
 
 bool ast::isGuarded(const Node *N) {
-  if (isa<StarNode>(N))
-    return false;
-  if (isa<UnionNode>(N) && !N->isPredicate())
-    return false;
-  bool Guarded = true;
-  forEachChild(N, [&Guarded](const Node *C) {
-    if (!isGuarded(C))
-      Guarded = false;
-  });
-  return Guarded;
-}
-
-static void collectValuesInto(const Node *N,
-                              std::map<FieldId, std::set<FieldValue>> &Out) {
-  if (const auto *T = dyn_cast<TestNode>(N)) {
-    Out[T->field()].insert(T->value());
-    return;
+  std::vector<const Node *> Stack{N};
+  while (!Stack.empty()) {
+    const Node *X = Stack.back();
+    Stack.pop_back();
+    if (isa<StarNode>(X) || (isa<UnionNode>(X) && !X->isPredicate()))
+      return false;
+    forEachChild(X, [&Stack](const Node *C) { Stack.push_back(C); });
   }
-  if (const auto *A = dyn_cast<AssignNode>(N)) {
-    Out[A->field()].insert(A->value());
-    return;
-  }
-  forEachChild(N, [&Out](const Node *C) { collectValuesInto(C, Out); });
+  return true;
 }
 
 std::map<FieldId, std::set<FieldValue>> ast::collectValues(const Node *N) {
   std::map<FieldId, std::set<FieldValue>> Result;
-  collectValuesInto(N, Result);
+  std::unordered_set<const Node *> Seen{N};
+  std::vector<const Node *> Stack{N};
+  while (!Stack.empty()) {
+    const Node *X = Stack.back();
+    Stack.pop_back();
+    if (const auto *T = dyn_cast<TestNode>(X))
+      Result[T->field()].insert(T->value());
+    else if (const auto *A = dyn_cast<AssignNode>(X))
+      Result[A->field()].insert(A->value());
+    forEachChild(X, [&](const Node *C) {
+      if (Seen.insert(C).second)
+        Stack.push_back(C);
+    });
+  }
   return Result;
 }

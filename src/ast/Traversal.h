@@ -3,7 +3,9 @@
 /// \file
 /// AST analyses: structural equality/hashing (for tests and caches), node
 /// statistics, guarded-fragment checking (§5's pragmatic restriction), and
-/// mentioned-value collection (seed of dynamic domain reduction).
+/// mentioned-value collection (seed of dynamic domain reduction). Every
+/// walk keeps its own stack, so arbitrarily deep terms are safe on any
+/// thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,7 +41,8 @@ bool isGuarded(const Node *N);
 
 /// Per-field sets of values mentioned in tests or assignments. Used to
 /// build finite packet domains for the reference semantics and as the seed
-/// of the symbolic-packet domains (§5.1 dynamic domain reduction).
+/// of the symbolic-packet domains (§5.1 dynamic domain reduction). A
+/// shared subterm is visited once.
 std::map<FieldId, std::set<FieldValue>> collectValues(const Node *N);
 
 } // namespace ast

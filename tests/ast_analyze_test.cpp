@@ -21,6 +21,7 @@
 #include "gen/Scenario.h"
 #include "parser/Parser.h"
 #include "support/Casting.h"
+#include "support/Prng.h"
 
 #include <gtest/gtest.h>
 
@@ -352,6 +353,199 @@ TEST_F(AnalyzeTest, SimplifyReportsStats) {
   EXPECT_EQ(Stats.NodesAfter, countNodes(S));
   EXPECT_LT(Stats.NodesAfter, Stats.NodesBefore);
   EXPECT_GE(Stats.Rounds, 1u);
+}
+
+//===----------------------------------------------------------------------===//
+// Overlap: cube guards against the enumeration
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// A random case guard over f0..f{NumFields-1}: a `;`-conjunction of up to
+/// four positive tests, so repeated and contradictory tests (`f=1 ; f=2`)
+/// both occur; the empty conjunction is `skip`.
+const Node *randomCube(Context &Ctx, Prng &Rng, unsigned NumFields) {
+  const Node *G = Ctx.skip();
+  for (uint64_t K = Rng.below(5); K != 0; --K) {
+    FieldId F = Ctx.field("f" + std::to_string(Rng.below(NumFields)));
+    G = Ctx.seq(G, Ctx.test(F, static_cast<FieldValue>(Rng.below(3))));
+  }
+  return G;
+}
+
+/// `g & g`: the guard itself, but no longer a `;`-conjunction of tests,
+/// so its overlap pairs take the enumeration. (`!!(g)` would do too, but
+/// the context folds the double negation straight back to g.)
+const Node *nonCube(Context &Ctx, const Node *G) { return Ctx.unite(G, G); }
+
+/// The overlap messages of `case { g1 -> out:=0 | … | else -> drop }`.
+std::vector<std::string> overlapMessages(Context &Ctx,
+                                         const std::vector<const Node *> &Gs,
+                                         std::size_t Budget) {
+  std::vector<CaseNode::Branch> Arms;
+  for (std::size_t I = 0; I < Gs.size(); ++I)
+    Arms.push_back({Gs[I], Ctx.assign(Ctx.field("out"),
+                                      static_cast<FieldValue>(I))});
+  AnalyzeOptions Opts;
+  Opts.OverlapBudget = Budget;
+  std::vector<std::string> Out;
+  for (const Finding &F : analyze(Ctx, Ctx.caseOf(Arms, Ctx.drop()), Opts))
+    if (F.Check == CheckKind::OverlappingCaseGuards)
+      Out.push_back(F.Message);
+  return Out;
+}
+
+} // namespace
+
+TEST(AnalyzeOverlap, CubePairsMatchTheEnumeration) {
+  Prng Rng(0xC0BEULL);
+  std::size_t Reported = 0, Silenced = 0;
+  for (unsigned Round = 0; Round < 300; ++Round) {
+    Context Ctx;
+    std::vector<const Node *> Cubes, Wrapped, Mixed;
+    for (uint64_t Arm = 2 + Rng.below(4); Arm != 0; --Arm) {
+      const Node *G = randomCube(Ctx, Rng, 3);
+      Cubes.push_back(G);
+      Wrapped.push_back(nonCube(Ctx, G));
+      Mixed.push_back(Rng.below(2) ? G : Wrapped.back());
+    }
+    // 4096 is the default and bounds nothing here; the small budgets put
+    // many pairs just over the line: every product of (distinct values +
+    // 1) per field here is a product of 2s, 3s and 4s.
+    std::size_t Unbounded = overlapMessages(Ctx, Wrapped, 4096).size();
+    for (std::size_t Budget : {1, 2, 3, 4, 6, 8, 9, 12, 16, 4096}) {
+      std::vector<std::string> Want = overlapMessages(Ctx, Wrapped, Budget);
+      EXPECT_EQ(overlapMessages(Ctx, Cubes, Budget), Want)
+          << "round " << Round << ", budget " << Budget;
+      EXPECT_EQ(overlapMessages(Ctx, Mixed, Budget), Want)
+          << "round " << Round << ", budget " << Budget;
+      Reported += Want.size();
+      Silenced += Unbounded - Want.size();
+    }
+  }
+  // The sweep exercised both outcomes of the budget rule.
+  EXPECT_GT(Reported, 0u);
+  EXPECT_GT(Silenced, 0u);
+}
+
+TEST(AnalyzeOverlap, CubePairsJustOverTheDefaultBudgetStaySilent) {
+  // Two equal cubes over n fields: 2^n candidate assignments. n = 12 is
+  // exactly the default budget of 4096 and reports; n = 13 is over it.
+  for (unsigned NumFields : {12u, 13u}) {
+    Context Ctx;
+    const Node *G = Ctx.skip();
+    for (unsigned F = 0; F < NumFields; ++F)
+      G = Ctx.seq(G, Ctx.test(Ctx.field("f" + std::to_string(F)), 1));
+    std::vector<std::string> Cube =
+        overlapMessages(Ctx, {G, G}, AnalyzeOptions{}.OverlapBudget);
+    EXPECT_EQ(Cube, overlapMessages(Ctx, {nonCube(Ctx, G), nonCube(Ctx, G)},
+                                    AnalyzeOptions{}.OverlapBudget));
+    EXPECT_EQ(Cube.size(), NumFields == 12 ? 1u : 0u);
+  }
+}
+
+TEST_F(AnalyzeTest, CubeOverlapWitnessesListEveryTestedField) {
+  std::vector<Finding> Fs =
+      lint("case { pt=2 ; sw=1 ; pt=2 -> pt:=1 | skip ; sw=1 -> pt:=3 "
+           "| sw=1 ; sw=2 -> drop | skip -> drop | else -> drop }");
+  std::vector<std::string> Messages;
+  for (const Finding &F : Fs)
+    if (F.Check == CheckKind::OverlappingCaseGuards)
+      Messages.push_back(F.Message);
+  EXPECT_EQ(Messages,
+            (std::vector<std::string>{
+                "case guards of arms 1 and 2 overlap (e.g. pt=2, sw=1); "
+                "only the first match fires",
+                "case guards of arms 1 and 4 overlap (e.g. pt=2, sw=1); "
+                "only the first match fires",
+                "case guards of arms 2 and 4 overlap (e.g. sw=1); only the "
+                "first match fires"}));
+}
+
+//===----------------------------------------------------------------------===//
+// Findings are computed on demand and never feed back into the facts
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Every public fact of \p A about every node of \p P, in DFS order.
+std::string factSnapshot(const DomainAnalysis &A, const Node *P) {
+  std::string Out;
+  auto Bit = [&Out](bool B) { Out += B ? '1' : '0'; };
+  std::vector<const Node *> Stack{P};
+  while (!Stack.empty()) {
+    const Node *N = Stack.back();
+    Stack.pop_back();
+    Bit(A.reached(N));
+    Bit(A.dropEquivalent(N));
+    if (const auto *T = dyn_cast<TestNode>(N))
+      Out += static_cast<char>('a' + static_cast<int>(A.testTruth(T)));
+    else if (const auto *As = dyn_cast<AssignNode>(N))
+      Bit(A.assignRedundant(As));
+    else if (const auto *I = dyn_cast<IfThenElseNode>(N)) {
+      Bit(A.branchReachable(I, true));
+      Bit(A.branchReachable(I, false));
+      Stack.insert(Stack.end(), {I->elseBranch(), I->thenBranch(), I->cond()});
+    } else if (const auto *W = dyn_cast<WhileNode>(N)) {
+      Bit(A.loopEntered(W));
+      Bit(A.loopExits(W));
+      Stack.insert(Stack.end(), {W->body(), W->cond()});
+    } else if (const auto *C = dyn_cast<CaseNode>(N)) {
+      for (std::size_t Arm = 0; Arm <= C->branches().size(); ++Arm)
+        Bit(A.armReachable(C, Arm));
+      for (std::size_t Arm = 0; Arm < C->branches().size(); ++Arm) {
+        Bit(A.guardTotal(C, Arm));
+        Stack.push_back(C->branches()[Arm].second);
+        Stack.push_back(C->branches()[Arm].first);
+      }
+      Stack.push_back(C->defaultBranch());
+    } else if (const auto *S = dyn_cast<SeqNode>(N))
+      Stack.insert(Stack.end(), {S->rhs(), S->lhs()});
+    else if (const auto *U = dyn_cast<UnionNode>(N))
+      Stack.insert(Stack.end(), {U->rhs(), U->lhs()});
+    else if (const auto *Ch = dyn_cast<ChoiceNode>(N))
+      Stack.insert(Stack.end(), {Ch->rhs(), Ch->lhs()});
+    else if (const auto *Ng = dyn_cast<NotNode>(N))
+      Stack.push_back(Ng->operand());
+    else if (const auto *St = dyn_cast<StarNode>(N))
+      Stack.push_back(St->body());
+    Out += ' ';
+  }
+  return Out;
+}
+
+std::vector<std::string> renderAll(const std::vector<Finding> &Fs) {
+  std::vector<std::string> Out;
+  for (const Finding &F : Fs)
+    Out.push_back(F.render("p.pnk"));
+  return Out;
+}
+
+} // namespace
+
+TEST(AnalyzeProperty, FactsDoNotDependOnFindings) {
+  for (unsigned I = 0; I < 100; ++I) {
+    Context Ctx;
+    gen::GenOptions GO;
+    GO.PlantDeadArms = (I % 2 == 1);
+    GO.WeightCase = I % 3 == 0 ? 12 : GO.WeightCase;
+    const Node *P = gen::generateProgram(Ctx, 0xFAC75ULL + I, GO);
+    const Node *Simplified = simplify(Ctx, P);
+
+    DomainAnalysis A(Ctx, P);
+    std::string Facts = factSnapshot(A, P);
+    const std::vector<Finding> &First = A.findings();
+    std::vector<std::string> Rendered = renderAll(First);
+    EXPECT_EQ(factSnapshot(A, P), Facts) << "seed " << I;
+    // A second call returns the same list, not a re-run appended to it.
+    EXPECT_EQ(&A.findings(), &First);
+    EXPECT_EQ(renderAll(A.findings()), Rendered) << "seed " << I;
+    EXPECT_EQ(renderAll(analyze(Ctx, P)), Rendered) << "seed " << I;
+
+    const Node *Again = simplify(Ctx, P);
+    EXPECT_TRUE(Again == Simplified || structurallyEqual(Again, Simplified))
+        << "seed " << I << ": " << print(P, Ctx.fields());
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -15,6 +15,8 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+
 using namespace mcnk;
 using namespace mcnk::ast;
 
@@ -167,6 +169,36 @@ TEST_F(AstTest, CountAndDepth) {
   const Node *P = Ctx.seq(T, Ctx.seq(Ctx.assign(Pt, 1), Ctx.assign(Pt, 2)));
   EXPECT_EQ(countNodes(P), 5u);
   EXPECT_EQ(depth(P), 3u);
+}
+
+TEST_F(AstTest, TraversalsSurviveDeepTermsOffTheMainThread) {
+  // A 200k-deep `;` spine — the shape of a parsed 200k-element chain —
+  // walked on a std::thread, as a serve session would.
+  auto chain = [this] {
+    const Node *P = Ctx.test(Sw, 1);
+    for (unsigned I = 1; I < 200000; ++I)
+      P = Ctx.seq(P, I % 2 ? Ctx.assign(Pt, I % 3) : Ctx.test(Sw, 1));
+    return P;
+  };
+  const Node *P = chain(), *Q = chain();
+  const Node *R = Ctx.seq(P, Ctx.test(Sw, 2));
+  std::thread Walker([&] {
+    EXPECT_EQ(countNodes(P), 399999u);
+    EXPECT_EQ(depth(P), 200000u);
+    EXPECT_TRUE(isGuarded(P));
+    EXPECT_FALSE(isGuarded(Ctx.seq(P, Ctx.star(Ctx.assign(Pt, 1)))));
+    EXPECT_TRUE(structurallyEqual(P, Q));
+    EXPECT_FALSE(structurallyEqual(R, Ctx.seq(Q, Ctx.test(Sw, 3))));
+    EXPECT_EQ(structuralHash(P), structuralHash(Q));
+    EXPECT_EQ(collectValues(P)[Pt], (std::set<FieldValue>{0, 1, 2}));
+  });
+  Walker.join();
+  // A doubling DAG: 2^60 occurrences of 61 distinct nodes. collectValues
+  // visits each shared node once.
+  const Node *D = Ctx.assign(Pt, 5);
+  for (unsigned I = 0; I < 60; ++I)
+    D = Ctx.seq(D, D);
+  EXPECT_EQ(collectValues(D)[Pt], (std::set<FieldValue>{5}));
 }
 
 TEST_F(AstTest, PrintBasics) {

@@ -742,6 +742,50 @@ TEST(Session, RejectsBadRequestsWithoutDying) {
   EXPECT_EQ(Svc->errors(), sizeof(Bad) / sizeof(Bad[0]));
 }
 
+TEST(Session, DeepChainsAnswerOnASessionThread) {
+  // A 200k-element `sw=1 ; pt:=0 ; sw=1 ; pt:=1 ; …` chain parses to a
+  // 200k-deep `;` spine. Every pass these verbs run over socket input
+  // must walk it with an explicit stack: a recursive walk overflows the
+  // session thread's stack and takes the daemon down with it.
+  std::string Chain = "sw=1";
+  for (unsigned I = 1; I < 200000; ++I)
+    Chain += I % 2 ? (I % 4 == 1 ? " ; pt:=0" : " ; pt:=1") : " ; sw=1";
+  const std::string Lines[] = {
+      "{\"verb\":\"parse\",\"program\":\"" + Chain + "\"}",
+      lintRequest(Chain, "deep.pnk"),
+      "{\"verb\":\"query\",\"query\":\"delivery\",\"slice\":true,"
+      "\"program\":\"" + Chain + "\",\"inputs\":[{\"sw\":1},{\"sw\":2}]}",
+      "{\"verb\":\"query\",\"query\":\"delivery\",\"program\":\"sw:=1\","
+      "\"inputs\":[{\"sw\":5}]}",
+  };
+  auto Svc = serve::Service::create({}, nullptr);
+  ASSERT_TRUE(Svc);
+  std::vector<std::string> Responses;
+  std::thread Worker([&] {
+    serve::Session S(*Svc);
+    for (const std::string &Line : Lines)
+      Responses.push_back(S.handleLine(Line));
+  });
+  Worker.join();
+  ASSERT_EQ(Responses.size(), 4u);
+  std::vector<serve::Json> R(4);
+  for (std::size_t I = 0; I < 4; ++I) {
+    std::string Error;
+    ASSERT_TRUE(serve::parseJson(Responses[I], R[I], &Error)) << Error;
+    const serve::Json *Message = R[I].find("error");
+    EXPECT_TRUE(okOf(R[I]) || (Message && Message->isString()))
+        << "response " << I << " is neither ok nor a structured error";
+  }
+  ASSERT_TRUE(okOf(R[0])) << R[0].dump();
+  EXPECT_EQ(R[0].find("depth")->asInt(), 200000);
+  EXPECT_TRUE(R[0].find("guarded")->asBool());
+  if (okOf(R[2])) {
+    EXPECT_EQ(R[2].find("results")->dump(), "[\"1\",\"0\"]");
+  }
+  // The session is still healthy afterwards.
+  EXPECT_TRUE(okOf(R[3])) << R[3].dump();
+}
+
 TEST(Session, StatsGcAndShutdownVerbsWork) {
   auto Svc = serve::Service::create({}, nullptr);
   ASSERT_TRUE(Svc);
