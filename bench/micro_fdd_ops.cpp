@@ -128,6 +128,36 @@ static void BM_FddLoopSolve(benchmark::State &State) {
 }
 BENCHMARK(BM_FddLoopSolve)->Arg(16)->Arg(64);
 
+static void BM_FddLoopSolveWide(benchmark::State &State) {
+  // while f=0 do a ring on g={0..N-1}: at g=v the packet exits (f:=1,
+  // keeping g=v) w.p. 1/1000 and moves to g=v+1 mod N otherwise. Every
+  // transient state reaches all N exits with non-dyadic weights, so the
+  // Direct engine's float-to-exact boundary converts a dense N x N block.
+  std::unique_ptr<FddManager> M;
+  std::unique_ptr<ast::Context> Context;
+  for (auto _ : State) {
+    State.PauseTiming();
+    M.reset();
+    M = std::make_unique<FddManager>(markov::SolverKind::Direct);
+    Context.reset();
+    Context = std::make_unique<ast::Context>();
+    ast::Context &Ctx = *Context;
+    FieldId F = Ctx.field("f");
+    FieldId G = Ctx.field("g");
+    auto N = static_cast<FieldValue>(State.range(0));
+    const ast::Node *Body = Ctx.drop();
+    for (FieldValue V = N; V-- > 0;)
+      Body = Ctx.ite(Ctx.test(G, V),
+                     Ctx.choice(Rational(1, 1000), Ctx.assign(F, 1),
+                                Ctx.assign(G, (V + 1) % N)),
+                     Body);
+    const ast::Node *Loop = Ctx.whileLoop(Ctx.test(F, 0), Body);
+    State.ResumeTiming();
+    benchmark::DoNotOptimize(compile(*M, Loop));
+  }
+}
+BENCHMARK(BM_FddLoopSolveWide)->Arg(64)->Arg(256);
+
 static void BM_CompileTriangleModel(benchmark::State &State) {
   std::unique_ptr<FddManager> M;
   std::unique_ptr<ast::Context> Context;

@@ -23,6 +23,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <map>
 #include <set>
 
@@ -34,6 +35,46 @@ namespace {
 /// Hard cap on the symbolic product size; exceeding it indicates a model
 /// whose loop state was not reduced (e.g. globally-scoped failure flags).
 constexpr std::size_t MaxSymbolicStates = 4u << 20;
+
+/// Kept float-solve values are whole multiples of 2^-UnitBits; a row of
+/// at most MaxSymbolicStates of them (the exit-column cap), each at most
+/// one, sums within 128 bits (docs/ARCHITECTURE.md S1).
+constexpr int UnitBits = 92;
+static_assert(MaxSymbolicStates <= (std::size_t(1) << (128 - UnitBits - 1)),
+              "a float-solve row total must fit in 128 bits");
+
+BigInt toBigInt(unsigned __int128 Value) {
+  if (Value <= static_cast<uint64_t>(INT64_MAX))
+    return BigInt(static_cast<int64_t>(Value));
+  return BigInt::fromLimbs64(false, {static_cast<uint64_t>(Value),
+                                     static_cast<uint64_t>(Value >> 64)});
+}
+
+int countTrailingZeros(unsigned __int128 Value) {
+  auto Low = static_cast<uint64_t>(Value);
+  return Low != 0 ? __builtin_ctzll(Low)
+                  : 64 + __builtin_ctzll(static_cast<uint64_t>(Value >> 64));
+}
+
+/// The canonical Rational of Num / Den (0 < Num, Den), reduced by a binary
+/// gcd in registers. Against a power-of-two Den it stops after one step.
+Rational fromRatio(unsigned __int128 Num, unsigned __int128 Den) {
+  int Shift = countTrailingZeros(Num | Den);
+  unsigned __int128 A = Num >> countTrailingZeros(Num), B = Den;
+  while (B != 0 && A != 1) {
+    B >>= countTrailingZeros(B);
+    if (A > B)
+      std::swap(A, B);
+    B -= A;
+  }
+  Num >>= Shift;
+  Den >>= Shift;
+  if (A != 1) {
+    Num /= A;
+    Den /= A;
+  }
+  return Rational::fromCoprime(toBigInt(Num), toBigInt(Den));
+}
 
 /// Collects tested (field -> values) and modified (field -> values) maps.
 void collectTestsAndMods(const FddManager &M, FddRef Root,
@@ -261,19 +302,40 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
 
   // --- Solve (Theorem 4.7) -------------------------------------------------
   // One SCC block pipeline for every engine (docs/ARCHITECTURE.md S13);
-  // the per-block metrics land in lastLoopStats().
+  // the per-block metrics land in lastLoopStats(). Every engine leaves one
+  // sparse row per transient state: its nonzero exits in column order and
+  // its drop mass, 1 minus their sum.
+  struct SolvedRow {
+    std::vector<std::pair<std::size_t, Rational>> Exits;
+    Rational Drop;
+  };
+  std::vector<SolvedRow> Solved(NumTransient);
   markov::SolveMetrics Metrics;
-  linalg::DenseMatrix<Rational> Absorption(NumTransient, Chain.NumAbsorbing);
-  if (Solver == markov::SolverKind::Exact) {
-    if (!markov::solveAbsorptionExact(Chain, Absorption, Structure, &Metrics))
+  if (Solver == markov::SolverKind::Exact ||
+      Solver == markov::SolverKind::ModularExact) {
+    // ModularExact is exact-valued like the Rational engine (mod-p solves
+    // + CRT/rational reconstruction, verified, with Rational fallback), so
+    // no boundary clamping applies to either.
+    linalg::DenseMatrix<Rational> Absorption(NumTransient,
+                                             Chain.NumAbsorbing);
+    bool Ok = Solver == markov::SolverKind::Exact
+                  ? markov::solveAbsorptionExact(Chain, Absorption,
+                                                 Structure, &Metrics)
+                  : markov::solveAbsorptionModular(Chain, Absorption,
+                                                   Structure, &Metrics);
+    if (!Ok)
       fatalError("absorbing-chain solve failed (malformed chain)");
-  } else if (Solver == markov::SolverKind::ModularExact) {
-    // Exact-valued like the Rational engine (mod-p solves + CRT/rational
-    // reconstruction, verified, with Rational fallback) — no boundary
-    // clamping applies.
-    if (!markov::solveAbsorptionModular(Chain, Absorption, Structure,
-                                        &Metrics))
-      fatalError("absorbing-chain solve failed (malformed chain)");
+    for (std::size_t R = 0; R < NumTransient; ++R) {
+      SolvedRow &Row = Solved[R];
+      Row.Drop = Rational(1);
+      for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C) {
+        Rational &W = Absorption.at(R, C);
+        if (W.isZero())
+          continue;
+        Row.Drop -= W;
+        Row.Exits.emplace_back(C, std::move(W));
+      }
+    }
   } else {
     linalg::DenseMatrix<double> Approx;
     if (!markov::solveAbsorptionDouble(Chain, Approx, Solver, Structure,
@@ -281,28 +343,34 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
       fatalError("absorbing-chain solve failed (malformed chain)");
     // Clamp, snap, and renormalize the float solution before it re-enters
     // the exact world (paper §5: UMFPACK's float results are trusted but
-    // must be cleaned at the boundary). The row total is accumulated in
-    // exact arithmetic: summing the converted entries in double would let
-    // the exact sum exceed one by an ulp and break the leaf invariant.
+    // must be cleaned at the boundary). Kept values and row totals are
+    // integers of 2^-UnitBits units; a row whose doubles sum past one is
+    // rescaled to total exactly one (docs/ARCHITECTURE.md S1).
+    if (Chain.NumAbsorbing > MaxSymbolicStates)
+      fatalError("while-loop exit space exceeds the cap; "
+                 "restructure the model (e.g. make failure flags hop-local)");
+    const unsigned __int128 One = static_cast<unsigned __int128>(1)
+                                  << UnitBits;
+    std::vector<unsigned __int128> Units;
     for (std::size_t R = 0; R < NumTransient; ++R) {
-      Rational RowTotal;
+      SolvedRow &Row = Solved[R];
+      Units.clear();
+      unsigned __int128 Total = 0;
       for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C) {
         double V = std::min(1.0, std::max(0.0, Approx.at(R, C)));
         if (V < 1e-12)
-          V = 0.0;
-        else if (V > 1.0 - 1e-12)
+          continue;
+        if (V > 1.0 - 1e-12)
           V = 1.0;
-        if (V != 0.0) {
-          Absorption.at(R, C) = Rational::fromDouble(V);
-          RowTotal += Absorption.at(R, C);
-        }
+        Units.push_back(
+            static_cast<unsigned __int128>(std::ldexp(V, UnitBits)));
+        Total += Units.back();
+        Row.Exits.emplace_back(C, Rational());
       }
-      if (RowTotal > Rational(1)) {
-        Rational Scale = RowTotal.reciprocal();
-        for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
-          if (!Absorption.at(R, C).isZero())
-            Absorption.at(R, C) *= Scale;
-      }
+      for (std::size_t I = 0; I < Units.size(); ++I)
+        Row.Exits[I].second = fromRatio(Units[I], std::max(Total, One));
+      if (Total < One)
+        Row.Drop = fromRatio(One - Total, One);
     }
   }
 
@@ -330,13 +398,11 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
     if (TransientId[S] == SIZE_MAX)
       return IdentityLeaf; // Guard already false: zero iterations.
     Decode(S, Sym);
-    std::size_t Row = TransientId[S];
+    // Each transient state's leaf is built once, so its row is moved out.
+    SolvedRow &Row = Solved[TransientId[S]];
     std::vector<std::pair<Action, Rational>> Entries;
-    Rational Total;
-    for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C) {
-      const Rational &W = Absorption.at(Row, C);
-      if (W.isZero())
-        continue;
+    Entries.reserve(Row.Exits.size() + 1);
+    for (auto &[C, W] : Row.Exits) {
       const AbsorbKey &ExitKey = AbsorbKeys[C];
       Decode(ExitKey.ExitState, ExitSym);
       std::vector<Action::Mod> ModList;
@@ -349,16 +415,11 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
       }
       for (std::size_t I = 0; I < OutputOnly.size(); ++I)
         ModList.emplace_back(OutputOnly[I], ExitKey.Decorations[I]);
-      Entries.emplace_back(Action::modify(std::move(ModList)), W);
-      Total += W;
+      Entries.emplace_back(Action::modify(std::move(ModList)), std::move(W));
     }
-    assert(Total <= Rational(1) && "absorption mass exceeds one");
-    if (!Total.isOne()) {
-      // Missing mass is drop; computed in place on the accumulator.
-      Rational DropMass(1);
-      DropMass -= Total;
-      Entries.emplace_back(Action::drop(), std::move(DropMass));
-    }
+    assert(!Row.Drop.isNegative() && "absorption mass exceeds one");
+    if (!Row.Drop.isZero()) // Missing mass is drop.
+      Entries.emplace_back(Action::drop(), std::move(Row.Drop));
     return leaf(ActionDist::fromEntries(std::move(Entries)));
   };
 

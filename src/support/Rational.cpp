@@ -342,13 +342,18 @@ Rational Rational::fromDouble(double Value) {
     return Rational();
   int Exp = 0;
   double Mantissa = std::frexp(Value, &Exp); // Value = Mantissa * 2^Exp.
-  // Scale the mantissa to a 53-bit integer; the result is exact.
+  // Scale the mantissa to a 53-bit integer (exact), then strip its
+  // trailing zeros: an odd numerator over a power of two is already in
+  // lowest terms, so no gcd runs.
   int64_t Scaled = static_cast<int64_t>(std::ldexp(Mantissa, 53));
-  Exp -= 53;
-  BigInt Num(Scaled);
+  int Zeros = __builtin_ctzll(static_cast<uint64_t>(Scaled));
+  Scaled /= int64_t(1) << Zeros;
+  Exp += Zeros - 53;
   if (Exp >= 0)
-    return Rational(Num.shl(static_cast<unsigned>(Exp)), BigInt(1));
-  return Rational(std::move(Num), BigInt(1).shl(static_cast<unsigned>(-Exp)));
+    return fromCoprime(BigInt(Scaled).shl(static_cast<unsigned>(Exp)),
+                       BigInt(1));
+  return fromCoprime(BigInt(Scaled),
+                     BigInt(1).shl(static_cast<unsigned>(-Exp)));
 }
 
 std::size_t Rational::hash() const {

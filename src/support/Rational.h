@@ -49,8 +49,9 @@ public:
   static bool fromString(const std::string &Text, Rational &Out);
 
   /// Exact conversion of a finite double (every finite double is a
-  /// dyadic rational). Used when floating-point loop solutions are fed
-  /// back into exact FDD leaves (paper §5: UMFPACK results re-enter FDDs).
+  /// dyadic rational), built as odd mantissa over a power of two, so no
+  /// gcd runs. The float loop solve builds the same canonical values from
+  /// integer units (docs/ARCHITECTURE.md S1).
   static Rational fromDouble(double Value);
 
   const BigInt &numerator() const { return Num; }

@@ -421,6 +421,55 @@ TEST_F(FddTest, FloatSolverAgreesWithExact) {
   EXPECT_TRUE(approxEquivalent(MIter, Iter, ExactImported2, 1e-8));
 }
 
+TEST_F(FddTest, FloatLoopRescalesRowsThatSumPastOne) {
+  // while a=0 do (a:=1 ⊕ ... ⊕ a:=10, each 1/10): the float solve returns
+  // ten doubles 0.1, which sum past one, so the row is rescaled to total
+  // exactly one and keeps no drop mass.
+  std::vector<const Node *> Exits;
+  for (FieldValue V = 1; V <= 10; ++V)
+    Exits.push_back(Ctx.assign(A, V));
+  const Node *P = Ctx.whileLoop(Ctx.test(A, 0), Ctx.choiceUniform(Exits));
+  auto Exact = M.outputDistribution(compileP(P), packet(0, 0));
+  ASSERT_EQ(Exact.Outputs.size(), 10u);
+  for (markov::SolverKind Kind :
+       {markov::SolverKind::Direct, markov::SolverKind::Iterative}) {
+    FddManager MFloat(Kind);
+    auto Out = MFloat.outputDistribution(compile(MFloat, P), packet(0, 0));
+    EXPECT_EQ(Out.Dropped, Rational(0));
+    ASSERT_EQ(Out.Outputs.size(), 10u);
+    Rational Total;
+    for (const auto &[Pk, W] : Out.Outputs) {
+      EXPECT_EQ(Exact.Outputs[Pk], Rational(1, 10));
+      EXPECT_NEAR(W.toDouble(), Exact.Outputs[Pk].toDouble(), 1e-15);
+      Total += W;
+    }
+    EXPECT_EQ(Total, Rational(1));
+  }
+}
+
+TEST_F(FddTest, FloatLoopDropsAllMassOfPrunedStates) {
+  // while (a=0 + a=1) do (if a=0 then a:=0 else (a:=2 ⊕⅓ a:=1)): a=0
+  // never exits, so the solve prunes it and its leaf is drop with mass
+  // exactly one; a=1 exits to a=2 almost surely.
+  const Node *P = Ctx.whileLoop(
+      Ctx.unite(Ctx.test(A, 0), Ctx.test(A, 1)),
+      Ctx.ite(Ctx.test(A, 0), Ctx.assign(A, 0),
+              Ctx.choice(Rational(1, 3), Ctx.assign(A, 2),
+                         Ctx.assign(A, 1))));
+  for (markov::SolverKind Kind :
+       {markov::SolverKind::Direct, markov::SolverKind::Iterative}) {
+    FddManager MFloat(Kind);
+    FddRef Loop = compile(MFloat, P);
+    auto Diverging = MFloat.outputDistribution(Loop, packet(0, 4));
+    EXPECT_TRUE(Diverging.Outputs.empty());
+    EXPECT_EQ(Diverging.Dropped, Rational(1));
+    // Iterative stops at its tolerance, so only the total is exact here.
+    auto Exiting = MFloat.outputDistribution(Loop, packet(1, 4));
+    EXPECT_NEAR(Exiting.Outputs[packet(2, 4)].toDouble(), 1.0, 1e-9);
+    EXPECT_EQ(Exiting.Outputs[packet(2, 4)] + Exiting.Dropped, Rational(1));
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Randomized soundness sweep: FDD backend vs reference set semantics.
 //===----------------------------------------------------------------------===//

@@ -12,6 +12,8 @@
 
 #include "analysis/Verifier.h"
 #include "ast/Traversal.h"
+#include "fdd/Compile.h"
+#include "fdd/Export.h"
 #include "routing/Routing.h"
 
 #include <gtest/gtest.h>
@@ -306,6 +308,72 @@ TEST(FatTreeModelTest, StandardFatTreeLacksThreeHopDetour) {
   Rational DAb = V2.deliveryProbability(V2.compile(MAb.Program),
                                         MAb.ingressPacket(2, Ctx2));
   EXPECT_LT(DStd, DAb);
+}
+
+namespace {
+
+/// FNV-1a over a text rendering of an exported diagram: every node in
+/// export order, inner nodes as field, value and children, leaves as their
+/// (action, exact weight) entries.
+uint64_t diagramDigest(const fdd::PortableFdd &D) {
+  std::string Text;
+  for (const fdd::PortableFdd::Node &N : D.Nodes) {
+    if (!N.IsLeaf) {
+      Text += "I " + std::to_string(N.Field) + " " + std::to_string(N.Value) +
+              " " + std::to_string(N.Hi) + " " + std::to_string(N.Lo) + "\n";
+      continue;
+    }
+    Text += "L";
+    for (const auto &[A, W] : N.Dist) {
+      Text += A.isDrop() ? " drop" : " {";
+      for (const auto &[F, V] : A.mods())
+        Text += std::to_string(F) + "=" + std::to_string(V) + ",";
+      Text += "}" + W.toString();
+    }
+    Text += "\n";
+  }
+  Text += "root " + std::to_string(D.Root);
+  uint64_t Hash = 0xcbf29ce484222325ull;
+  for (unsigned char C : Text)
+    Hash = (Hash ^ C) * 0x100000001b3ull;
+  return Hash;
+}
+
+} // namespace
+
+TEST(FatTreeModelTest, FloatSolvedHopModelsKeepTheirDiagrams) {
+  // The Direct and Iterative engines solve each hop model's loop in
+  // floating point and convert the result back into exact leaves. These
+  // digests pin the exported diagrams of AB FatTree p=4 hop models (pr
+  // 1/1000, hop cap 14), so any change to that conversion must reproduce
+  // every leaf weight exactly.
+  struct Case {
+    Scheme S;
+    markov::SolverKind Solver;
+    uint64_t Digest;
+  };
+  const Case Cases[] = {
+      {Scheme::F100, markov::SolverKind::Direct, 1785059759556235577ull},
+      {Scheme::F100, markov::SolverKind::Iterative, 1785059759556235577ull},
+      {Scheme::F1035, markov::SolverKind::Direct, 6036353248839143381ull},
+      {Scheme::F1035, markov::SolverKind::Iterative, 6036353248839143381ull},
+  };
+  for (const Case &C : Cases) {
+    Context Ctx;
+    topology::FatTreeLayout L;
+    topology::makeAbFatTree(4, L);
+    ModelOptions O;
+    O.RoutingScheme = C.S;
+    O.Failures = FailureModel::iid(Rational(1, 1000));
+    O.CountHops = true;
+    O.HopCap = 14;
+    NetworkModel M = buildFatTreeModel(L, O, Ctx);
+    fdd::FddManager Manager(C.Solver);
+    fdd::FddRef Model = fdd::compile(Manager, M.Program);
+    EXPECT_EQ(diagramDigest(fdd::exportFdd(Manager, Model)), C.Digest)
+        << "scheme " << static_cast<int>(C.S) << ", solver "
+        << static_cast<int>(C.Solver);
+  }
 }
 
 //===----------------------------------------------------------------------===//

@@ -10,6 +10,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <random>
 
 using mcnk::BigInt;
@@ -74,6 +76,82 @@ TEST(RationalTest, ToDouble) {
   for (int I = 0; I < 10; ++I)
     Tiny *= Rational(1, 1000);
   EXPECT_NEAR(Tiny.toDouble(), 1e-30, 1e-30 * 1e-12);
+}
+
+namespace {
+
+/// The value of a finite double built the slow way: its 53-bit mantissa
+/// integer over (or times) a power of two, through the normalizing
+/// constructor and its gcd.
+Rational dyadicReference(double X) {
+  int Exp = 0;
+  double Mantissa = std::frexp(X, &Exp);
+  BigInt M(static_cast<int64_t>(std::ldexp(Mantissa, 53)));
+  Exp -= 53;
+  if (Exp >= 0)
+    return Rational(M.shl(static_cast<unsigned>(Exp)), BigInt(1));
+  return Rational(M, BigInt(1).shl(static_cast<unsigned>(-Exp)));
+}
+
+/// True when \p R is an odd numerator over a power of two, or an integer.
+bool isCanonicalDyadic(const Rational &R) {
+  const BigInt &D = R.denominator();
+  if (D.isOne())
+    return true;
+  bool PowerOfTwo = BigInt(1).shl(D.bitLength() - 1) == D;
+  return PowerOfTwo && R.numerator().modU64(2) == 1;
+}
+
+void expectExactDyadic(double X) {
+  Rational R = Rational::fromDouble(X);
+  EXPECT_EQ(R.toDouble(), X) << X;
+  EXPECT_EQ(R, dyadicReference(X)) << X;
+  EXPECT_TRUE(isCanonicalDyadic(R)) << X << " -> " << R.toString();
+}
+
+} // namespace
+
+TEST(RationalTest, FromDoubleIsExactAndCanonical) {
+  EXPECT_EQ(Rational::fromDouble(0.0), Rational());
+  EXPECT_EQ(Rational::fromDouble(-0.0), Rational());
+  EXPECT_EQ(Rational::fromDouble(0.1).toString(),
+            "3602879701896397/36028797018963968");
+  EXPECT_EQ(Rational::fromDouble(-0.75), Rational(-3, 4));
+  // Powers of two, both sides of one.
+  for (int K = -1074; K <= 1023; K += 7) {
+    double X = std::ldexp(1.0, K);
+    EXPECT_EQ(Rational::fromDouble(X),
+              K >= 0 ? Rational(BigInt(1).shl(static_cast<unsigned>(K)), 1)
+                     : Rational(1, BigInt(1).shl(static_cast<unsigned>(-K))))
+        << K;
+    expectExactDyadic(X);
+    expectExactDyadic(-X);
+  }
+  // Integers at and past 2^53, where the mantissa is shifted left.
+  for (double X : {9007199254740992.0, 9007199254740994.0, 1e17, 1e300,
+                   std::ldexp(3.0, 70), std::ldexp(1.0, 60) + 1024.0}) {
+    expectExactDyadic(X);
+    expectExactDyadic(-X);
+    EXPECT_TRUE(Rational::fromDouble(X).denominator().isOne()) << X;
+  }
+  // The snap thresholds of the float loop solve.
+  for (double X : {1e-12, 1.0 - 1e-12, 0.1, 1.0 / 3.0, 0.999, 1e-3}) {
+    expectExactDyadic(X);
+    expectExactDyadic(-X);
+  }
+  EXPECT_EQ(Rational::fromDouble(1e-12).denominator(), BigInt(1).shl(92));
+}
+
+TEST(RationalTest, FromDoubleMatchesTheReferenceOnRandomBits) {
+  std::mt19937_64 Rng(21);
+  for (int I = 0; I < 20000; ++I) {
+    uint64_t Bits = Rng();
+    double X;
+    std::memcpy(&X, &Bits, sizeof(X));
+    if (!std::isfinite(X) || X == 0.0)
+      continue;
+    expectExactDyadic(X);
+  }
 }
 
 TEST(RationalTest, StringRoundTrip) {
