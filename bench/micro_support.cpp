@@ -2,14 +2,23 @@
 ///
 /// \file
 /// Microbenchmarks for the exact-arithmetic substrate (BigInt/Rational) —
-/// the foundation every FDD leaf operation pays for.
+/// the foundation every FDD leaf operation pays for — and for the daemon's
+/// front end (parse plus fingerprint of one request's program text).
 ///
 //===----------------------------------------------------------------------===//
 
+#include "ast/Context.h"
+#include "ast/Hash.h"
+#include "ast/Printer.h"
+#include "parser/Parser.h"
+#include "routing/Routing.h"
 #include "support/BigInt.h"
 #include "support/Rational.h"
+#include "topology/Topology.h"
 
 #include <benchmark/benchmark.h>
+
+#include <string>
 
 using namespace mcnk;
 
@@ -133,5 +142,33 @@ static void BM_RationalToDouble(benchmark::State &State) {
     benchmark::DoNotOptimize(Tiny.toDouble());
 }
 BENCHMARK(BM_RationalToDouble);
+
+static void BM_ParseAndFingerprint(benchmark::State &State) {
+  // The text of an AB FatTree p=4 F10_3,5 hop-count model, as a client
+  // sends it; each iteration is what a warm `compile` request pays before
+  // the cache lookup: parse into a fresh Context, then fingerprint.
+  std::string Text;
+  {
+    ast::Context Ctx;
+    topology::FatTreeLayout L;
+    topology::makeAbFatTree(4, L);
+    routing::ModelOptions O;
+    O.RoutingScheme = routing::Scheme::F1035;
+    O.Failures = routing::FailureModel::iid(Rational(1, 4));
+    O.CountHops = true;
+    O.HopCap = 14;
+    Text = ast::print(routing::buildFatTreeModel(L, O, Ctx).Program,
+                      Ctx.fields());
+  }
+  for (auto _ : State) {
+    ast::Context Ctx;
+    parser::ParseResult R = parser::parseProgram(Text, Ctx);
+    ast::FingerprintMemo Memo;
+    benchmark::DoNotOptimize(ast::fingerprintTree(R.Program, Memo).Hash);
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Text.size()));
+}
+BENCHMARK(BM_ParseAndFingerprint);
 
 BENCHMARK_MAIN();

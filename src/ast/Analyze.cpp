@@ -1017,49 +1017,7 @@ struct DomainAnalysis::Impl {
   static void forEachChildRev(const Node *N, std::vector<const Node *> &Out) {
     // Push children in reverse so the DFS pops them in syntactic order.
     std::size_t Mark = Out.size();
-    switch (N->kind()) {
-    case NodeKind::Drop:
-    case NodeKind::Skip:
-    case NodeKind::Test:
-    case NodeKind::Assign:
-      break;
-    case NodeKind::Not:
-      Out.push_back(cast<NotNode>(N)->operand());
-      break;
-    case NodeKind::Seq:
-      Out.push_back(cast<SeqNode>(N)->lhs());
-      Out.push_back(cast<SeqNode>(N)->rhs());
-      break;
-    case NodeKind::Union:
-      Out.push_back(cast<UnionNode>(N)->lhs());
-      Out.push_back(cast<UnionNode>(N)->rhs());
-      break;
-    case NodeKind::Choice:
-      Out.push_back(cast<ChoiceNode>(N)->lhs());
-      Out.push_back(cast<ChoiceNode>(N)->rhs());
-      break;
-    case NodeKind::Star:
-      Out.push_back(cast<StarNode>(N)->body());
-      break;
-    case NodeKind::IfThenElse:
-      Out.push_back(cast<IfThenElseNode>(N)->cond());
-      Out.push_back(cast<IfThenElseNode>(N)->thenBranch());
-      Out.push_back(cast<IfThenElseNode>(N)->elseBranch());
-      break;
-    case NodeKind::While:
-      Out.push_back(cast<WhileNode>(N)->cond());
-      Out.push_back(cast<WhileNode>(N)->body());
-      break;
-    case NodeKind::Case: {
-      const auto *C = cast<CaseNode>(N);
-      for (const auto &[Guard, Body] : C->branches()) {
-        Out.push_back(Guard);
-        Out.push_back(Body);
-      }
-      Out.push_back(C->defaultBranch());
-      break;
-    }
-    }
+    forEachChild(N, [&Out](const Node *C) { Out.push_back(C); });
     std::reverse(Out.begin() + Mark, Out.end());
   }
 

@@ -25,12 +25,14 @@ Context::Context() {
 void Context::noteLoc(const Node *N, SourceLoc Loc) {
   if (!N || !Loc.valid() || N == DropSingleton || N == SkipSingleton)
     return;
-  Locs.emplace(N, Loc); // First write wins.
+  if (N->id() >= Locs.size())
+    Locs.resize(Arena.size());
+  if (!Locs[N->id()].valid()) // First write wins.
+    Locs[N->id()] = Loc;
 }
 
 SourceLoc Context::loc(const Node *N) const {
-  auto It = Locs.find(N);
-  return It == Locs.end() ? SourceLoc{} : It->second;
+  return N->id() < Locs.size() ? Locs[N->id()] : SourceLoc{};
 }
 
 const Node *Context::test(FieldId Field, FieldValue Value) {

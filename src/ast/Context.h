@@ -14,18 +14,19 @@
 
 #include "ast/Node.h"
 #include "packet/Field.h"
+#include "support/Error.h"
 
+#include <cstdint>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace mcnk {
 namespace ast {
 
 /// 1-based source coordinates for a node, recorded by the parser in a
-/// Context side table (nodes themselves stay immutable and location-free).
-/// Line 0 means "no recorded location".
+/// Context side table indexed by node id (nodes themselves stay immutable
+/// and location-free). Line 0 means "no recorded location".
 struct SourceLoc {
   unsigned Line = 0;
   unsigned Column = 0;
@@ -83,7 +84,8 @@ public:
   /// of its first occurrence. The drop/skip singletons are not tracked —
   /// they stand for every literal in the program at once.
   void noteLoc(const Node *N, SourceLoc Loc);
-  /// The recorded location of \p N, or an invalid (0:0) location.
+  /// The recorded location of \p N, or an invalid (0:0) location — also
+  /// for nodes created after the last noteLoc (by slice, simplify, ...).
   SourceLoc loc(const Node *N) const;
 
   /// Number of nodes allocated (diagnostics).
@@ -91,14 +93,18 @@ public:
 
 private:
   template <typename T, typename... Args> const T *make(Args &&...A) {
+    if (Arena.size() > UINT32_MAX)
+      fatalError("ast::Context: more than 2^32 nodes (node id overflow)");
     auto Owned = std::make_unique<T>(std::forward<Args>(A)...);
+    Owned->Id = static_cast<uint32_t>(Arena.size());
     const T *Raw = Owned.get();
     Arena.push_back(std::move(Owned));
     return Raw;
   }
 
   FieldTable Fields;
-  std::unordered_map<const Node *, SourceLoc> Locs;
+  /// Indexed by node id; grows on noteLoc, so later nodes read past it.
+  std::vector<SourceLoc> Locs;
   std::vector<std::unique_ptr<Node>> Arena;
   const Node *DropSingleton;
   const Node *SkipSingleton;

@@ -24,12 +24,12 @@
 
 #include "ast/Deps.h"
 
+#include "ast/Traversal.h"
 #include "support/Casting.h"
 #include "support/Error.h"
 
 #include <algorithm>
 #include <deque>
-#include <functional>
 
 using namespace mcnk;
 using namespace mcnk::ast;
@@ -41,12 +41,13 @@ using Bits = std::vector<uint64_t>;
 
 std::size_t wordsFor(std::size_t NumFields) { return (NumFields + 63) / 64; }
 
-void setBit(Bits &B, FieldId F) { B[F / 64] |= uint64_t(1) << (F % 64); }
+void setBit(uint64_t *B, FieldId F) { B[F / 64] |= uint64_t(1) << (F % 64); }
 
-/// OR \p Src into \p Dst; returns true when Dst changed.
-bool orInto(Bits &Dst, const Bits &Src) {
+/// OR the \p Words words at \p Src into \p Dst; returns true when Dst
+/// changed.
+bool orInto(uint64_t *Dst, const uint64_t *Src, std::size_t Words) {
   bool Changed = false;
-  for (std::size_t I = 0; I < Dst.size(); ++I) {
+  for (std::size_t I = 0; I < Words; ++I) {
     uint64_t Merged = Dst[I] | Src[I];
     Changed |= Merged != Dst[I];
     Dst[I] = Merged;
@@ -54,69 +55,18 @@ bool orInto(Bits &Dst, const Bits &Src) {
   return Changed;
 }
 
-void forEachSetBit(const Bits &B, std::size_t NumFields,
-                   const std::function<void(FieldId)> &Fn) {
+template <typename Fn>
+void forEachSetBit(const uint64_t *B, std::size_t NumFields, Fn &&Visit) {
   for (std::size_t F = 0; F < NumFields; ++F)
     if (B[F / 64] & (uint64_t(1) << (F % 64)))
-      Fn(static_cast<FieldId>(F));
-}
-
-/// In-order children of \p N (guards and bodies alike).
-void forEachChild(const Node *N, const std::function<void(const Node *)> &Fn) {
-  switch (N->kind()) {
-  case NodeKind::Drop:
-  case NodeKind::Skip:
-  case NodeKind::Test:
-  case NodeKind::Assign:
-    return;
-  case NodeKind::Not:
-    Fn(cast<NotNode>(N)->operand());
-    return;
-  case NodeKind::Seq:
-    Fn(cast<SeqNode>(N)->lhs());
-    Fn(cast<SeqNode>(N)->rhs());
-    return;
-  case NodeKind::Union:
-    Fn(cast<UnionNode>(N)->lhs());
-    Fn(cast<UnionNode>(N)->rhs());
-    return;
-  case NodeKind::Choice:
-    Fn(cast<ChoiceNode>(N)->lhs());
-    Fn(cast<ChoiceNode>(N)->rhs());
-    return;
-  case NodeKind::Star:
-    Fn(cast<StarNode>(N)->body());
-    return;
-  case NodeKind::IfThenElse: {
-    const auto *I = cast<IfThenElseNode>(N);
-    Fn(I->cond());
-    Fn(I->thenBranch());
-    Fn(I->elseBranch());
-    return;
-  }
-  case NodeKind::While: {
-    const auto *W = cast<WhileNode>(N);
-    Fn(W->cond());
-    Fn(W->body());
-    return;
-  }
-  case NodeKind::Case: {
-    const auto *C = cast<CaseNode>(N);
-    for (const CaseNode::Branch &B : C->branches()) {
-      Fn(B.first);
-      Fn(B.second);
-    }
-    Fn(C->defaultBranch());
-    return;
-  }
-  }
-  MCNK_UNREACHABLE("unhandled node kind");
+      Visit(static_cast<FieldId>(F));
 }
 
 } // namespace
 
 FieldDeps::FieldDeps(const Context &Ctx, const Node *Program) {
   NumFields = Ctx.fields().numFields();
+  Words = wordsFor(NumFields);
   Read.assign(NumFields, false);
   Written.assign(NumFields, false);
   DropDep.assign(NumFields, false);
@@ -124,36 +74,32 @@ FieldDeps::FieldDeps(const Context &Ctx, const Node *Program) {
   Edges.assign(NumFields, std::vector<bool>(NumFields, false));
   FirstTest.assign(NumFields, nullptr);
   FirstAssign.assign(NumFields, nullptr);
-  Empty.assign(NumFields, false);
   computeSubtreeSets(Program);
-  run(Ctx, Program);
-}
-
-const std::vector<bool> &FieldDeps::readSet(const Node *N) const {
-  auto It = ReadSets.find(N);
-  return It == ReadSets.end() ? Empty : It->second;
-}
-
-const std::vector<bool> &FieldDeps::writtenSet(const Node *N) const {
-  auto It = WrittenSets.find(N);
-  return It == WrittenSets.end() ? Empty : It->second;
+  run(Program);
 }
 
 void FieldDeps::computeSubtreeSets(const Node *Program) {
   // Post-order with a phase bit; shared subtrees are computed once, and
   // the pre-order (first-visit) side doubles as the syntactic-order scan
-  // recording the first test/assignment per field.
+  // recording the first test/assignment per field. Every node of the
+  // program has an id at most the root's, which sizes the rows.
+  const std::size_t NumNodes = std::size_t(Program->id()) + 1;
+  ReadRows.assign(NumNodes * Words, 0);
+  WrittenRows.assign(NumNodes * Words, 0);
+  std::vector<bool> Expanded(NumNodes, false);
   struct Frame {
     const Node *N;
     bool Expanded;
   };
   std::vector<Frame> Stack{{Program, false}};
+  std::vector<const Node *> Kids;
   while (!Stack.empty()) {
     Frame F = Stack.back();
     Stack.pop_back();
     if (!F.Expanded) {
-      if (ReadSets.count(F.N))
+      if (Expanded[F.N->id()])
         continue; // Shared subtree already (or about to be) computed.
+      Expanded[F.N->id()] = true;
       if (const auto *T = dyn_cast<TestNode>(F.N)) {
         if (T->field() < NumFields) {
           Read[T->field()] = true;
@@ -170,66 +116,58 @@ void FieldDeps::computeSubtreeSets(const Node *Program) {
       Stack.push_back({F.N, true});
       // Push children reversed so the pre-order visits them in syntactic
       // order (first-test anchors point at the earliest occurrence).
-      std::vector<const Node *> Kids;
+      Kids.clear();
       forEachChild(F.N, [&](const Node *C) { Kids.push_back(C); });
       for (auto It = Kids.rbegin(); It != Kids.rend(); ++It)
-        if (!ReadSets.count(*It))
+        if (!Expanded[(*It)->id()])
           Stack.push_back({*It, false});
-      // Reserve the slot so a shared child queued twice is expanded once.
-      ReadSets.emplace(F.N, std::vector<bool>());
       continue;
     }
-    std::vector<bool> R(NumFields, false), W(NumFields, false);
+    uint64_t *R = ReadRows.data() + F.N->id() * Words;
+    uint64_t *W = WrittenRows.data() + F.N->id() * Words;
     if (const auto *T = dyn_cast<TestNode>(F.N)) {
       if (T->field() < NumFields)
-        R[T->field()] = true;
+        setBit(R, T->field());
     } else if (const auto *A = dyn_cast<AssignNode>(F.N)) {
       if (A->field() < NumFields)
-        W[A->field()] = true;
+        setBit(W, A->field());
     }
     forEachChild(F.N, [&](const Node *C) {
-      auto RIt = ReadSets.find(C);
-      if (RIt != ReadSets.end() && !RIt->second.empty())
-        for (std::size_t I = 0; I < NumFields; ++I)
-          R[I] = R[I] || RIt->second[I];
-      auto WIt = WrittenSets.find(C);
-      if (WIt != WrittenSets.end())
-        for (std::size_t I = 0; I < NumFields; ++I)
-          W[I] = W[I] || WIt->second[I];
+      orInto(R, readRow(C), Words);
+      orInto(W, writtenRow(C), Words);
     });
-    // Leaves with no fields keep an all-false set (distinct from the
-    // "not yet computed" reservation only by this assignment).
-    ReadSets[F.N] = std::move(R);
-    WrittenSets[F.N] = std::move(W);
   }
 }
 
-void FieldDeps::run(const Context &Ctx, const Node *Program) {
-  (void)Ctx;
-  const std::size_t Words = wordsFor(NumFields);
-
-  // Guard contexts per role; a node is re-processed whenever its context
-  // grows, so facts are OR-merged across every path reaching it.
-  std::unordered_map<const Node *, Bits> InProg, InGuard;
+void FieldDeps::run(const Node *Program) {
+  // Guard contexts, one row of Words words per (node id, role); a node is
+  // re-processed whenever its context grows, so facts are OR-merged
+  // across every path reaching it.
+  const std::size_t NumRows = 2 * (std::size_t(Program->id()) + 1);
+  std::vector<uint64_t> Contexts(NumRows * Words, 0);
+  std::vector<bool> Reached(NumRows, false);
   std::deque<std::pair<const Node *, bool>> Work; // (node, guard role)
 
   auto Propagate = [&](const Node *N, bool Guard, const Bits &C) {
-    auto &Map = Guard ? InGuard : InProg;
-    auto [It, Inserted] = Map.try_emplace(N, Bits(Words, 0));
-    if (orInto(It->second, C) || Inserted)
+    const std::size_t Row = 2 * std::size_t(N->id()) + Guard;
+    if (orInto(Contexts.data() + Row * Words, C.data(), Words) ||
+        !Reached[Row]) {
+      Reached[Row] = true;
       Work.emplace_back(N, Guard);
+    }
   };
 
-  auto MarkDroppy = [&](const Bits &C) {
+  auto MarkDroppy = [&](const uint64_t *C) {
     forEachSetBit(C, NumFields, [&](FieldId F) { DropDep[F] = true; });
   };
 
-  auto BitsOf = [&](const std::vector<bool> &Set) {
-    Bits B(Words, 0);
-    for (std::size_t F = 0; F < NumFields; ++F)
-      if (Set[F])
-        setBit(B, static_cast<FieldId>(F));
-    return B;
+  // Non-guarded Star/Union region: set-collapse semantics make deleting
+  // any write underneath observable, so pin the whole region.
+  auto PinRegion = [&](const Node *N) {
+    forEachSetBit(writtenRow(N), NumFields,
+                  [&](FieldId F) { ForceRelevant[F] = true; });
+    forEachSetBit(readRow(N), NumFields,
+                  [&](FieldId F) { DropDep[F] = true; });
   };
 
   Propagate(Program, /*Guard=*/false, Bits(Words, 0));
@@ -237,8 +175,9 @@ void FieldDeps::run(const Context &Ctx, const Node *Program) {
   while (!Work.empty()) {
     auto [N, Guard] = Work.front();
     Work.pop_front();
-    // Copy: Propagate below may rehash the map.
-    Bits C = Guard ? InGuard[N] : InProg[N];
+    const uint64_t *Row =
+        Contexts.data() + (2 * std::size_t(N->id()) + Guard) * Words;
+    const Bits C(Row, Row + Words);
 
     if (Guard) {
       // Guard role: the enclosing construct routes every packet somewhere,
@@ -271,7 +210,7 @@ void FieldDeps::run(const Context &Ctx, const Node *Program) {
       break;
     case NodeKind::Drop:
       // An explicit drop under a guard makes the guard delivery-relevant.
-      MarkDroppy(C);
+      MarkDroppy(C.data());
       break;
     case NodeKind::Test: {
       // A bare filter: the test's outcome (and the guards that decided
@@ -279,14 +218,14 @@ void FieldDeps::run(const Context &Ctx, const Node *Program) {
       const auto *T = cast<TestNode>(N);
       if (T->field() < NumFields)
         DropDep[T->field()] = true;
-      MarkDroppy(C);
+      MarkDroppy(C.data());
       break;
     }
     case NodeKind::Assign: {
       const auto *A = cast<AssignNode>(N);
       if (A->field() < NumFields) {
         FieldId G = A->field();
-        forEachSetBit(C, NumFields,
+        forEachSetBit(C.data(), NumFields,
                       [&](FieldId F) { Edges[F][G] = true; });
       }
       break;
@@ -300,18 +239,8 @@ void FieldDeps::run(const Context &Ctx, const Node *Program) {
       break;
     case NodeKind::Union: {
       const auto *U = cast<UnionNode>(N);
-      if (!N->isPredicate()) {
-        // General program union copies the packet; set-collapse makes
-        // deleting any write underneath observable. Pin the whole region.
-        const std::vector<bool> &W = writtenSet(N);
-        for (std::size_t F = 0; F < NumFields; ++F)
-          if (W[F])
-            ForceRelevant[F] = true;
-        const std::vector<bool> &R = readSet(N);
-        for (std::size_t F = 0; F < NumFields; ++F)
-          if (R[F])
-            DropDep[F] = true;
-      }
+      if (!N->isPredicate())
+        PinRegion(N); // General program union copies the packet.
       Propagate(U->lhs(), false, C);
       Propagate(U->rhs(), false, C);
       break;
@@ -322,16 +251,8 @@ void FieldDeps::run(const Context &Ctx, const Node *Program) {
       break;
     case NodeKind::Star: {
       const auto *S = cast<StarNode>(N);
-      if (!S->body()->isPredicate()) {
-        const std::vector<bool> &W = writtenSet(N);
-        for (std::size_t F = 0; F < NumFields; ++F)
-          if (W[F])
-            ForceRelevant[F] = true;
-        const std::vector<bool> &R = readSet(N);
-        for (std::size_t F = 0; F < NumFields; ++F)
-          if (R[F])
-            DropDep[F] = true;
-      }
+      if (!S->body()->isPredicate())
+        PinRegion(N);
       Propagate(S->body(), false, C);
       break;
     }
@@ -339,7 +260,7 @@ void FieldDeps::run(const Context &Ctx, const Node *Program) {
       const auto *I = cast<IfThenElseNode>(N);
       Propagate(I->cond(), true, C);
       Bits Inner = C;
-      orInto(Inner, BitsOf(readSet(I->cond())));
+      orInto(Inner.data(), readRow(I->cond()), Words);
       Propagate(I->thenBranch(), false, Inner);
       Propagate(I->elseBranch(), false, Inner);
       break;
@@ -349,11 +270,11 @@ void FieldDeps::run(const Context &Ctx, const Node *Program) {
       Propagate(W->cond(), true, C);
       // Divergence loses mass: the guard's fields (and whatever guards
       // decide if the loop runs at all) are delivery-relevant.
-      Bits GuardBits = BitsOf(readSet(W->cond()));
+      const uint64_t *GuardBits = readRow(W->cond());
       MarkDroppy(GuardBits);
-      MarkDroppy(C);
+      MarkDroppy(C.data());
       Bits Inner = C;
-      orInto(Inner, GuardBits);
+      orInto(Inner.data(), GuardBits, Words);
       Propagate(W->body(), false, Inner);
       break;
     }
@@ -365,10 +286,10 @@ void FieldDeps::run(const Context &Ctx, const Node *Program) {
       Bits AllGuards(Words, 0);
       for (const CaseNode::Branch &B : CN->branches()) {
         Propagate(B.first, true, C);
-        orInto(AllGuards, BitsOf(readSet(B.first)));
+        orInto(AllGuards.data(), readRow(B.first), Words);
       }
       Bits Inner = C;
-      orInto(Inner, AllGuards);
+      orInto(Inner.data(), AllGuards.data(), Words);
       for (const CaseNode::Branch &B : CN->branches())
         Propagate(B.second, false, Inner);
       Propagate(CN->defaultBranch(), false, Inner);
@@ -440,12 +361,13 @@ std::vector<Finding> ast::analyzeDeps(const Context &Ctx,
   // invisible to delivery queries. Syntactic pre-order walk, shared
   // (hash-consed) assignment nodes reported once.
   std::vector<const Node *> Stack{Program};
-  std::unordered_map<const Node *, bool> Seen;
+  std::vector<bool> Seen(Program->id() + 1, false); // Indexed by node id.
   while (!Stack.empty()) {
     const Node *N = Stack.back();
     Stack.pop_back();
-    if (!Seen.emplace(N, true).second)
+    if (Seen[N->id()])
       continue;
+    Seen[N->id()] = true;
     if (const auto *A = dyn_cast<AssignNode>(N)) {
       FieldId F = A->field();
       if (F < NumFields && Deps.read(F) && !Cone[F])

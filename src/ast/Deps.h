@@ -28,7 +28,6 @@
 #include "ast/Context.h"
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace mcnk {
@@ -89,12 +88,6 @@ public:
     return F < NumFields ? FirstAssign[F] : nullptr;
   }
 
-  /// Per-subtree syntactic read (tested) / written (assigned) field sets,
-  /// as dense bool vectors indexed by FieldId. Shared subtrees are
-  /// computed once.
-  const std::vector<bool> &readSet(const Node *N) const;
-  const std::vector<bool> &writtenSet(const Node *N) const;
-
   /// Backward cone of influence: the least set containing every observed
   /// field, every ⊥-feeding field, and — closed backwards over the
   /// dependency edges — every field whose tests control an assignment to
@@ -115,11 +108,20 @@ private:
   std::vector<std::vector<bool>> Edges;
   std::vector<const Node *> FirstTest;
   std::vector<const Node *> FirstAssign;
-  std::unordered_map<const Node *, std::vector<bool>> ReadSets;
-  std::unordered_map<const Node *, std::vector<bool>> WrittenSets;
-  std::vector<bool> Empty;
+  /// Per-subtree syntactic read (tested) / written (assigned) fields: one
+  /// bit row of Words 64-bit words per node, indexed by node id. Shared
+  /// subtrees are computed once.
+  std::size_t Words = 0;
+  std::vector<uint64_t> ReadRows;
+  std::vector<uint64_t> WrittenRows;
 
-  void run(const Context &Ctx, const Node *Program);
+  const uint64_t *readRow(const Node *N) const {
+    return ReadRows.data() + N->id() * Words;
+  }
+  const uint64_t *writtenRow(const Node *N) const {
+    return WrittenRows.data() + N->id() * Words;
+  }
+  void run(const Node *Program);
   void computeSubtreeSets(const Node *Program);
 };
 

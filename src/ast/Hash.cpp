@@ -10,6 +10,7 @@
 
 #include "ast/Hash.h"
 
+#include "ast/Traversal.h"
 #include "support/Casting.h"
 #include "support/Error.h"
 
@@ -99,59 +100,11 @@ uint32_t saturatingSize(uint64_t Size) {
   return Size > 0xffffffffULL ? 0xffffffffu : static_cast<uint32_t>(Size);
 }
 
-/// Children of \p N in evaluation order (empty for atoms).
-void appendChildren(const Node *N, std::vector<const Node *> &Out) {
-  switch (N->kind()) {
-  case NodeKind::Drop:
-  case NodeKind::Skip:
-  case NodeKind::Test:
-  case NodeKind::Assign:
-    return;
-  case NodeKind::Not:
-    Out.push_back(cast<NotNode>(N)->operand());
-    return;
-  case NodeKind::Seq:
-    Out.push_back(cast<SeqNode>(N)->lhs());
-    Out.push_back(cast<SeqNode>(N)->rhs());
-    return;
-  case NodeKind::Union:
-    Out.push_back(cast<UnionNode>(N)->lhs());
-    Out.push_back(cast<UnionNode>(N)->rhs());
-    return;
-  case NodeKind::Choice:
-    Out.push_back(cast<ChoiceNode>(N)->lhs());
-    Out.push_back(cast<ChoiceNode>(N)->rhs());
-    return;
-  case NodeKind::Star:
-    Out.push_back(cast<StarNode>(N)->body());
-    return;
-  case NodeKind::IfThenElse:
-    Out.push_back(cast<IfThenElseNode>(N)->cond());
-    Out.push_back(cast<IfThenElseNode>(N)->thenBranch());
-    Out.push_back(cast<IfThenElseNode>(N)->elseBranch());
-    return;
-  case NodeKind::While:
-    Out.push_back(cast<WhileNode>(N)->cond());
-    Out.push_back(cast<WhileNode>(N)->body());
-    return;
-  case NodeKind::Case: {
-    const auto *C = cast<CaseNode>(N);
-    for (const auto &[Guard, Program] : C->branches()) {
-      Out.push_back(Guard);
-      Out.push_back(Program);
-    }
-    Out.push_back(C->defaultBranch());
-    return;
-  }
-  }
-  MCNK_UNREACHABLE("unhandled node kind");
-}
-
 /// Computes one node's fingerprint; every child must already be memoized.
 NodeFingerprint computeFingerprint(const Node *N,
                                    const FingerprintMemo &Memo) {
   auto Child = [&](const Node *C) -> const NodeFingerprint & {
-    return Memo.at(C);
+    return *Memo.find(C);
   };
   uint64_t Size = 1;
   auto FoldSize = [&](const Node *C) { Size += Child(C).Size; };
@@ -283,36 +236,52 @@ NodeFingerprint computeFingerprint(const Node *N,
 
 } // namespace
 
+const NodeFingerprint &FingerprintMemo::at(const Node *N) const {
+  const NodeFingerprint *FP = find(N);
+  if (!FP)
+    fatalError("FingerprintMemo::at: node has no fingerprint");
+  return *FP;
+}
+
 const NodeFingerprint &ast::fingerprintTree(const Node *Root,
                                             FingerprintMemo &Memo) {
+  std::vector<FingerprintMemo::Slot> &Slots = Memo.Slots;
+  if (Root->id() >= Slots.size())
+    Slots.resize(Root->id() + 1);
+  // Post-order over the DAG; a node is expanded once and filled once its
+  // children are.
   struct WalkFrame {
     const Node *N;
     bool Expanded;
   };
   std::vector<WalkFrame> Stack;
-  std::vector<const Node *> Children;
   Stack.push_back({Root, false});
   while (!Stack.empty()) {
     WalkFrame &Top = Stack.back();
-    if (Memo.count(Top.N)) {
+    const Node *N = Top.N;
+    if (Memo.find(N)) {
       Stack.pop_back();
       continue;
     }
     if (!Top.Expanded) {
       Top.Expanded = true;
-      Children.clear();
-      appendChildren(Top.N, Children);
-      // Note: pushing may invalidate Top; nothing below reads it.
-      for (const Node *C : Children)
-        if (!Memo.count(C))
+      // Pushing may invalidate Top; nothing below reads it.
+      forEachChild(N, [&](const Node *C) {
+        if (C->id() >= Slots.size())
+          fatalError("fingerprintTree: a child outside the root's Context");
+        if (!Memo.find(C))
           Stack.push_back({C, false});
+      });
       continue;
     }
-    const Node *N = Top.N;
     Stack.pop_back();
-    Memo.emplace(N, computeFingerprint(N, Memo));
+    FingerprintMemo::Slot &S = Slots[N->id()];
+    if (S.Owner)
+      fatalError("fingerprintTree: nodes of two Contexts share one memo");
+    S.Fingerprint = computeFingerprint(N, Memo);
+    S.Owner = N;
   }
-  return Memo.at(Root);
+  return *Memo.find(Root);
 }
 
 ProgramHash ast::programHash(const Node *Root) {

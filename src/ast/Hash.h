@@ -27,7 +27,7 @@
 #include "support/Hashing.h"
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 namespace mcnk {
 namespace ast {
@@ -60,10 +60,34 @@ struct NodeFingerprint {
   uint32_t Size = 0;
 };
 
-/// Memo table mapping arena nodes to their fingerprints. Valid for the
-/// lifetime of the owning ast::Context; safe to share read-only across
-/// threads once populated.
-using FingerprintMemo = std::unordered_map<const Node *, NodeFingerprint>;
+/// Memo table from the nodes of one ast::Context to their fingerprints: a
+/// flat array indexed by node id (Node::id()). fingerprintTree sizes it
+/// from the root's id, which bounds every id in the term, and grows it
+/// when a later call reaches nodes created since. Each slot also records
+/// its node, so a node of another Context whose id lands on a filled slot
+/// is a fatal error rather than a wrong cached FDD. Valid for the lifetime
+/// of that Context; safe to share read-only across threads once populated.
+class FingerprintMemo {
+public:
+  /// The fingerprint of \p N, or nullptr when it has none yet.
+  const NodeFingerprint *find(const Node *N) const {
+    if (N->id() >= Slots.size() || Slots[N->id()].Owner != N)
+      return nullptr;
+    return &Slots[N->id()].Fingerprint;
+  }
+  /// The fingerprint of \p N, which must have one.
+  const NodeFingerprint &at(const Node *N) const;
+
+private:
+  friend const NodeFingerprint &fingerprintTree(const Node *,
+                                                FingerprintMemo &);
+
+  struct Slot {
+    const Node *Owner = nullptr; ///< Null while the slot is empty.
+    NodeFingerprint Fingerprint;
+  };
+  std::vector<Slot> Slots;
+};
 
 /// Fingerprints \p Root and every subterm reachable from it into \p Memo
 /// (existing entries are reused, so incremental calls over a growing term

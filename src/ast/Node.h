@@ -8,7 +8,10 @@
 /// with the map-reduce segment algebra.
 ///
 /// Nodes are immutable, arena-allocated by Context, and use LLVM-style
-/// kind-based RTTI (isa/cast/dyn_cast via classof).
+/// kind-based RTTI (isa/cast/dyn_cast via classof). Each node carries a
+/// dense id, its index in the owning Context's arena, so per-node side
+/// tables (source locations, fingerprints, pass memos) are flat vectors
+/// indexed by id rather than pointer-keyed hash maps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,11 +22,14 @@
 #include "support/Casting.h"
 #include "support/Rational.h"
 
+#include <cstdint>
 #include <utility>
 #include <vector>
 
 namespace mcnk {
 namespace ast {
+
+class Context;
 
 /// Discriminator for Node's subclasses.
 enum class NodeKind : uint8_t {
@@ -54,13 +60,26 @@ public:
   /// randomness, no modification). Computed structurally at construction.
   bool isPredicate() const { return IsPred; }
 
+  /// Dense index of this node in its Context's arena, assigned at
+  /// creation. Children exist before their parent, so every node of a
+  /// term has an id no larger than the term's root: an id-indexed table
+  /// of root->id() + 1 entries covers the whole term. Ids from different
+  /// Contexts overlap, so an id-indexed table serves one Context only.
+  uint32_t id() const { return Id; }
+
 protected:
   Node(NodeKind K, bool Pred) : Kind(K), IsPred(Pred) {}
 
 private:
+  friend class Context;
+
   NodeKind Kind;
   bool IsPred;
+  uint32_t Id = 0;
 };
+
+static_assert(sizeof(Node) == sizeof(void *) + 8,
+              "the id must fit the padding after Kind and IsPred");
 
 /// drop — the constant-false predicate; maps every input to ∅.
 class DropNode : public Node {

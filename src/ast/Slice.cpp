@@ -26,8 +26,7 @@
 #include "support/Casting.h"
 #include "support/Error.h"
 
-#include <functional>
-#include <unordered_map>
+#include <vector>
 
 using namespace mcnk;
 using namespace mcnk::ast;
@@ -44,6 +43,9 @@ public:
   std::size_t assignmentsRemoved() const { return Removed; }
 
   const Node *run(const Node *Root) {
+    // Keyed by the input term's nodes, whose ids are at most the root's;
+    // the nodes the rewrite creates are never keys.
+    Memo.assign(Root->id() + 1, nullptr);
     struct Frame {
       const Node *N;
       bool Expanded;
@@ -52,24 +54,22 @@ public:
     while (!Stack.empty()) {
       Frame F = Stack.back();
       Stack.pop_back();
-      if (!F.Expanded) {
-        if (Memo.count(F.N))
-          continue;
-        if (const Node *Leaf = rewriteLeaf(F.N)) {
-          Memo.emplace(F.N, Leaf);
-          continue;
-        }
+      const Node *&Out = Memo[F.N->id()];
+      if (Out)
+        continue;
+      if (F.Expanded) {
+        Out = rebuild(F.N);
+      } else if (const Node *Leaf = rewriteLeaf(F.N)) {
+        Out = Leaf;
+      } else {
         Stack.push_back({F.N, true});
         forEachChild(F.N, [&](const Node *C) {
-          if (!Memo.count(C))
+          if (!Memo[C->id()])
             Stack.push_back({C, false});
         });
-        continue;
       }
-      if (!Memo.count(F.N))
-        Memo.emplace(F.N, rebuild(F.N));
     }
-    return Memo.at(Root);
+    return Memo[Root->id()];
   }
 
 private:
@@ -92,7 +92,7 @@ private:
     }
   }
 
-  const Node *sliced(const Node *N) const { return Memo.at(N); }
+  const Node *sliced(const Node *N) const { return Memo[N->id()]; }
 
   const Node *rebuild(const Node *N) {
     switch (N->kind()) {
@@ -167,55 +167,11 @@ private:
     }
   }
 
-  void forEachChild(const Node *N,
-                    const std::function<void(const Node *)> &Fn) {
-    switch (N->kind()) {
-    case NodeKind::Not:
-      Fn(cast<NotNode>(N)->operand());
-      return;
-    case NodeKind::Seq:
-      Fn(cast<SeqNode>(N)->lhs());
-      Fn(cast<SeqNode>(N)->rhs());
-      return;
-    case NodeKind::Union:
-      Fn(cast<UnionNode>(N)->lhs());
-      Fn(cast<UnionNode>(N)->rhs());
-      return;
-    case NodeKind::Choice:
-      Fn(cast<ChoiceNode>(N)->lhs());
-      Fn(cast<ChoiceNode>(N)->rhs());
-      return;
-    case NodeKind::Star:
-      Fn(cast<StarNode>(N)->body());
-      return;
-    case NodeKind::IfThenElse: {
-      const auto *I = cast<IfThenElseNode>(N);
-      Fn(I->cond());
-      Fn(I->thenBranch());
-      Fn(I->elseBranch());
-      return;
-    }
-    case NodeKind::While:
-      Fn(cast<WhileNode>(N)->cond());
-      Fn(cast<WhileNode>(N)->body());
-      return;
-    case NodeKind::Case: {
-      const auto *C = cast<CaseNode>(N);
-      for (const CaseNode::Branch &B : C->branches()) {
-        Fn(B.first);
-        Fn(B.second);
-      }
-      Fn(C->defaultBranch());
-      return;
-    }
-    default:
-      return;
-    }
-  }
-
   Context &Ctx;
   const std::vector<bool> &Relevant;
-  std::unordered_map<const Node *, const Node *> Memo;
+  /// The rewrite of each input node, indexed by node id (null until
+  /// rewritten).
+  std::vector<const Node *> Memo;
   std::size_t Removed = 0;
 };
 

@@ -13,60 +13,13 @@
 #include "support/Hashing.h"
 
 #include <algorithm>
-#include <unordered_set>
+#include <cassert>
 #include <vector>
 
 using namespace mcnk;
 using namespace mcnk::ast;
 
 namespace {
-
-template <typename Fn> void forEachChild(const Node *N, Fn Visit) {
-  switch (N->kind()) {
-  case NodeKind::Drop:
-  case NodeKind::Skip:
-  case NodeKind::Test:
-  case NodeKind::Assign:
-    return;
-  case NodeKind::Not:
-    Visit(cast<NotNode>(N)->operand());
-    return;
-  case NodeKind::Seq:
-    Visit(cast<SeqNode>(N)->lhs());
-    Visit(cast<SeqNode>(N)->rhs());
-    return;
-  case NodeKind::Union:
-    Visit(cast<UnionNode>(N)->lhs());
-    Visit(cast<UnionNode>(N)->rhs());
-    return;
-  case NodeKind::Choice:
-    Visit(cast<ChoiceNode>(N)->lhs());
-    Visit(cast<ChoiceNode>(N)->rhs());
-    return;
-  case NodeKind::Star:
-    Visit(cast<StarNode>(N)->body());
-    return;
-  case NodeKind::IfThenElse:
-    Visit(cast<IfThenElseNode>(N)->cond());
-    Visit(cast<IfThenElseNode>(N)->thenBranch());
-    Visit(cast<IfThenElseNode>(N)->elseBranch());
-    return;
-  case NodeKind::While:
-    Visit(cast<WhileNode>(N)->cond());
-    Visit(cast<WhileNode>(N)->body());
-    return;
-  case NodeKind::Case: {
-    const auto *C = cast<CaseNode>(N);
-    for (const auto &[Guard, Program] : C->branches()) {
-      Visit(Guard);
-      Visit(Program);
-    }
-    Visit(C->defaultBranch());
-    return;
-  }
-  }
-  MCNK_UNREACHABLE("unhandled node kind");
-}
 
 /// The kind and scalar payload of \p A and \p B match (children aside).
 bool sameShallow(const Node *A, const Node *B) {
@@ -202,7 +155,8 @@ bool ast::isGuarded(const Node *N) {
 
 std::map<FieldId, std::set<FieldValue>> ast::collectValues(const Node *N) {
   std::map<FieldId, std::set<FieldValue>> Result;
-  std::unordered_set<const Node *> Seen{N};
+  std::vector<bool> Seen(N->id() + 1, false); // Indexed by node id.
+  Seen[N->id()] = true;
   std::vector<const Node *> Stack{N};
   while (!Stack.empty()) {
     const Node *X = Stack.back();
@@ -212,8 +166,11 @@ std::map<FieldId, std::set<FieldValue>> ast::collectValues(const Node *N) {
     else if (const auto *A = dyn_cast<AssignNode>(X))
       Result[A->field()].insert(A->value());
     forEachChild(X, [&](const Node *C) {
-      if (Seen.insert(C).second)
+      assert(C->id() < X->id() && "child from another Context");
+      if (!Seen[C->id()]) {
+        Seen[C->id()] = true;
         Stack.push_back(C);
+      }
     });
   }
   return Result;

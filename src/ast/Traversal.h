@@ -13,6 +13,8 @@
 #define MCNK_AST_TRAVERSAL_H
 
 #include "ast/Node.h"
+#include "support/Casting.h"
+#include "support/Error.h"
 
 #include <cstddef>
 #include <map>
@@ -20,6 +22,56 @@
 
 namespace mcnk {
 namespace ast {
+
+/// Calls \p Visit on each child of \p N in syntactic order: operands left
+/// to right, a conditional's guard before its branches, each case arm's
+/// guard before its program, the default last.
+template <typename Fn> void forEachChild(const Node *N, Fn &&Visit) {
+  switch (N->kind()) {
+  case NodeKind::Drop:
+  case NodeKind::Skip:
+  case NodeKind::Test:
+  case NodeKind::Assign:
+    return;
+  case NodeKind::Not:
+    Visit(cast<NotNode>(N)->operand());
+    return;
+  case NodeKind::Seq:
+    Visit(cast<SeqNode>(N)->lhs());
+    Visit(cast<SeqNode>(N)->rhs());
+    return;
+  case NodeKind::Union:
+    Visit(cast<UnionNode>(N)->lhs());
+    Visit(cast<UnionNode>(N)->rhs());
+    return;
+  case NodeKind::Choice:
+    Visit(cast<ChoiceNode>(N)->lhs());
+    Visit(cast<ChoiceNode>(N)->rhs());
+    return;
+  case NodeKind::Star:
+    Visit(cast<StarNode>(N)->body());
+    return;
+  case NodeKind::IfThenElse:
+    Visit(cast<IfThenElseNode>(N)->cond());
+    Visit(cast<IfThenElseNode>(N)->thenBranch());
+    Visit(cast<IfThenElseNode>(N)->elseBranch());
+    return;
+  case NodeKind::While:
+    Visit(cast<WhileNode>(N)->cond());
+    Visit(cast<WhileNode>(N)->body());
+    return;
+  case NodeKind::Case: {
+    const auto *C = cast<CaseNode>(N);
+    for (const auto &[Guard, Program] : C->branches()) {
+      Visit(Guard);
+      Visit(Program);
+    }
+    Visit(C->defaultBranch());
+    return;
+  }
+  }
+  MCNK_UNREACHABLE("unhandled node kind");
+}
 
 /// Deep structural equality (ignores sharing).
 bool structurallyEqual(const Node *A, const Node *B);

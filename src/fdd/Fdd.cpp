@@ -143,55 +143,6 @@ FddRef FddManager::cofactorFalse(FddRef Ref, FieldId Field,
 // operand and rebuilds through branch(), and seqAction resolves tests
 // against its action's writes, taking one child instead of two.
 
-namespace {
-/// The per-call memo of weightedSum: operand tuples of one width, each
-/// stored back to back with its result in one array. Slots hold the
-/// tuple's hash tag and index, as IndexSet's do.
-class TupleMemo : public FlatSlots<IndexSlot> {
-  uint32_t tagOf(const uint32_t *Key) const {
-    uint64_t H = 0;
-    for (std::size_t I = 0; I < Width; ++I)
-      H = H * 0x9e3779b97f4a7c15ULL + Key[I];
-    return static_cast<uint32_t>(mixHash(H) >> 32);
-  }
-  const uint32_t *entry(uint32_t Index) const {
-    return Entries.data() + Index * (Width + 1);
-  }
-  auto equalTo(const uint32_t *Key, uint32_t Tag) const {
-    return [this, Key, Tag](const IndexSlot &S) {
-      return S.Tag == Tag && std::equal(Key, Key + Width, entry(S.Index));
-    };
-  }
-
-  std::size_t Width;
-  /// Per tuple: its Width refs, then its result.
-  std::vector<uint32_t> Entries;
-
-public:
-  explicit TupleMemo(std::size_t TupleWidth) : Width(TupleWidth) {}
-
-  /// The recorded result for the tuple at \p Key, or nullptr.
-  const uint32_t *find(const uint32_t *Key) const {
-    if (Slots.empty())
-      return nullptr;
-    uint32_t Tag = tagOf(Key);
-    const IndexSlot &S = Slots[probe(Tag, equalTo(Key, Tag))];
-    return S.empty() ? nullptr : entry(S.Index) + Width;
-  }
-
-  /// Records the tuple at \p Key -> \p Value unless it has a result.
-  void insert(const uint32_t *Key, uint32_t Value) {
-    uint32_t Tag = tagOf(Key);
-    IndexSlot &S = slotFor(Tag, equalTo(Key, Tag));
-    if (S.empty()) {
-      S = {Tag, static_cast<uint32_t>(Count++)};
-      Entries.insert(Entries.end(), Key, Key + Width);
-      Entries.push_back(Value);
-    }
-  }
-};
-} // namespace
-
 template <typename MemoT, typename TerminalFn, typename KeyFn,
           typename CombineFn>
 FddRef FddManager::apply(const FddRef *Operands, std::size_t Width,
@@ -467,9 +418,9 @@ FddRef FddManager::weightedSum(
     Operands[I] = Terms[I].second;
 
   // The weights are fixed for the whole expansion, so a memo on the
-  // operand refs alone, scoped to this call, is exact; SeqCache keeps the
-  // result across calls.
-  TupleMemo Memo(Width);
+  // operand refs alone, emptied for each call, is exact; SeqCache keeps
+  // the result across calls.
+  SumMemo.reset(Width);
   // One leaf term per operand entry: the action, its probability in that
   // leaf, and the operand's index. Reused across all-leaf tuples.
   struct LeafTerm {
@@ -479,7 +430,7 @@ FddRef FddManager::weightedSum(
   };
   std::vector<LeafTerm> LeafTerms;
   return apply(
-      Operands.data(), Width, Memo,
+      Operands.data(), Width, SumMemo,
       [Width](const FddRef *O) -> std::optional<FddRef> {
         if (std::all_of(O + 1, O + Width, [O](FddRef R) { return R == O[0]; }))
           return O[0];

@@ -214,8 +214,9 @@ private:
   /// refs merge first, their weights adding. The distinct refs are then
   /// one operand tuple of apply(): a simultaneous Shannon expansion over
   /// all of them, whose all-leaf tuples build Σ wᵢ·pᵢⱼ per action j
-  /// straight from the original weights. The memo is scoped to the call,
-  /// since the weights are; seq's cache keeps the result.
+  /// straight from the original weights. SumMemo is emptied per call,
+  /// since the weights are fixed only within one; seq's cache keeps the
+  /// result.
   FddRef weightedSum(std::vector<std::pair<Rational, FddRef>> Terms);
   /// The Shannon-expansion engine behind negate, disjoin, choice, branch
   /// and weightedSum (defined in Fdd.cpp), over a tuple of \p Width
@@ -273,6 +274,8 @@ private:
   std::vector<ApplyFrame> ApplyStack;
   std::vector<FddRef> ApplyArena;
   std::vector<FddRef> ApplyValues;
+  /// weightedSum's tuple memo, reset per call (FlatTable.h).
+  TupleMemo SumMemo;
 
   LoopSolveStats LastLoop;
 };

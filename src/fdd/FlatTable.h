@@ -12,6 +12,7 @@
 #ifndef MCNK_FDD_FLATTABLE_H
 #define MCNK_FDD_FLATTABLE_H
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -122,6 +123,62 @@ public:
 private:
   static uint32_t tagOf(std::size_t Hash) {
     return static_cast<uint32_t>(mixHash(Hash) >> 32);
+  }
+};
+
+/// The memo of FddManager::weightedSum: operand tuples of one width, each
+/// stored back to back with its result in one array. Slots hold the
+/// tuple's hash tag and index, as IndexSet's do. One table serves every
+/// call: reset() empties it and keeps both arrays, the slots sized to what
+/// the previous call needed, so a call rehashes only when it outgrows the
+/// one before.
+class TupleMemo : public FlatSlots<IndexSlot> {
+  uint32_t tagOf(const uint32_t *Key) const {
+    uint64_t H = 0;
+    for (std::size_t I = 0; I < Width; ++I)
+      H = H * 0x9e3779b97f4a7c15ULL + Key[I];
+    return static_cast<uint32_t>(mixHash(H) >> 32);
+  }
+  const uint32_t *entry(uint32_t Index) const {
+    return Entries.data() + Index * (Width + 1);
+  }
+  auto equalTo(const uint32_t *Key, uint32_t Tag) const {
+    return [this, Key, Tag](const IndexSlot &S) {
+      return S.Tag == Tag && std::equal(Key, Key + Width, entry(S.Index));
+    };
+  }
+
+  std::size_t Width = 0;
+  /// Per tuple: its Width refs, then its result.
+  std::vector<uint32_t> Entries;
+
+public:
+  /// Empties the table for tuples of \p TupleWidth refs.
+  void reset(std::size_t TupleWidth) {
+    Width = TupleWidth;
+    Slots.assign(flatCapacity(Count), IndexSlot());
+    Count = 0;
+    Entries.clear();
+  }
+
+  /// The recorded result for the tuple at \p Key, or nullptr.
+  const uint32_t *find(const uint32_t *Key) const {
+    if (Slots.empty())
+      return nullptr;
+    uint32_t Tag = tagOf(Key);
+    const IndexSlot &S = Slots[probe(Tag, equalTo(Key, Tag))];
+    return S.empty() ? nullptr : entry(S.Index) + Width;
+  }
+
+  /// Records the tuple at \p Key -> \p Value unless it has a result.
+  void insert(const uint32_t *Key, uint32_t Value) {
+    uint32_t Tag = tagOf(Key);
+    IndexSlot &S = slotFor(Tag, equalTo(Key, Tag));
+    if (S.empty()) {
+      S = {Tag, static_cast<uint32_t>(Count++)};
+      Entries.insert(Entries.end(), Key, Key + Width);
+      Entries.push_back(Value);
+    }
   }
 };
 

@@ -11,10 +11,16 @@
 #include "ast/Hash.h"
 #include "ast/Printer.h"
 #include "ast/Traversal.h"
+#include "parser/Parser.h"
+#include "routing/Routing.h"
 #include "support/Casting.h"
+#include "topology/Topology.h"
 
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdio>
+#include <string>
 #include <thread>
 
 using namespace mcnk;
@@ -296,11 +302,84 @@ TEST_F(AstTest, FingerprintTreeMemoizesAndSizesSubterms) {
   FingerprintMemo Memo;
   const NodeFingerprint &Root = fingerprintTree(P, Memo);
   EXPECT_EQ(Root.Size, 4u); // ite + test + two assigns.
-  ASSERT_TRUE(Memo.count(Leafy));
+  ASSERT_NE(Memo.find(Leafy), nullptr);
   EXPECT_EQ(Memo.at(Leafy).Size, 1u);
   // Incremental reuse: fingerprinting a superterm extends the same memo.
   const Node *Bigger = Ctx.seq(P, P);
   fingerprintTree(Bigger, Memo);
   EXPECT_EQ(Memo.at(Bigger).Size, 9u); // Shared subterm counted twice.
   EXPECT_EQ(programHash(Bigger), Memo.at(Bigger).Hash);
+}
+
+TEST_F(AstTest, FingerprintMemoGrowsOverNodesCreatedLater) {
+  const Node *P = Ctx.ite(Ctx.test(Sw, 1), Ctx.assign(Pt, 1), Ctx.skip());
+  FingerprintMemo Memo;
+  fingerprintTree(P, Memo); // Sized from P's id.
+  // Build far past that size, reusing P, then extend the same memo.
+  std::vector<const Node *> Later{P};
+  for (FieldValue V = 0; V < 300; ++V)
+    Later.push_back(Ctx.choice(Rational(1, 3), Later.back(),
+                               Ctx.seq(Ctx.test(Pt, V), Ctx.assign(Sw, V))));
+  fingerprintTree(Later.back(), Memo);
+  for (const Node *N : Later) {
+    ASSERT_NE(Memo.find(N), nullptr);
+    EXPECT_EQ(Memo.at(N).Hash, programHash(N));
+  }
+}
+
+TEST_F(AstTest, FingerprintMemoRejectsNodesOfTwoContexts) {
+  Context Other;
+  const Node *Mine = Ctx.seq(Ctx.test(Sw, 1), Ctx.assign(Pt, 2));
+  const Node *Theirs =
+      Other.seq(Other.test(Other.field("sw"), 1), Other.assign(0, 2));
+  ASSERT_EQ(Mine->id(), Theirs->id()); // Same shape, same ids.
+  FingerprintMemo Memo;
+  fingerprintTree(Mine, Memo);
+  // A pointer-keyed memo would have taken the foreign node silently; the
+  // id-indexed one must not hand it Mine's entry.
+  EXPECT_EQ(Memo.find(Theirs), nullptr);
+  EXPECT_DEATH_IF_SUPPORTED(fingerprintTree(Theirs, Memo), "two Contexts");
+}
+
+namespace {
+/// The fingerprint of \p Text parsed in a fresh Context, as 32 hex digits
+/// (Lo lane first).
+std::string parsedHash(const std::string &Text) {
+  Context C;
+  parser::ParseResult R = parser::parseProgram(Text, C);
+  EXPECT_TRUE(R.ok()) << Text;
+  if (!R.ok())
+    return "";
+  ProgramHash H = programHash(R.Program);
+  char Buf[33];
+  std::snprintf(Buf, sizeof Buf, "%016" PRIx64 "%016" PRIx64, H.Lo, H.Hi);
+  return Buf;
+}
+} // namespace
+
+// Fingerprints are the keys of the persistent compile-cache store: a
+// change to any of these literals orphans every stored entry. They must
+// stay byte-identical across refactors of the AST and the hash walk.
+TEST(FingerprintPinTest, ParsedProgramsKeepTheirStoreKeys) {
+  EXPECT_EQ(parsedHash("pt:=1 +[1/3] (pt:=2 +[1/2] (sw:=1 ; pt:=3)) ; "
+                       "(sw=1 ; pt:=4 +[0.25] drop) +[2/7] skip"),
+            "1fd2889bd71cef9230b9ce6d846393c9");
+  EXPECT_EQ(parsedHash("case { sw=1 -> pt:=1 | sw=2 & pt=3 -> "
+                       "(pt:=2 +[1/2] pt:=4) | else -> drop }"),
+            "af9e971605b03eb1e2c5d4752005f66c");
+  EXPECT_EQ(parsedHash("sw:=1 ; while !(sw=2 ; pt=2) do "
+                       "(if pt=1 then sw:=2 else pt:=1 +[9/10] pt:=2)"),
+            "d0b52863d36654ed58d42f65b361f198");
+
+  // A printed AB FatTree p=4 F10_3,5 hop-count model, parsed back.
+  Context Built;
+  topology::FatTreeLayout L;
+  topology::makeAbFatTree(4, L);
+  routing::ModelOptions O;
+  O.RoutingScheme = routing::Scheme::F1035;
+  O.Failures = routing::FailureModel::iid(Rational(1, 4));
+  O.CountHops = true;
+  O.HopCap = 14;
+  routing::NetworkModel M = routing::buildFatTreeModel(L, O, Built);
+  EXPECT_EQ(parsedHash(print(M.Program, Built.fields())), "41bcbf3424d07d4231ad3ef0e6831a95");
 }

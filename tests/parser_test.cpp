@@ -7,6 +7,8 @@
 //===----------------------------------------------------------------------===//
 
 #include "ast/Printer.h"
+#include "ast/Simplify.h"
+#include "ast/Slice.h"
 #include "ast/Traversal.h"
 #include "parser/Parser.h"
 #include "support/Casting.h"
@@ -175,6 +177,35 @@ TEST_F(ParserTest, NodeLocationsRecordedInTheSideTable) {
   EXPECT_EQ(Ctx.loc(S->lhs()).Column, 1u);
   EXPECT_EQ(Ctx.loc(S->rhs()).Line, 2u);
   EXPECT_EQ(Ctx.loc(S->rhs()).Column, 3u);
+}
+
+TEST_F(ParserTest, NormalizedNodeKeepsItsFirstLocation) {
+  // `skip ; p` normalizes to p itself; the enclosing sequence's location
+  // (1:1) must not overwrite the one p recorded first.
+  const Node *P = parseOk("skip ;\n  pt:=1");
+  ASSERT_TRUE(isa<AssignNode>(P));
+  EXPECT_EQ(Ctx.loc(P).Line, 2u);
+  EXPECT_EQ(Ctx.loc(P).Column, 3u);
+}
+
+TEST_F(ParserTest, NodesCreatedAfterParsingHaveNoLocation) {
+  const Node *P = parseOk("if sw=1 then (hop:=1 ; pt:=2)\n"
+                          "else (hop:=2 ; pt:=3)");
+  ASSERT_TRUE(Ctx.loc(P).valid());
+  // Slicing away `hop` rebuilds the conditional as a new node; the
+  // branches it keeps are the parsed assignments.
+  ast::SliceResult R =
+      ast::slice(Ctx, P, ast::ObservationSet::fields({Ctx.field("pt")}));
+  ASSERT_NE(R.Program, P);
+  const auto *I = dyn_cast<IfThenElseNode>(R.Program);
+  ASSERT_NE(I, nullptr);
+  EXPECT_FALSE(Ctx.loc(I).valid());
+  EXPECT_EQ(Ctx.loc(I->thenBranch()).Column, 24u);
+  EXPECT_EQ(Ctx.loc(I->elseBranch()).Line, 2u);
+  // So does a node the simplifier builds.
+  const Node *Fresh = ast::simplify(
+      Ctx, Ctx.seq(Ctx.test(Ctx.field("sw"), 2), I->thenBranch()));
+  EXPECT_FALSE(Ctx.loc(Fresh).valid());
 }
 
 TEST_F(ParserTest, SingletonsHaveNoLocation) {
