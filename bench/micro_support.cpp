@@ -143,12 +143,10 @@ static void BM_RationalToDouble(benchmark::State &State) {
 }
 BENCHMARK(BM_RationalToDouble);
 
-static void BM_ParseAndFingerprint(benchmark::State &State) {
-  // The text of an AB FatTree p=4 F10_3,5 hop-count model, as a client
-  // sends it; each iteration is what a warm `compile` request pays before
-  // the cache lookup: parse into a fresh Context, then fingerprint.
-  std::string Text;
-  {
+/// The text of an AB FatTree p=4 F10_3,5 hop-count model, as a client
+/// sends it.
+static const std::string &fatTreeModelText() {
+  static const std::string Text = [] {
     ast::Context Ctx;
     topology::FatTreeLayout L;
     topology::makeAbFatTree(4, L);
@@ -157,9 +155,16 @@ static void BM_ParseAndFingerprint(benchmark::State &State) {
     O.Failures = routing::FailureModel::iid(Rational(1, 4));
     O.CountHops = true;
     O.HopCap = 14;
-    Text = ast::print(routing::buildFatTreeModel(L, O, Ctx).Program,
+    return ast::print(routing::buildFatTreeModel(L, O, Ctx).Program,
                       Ctx.fields());
-  }
+  }();
+  return Text;
+}
+
+static void BM_ParseAndFingerprint(benchmark::State &State) {
+  // Each iteration is what a warm `compile` request pays before the cache
+  // lookup: parse into a fresh Context, then fingerprint.
+  const std::string &Text = fatTreeModelText();
   for (auto _ : State) {
     ast::Context Ctx;
     parser::ParseResult R = parser::parseProgram(Text, Ctx);
@@ -170,5 +175,17 @@ static void BM_ParseAndFingerprint(benchmark::State &State) {
                           static_cast<int64_t>(Text.size()));
 }
 BENCHMARK(BM_ParseAndFingerprint);
+
+static void BM_ParseOnly(benchmark::State &State) {
+  // The same text, parsed into a fresh Context (lex, parse, teardown).
+  const std::string &Text = fatTreeModelText();
+  for (auto _ : State) {
+    ast::Context Ctx;
+    benchmark::DoNotOptimize(parser::parseProgram(Text, Ctx).Program);
+  }
+  State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
+                          static_cast<int64_t>(Text.size()));
+}
+BENCHMARK(BM_ParseOnly);
 
 BENCHMARK_MAIN();

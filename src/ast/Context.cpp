@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Arena allocation and smart constructors for AST nodes, applying the
+/// Chunked arena allocation and smart constructors for AST nodes, applying the
 /// light normalizations (drop/skip absorption, trivial-probability
 /// collapse) and the Sec 2/3 desugarings of derived forms.
 ///
@@ -12,6 +12,7 @@
 #include "support/Casting.h"
 #include "support/Error.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace mcnk;
@@ -22,11 +23,28 @@ Context::Context() {
   SkipSingleton = make<SkipNode>();
 }
 
+Context::~Context() {
+  for (Node *N : Owning) {
+    if (auto *C = dyn_cast<ChoiceNode>(N))
+      C->~ChoiceNode();
+    else
+      cast<CaseNode>(N)->~CaseNode();
+  }
+}
+
+void Context::newChunk() {
+  LastChunkBytes = LastChunkBytes ? 2 * LastChunkBytes : FirstChunkBytes;
+  // Default-initialized: zeroing would touch every page of the chunk.
+  Chunks.emplace_back(new std::byte[LastChunkBytes]);
+  Cur = Chunks.back().get();
+  End = Cur + LastChunkBytes;
+}
+
 void Context::noteLoc(const Node *N, SourceLoc Loc) {
   if (!N || !Loc.valid() || N == DropSingleton || N == SkipSingleton)
     return;
   if (N->id() >= Locs.size())
-    Locs.resize(Arena.size());
+    Locs.resize(std::max(NumNodes, 2 * Locs.size()));
   if (!Locs[N->id()].valid()) // First write wins.
     Locs[N->id()] = Loc;
 }

@@ -1,7 +1,8 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Context owns the field table and all AST nodes (arena style) and exposes
+/// Context owns the field table and all AST nodes (a bump arena of chunks
+/// that double in size) and exposes
 /// smart constructors that perform light, semantics-preserving
 /// normalizations (drop/skip absorption, trivial-probability collapse).
 /// Derived forms from the paper — n-ary choice, `var f := n in p`,
@@ -16,9 +17,12 @@
 #include "packet/Field.h"
 #include "support/Error.h"
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
+#include <new>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace mcnk {
@@ -40,12 +44,16 @@ struct SourceLoc {
 class Context {
 public:
   Context();
+  ~Context();
+  // Nodes point at each other and at the singletons; a Context stays put.
+  Context(const Context &) = delete;
+  Context &operator=(const Context &) = delete;
 
   FieldTable &fields() { return Fields; }
   const FieldTable &fields() const { return Fields; }
 
   /// Shorthand for fields().intern(Name).
-  FieldId field(const std::string &Name) { return Fields.intern(Name); }
+  FieldId field(std::string_view Name) { return Fields.intern(Name); }
 
   // --- Primitive terms -------------------------------------------------
   const Node *drop() const { return DropSingleton; }
@@ -89,23 +97,52 @@ public:
   SourceLoc loc(const Node *N) const;
 
   /// Number of nodes allocated (diagnostics).
-  std::size_t numAllocatedNodes() const { return Arena.size(); }
+  std::size_t numAllocatedNodes() const { return NumNodes; }
 
 private:
+  /// Places a node in the arena: a pointer bump in the current chunk.
+  /// Only ChoiceNode (its Rational) and CaseNode (its branch vector) own
+  /// memory; ~Context runs their destructors and frees the chunks.
   template <typename T, typename... Args> const T *make(Args &&...A) {
-    if (Arena.size() > UINT32_MAX)
+    constexpr bool Owns = std::is_same_v<T, ChoiceNode> ||
+                          std::is_same_v<T, CaseNode>;
+    static_assert(Owns || std::is_trivially_destructible_v<T>,
+                  "~Context destroys only ChoiceNode and CaseNode");
+    static_assert(alignof(T) <= alignof(std::max_align_t) &&
+                  sizeof(T) <= FirstChunkBytes);
+    if (NumNodes > UINT32_MAX)
       fatalError("ast::Context: more than 2^32 nodes (node id overflow)");
-    auto Owned = std::make_unique<T>(std::forward<Args>(A)...);
-    Owned->Id = static_cast<uint32_t>(Arena.size());
-    const T *Raw = Owned.get();
-    Arena.push_back(std::move(Owned));
-    return Raw;
+    void *Slot = Cur;
+    std::size_t Space = static_cast<std::size_t>(End - Cur);
+    if (!std::align(alignof(T), sizeof(T), Slot, Space)) {
+      newChunk();
+      Slot = Cur;
+    }
+    T *N = new (Slot) T(std::forward<Args>(A)...);
+    Cur = static_cast<std::byte *>(Slot) + sizeof(T);
+    N->Id = static_cast<uint32_t>(NumNodes++);
+    if constexpr (Owns)
+      Owning.push_back(N);
+    return N;
   }
 
+  /// Starts a chunk twice the size of the last one (FirstChunkBytes for
+  /// the first).
+  void newChunk();
+
+  static constexpr std::size_t FirstChunkBytes = 1024;
+
   FieldTable Fields;
-  /// Indexed by node id; grows on noteLoc, so later nodes read past it.
+  /// Indexed by node id; grows geometrically on noteLoc, so nodes created
+  /// since it last grew read past it (or an unwritten, invalid entry).
   std::vector<SourceLoc> Locs;
-  std::vector<std::unique_ptr<Node>> Arena;
+  std::vector<std::unique_ptr<std::byte[]>> Chunks;
+  std::size_t LastChunkBytes = 0;
+  std::byte *Cur = nullptr; ///< Next free byte of the current chunk.
+  std::byte *End = nullptr; ///< One past the current chunk.
+  std::size_t NumNodes = 0;
+  /// The ChoiceNode/CaseNode nodes, whose destructors free memory.
+  std::vector<Node *> Owning;
   const Node *DropSingleton;
   const Node *SkipSingleton;
 };

@@ -15,7 +15,9 @@
 #include "support/Error.h"
 
 #include <algorithm>
+#include <charconv>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace mcnk;
@@ -33,7 +35,7 @@ uint64_t mix64(uint64_t Z) {
 /// FNV-1a over bytes — the salt-stable scalar hash for probabilities
 /// (hashed through their canonical decimal rendering, which is exact for
 /// rationals and independent of the internal representation).
-uint64_t fnv1a(const std::string &S) {
+uint64_t fnv1a(std::string_view S) {
   uint64_t H = 0xcbf29ce484222325ULL;
   for (unsigned char C : S) {
     H ^= C;
@@ -176,10 +178,9 @@ NodeFingerprint computeFingerprint(const Node *N,
     FoldSize(C->rhs());
     // p ⊕_r q == q ⊕_{1-r} p: pair each operand with its own weight and
     // fold the pairs in a canonical order.
-    WeightedChild A{fnv1a(C->probability().toString()),
-                    Child(C->lhs()).Hash};
-    WeightedChild B{fnv1a((Rational(1) - C->probability()).toString()),
-                    Child(C->rhs()).Hash};
+    const auto [WeightL, WeightR] = choiceWeightHashes(C->probability());
+    WeightedChild A{WeightL, Child(C->lhs()).Hash};
+    WeightedChild B{WeightR, Child(C->rhs()).Hash};
     if (weightedLess(B, A))
       std::swap(A, B);
     Lanes L(TagChoice);
@@ -234,7 +235,31 @@ NodeFingerprint computeFingerprint(const Node *N,
   MCNK_UNREACHABLE("unhandled node kind");
 }
 
+/// fnv1a of the text Rational::toString gives Num/Den: "n" when Den is 1,
+/// otherwise "n/d".
+uint64_t smallRationalTextHash(int64_t Num, int64_t Den) {
+  char Buf[48]; // Two int64 renderings (at most 20 chars each) and a '/'.
+  char *P = std::to_chars(Buf, Buf + 20, Num).ptr;
+  if (Den != 1) {
+    *P++ = '/';
+    P = std::to_chars(P, P + 20, Den).ptr;
+  }
+  return fnv1a(std::string_view(Buf, static_cast<std::size_t>(P - Buf)));
+}
+
 } // namespace
+
+std::pair<uint64_t, uint64_t> ast::choiceWeightHashes(const Rational &R) {
+  const BigInt &Num = R.numerator(), &Den = R.denominator();
+  int64_t Rest;
+  // 1 - n/d = (d - n)/d, already canonical: gcd(d - n, d) = gcd(n, d) = 1,
+  // and d - n = 0 only for 1/1, whose complement 0/1 renders as "0".
+  if (Num.isSmallRep() && Den.isSmallRep() &&
+      !__builtin_sub_overflow(Den.toInt64(), Num.toInt64(), &Rest))
+    return {smallRationalTextHash(Num.toInt64(), Den.toInt64()),
+            smallRationalTextHash(Rest, Den.toInt64())};
+  return {fnv1a(R.toString()), fnv1a((Rational(1) - R).toString())};
+}
 
 const NodeFingerprint &FingerprintMemo::at(const Node *N) const {
   const NodeFingerprint *FP = find(N);

@@ -27,6 +27,7 @@
 #include "support/Hashing.h"
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace mcnk {
@@ -98,6 +99,11 @@ const NodeFingerprint &fingerprintTree(const Node *Root,
 
 /// One-shot convenience: the structural fingerprint of \p Root.
 ProgramHash programHash(const Node *Root);
+
+/// The weights a choice `p ⊕_r q` folds into its fingerprint: FNV-1a over
+/// the text `Rational::toString` gives r and 1 - r. Word-sized values are
+/// rendered into a stack buffer; wider ones go through toString.
+std::pair<uint64_t, uint64_t> choiceWeightHashes(const Rational &R);
 
 } // namespace ast
 } // namespace mcnk

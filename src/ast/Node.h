@@ -7,8 +7,10 @@
 /// the n-ary disjoint `case` construct (§6), which the compiler reduces
 /// with the map-reduce segment algebra.
 ///
-/// Nodes are immutable, arena-allocated by Context, and use LLVM-style
-/// kind-based RTTI (isa/cast/dyn_cast via classof). Each node carries a
+/// Nodes are immutable, placed in the chunks of their Context's arena, and
+/// use LLVM-style kind-based RTTI (isa/cast/dyn_cast via classof). They
+/// have no vtable: the Context destroys the two kinds that own memory
+/// (ChoiceNode, CaseNode) by their static type. Each node carries a
 /// dense id, its index in the owning Context's arena, so per-node side
 /// tables (source locations, fingerprints, pass memos) are flat vectors
 /// indexed by id rather than pointer-keyed hash maps.
@@ -52,7 +54,6 @@ class Node {
 public:
   Node(const Node &) = delete;
   Node &operator=(const Node &) = delete;
-  virtual ~Node() = default;
 
   NodeKind kind() const { return Kind; }
 
@@ -69,6 +70,8 @@ public:
 
 protected:
   Node(NodeKind K, bool Pred) : Kind(K), IsPred(Pred) {}
+  /// Not virtual: nodes are never deleted through a Node pointer.
+  ~Node() = default;
 
 private:
   friend class Context;
@@ -78,7 +81,7 @@ private:
   uint32_t Id = 0;
 };
 
-static_assert(sizeof(Node) == sizeof(void *) + 8,
+static_assert(sizeof(Node) == 8,
               "the id must fit the padding after Kind and IsPred");
 
 /// drop — the constant-false predicate; maps every input to ∅.

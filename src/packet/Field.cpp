@@ -14,19 +14,26 @@
 
 using namespace mcnk;
 
-FieldId FieldTable::intern(const std::string &Name) {
-  auto It = Ids.find(Name);
-  if (It != Ids.end())
-    return It->second;
-  if (Names.size() >= NotFound)
+FieldId FieldTable::intern(std::string_view Name) {
+  FieldId Id = tryIntern(Name);
+  if (Id == NotFound)
     fatalError("too many fields interned");
-  FieldId Id = static_cast<FieldId>(Names.size());
-  Names.push_back(Name);
-  Ids.emplace(Name, Id);
   return Id;
 }
 
-FieldId FieldTable::lookup(const std::string &Name) const {
+FieldId FieldTable::tryIntern(std::string_view Name) {
+  auto It = Ids.find(Name);
+  if (It != Ids.end())
+    return It->second;
+  if (Names.size() >= MaxFields)
+    return NotFound;
+  FieldId Id = static_cast<FieldId>(Names.size());
+  Names.emplace_back(Name);
+  Ids.emplace(Names.back(), Id);
+  return Id;
+}
+
+FieldId FieldTable::lookup(std::string_view Name) const {
   auto It = Ids.find(Name);
   return It == Ids.end() ? NotFound : It->second;
 }

@@ -12,9 +12,10 @@
 #define MCNK_PACKET_FIELD_H
 
 #include <cstdint>
+#include <deque>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <vector>
 
 namespace mcnk {
 
@@ -25,22 +26,37 @@ using FieldId = uint16_t;
 /// Field values are bounded naturals.
 using FieldValue = uint32_t;
 
-/// Interns field names; stable dense ids in interning order.
+/// Interns field names; stable dense ids in interning order. Lookups take
+/// a string_view and build no string for a name already interned.
 class FieldTable {
 public:
-  /// Returns the id for \p Name, interning it on first use.
-  FieldId intern(const std::string &Name);
+  FieldTable() = default;
+  // The index views the names' storage, so a copy would dangle.
+  FieldTable(const FieldTable &) = delete;
+  FieldTable &operator=(const FieldTable &) = delete;
+
+  /// Returns the id for \p Name, interning it on first use; a full table
+  /// is a fatalError.
+  FieldId intern(std::string_view Name);
+
+  /// Like intern, but returns NotFound instead of interning when the
+  /// table already holds MaxFields names.
+  FieldId tryIntern(std::string_view Name);
 
   /// Returns the id for \p Name or NotFound if never interned.
   static constexpr FieldId NotFound = 0xffff;
-  FieldId lookup(const std::string &Name) const;
+  FieldId lookup(std::string_view Name) const;
+
+  /// Capacity: every id below NotFound.
+  static constexpr std::size_t MaxFields = NotFound;
 
   const std::string &name(FieldId Id) const;
   std::size_t numFields() const { return Names.size(); }
 
 private:
-  std::vector<std::string> Names;
-  std::unordered_map<std::string, FieldId> Ids;
+  /// A deque never moves its elements, so Ids' keys stay valid.
+  std::deque<std::string> Names;
+  std::unordered_map<std::string_view, FieldId> Ids;
 };
 
 } // namespace mcnk

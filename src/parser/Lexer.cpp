@@ -10,8 +10,6 @@
 
 #include "support/Error.h"
 
-#include <cctype>
-#include <unordered_map>
 
 using namespace mcnk;
 using namespace mcnk::parser;
@@ -126,97 +124,130 @@ void Lexer::skipTrivia() {
   }
 }
 
-Token Lexer::makeToken(TokenKind Kind, std::string Text, unsigned TokLine,
+Token Lexer::makeToken(TokenKind Kind, std::size_t Start, unsigned TokLine,
                        unsigned TokCol) const {
-  Token T;
-  T.Kind = Kind;
-  T.Text = std::move(Text);
-  T.Line = TokLine;
-  T.Column = TokCol;
-  return T;
+  return {Kind, Source.substr(Start, Pos - Start), TokLine, TokCol};
 }
+
+Token Lexer::makeError(std::string Message, unsigned TokLine,
+                       unsigned TokCol) {
+  ErrorText = std::move(Message);
+  return {TokenKind::Error, ErrorText, TokLine, TokCol};
+}
+
+namespace {
+
+// ASCII classes, as <cctype> gives them in the "C" locale.
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+bool isWordStart(char C) {
+  return (C >= 'a' && C <= 'z') || (C >= 'A' && C <= 'Z') || C == '_';
+}
+bool isWordChar(char C) { return isWordStart(C) || isDigit(C); }
+
+/// The keyword spelled \p W, or Ident: a switch on the length (and the
+/// first letter), then one compare.
+TokenKind classifyWord(std::string_view W) {
+  auto Is = [W](std::string_view Keyword, TokenKind Kind) {
+    return W == Keyword ? Kind : TokenKind::Ident;
+  };
+  switch (W.size()) {
+  case 2:
+    return W[0] == 'd' ? Is("do", TokenKind::KwDo)
+           : W[1] == 'f' ? Is("if", TokenKind::KwIf)
+                         : Is("in", TokenKind::KwIn);
+  case 3:
+    return Is("var", TokenKind::KwVar);
+  case 4:
+    switch (W[0]) {
+    case 'd':
+      return Is("drop", TokenKind::KwDrop);
+    case 's':
+      return Is("skip", TokenKind::KwSkip);
+    case 't':
+      return Is("then", TokenKind::KwThen);
+    case 'e':
+      return Is("else", TokenKind::KwElse);
+    default:
+      return Is("case", TokenKind::KwCase);
+    }
+  case 5:
+    return Is("while", TokenKind::KwWhile);
+  default:
+    return TokenKind::Ident;
+  }
+}
+
+} // namespace
 
 Token Lexer::next() {
   skipTrivia();
+  const std::size_t Start = Pos;
   unsigned TokLine = Line, TokCol = Column;
   if (Pos >= Source.size())
-    return makeToken(TokenKind::Eof, "", TokLine, TokCol);
+    return makeToken(TokenKind::Eof, Start, TokLine, TokCol);
 
   char C = advance();
   switch (C) {
   case '=':
-    return makeToken(TokenKind::Equal, "=", TokLine, TokCol);
+    return makeToken(TokenKind::Equal, Start, TokLine, TokCol);
   case '!':
-    return makeToken(TokenKind::Bang, "!", TokLine, TokCol);
+    return makeToken(TokenKind::Bang, Start, TokLine, TokCol);
   case '&':
-    return makeToken(TokenKind::Amp, "&", TokLine, TokCol);
+    return makeToken(TokenKind::Amp, Start, TokLine, TokCol);
   case ';':
-    return makeToken(TokenKind::Semi, ";", TokLine, TokCol);
+    return makeToken(TokenKind::Semi, Start, TokLine, TokCol);
   case '*':
-    return makeToken(TokenKind::Star, "*", TokLine, TokCol);
+    return makeToken(TokenKind::Star, Start, TokLine, TokCol);
   case '+':
-    return makeToken(TokenKind::Plus, "+", TokLine, TokCol);
+    return makeToken(TokenKind::Plus, Start, TokLine, TokCol);
   case '/':
-    return makeToken(TokenKind::Slash, "/", TokLine, TokCol);
+    return makeToken(TokenKind::Slash, Start, TokLine, TokCol);
   case '.':
-    return makeToken(TokenKind::Dot, ".", TokLine, TokCol);
+    return makeToken(TokenKind::Dot, Start, TokLine, TokCol);
   case '(':
-    return makeToken(TokenKind::LParen, "(", TokLine, TokCol);
+    return makeToken(TokenKind::LParen, Start, TokLine, TokCol);
   case ')':
-    return makeToken(TokenKind::RParen, ")", TokLine, TokCol);
+    return makeToken(TokenKind::RParen, Start, TokLine, TokCol);
   case '[':
-    return makeToken(TokenKind::LBracket, "[", TokLine, TokCol);
+    return makeToken(TokenKind::LBracket, Start, TokLine, TokCol);
   case ']':
-    return makeToken(TokenKind::RBracket, "]", TokLine, TokCol);
+    return makeToken(TokenKind::RBracket, Start, TokLine, TokCol);
   case '{':
-    return makeToken(TokenKind::LBrace, "{", TokLine, TokCol);
+    return makeToken(TokenKind::LBrace, Start, TokLine, TokCol);
   case '}':
-    return makeToken(TokenKind::RBrace, "}", TokLine, TokCol);
+    return makeToken(TokenKind::RBrace, Start, TokLine, TokCol);
   case '|':
-    return makeToken(TokenKind::Pipe, "|", TokLine, TokCol);
+    return makeToken(TokenKind::Pipe, Start, TokLine, TokCol);
   case '-':
     if (peek() == '>') {
       advance();
-      return makeToken(TokenKind::Arrow, "->", TokLine, TokCol);
+      return makeToken(TokenKind::Arrow, Start, TokLine, TokCol);
     }
-    return makeToken(TokenKind::Error, "expected '>' after '-'", TokLine,
-                     TokCol);
+    return makeError("expected '>' after '-'", TokLine, TokCol);
   case ':':
     if (peek() == '=') {
       advance();
-      return makeToken(TokenKind::ColonEq, ":=", TokLine, TokCol);
+      return makeToken(TokenKind::ColonEq, Start, TokLine, TokCol);
     }
-    return makeToken(TokenKind::Error, "expected '=' after ':'", TokLine,
-                     TokCol);
+    return makeError("expected '=' after ':'", TokLine, TokCol);
   default:
     break;
   }
 
-  if (std::isdigit(static_cast<unsigned char>(C))) {
-    std::string Text(1, C);
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-      Text.push_back(advance());
-    return makeToken(TokenKind::Number, std::move(Text), TokLine, TokCol);
+  // Numbers and words hold no newline, so the column moves by their length.
+  if (isDigit(C) || isWordStart(C)) {
+    const bool Word = isWordStart(C);
+    while (Pos < Source.size() &&
+           (Word ? isWordChar(Source[Pos]) : isDigit(Source[Pos])))
+      ++Pos;
+    Column += static_cast<unsigned>(Pos - Start - 1);
+    Token T = makeToken(Word ? TokenKind::Ident : TokenKind::Number, Start,
+                        TokLine, TokCol);
+    if (Word)
+      T.Kind = classifyWord(T.Text);
+    return T;
   }
 
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-    std::string Text(1, C);
-    while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_')
-      Text.push_back(advance());
-    static const std::unordered_map<std::string, TokenKind> Keywords = {
-        {"drop", TokenKind::KwDrop},   {"skip", TokenKind::KwSkip},
-        {"if", TokenKind::KwIf},       {"then", TokenKind::KwThen},
-        {"else", TokenKind::KwElse},   {"while", TokenKind::KwWhile},
-        {"do", TokenKind::KwDo},       {"var", TokenKind::KwVar},
-        {"in", TokenKind::KwIn},       {"case", TokenKind::KwCase},
-    };
-    auto It = Keywords.find(Text);
-    if (It != Keywords.end())
-      return makeToken(It->second, std::move(Text), TokLine, TokCol);
-    return makeToken(TokenKind::Ident, std::move(Text), TokLine, TokCol);
-  }
-
-  return makeToken(TokenKind::Error,
-                   std::string("unexpected character '") + C + "'", TokLine,
+  return makeError(std::string("unexpected character '") + C + "'", TokLine,
                    TokCol);
 }

@@ -3,7 +3,8 @@
 /// \file
 /// Lexer for the `.pnk` surface syntax. Produces a token stream with
 /// source positions for diagnostics; supports `//` line and `/* */` block
-/// comments.
+/// comments. Tokens are zero-copy: their text views the source buffer,
+/// which must outlive every token taken from it.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -12,6 +13,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace mcnk {
 namespace parser {
@@ -55,7 +57,9 @@ const char *tokenKindName(TokenKind Kind);
 
 struct Token {
   TokenKind Kind = TokenKind::Eof;
-  std::string Text;    // Identifier or number spelling; error message text.
+  /// The token's spelling in the source; for an Error token, the message
+  /// (owned by the Lexer, valid until its next error token).
+  std::string_view Text;
   unsigned Line = 1;   // 1-based.
   unsigned Column = 1; // 1-based.
 };
@@ -63,7 +67,7 @@ struct Token {
 /// Single-pass lexer over an in-memory buffer.
 class Lexer {
 public:
-  explicit Lexer(const std::string &Src) : Source(Src) {}
+  explicit Lexer(std::string_view Src) : Source(Src) {}
 
   /// Scans and returns the next token (Eof forever at end of input).
   Token next();
@@ -72,10 +76,12 @@ private:
   char peek(std::size_t Ahead = 0) const;
   char advance();
   void skipTrivia();
-  Token makeToken(TokenKind Kind, std::string Text, unsigned Line,
+  Token makeToken(TokenKind Kind, std::size_t Start, unsigned Line,
                   unsigned Col) const;
+  Token makeError(std::string Message, unsigned Line, unsigned Col);
 
-  const std::string &Source;
+  std::string_view Source;
+  std::string ErrorText;
   std::size_t Pos = 0;
   unsigned Line = 1;
   unsigned Column = 1;

@@ -11,7 +11,9 @@
 #include "parser/Lexer.h"
 #include "support/BigInt.h"
 
+#include <cassert>
 #include <cstdint>
+#include <string_view>
 
 using namespace mcnk;
 using namespace mcnk::parser;
@@ -26,7 +28,7 @@ namespace {
 
 class ParserImpl {
 public:
-  ParserImpl(const std::string &Source, Context &C)
+  ParserImpl(std::string_view Source, Context &C)
       : Lex(Source), Ctx(C) {
     Tok = Lex.next();
   }
@@ -65,9 +67,10 @@ private:
 
   std::string describeCurrent() const {
     if (Tok.Kind == TokenKind::Ident || Tok.Kind == TokenKind::Number)
-      return std::string(tokenKindName(Tok.Kind)) + " '" + Tok.Text + "'";
+      return std::string(tokenKindName(Tok.Kind)) + " '" +
+             std::string(Tok.Text) + "'";
     if (Tok.Kind == TokenKind::Error)
-      return Tok.Text;
+      return std::string(Tok.Text);
     return tokenKindName(Tok.Kind);
   }
 
@@ -80,6 +83,20 @@ private:
 
   void warn(const Token &At, const char *Check, const std::string &Message) {
     Warns.push_back({At.Line, At.Column, Message, Check});
+  }
+
+  /// Interns the field named by the identifier \p At. A full field table
+  /// is a parse error, reported before anything is interned.
+  bool internField(const Token &At, FieldId &Out) {
+    Out = Ctx.fields().tryIntern(At.Text);
+    if (Out != FieldTable::NotFound)
+      return true;
+    Failed = true;
+    Diags.push_back({At.Line, At.Column,
+                     "too many distinct field names (the limit is " +
+                         std::to_string(FieldTable::MaxFields) + ")",
+                     {}});
+    return false;
   }
 
   /// Records \p At as the source location of \p N (first write wins, so
@@ -208,7 +225,8 @@ private:
   }
 
   const Node *parseTestOrAssign() {
-    std::string Name = Tok.Text;
+    const Token NameTok = Tok;
+    std::string_view Name = NameTok.Text;
     if (Name == "dup") {
       error("'dup' is not supported: McNetKAT handles the history-free "
             "fragment of ProbNetKAT (paper Sec. 3)");
@@ -217,15 +235,15 @@ private:
     bump();
     bool IsAssign = at(TokenKind::ColonEq);
     if (!IsAssign && !at(TokenKind::Equal)) {
-      error("expected '=' (test) or ':=' (assignment) after field '" + Name +
-            "'");
+      error("expected '=' (test) or ':=' (assignment) after field '" +
+            std::string(Name) + "'");
       return nullptr;
     }
     bump();
     FieldValue Value;
-    if (!parseFieldValue(Value))
+    FieldId Field;
+    if (!parseFieldValue(Value) || !internField(NameTok, Field))
       return nullptr;
-    FieldId Field = Ctx.field(Name);
     return IsAssign ? Ctx.assign(Field, Value) : Ctx.test(Field, Value);
   }
 
@@ -260,7 +278,7 @@ private:
       error("expected field name after 'var'");
       return nullptr;
     }
-    std::string Name = Tok.Text;
+    const Token NameTok = Tok;
     bump();
     if (!expect(TokenKind::ColonEq))
       return nullptr;
@@ -270,9 +288,10 @@ private:
     if (!expect(TokenKind::KwIn))
       return nullptr;
     const Node *Body = parseSeq();
-    if (Failed)
+    FieldId Field;
+    if (Failed || !internField(NameTok, Field))
       return nullptr;
-    return Ctx.local(Ctx.field(Name), Init, Body);
+    return Ctx.local(Field, Init, Body);
   }
 
   /// 'case' '{' (guard '->' seq '|')* 'else' '->' seq '}' — the n-ary
@@ -324,7 +343,7 @@ private:
     for (char C : Tok.Text) {
       Value = Value * 10 + static_cast<unsigned>(C - '0');
       if (Value > 0xffffffffULL) {
-        error("field value '" + Tok.Text + "' exceeds 32 bits");
+        error("field value '" + std::string(Tok.Text) + "' exceeds 32 bits");
         return false;
       }
     }
@@ -333,25 +352,29 @@ private:
     return true;
   }
 
-  /// nat | nat '/' nat | nat '.' digits
+  /// nat | nat '/' nat | nat '.' digits. BigInt's word-sized
+  /// representation is the fast path: literals and results that fit
+  /// int64 stay in int64 arithmetic, wider ones promote to limbs, and
+  /// both end in the same canonical Rational.
   bool parseRational(Rational &Out) {
     if (!at(TokenKind::Number)) {
       error("expected a probability, found " + describeCurrent());
       return false;
     }
-    std::string First = Tok.Text;
+    std::string_view First = Tok.Text;
     bump();
+    BigInt Num = natural(First);
     if (accept(TokenKind::Slash)) {
       if (!at(TokenKind::Number)) {
         error("expected denominator after '/'");
         return false;
       }
-      std::string Second = Tok.Text;
+      std::string_view Second = Tok.Text;
       bump();
-      BigInt Num, Den;
-      if (!BigInt::fromString(First, Num) ||
-          !BigInt::fromString(Second, Den) || Den.isZero()) {
-        error("malformed rational " + First + "/" + Second);
+      BigInt Den = natural(Second);
+      if (Den.isZero()) {
+        error("malformed rational " + std::string(First) + "/" +
+              std::string(Second));
         return false;
       }
       Out = Rational(std::move(Num), std::move(Den));
@@ -362,24 +385,23 @@ private:
         error("expected digits after '.'");
         return false;
       }
-      std::string Frac = Tok.Text;
+      std::string_view Frac = Tok.Text;
       bump();
-      BigInt Num;
-      if (!BigInt::fromString(First + Frac, Num)) {
-        error("malformed decimal " + First + "." + Frac);
-        return false;
-      }
-      BigInt Den = BigInt::pow(BigInt(10), static_cast<unsigned>(Frac.size()));
-      Out = Rational(std::move(Num), std::move(Den));
+      BigInt Scale =
+          BigInt::pow(BigInt(10), static_cast<unsigned>(Frac.size()));
+      Out = Rational(Num * Scale + natural(Frac), std::move(Scale));
       return true;
-    }
-    BigInt Num;
-    if (!BigInt::fromString(First, Num)) {
-      error("malformed number " + First);
-      return false;
     }
     Out = Rational(std::move(Num), BigInt(1));
     return true;
+  }
+
+  /// The value of a Number token's digits.
+  static BigInt natural(std::string_view Digits) {
+    BigInt Value;
+    [[maybe_unused]] bool Ok = BigInt::fromString(Digits, Value);
+    assert(Ok && "Number tokens hold only digits");
+    return Value;
   }
 
   Lexer Lex;

@@ -70,9 +70,30 @@ const Json *Json::find(const std::string &Key) const {
 
 namespace {
 
+/// Appends S[Pos, Pos + N) to Out. Out's capacity doubles as often as a
+/// byte-at-a-time append would double it, so a dumped document holds the
+/// same memory however its strings were split into runs.
+void appendRun(const std::string &S, std::size_t Pos, std::size_t N,
+               std::string &Out) {
+  std::size_t Capacity = Out.capacity();
+  if (Out.size() + N > Capacity) {
+    while (Capacity < Out.size() + N)
+      Capacity *= 2;
+    Out.reserve(Capacity);
+  }
+  Out.append(S, Pos, N);
+}
+
 void dumpString(const std::string &S, std::string &Out) {
   Out += '"';
-  for (char C : S) {
+  // Runs of bytes that need no escape are appended in one call.
+  std::size_t Run = 0;
+  for (std::size_t I = 0; I < S.size(); ++I) {
+    const char C = S[I];
+    if (C != '"' && C != '\\' && static_cast<unsigned char>(C) >= 0x20)
+      continue; // UTF-8 passes through byte-for-byte.
+    appendRun(S, Run, I - Run, Out);
+    Run = I + 1;
     switch (C) {
     case '"':
       Out += "\\\"";
@@ -89,16 +110,14 @@ void dumpString(const std::string &S, std::string &Out) {
     case '\t':
       Out += "\\t";
       break;
-    default:
-      if (static_cast<unsigned char>(C) < 0x20) {
-        char Buf[8];
-        std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
-        Out += Buf;
-      } else {
-        Out += C; // UTF-8 passes through byte-for-byte.
-      }
+    default: {
+      char Buf[8];
+      std::snprintf(Buf, sizeof(Buf), "\\u%04x", C);
+      Out += Buf;
+    }
     }
   }
+  appendRun(S, Run, S.size() - Run, Out);
   Out += '"';
 }
 

@@ -745,7 +745,7 @@ int BigInt::compare(const BigInt &RHS) const {
   return Negative ? -MagCmp : MagCmp;
 }
 
-bool BigInt::fromString(const std::string &Text, BigInt &Out) {
+bool BigInt::fromString(std::string_view Text, BigInt &Out) {
   std::size_t Pos = 0;
   bool Neg = false;
   if (Pos < Text.size() && (Text[Pos] == '-' || Text[Pos] == '+')) {

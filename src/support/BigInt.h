@@ -18,6 +18,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -42,7 +43,7 @@ public:
 
   /// Parses a decimal string with optional leading '-'. Returns false on
   /// malformed input (empty string, non-digit characters).
-  static bool fromString(const std::string &Text, BigInt &Out);
+  static bool fromString(std::string_view Text, BigInt &Out);
 
   bool isZero() const { return SmallRep && Small == 0; }
   bool isNegative() const { return SmallRep ? Small < 0 : Negative; }

@@ -14,11 +14,13 @@
 #include "parser/Parser.h"
 #include "routing/Routing.h"
 #include "support/Casting.h"
+#include "support/Prng.h"
 #include "topology/Topology.h"
 
 #include <gtest/gtest.h>
 
 #include <cinttypes>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -382,4 +384,43 @@ TEST(FingerprintPinTest, ParsedProgramsKeepTheirStoreKeys) {
   O.HopCap = 14;
   routing::NetworkModel M = routing::buildFatTreeModel(L, O, Built);
   EXPECT_EQ(parsedHash(print(M.Program, Built.fields())), "41bcbf3424d07d4231ad3ef0e6831a95");
+}
+
+TEST(FingerprintWeightTest, FastRenderingHashesLikeToString) {
+  // The reference route: FNV-1a over Rational::toString, whose bytes the
+  // stack rendering must reproduce (store keys depend on them).
+  auto Fnv = [](const std::string &S) {
+    uint64_t H = 0xcbf29ce484222325ULL;
+    for (unsigned char C : S) {
+      H ^= C;
+      H *= 0x100000001b3ULL;
+    }
+    return H;
+  };
+  auto Check = [&](const Rational &R) {
+    const auto [Weight, Complement] = choiceWeightHashes(R);
+    EXPECT_EQ(Weight, Fnv(R.toString())) << R.toString();
+    EXPECT_EQ(Complement, Fnv((Rational(1) - R).toString())) << R.toString();
+  };
+  const int64_t Max = INT64_MAX;
+  for (const Rational &R :
+       {Rational(0), Rational(1), Rational(1, 2), Rational(1, 3),
+        Rational(2, 3), Rational(1, Max), Rational(Max - 1, Max),
+        Rational(Max), Rational(-1, 3), Rational(5, 2), Rational(INT64_MIN),
+        Rational(INT64_MIN + 1, Max)})
+    Check(R);
+  Prng Rng(0x5eed);
+  for (int I = 0; I < 2000; ++I) {
+    // Small pairs: denominators up to 2^62, numerators below them.
+    int64_t Den = static_cast<int64_t>(Rng.below(uint64_t(1) << (I % 63))) + 1;
+    int64_t Num = static_cast<int64_t>(Rng.below(static_cast<uint64_t>(Den)));
+    Check(Rational(Num, Den));
+    // Multi-limb: N / (N + M) for products N, M of random words.
+    BigInt BigDen(1), BigNum(1);
+    for (int W = 0, Words = 1 + I % 4; W < Words; ++W) {
+      BigDen = BigDen * BigInt(static_cast<int64_t>(Rng.next() >> 2) + 2);
+      BigNum = BigNum * BigInt(static_cast<int64_t>(Rng.next() >> 3) + 1);
+    }
+    Check(Rational(BigNum, BigNum + BigDen));
+  }
 }

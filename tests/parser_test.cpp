@@ -10,10 +10,13 @@
 #include "ast/Simplify.h"
 #include "ast/Slice.h"
 #include "ast/Traversal.h"
+#include "parser/Lexer.h"
 #include "parser/Parser.h"
 #include "support/Casting.h"
 
 #include <gtest/gtest.h>
+
+#include <tuple>
 
 using namespace mcnk;
 using namespace mcnk::ast;
@@ -348,4 +351,157 @@ TEST_F(ParserTest, CaseDiagnostics) {
       "else -> skip }");
   const Node *Again = parseOk(print(Nested, Ctx.fields()));
   EXPECT_TRUE(structurallyEqual(Nested, Again));
+}
+
+// --- Lexer behaviour ------------------------------------------------------
+
+TEST_F(ParserTest, LexerErrorsRenderExactly) {
+  // One case per lexer error token; each reaches the user as the
+  // "found ..." half of the parser's first diagnostic.
+  EXPECT_EQ(parseError("@"),
+            "1:1: expected a program, found unexpected character '@'");
+  EXPECT_EQ(parseError("sw=1 ;\n  pt:=2 #"),
+            "2:9: expected end of input, found unexpected character '#'");
+  EXPECT_EQ(parseError("sw=1 -"),
+            "1:6: expected end of input, found expected '>' after '-'");
+  EXPECT_EQ(parseError("case { sw=1 - drop | else -> skip }"),
+            "1:13: expected '->', found expected '>' after '-'");
+  EXPECT_EQ(parseError("sw=1 :"),
+            "1:6: expected end of input, found expected '=' after ':'");
+  EXPECT_EQ(parseError("var x : 1 in skip"),
+            "1:7: expected ':=', found expected '=' after ':'");
+}
+
+TEST_F(ParserTest, DescribeCurrentNamesIdentifiersAndNumbers) {
+  EXPECT_EQ(parseError("sw=1 pt"),
+            "1:6: expected end of input, found identifier 'pt'");
+  EXPECT_EQ(parseError("sw=1 42"),
+            "1:6: expected end of input, found number '42'");
+  EXPECT_EQ(parseError("sw=pt"),
+            "1:4: expected a natural number, found identifier 'pt'");
+  EXPECT_EQ(parseError("pt:=1 +[x] pt:=2"),
+            "1:9: expected a probability, found identifier 'x'");
+  EXPECT_EQ(parseError("pt:=1 +[1/2 pt:=2"),
+            "1:13: expected ']', found identifier 'pt'");
+  EXPECT_EQ(parseError("drop 007"),
+            "1:6: expected end of input, found number '007'");
+}
+
+TEST_F(ParserTest, LexerRecognizesEachKeyword) {
+  const std::pair<const char *, parser::TokenKind> Keywords[] = {
+      {"drop", parser::TokenKind::KwDrop},   {"skip", parser::TokenKind::KwSkip},
+      {"if", parser::TokenKind::KwIf},       {"then", parser::TokenKind::KwThen},
+      {"else", parser::TokenKind::KwElse},   {"while", parser::TokenKind::KwWhile},
+      {"do", parser::TokenKind::KwDo},       {"var", parser::TokenKind::KwVar},
+      {"in", parser::TokenKind::KwIn},       {"case", parser::TokenKind::KwCase},
+  };
+  for (const auto &[Spelling, Kind] : Keywords) {
+    const std::string Source = std::string("  ") + Spelling + " ";
+    parser::Lexer Lex(Source);
+    parser::Token T = Lex.next();
+    EXPECT_EQ(T.Kind, Kind) << Spelling;
+    EXPECT_EQ(T.Text, Spelling);
+    EXPECT_EQ(T.Line, 1u);
+    EXPECT_EQ(T.Column, 3u);
+    EXPECT_EQ(Lex.next().Kind, parser::TokenKind::Eof) << Spelling;
+  }
+}
+
+TEST_F(ParserTest, KeywordNearMissesLexAsIdentifiers) {
+  for (const char *Spelling :
+       {"dropx", "iff", "_if", "do_", "in2", "Drop", "ski", "cases", "whil",
+        "thenelse", "d", "v", "_", "x_1"}) {
+    const std::string Source = Spelling;
+    parser::Lexer Lex(Source);
+    parser::Token T = Lex.next();
+    EXPECT_EQ(T.Kind, parser::TokenKind::Ident) << Spelling;
+    EXPECT_EQ(T.Text, Spelling);
+    EXPECT_EQ(Lex.next().Kind, parser::TokenKind::Eof) << Spelling;
+  }
+  // A near miss is an ordinary field name to the parser.
+  const Node *P = parseOk("iff=1 ; do_:=2");
+  EXPECT_TRUE(isa<SeqNode>(P));
+  EXPECT_EQ(Ctx.fields().lookup("iff"), 0);
+  EXPECT_EQ(Ctx.fields().lookup("do_"), 1);
+}
+
+TEST_F(ParserTest, LexerTokensCarryTextAndPositions) {
+  const std::string Source = "sw=12 ;\n\tpt:=3 +[1/4] /* c */ -> :=";
+  parser::Lexer Lex(Source);
+  const std::tuple<parser::TokenKind, const char *, unsigned, unsigned>
+      Expected[] = {
+          {parser::TokenKind::Ident, "sw", 1, 1},
+          {parser::TokenKind::Equal, "=", 1, 3},
+          {parser::TokenKind::Number, "12", 1, 4},
+          {parser::TokenKind::Semi, ";", 1, 7},
+          {parser::TokenKind::Ident, "pt", 2, 2},
+          {parser::TokenKind::ColonEq, ":=", 2, 4},
+          {parser::TokenKind::Number, "3", 2, 6},
+          {parser::TokenKind::Plus, "+", 2, 8},
+          {parser::TokenKind::LBracket, "[", 2, 9},
+          {parser::TokenKind::Number, "1", 2, 10},
+          {parser::TokenKind::Slash, "/", 2, 11},
+          {parser::TokenKind::Number, "4", 2, 12},
+          {parser::TokenKind::RBracket, "]", 2, 13},
+          {parser::TokenKind::Arrow, "->", 2, 23},
+          {parser::TokenKind::ColonEq, ":=", 2, 26},
+          {parser::TokenKind::Eof, "", 2, 28},
+      };
+  for (const auto &[Kind, Text, Line, Column] : Expected) {
+    parser::Token T = Lex.next();
+    EXPECT_EQ(T.Kind, Kind) << Text;
+    EXPECT_EQ(T.Text, Text);
+    EXPECT_EQ(T.Line, Line) << Text;
+    EXPECT_EQ(T.Column, Column) << Text;
+  }
+}
+
+TEST_F(ParserTest, ProbabilityLiteralsAreCanonical) {
+  // Word-sized literals and literals past int64 must produce the same
+  // canonical Rational.
+  auto Prob = [&](const std::string &Literal) {
+    const Node *P = parseOk("pt:=1 +[" + Literal + "] pt:=2");
+    const auto *C = dyn_cast<ChoiceNode>(P);
+    return C ? C->probability().toString() : std::string("<collapsed>");
+  };
+  EXPECT_EQ(Prob("2/4"), "1/2");
+  EXPECT_EQ(Prob("0.50"), "1/2");
+  EXPECT_EQ(Prob("00.250"), "1/4");
+  EXPECT_EQ(Prob("0.1"), "1/10");
+  EXPECT_EQ(Prob("3/9"), "1/3");
+  EXPECT_EQ(Prob("9223372036854775807/18446744073709551614"), "1/2");
+  EXPECT_EQ(Prob("123456789012345678901/246913578024691357802"), "1/2");
+  EXPECT_EQ(Prob("0.1234567890123456789"),
+            "1234567890123456789/10000000000000000000");
+  EXPECT_EQ(Prob("0.123456789012345678"),
+            "61728394506172839/500000000000000000");
+  EXPECT_EQ(Prob("1/18446744073709551616"), "1/18446744073709551616");
+  EXPECT_EQ(parseError("pt:=1 +[1/0] pt:=2"), "1:12: malformed rational 1/0");
+  EXPECT_EQ(parseError("pt:=1 +[0/000] pt:=2"),
+            "1:14: malformed rational 0/000");
+  EXPECT_EQ(parseError("pt:=1 +[9223372036854775808/0] pt:=2"),
+            "1:30: malformed rational 9223372036854775808/0");
+  EXPECT_EQ(parseError("pt:=1 +[5/4] pt:=2"),
+            "1:12: choice probability must lie in [0, 1], got 5/4");
+  EXPECT_EQ(parseError("pt:=1 +[1.5] pt:=2"),
+            "1:12: choice probability must lie in [0, 1], got 3/2");
+}
+
+TEST_F(ParserTest, FullFieldTableIsADiagnostic) {
+  // The table holds MaxFields names; a program that fills it parses.
+  std::string Program;
+  for (std::size_t I = 0; I < FieldTable::MaxFields; ++I)
+    Program += (I ? " ; f" : "f") + std::to_string(I) + "=1";
+  parseOk(Program);
+  ASSERT_EQ(Ctx.fields().numFields(), FieldTable::MaxFields);
+  // One new name more is an ordinary parse error at that name, and
+  // nothing is interned.
+  EXPECT_EQ(parseError("f7=1 ;\n  extra:=2"),
+            "2:3: too many distinct field names (the limit is 65535)");
+  EXPECT_EQ(parseError("var tmp := 1 in f0:=1"),
+            "1:5: too many distinct field names (the limit is 65535)");
+  EXPECT_EQ(Ctx.fields().numFields(), FieldTable::MaxFields);
+  EXPECT_EQ(Ctx.fields().lookup("extra"), FieldTable::NotFound);
+  // Names already interned still parse.
+  EXPECT_TRUE(isa<SeqNode>(parseOk("f0=1 ; f65534:=3")));
 }

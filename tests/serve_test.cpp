@@ -375,6 +375,31 @@ TEST(ServeJson, RoundTripsProtocolShapes) {
   EXPECT_EQ(Back.dump(), V.dump());
 }
 
+TEST(ServeJson, StringEscapesArePinned) {
+  // Every byte below 0x20, the quote and the backslash are escaped; all
+  // other bytes (DEL and UTF-8 included) pass through unchanged.
+  std::string Raw = "plain \"q\" \\ ";
+  for (int C = 0; C < 0x20; ++C)
+    Raw += static_cast<char>(C);
+  Raw += "\x7f\xc3\xa9 tail";
+  EXPECT_EQ(serve::Json::string(Raw).dump(),
+            "\"plain \\\"q\\\" \\\\ "
+            "\\u0000\\u0001\\u0002\\u0003\\u0004\\u0005\\u0006\\u0007"
+            "\\u0008\\t\\n\\u000b\\u000c\\r\\u000e\\u000f"
+            "\\u0010\\u0011\\u0012\\u0013\\u0014\\u0015\\u0016\\u0017"
+            "\\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f"
+            "\x7f\xc3\xa9 tail\"");
+  EXPECT_EQ(serve::Json::string("").dump(), "\"\"");
+  EXPECT_EQ(serve::Json::string("\\").dump(), "\"\\\\\"");
+  EXPECT_EQ(serve::Json::string("no escapes at all").dump(),
+            "\"no escapes at all\"");
+  serve::Json Back;
+  std::string Error;
+  ASSERT_TRUE(serve::parseJson(serve::Json::string(Raw).dump(), Back, &Error))
+      << Error;
+  EXPECT_EQ(Back.asString(), Raw);
+}
+
 TEST(ServeJson, MalformedInputsFailCleanly) {
   const char *Bad[] = {
       "",          "{",         "[1,",        "{\"a\":}",  "tru",
@@ -740,6 +765,31 @@ TEST(Session, RejectsBadRequestsWithoutDying) {
                                "\"inputs\":[{\"sw\":5}]}");
   EXPECT_TRUE(okOf(R)) << R.dump();
   EXPECT_EQ(Svc->errors(), sizeof(Bad) / sizeof(Bad[0]));
+}
+
+TEST(Session, TooManyFieldNamesIsAParseErrorNotAnAbort) {
+  // One name more than the field table holds must be a parse error, not
+  // a fatalError that would take every session down.
+  std::string Program;
+  for (std::size_t I = 0; I <= FieldTable::MaxFields; ++I)
+    Program += (I ? " ; f" : "f") + std::to_string(I) + "=1";
+  auto Svc = serve::Service::create({}, nullptr);
+  ASSERT_TRUE(Svc);
+  serve::Session S(*Svc);
+  for (const char *Verb : {"parse", "compile"}) {
+    serve::Json R = roundTrip(S, std::string("{\"verb\":\"") + Verb +
+                                     "\",\"program\":\"" + Program + "\"}");
+    EXPECT_FALSE(okOf(R)) << Verb;
+    ASSERT_NE(R.find("error"), nullptr) << Verb;
+    EXPECT_NE(R.find("error")->asString().find("too many distinct field names"),
+              std::string::npos)
+        << R.find("error")->asString();
+  }
+  // The session answers the next request.
+  serve::Json R = roundTrip(S, "{\"verb\":\"query\",\"query\":\"delivery\","
+                               "\"program\":\"sw:=1\","
+                               "\"inputs\":[{\"sw\":5}]}");
+  EXPECT_TRUE(okOf(R)) << R.dump();
 }
 
 TEST(Session, DeepChainsAnswerOnASessionThread) {
