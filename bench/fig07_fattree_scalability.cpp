@@ -20,14 +20,6 @@
 /// MCNK_TIME_LIMIT (that point is recorded, then the series retires).
 /// MCNK_FIG7_MAXP caps p (default 64 in this mode).
 ///
-/// MCNK_FIG7_BLOCKED_JSON=<path> switches to the block-schedule
-/// trajectory point (docs/ARCHITECTURE.md S13): the same FatTree family
-/// compiled with the Exact solver, its SCC blocks solved serially vs as a
-/// DAG on a worker pool. Reference equality of the two diagrams and equal
-/// elimination counters are enforced (nonzero exit on mismatch) and the
-/// JSON records both wall times plus the elimination-op / fill-in
-/// counters.
-///
 /// MCNK_FIG7_MODULAR_JSON=<path> switches to the multi-prime modular
 /// solver trajectory point (docs/ARCHITECTURE.md S14): the FatTree family
 /// plus a diamond-chain family (the Fig 10 topology, where the exact
@@ -50,7 +42,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <string>
-#include <thread>
 
 using namespace mcnk;
 using namespace mcnk::bench;
@@ -221,103 +212,6 @@ int runNative(unsigned MaxP, double Limit, const char *Path) {
   return 0;
 }
 
-/// MCNK_FIG7_BLOCKED_JSON: the S13 block-schedule trajectory point. Both
-/// runs are Exact and solve the same SCC block plan, serially in block-id
-/// order vs as a dependency-counted DAG on a worker pool, so the compiled
-/// diagrams must be reference-equal and the elimination counters
-/// identical; the interesting delta is the wall clock. On the (acyclic)
-/// FatTree forwarding chains the condensation is all singleton classes.
-int runBlocked(unsigned MaxP, const char *Path) {
-  unsigned Threads = std::max(2u, std::thread::hardware_concurrency());
-  std::printf("=== Fig 7 block-schedule point: Exact, serial vs pooled "
-              "SCC/DAG blocks (%u workers) ===\n",
-              Threads);
-  std::printf("%4s %9s  %8s %8s  %9s %9s  %7s %7s\n", "p", "switches",
-              "serial s", "pool s", "elim ops", "fill-in", "blocks",
-              "maxblk");
-  FailureModel Fail = FailureModel::iid(Rational(1, 1000));
-  std::string Points;
-  bool AllEqual = true;
-  for (unsigned P = 4; P <= MaxP; P += 2) {
-    topology::FatTreeLayout L;
-    topology::makeFatTree(P, L);
-    ast::Context Ctx;
-    ModelOptions O;
-    O.RoutingScheme = Scheme::F100;
-    O.Failures = Fail;
-    NetworkModel M = buildFatTreeModel(L, O, Ctx);
-
-    analysis::Verifier Serial; // Exact, blocks in id order.
-    WallTimer SerialTimer;
-    fdd::FddRef RS = Serial.compile(M.Program);
-    double SerialSec = SerialTimer.elapsed();
-    fdd::LoopSolveStats SS = Serial.manager().lastLoopStats();
-
-    analysis::Verifier Pooled; // Exact, blocks as a DAG on a pool.
-    Pooled.enableSolverPool(Threads);
-    WallTimer PoolTimer;
-    fdd::FddRef RP = Pooled.compile(M.Program);
-    double PoolSec = PoolTimer.elapsed();
-    const fdd::LoopSolveStats &PS = Pooled.manager().lastLoopStats();
-
-    bool Equal = fdd::importFdd(Serial.manager(),
-                                fdd::exportFdd(Pooled.manager(), RP)) ==
-                     RS &&
-                 PS.EliminationOps == SS.EliminationOps &&
-                 PS.FillIn == SS.FillIn && PS.NumBlocks == SS.NumBlocks;
-    AllEqual = AllEqual && Equal;
-    if (!Equal)
-      std::fprintf(stderr,
-                   "MISMATCH: pooled-block compile differs from the serial "
-                   "one at p=%u\n",
-                   P);
-
-    std::printf("%4u %9u  %8.3f %8.3f  %9zu %9zu  %7zu %7zu\n", P,
-                L.numSwitches(), SerialSec, PoolSec, SS.EliminationOps,
-                SS.FillIn, SS.NumBlocks, SS.MaxBlockSize);
-    std::fflush(stdout);
-
-    char Point[512];
-    std::snprintf(Point, sizeof(Point),
-                  "%s    {\"p\": %u, \"switches\": %u, "
-                  "\"solved_states\": %zu, "
-                  "\"serial_seconds\": %.6f, \"pooled_seconds\": %.6f, "
-                  "\"elim_ops\": %zu, \"fill_in\": %zu, "
-                  "\"num_blocks\": %zu, \"max_block\": %zu}",
-                  Points.empty() ? "" : ",\n", P, L.numSwitches(),
-                  SS.NumSolved, SerialSec, PoolSec, SS.EliminationOps,
-                  SS.FillIn, SS.NumBlocks, SS.MaxBlockSize);
-    Points += Point;
-  }
-  std::printf(AllEqual
-                  ? "block schedule: all points reference-equal\n"
-                  : "block schedule: MISMATCH (see stderr)\n");
-
-  if (std::FILE *F = std::fopen(Path, "w")) {
-    std::fprintf(F,
-                 "{\n"
-                 "  \"name\": \"solver_blocked\",\n"
-                 "  \"model\": \"FatTree ECMP with iid 1/1000 link "
-                 "failures (Fig 7 family), Exact solver\",\n"
-                 "  \"engine\": \"SCC/DAG block pipeline, serial vs "
-                 "pooled schedule (ARCHITECTURE S13)\",\n"
-                 "  \"pool_threads\": %u,\n",
-                 Threads);
-    writeRunInfo(F, 1);
-    std::fprintf(F,
-                 "  \"reference_equal\": %s,\n"
-                 "  \"points\": [\n%s\n  ]\n"
-                 "}\n",
-                 AllEqual ? "true" : "false", Points.c_str());
-    std::fclose(F);
-    std::printf("wrote %s\n", Path);
-  } else {
-    std::fprintf(stderr, "error: cannot write %s\n", Path);
-    return 1;
-  }
-  return AllEqual ? 0 : 1;
-}
-
 /// One MCNK_FIG7_MODULAR_JSON point: compiles \p Program with the
 /// Rational Exact engine and with ModularExact, enforces reference
 /// equality, prints one table row, and appends one JSON point. Returns
@@ -447,9 +341,6 @@ int main() {
       Path && *Path)
     return runModular(std::min(MaxP, 6u),
                       envUnsigned("MCNK_FIG7_MODULAR_MAXK", 512), Path);
-  if (const char *Path = std::getenv("MCNK_FIG7_BLOCKED_JSON");
-      Path && *Path)
-    return runBlocked(std::min(MaxP, 6u), Path);
   if (envUnsigned("MCNK_GOLDEN", 0))
     return runGolden(std::min(MaxP, 6u));
   std::printf("=== Fig 7: FatTree scalability (ECMP to switch 1) ===\n");

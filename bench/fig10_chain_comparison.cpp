@@ -11,7 +11,6 @@
 ///   ppnk ex   — ProbNetKAT -> PRISM translation, exact engine
 ///   ppnk ap   — translation, iterative engine
 ///   pnk       — native FDD backend (direct sparse LU)
-///   pnk par   — native backend, loop blocks solved on a 4-worker pool
 ///
 /// Shape expected from the paper: bayonet dies orders of magnitude before
 /// the rest; the native backend scales furthest. Per-point budget retires
@@ -135,12 +134,12 @@ int main() {
   std::printf("=== Fig 10: chain topology tool comparison "
               "(pfail = 1/1000) ===\n");
   std::printf("per-point budget %.0fs; '-' = series retired\n\n", Limit);
-  std::printf("%6s %9s  %10s  %10s  %10s  %10s  %10s  %10s  %10s\n", "K",
+  std::printf("%6s %9s  %10s  %10s  %10s  %10s  %10s  %10s\n", "K",
               "switches", "bayonet", "prism ex", "prism ap", "ppnk ex",
-              "ppnk ap", "pnk", "pnk par");
+              "ppnk ap", "pnk");
 
   BudgetedSeries Bayonet(Limit), PrismEx(Limit), PrismAp(Limit),
-      PpnkEx(Limit), PpnkAp(Limit), Pnk(Limit), PnkPar(Limit);
+      PpnkEx(Limit), PpnkAp(Limit), Pnk(Limit);
   const Rational PFail(1, 1000);
 
   for (unsigned K = 1; K <= MaxK; K *= 2) {
@@ -194,18 +193,10 @@ int main() {
       analysis::Verifier V(markov::SolverKind::Direct);
       V.compile(M.Program);
     }));
-    printCell(PnkPar.measure([&] {
-      ast::Context Ctx;
-      routing::NetworkModel M = routing::buildChainModel(L, PFail, Ctx);
-      analysis::Verifier V(markov::SolverKind::Direct);
-      V.enableSolverPool(4);
-      V.compile(M.Program);
-    }));
     std::printf("\n");
     std::fflush(stdout);
     if (!Bayonet.alive() && !PrismEx.alive() && !PrismAp.alive() &&
-        !PpnkEx.alive() && !PpnkAp.alive() && !Pnk.alive() &&
-        !PnkPar.alive())
+        !PpnkEx.alive() && !PpnkAp.alive() && !Pnk.alive())
       break;
   }
   return 0;

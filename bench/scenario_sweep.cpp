@@ -19,8 +19,6 @@
 ///   MCNK_SWEEP_TABLE      run the per-scenario table (default 1)
 ///   MCNK_SWEEP_CACHE      run the cache sweep       (default 1)
 ///   MCNK_SWEEP_CACHE_JSON write the cache-sweep trajectory point here
-///   MCNK_SWEEP_BLOCKED    run the block-schedule sweep (default 1)
-///   MCNK_SWEEP_BLOCKED_JSON write the blocked-sweep trajectory point here
 ///   MCNK_SWEEP_MODULAR    run the modular-solver sweep (default 1)
 ///   MCNK_SWEEP_MODULAR_JSON write the modular-sweep trajectory point here
 ///   MCNK_SWEEP_SIMPLIFY   run the simplify sweep     (default 1)
@@ -32,12 +30,6 @@
 /// the S15 verified simplifier (docs/ARCHITECTURE.md S15) in front of
 /// every compile — reference equality enforced against the plain sweep —
 /// and records the cache-hit-rate and wall-clock delta of the pre-pass.
-///
-/// The *blocked sweep* recompiles every registry scenario with the Exact
-/// solver, its SCC blocks (docs/ARCHITECTURE.md S13) solved serially vs
-/// as a DAG on a worker pool, enforces reference equality of the two
-/// diagrams and equal elimination counters, and aggregates both wall
-/// times plus the elimination-op / fill-in counters.
 ///
 /// The *slice sweep* recompiles every registry scenario with the Exact
 /// solver under the S17 delivery-observation slice (docs/ARCHITECTURE.md
@@ -70,7 +62,6 @@
 #include <cstdio>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 using namespace mcnk;
@@ -206,90 +197,6 @@ int main() {
                   V.manager().diagramSize(Ref),
                   S.LoopBearing ? LS.NumTransient : 0, Avg.toDouble());
       std::fflush(stdout);
-    }
-  }
-
-  // --- Block-schedule sweep: Exact, serial vs pooled SCC/DAG blocks -----
-  bool BlockedEqual = true;
-  if (envUnsigned("MCNK_SWEEP_BLOCKED", 1)) {
-    unsigned Threads = std::max(2u, std::thread::hardware_concurrency());
-    std::printf("\n=== Block-schedule sweep (Exact): serial vs pooled "
-                "SCC/DAG blocks (%u workers) ===\n\n",
-                Threads);
-    std::printf("%-24s %8s %8s %11s %9s %7s %7s\n", "scenario",
-                "serial s", "pool s", "elim ops", "fill-in", "blocks",
-                "maxblk");
-    double SerialTotal = 0, PoolTotal = 0;
-    std::size_t TotalOps = 0, TotalFill = 0;
-    for (const gen::ScenarioSpec &Spec : gen::buildRegistry(O)) {
-      ast::Context Ctx;
-      gen::Scenario S = Spec.Build(Ctx);
-
-      analysis::Verifier Serial; // Exact, blocks in id order.
-      WallTimer SerialTimer;
-      fdd::FddRef RS = Serial.compile(S.Program);
-      double SerialSec = SerialTimer.elapsed();
-      fdd::LoopSolveStats SL = Serial.manager().lastLoopStats();
-
-      analysis::Verifier Pooled; // Exact, blocks as a DAG on a pool.
-      Pooled.enableSolverPool(Threads);
-      WallTimer PoolTimer;
-      fdd::FddRef RP = Pooled.compile(S.Program);
-      double PoolSec = PoolTimer.elapsed();
-      const fdd::LoopSolveStats &PL = Pooled.manager().lastLoopStats();
-
-      if (fdd::importFdd(Serial.manager(),
-                         fdd::exportFdd(Pooled.manager(), RP)) != RS ||
-          PL.EliminationOps != SL.EliminationOps || PL.FillIn != SL.FillIn) {
-        BlockedEqual = false;
-        std::fprintf(stderr,
-                     "MISMATCH: pooled-block compile of %s differs from "
-                     "the serial one\n",
-                     S.Name.c_str());
-      }
-      SerialTotal += SerialSec;
-      PoolTotal += PoolSec;
-      TotalOps += SL.EliminationOps;
-      TotalFill += SL.FillIn;
-      std::printf("%-24s %8.3f %8.3f %11zu %9zu %7zu %7zu\n",
-                  S.Name.c_str(), SerialSec, PoolSec, SL.EliminationOps,
-                  SL.FillIn, SL.NumBlocks, SL.MaxBlockSize);
-      std::fflush(stdout);
-    }
-    std::printf("totals: serial %.3f s, pooled %.3f s, %zu ops / %zu "
-                "fill; %s\n",
-                SerialTotal, PoolTotal, TotalOps, TotalFill,
-                BlockedEqual ? "all scenarios reference-equal"
-                             : "MISMATCH (see stderr)");
-
-    if (const char *Path = std::getenv("MCNK_SWEEP_BLOCKED_JSON");
-        Path && *Path) {
-      if (std::FILE *F = std::fopen(Path, "w")) {
-        std::fprintf(F,
-                     "{\n"
-                     "  \"name\": \"scenario_sweep_blocked\",\n"
-                     "  \"model\": \"scenario registry (ring max N%u), "
-                     "Exact solver\",\n"
-                     "  \"engine\": \"SCC/DAG block pipeline, serial vs "
-                     "pooled schedule (ARCHITECTURE S13)\",\n"
-                     "  \"pool_threads\": %u,\n",
-                     RingN, Threads);
-        writeRunInfo(F, 1);
-        std::fprintf(F,
-                     "  \"reference_equal\": %s,\n"
-                     "  \"serial_seconds\": %.6f,\n"
-                     "  \"pooled_seconds\": %.6f,\n"
-                     "  \"elim_ops\": %zu,\n"
-                     "  \"fill_in\": %zu\n"
-                     "}\n",
-                     BlockedEqual ? "true" : "false", SerialTotal, PoolTotal,
-                     TotalOps, TotalFill);
-        std::fclose(F);
-        std::printf("wrote %s\n", Path);
-      } else {
-        std::fprintf(stderr, "error: cannot write %s\n", Path);
-        return 1;
-      }
     }
   }
 
@@ -472,7 +379,7 @@ int main() {
   }
 
   if (!envUnsigned("MCNK_SWEEP_CACHE", 1))
-    return BlockedEqual && ModularEqual && SliceEqual ? 0 : 1;
+    return ModularEqual && SliceEqual ? 0 : 1;
 
   // --- Cache sweep: cold engine vs shared compile cache -----------------
   std::vector<SweepMember> Members = buildSweepMembers(O);
@@ -604,7 +511,7 @@ int main() {
       }
     }
   }
-  return AllEqual && BlockedEqual && ModularEqual && SimplifyEqual &&
+  return AllEqual && ModularEqual && SimplifyEqual &&
                  SliceEqual
              ? 0
              : 1;

@@ -124,8 +124,6 @@ PhaseResult runPhase(const std::string &StorePath,
   PhaseResult Out;
   serve::Service::Options Opts;
   Opts.StorePath = StorePath;
-  Opts.Threads = 1; // Serial loop solves: the bench measures serving,
-                    // not the solver pool (fig08 covers that).
   std::string Error;
   std::unique_ptr<serve::Service> Svc =
       serve::Service::create(Opts, &Error);
@@ -165,7 +163,6 @@ struct FrontEndResult {
 FrontEndResult runFrontEnd(const std::vector<std::string> &Lines) {
   FrontEndResult Out;
   serve::Service::Options Opts;
-  Opts.Threads = 1;
   std::string Error;
   std::unique_ptr<serve::Service> Svc =
       serve::Service::create(Opts, &Error);

@@ -6,17 +6,19 @@
 #                                   # fresh build directory
 #        ./ci.sh bench [build-dir]  # build micro_fdd_ops + micro_support +
 #                                   # micro_linalg + fig07 + fig08
-#                                   # (loop-solve pool sweep, median of 3
-#                                   # runs per width) + scenario_sweep +
+#                                   # (serial p=8 compile, median of 3
+#                                   # runs) + scenario_sweep +
 #                                   # serve_throughput and emit
 #                                   # bench/results/BENCH_<name>.json
 #                                   # (the recorded performance trajectory;
 #                                   # each file records build type,
 #                                   # repetitions and host concurrency)
-#        ./ci.sh tsan [build-dir]   # ThreadSanitizer pass over the pool:
-#                                   # threadpool suite, pooled block and
-#                                   # prime solves, serve sessions sharing
-#                                   # one pool (default dir: build-tsan)
+#        ./ci.sh tsan [build-dir]   # ThreadSanitizer pass over the code
+#                                   # threads share: serial block and
+#                                   # prime solves racing on one engine
+#                                   # and the prime table, the compile
+#                                   # cache, serve sessions sharing one
+#                                   # service (default dir: build-tsan)
 #        ./ci.sh fuzz [build-dir]   # cross-engine differential fuzz: the
 #                                   # conformance suite with fixed seeds
 #                                   # plus the `mcnk fuzz` CLI oracle
@@ -70,11 +72,13 @@ SANITIZE="${MCNK_SANITIZE:-OFF}"
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
 
 if [ "$MODE" = "tsan" ]; then
-  # Data-race pass over the persistent thread-pool engine and its users:
-  # loop solves scheduling SCC blocks and ModularExact primes on one pool
-  # (fdd_parallel_test), and serve sessions whose solves share the
-  # service pool (serve_test). Compilation itself is serial. A dedicated
-  # build tree keeps TSan instrumentation out of the main build.
+  # Data-race pass over the state that threads share: concurrent serial
+  # loop solves on one engine, which share the lazily extended modular
+  # prime table, and CompileCache inserts (fdd_parallel_test); serve
+  # sessions sharing one service's cache and store, and the TCP
+  # accept/connection threads (serve_test). Compilation and loop solves
+  # are serial. A dedicated build tree keeps TSan instrumentation out of
+  # the main build.
   cmake -B "$BUILD_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DMCNK_WERROR=ON \
@@ -82,17 +86,13 @@ if [ "$MODE" = "tsan" ]; then
     -DMCNK_BUILD_BENCH=OFF \
     -DMCNK_BUILD_EXAMPLES=OFF
   cmake --build "$BUILD_DIR" -j "$JOBS" \
-    --target support_threadpool_test fdd_parallel_test serve_test
-  # Death tests fork, which TSan dislikes; they are covered by the
-  # regular suite, so skip them here.
-  TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
-    "$BUILD_DIR/support_threadpool_test" \
-    --gtest_filter='-*DeathTest*'
+    --target fdd_parallel_test serve_test
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     "$BUILD_DIR/fdd_parallel_test"
   # The serving layer's concurrency: sessions racing on one shared
-  # CompileCache + CacheStore and one pool for their block solves, and
-  # the TCP accept/connection threads.
+  # CompileCache + CacheStore, and the TCP accept/connection threads.
+  # Death tests fork, which TSan dislikes; they are covered by the
+  # regular suite, so skip them here.
   TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1}" \
     "$BUILD_DIR/serve_test" \
     --gtest_filter='-*DeathTest*'
@@ -252,18 +252,15 @@ if [ "$MODE" = "bench" ]; then
       --benchmark_repetitions=5 \
       --benchmark_report_aggregates_only=true
   done
-  # Fig 8 trajectory point: compile time as the loop-solve pool widens,
-  # median of 3 runs per width (the JSON records build type, repetitions
-  # and host concurrency, so single-core points stay interpretable next
-  # to multi-core ones).
+  # Fig 8 trajectory point: the serial p=8 compile time, median of 3 runs
+  # (the JSON records build type, repetitions and host concurrency).
   MCNK_FIG8_JSON=bench/results/BENCH_fig08_parallel.json \
     "$BUILD_DIR/fig08_parallel_speedup"
   # Compile-cache trajectory point: the per-ingress query sweep across the
   # registry, cached vs uncached (reference-equality enforced; the run
-  # fails on any mismatch). The same invocation records the block-schedule
-  # registry sweep (Exact, serial vs pooled SCC/DAG blocks, ARCHITECTURE S13)
-  # and the modular-solver registry sweep (Rational Exact vs multi-prime
-  # ModularExact, ARCHITECTURE S14).
+  # fails on any mismatch). The same invocation records the modular-solver
+  # registry sweep (Rational Exact vs multi-prime ModularExact,
+  # ARCHITECTURE S14).
   # The same invocation also records the simplify-sweep point: the cached
   # per-ingress family with the S15 verified simplifier in front of every
   # compile (reference equality enforced; hit-rate and node-count deltas
@@ -272,16 +269,10 @@ if [ "$MODE" = "bench" ]; then
   # enforced; wall-clock and FDD-node deltas recorded).
   MCNK_SWEEP_TABLE=0 \
     MCNK_SWEEP_CACHE_JSON=bench/results/BENCH_sweep_cache.json \
-    MCNK_SWEEP_BLOCKED_JSON=bench/results/BENCH_sweep_blocked.json \
     MCNK_SWEEP_MODULAR_JSON=bench/results/BENCH_sweep_modular.json \
     MCNK_SWEEP_SIMPLIFY_JSON=bench/results/BENCH_sweep_simplify.json \
     MCNK_SWEEP_SLICE_JSON=bench/results/BENCH_sweep_slice.json \
     "$BUILD_DIR/scenario_sweep"
-  # Block-schedule trajectory point on the Fig 7 FatTree family: Exact,
-  # serial vs pooled blocks, reference-equality enforced, elimination-op and
-  # fill-in counters recorded per point.
-  MCNK_FIG7_BLOCKED_JSON=bench/results/BENCH_solver_blocked.json \
-    "$BUILD_DIR/fig07_fattree_scalability"
   # Modular-solver trajectory point: Rational Exact vs multi-prime
   # ModularExact on the Fig 7 FatTree family and the Fig 10 diamond-chain
   # family (reference-equality enforced; the chains are where the wide
@@ -293,7 +284,7 @@ if [ "$MODE" = "bench" ]; then
   # come from disk and be byte-identical; the run fails otherwise).
   MCNK_SERVE_JSON=bench/results/BENCH_serve_throughput.json \
     "$BUILD_DIR/serve_throughput"
-  echo "Wrote bench/results/BENCH_micro_{fdd_ops,support,linalg}.json, BENCH_fig08_parallel.json, BENCH_sweep_{cache,blocked,modular,simplify,slice}.json, BENCH_solver_{blocked,modular}.json, and BENCH_serve_throughput.json"
+  echo "Wrote bench/results/BENCH_micro_{fdd_ops,support,linalg}.json, BENCH_fig08_parallel.json, BENCH_sweep_{cache,modular,simplify,slice}.json, BENCH_solver_modular.json, and BENCH_serve_throughput.json"
   exit 0
 fi
 

@@ -32,15 +32,14 @@
 /// guarded programs plus the whole scenario registry, every engine
 /// cross-checked. The reproducing seed is flushed to stdout *before* the
 /// run starts and repeated on stderr next to any disagreement, so even an
-/// engine abort deep inside a worker cannot lose it. Exit codes are
+/// engine abort deep inside a solve cannot lose it. Exit codes are
 /// distinct per failure class: 0 all engines agree, 3 disagreement found,
 /// 2 usage/setup error (1 is the generic error code of the other
 /// subcommands; an engine crash aborts with SIGABRT).
 ///
-/// The global option -j[N] solves the independent SCC blocks of every
-/// while loop (ARCHITECTURE S13) on a persistent pool of N workers owned
-/// by the verifier (bare -j means hardware concurrency); compilation
-/// itself stays serial. The global option --cache enables the
+/// Compilation and loop solves run serially on the calling thread. Any
+/// single-dash argument other than "-" (stdin) is an unknown option: a
+/// usage error, exit 2. The global option --cache enables the
 /// cross-compile memoization cache (ARCHITECTURE S12) on every verifier
 /// the command builds and prints the hit/miss statistics on exit. The
 /// global option --modular
@@ -48,8 +47,7 @@
 /// (ARCHITECTURE S14): elimination runs over word-size prime fields and
 /// the exact rationals are recovered by CRT + verified rational
 /// reconstruction; the answers are identical to the default engine, and
-/// the per-solve prime statistics are printed. --modular composes with
-/// -j (blocks and primes fan out on one pool). The global
+/// the per-solve prime statistics are printed. The global
 /// option --simplify runs the verified S15 simplifier over every program
 /// before compiling it (semantics-preserving: the diagrams are
 /// reference-identical, a contract the oracle enforces). The global
@@ -156,27 +154,23 @@ bool parseInputPacket(const std::string &Spec, ast::Context &Ctx,
 
 int usage() {
   std::fprintf(stderr,
-               "usage: mcnk [-j[N]] [--cache] [--modular] "
+               "usage: mcnk [--cache] [--modular] "
                "[--simplify] [--slice] check|dump <file.pnk>\n"
                "       mcnk lint [--fix] [--json] <file.pnk>\n"
                "       mcnk lint [--json] --registry\n"
-               "       mcnk [-j[N]] [--cache] [--modular] "
+               "       mcnk [--cache] [--modular] "
                "[--simplify] [--slice] run|prism <file.pnk> f=v[,g=w...]\n"
-               "       mcnk [-j[N]] [--cache] [--modular] "
+               "       mcnk [--cache] [--modular] "
                "[--simplify] [--slice] equiv <a.pnk> <b.pnk>\n"
                "       mcnk [--cache] fuzz [--seed N] [--iters N] "
                "[--no-scenarios]\n"
-               "  -j[N]     solve independent loop blocks (and --modular "
-               "primes) on N\n"
-               "            worker threads (default: hardware "
-               "concurrency)\n"
                "  --cache   enable the cross-compile memoization cache and "
                "print its stats\n"
                "  --modular solve loops with the multi-prime modular exact "
                "engine (mod-p\n"
                "            elimination + CRT/rational reconstruction; "
                "same exact answers)\n"
-               "            and print prime stats; composes with -j\n"
+               "            and print prime stats\n"
                "  --simplify run the verified S15 simplifier over every\n"
                "            program before compiling (same diagrams,\n"
                "            enforced by the oracle)\n"
@@ -336,11 +330,9 @@ int runLint(const std::vector<std::string> &Args) {
 }
 
 /// `mcnk fuzz`: the CLI face of the src/gen differential oracle. The
-/// global -j[N] option carries through as the worker count of the
-/// pooled-block checks; --cache shares one compile cache across every
-/// case and reports its statistics.
-int runFuzz(const std::vector<std::string> &Args, bool Parallel,
-            unsigned Threads, bool UseCache) {
+/// global --cache option shares one compile cache across every case and
+/// reports its statistics.
+int runFuzz(const std::vector<std::string> &Args, bool UseCache) {
   uint64_t Seed = 0xC1A0ULL;
   unsigned Iters = 25;
   bool Scenarios = true;
@@ -396,14 +388,11 @@ int runFuzz(const std::vector<std::string> &Args, bool Parallel,
               static_cast<unsigned long long>(Seed), Iters,
               Scenarios ? " + scenario registry" : "");
   // The banner above is the reproduction recipe; push it past stdio
-  // buffering *now* so an engine abort later in the run (even inside a
-  // worker thread) cannot lose it.
+  // buffering *now* so an engine abort later in the run cannot lose it.
   std::fflush(stdout);
   gen::FuzzOptions Fuzz;
   Fuzz.Iterations = Iters;
   gen::OracleOptions Oracle;
-  if (Parallel)
-    Oracle.PoolThreads = Threads; // 0 = hardware concurrency.
   fdd::CompileCache SharedCache;
   if (UseCache)
     Oracle.Cache = &SharedCache;
@@ -434,23 +423,12 @@ int runFuzz(const std::vector<std::string> &Args, bool Parallel,
 } // namespace
 
 int main(int Argc, char **Argv) {
-  // Strip the global options wherever they appear; -j accepts -j, -jN,
-  // and the make-style separate form `-j N`.
-  bool Parallel = false;
+  // Strip the global options wherever they appear.
   bool UseCache = false;
   bool Modular = false;
   bool Simplify = false;
   bool Slice = false;
-  unsigned Threads = 0;
   std::vector<std::string> Args;
-  auto AllDigits = [](const std::string &S) {
-    if (S.empty())
-      return false;
-    for (char C : S)
-      if (C < '0' || C > '9')
-        return false;
-    return true;
-  };
   for (int I = 1; I < Argc; ++I) {
     std::string Arg = Argv[I];
     if (Arg == "--cache") {
@@ -469,24 +447,9 @@ int main(int Argc, char **Argv) {
       Slice = true;
       continue;
     }
-    if (Arg.rfind("-j", 0) == 0) {
-      Parallel = true;
-      std::string Width = Arg.substr(2);
-      if (Width.empty() && I + 1 < Argc && AllDigits(Argv[I + 1]))
-        Width = Argv[++I];
-      if (!Width.empty()) {
-        // Digits only, and a sane cap — strtoul overflow must not turn
-        // into a request for four billion threads.
-        if (!AllDigits(Width) || Width.size() > 4 ||
-            std::strtoul(Width.c_str(), nullptr, 10) > 1024) {
-          std::fprintf(stderr, "error: bad worker count in '%s'\n",
-                       Arg.c_str());
-          return usage();
-        }
-        Threads = static_cast<unsigned>(
-            std::strtoul(Width.c_str(), nullptr, 10));
-      }
-      continue;
+    if (Arg.size() > 1 && Arg[0] == '-' && Arg[1] != '-') {
+      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
+      return usage();
     }
     Args.push_back(std::move(Arg));
   }
@@ -494,7 +457,7 @@ int main(int Argc, char **Argv) {
     return usage();
   std::string Command = Args[0];
   if (Command == "fuzz")
-    return runFuzz(Args, Parallel, Threads, UseCache);
+    return runFuzz(Args, UseCache);
   if (Command == "lint")
     return runLint(Args);
   if (Args.size() < 2)
@@ -530,8 +493,6 @@ int main(int Argc, char **Argv) {
                                  : markov::SolverKind::Exact);
     if (UseCache)
       V.enableCompileCache();
-    if (Parallel)
-      V.enableSolverPool(Threads);
     if (Slice)
       // `dump` has no query attached, so slice for the most aggressive
       // still-meaningful observation: delivery (drop mass only).
@@ -560,15 +521,12 @@ int main(int Argc, char **Argv) {
     const ast::Node *Other = parseFile(Args[2], Ctx);
     if (!Other || !ast::isGuarded(Other))
       return 1;
-    // One verifier — and thus one persistent solver pool and compile
-    // cache — serves both compiles, so shared sub-programs of the two
-    // inputs are compiled once.
+    // One verifier — and thus one compile cache — serves both compiles,
+    // so shared sub-programs of the two inputs are compiled once.
     analysis::Verifier V(Modular ? markov::SolverKind::ModularExact
                                  : markov::SolverKind::Exact);
     if (UseCache)
       V.enableCompileCache();
-    if (Parallel)
-      V.enableSolverPool(Threads);
     if (Slice)
       // Equivalence observes whole output packets; slicing for the
       // all-fields observation is a verified no-op rewrite.
@@ -600,8 +558,6 @@ int main(int Argc, char **Argv) {
                                  : markov::SolverKind::Exact);
     if (UseCache)
       V.enableCompileCache();
-    if (Parallel)
-      V.enableSolverPool(Threads);
     if (Slice)
       // `run` prints whole output packets; all fields are observed.
       V.setSlice(&Ctx, ast::ObservationSet::all());

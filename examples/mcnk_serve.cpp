@@ -14,10 +14,9 @@
 ///                       loaded at startup and appended on every compile
 ///                       miss, so a restarted daemon answers warm
 ///   --cache-capacity N  compile-cache entries (default 4096)
-///   -j[N]               worker threads that every request's loop solves
-///                       share for independent SCC blocks and modular
-///                       primes, as `mcnk -j` (default: hardware
-///                       concurrency; -j1 = serial)
+///
+/// Each session runs on its own thread, and a request's loop solves run
+/// serially on it.
 ///
 /// The protocol is one JSON request per line, one JSON response per line
 /// (see src/serve/Server.h for the schema). Exact probabilities travel as
@@ -44,16 +43,13 @@ namespace {
 int usage() {
   std::fprintf(
       stderr,
-      "usage: mcnk_serve --stdio [--store PATH] [--cache-capacity N] "
-      "[-j[N]]\n"
-      "       mcnk_serve --port N [--store PATH] [--cache-capacity N] "
-      "[-j[N]]\n"
+      "usage: mcnk_serve --stdio [--store PATH] [--cache-capacity N]\n"
+      "       mcnk_serve --port N [--store PATH] [--cache-capacity N]\n"
       "  --stdio            serve one session over stdin/stdout\n"
       "  --port N           serve TCP on 127.0.0.1:N (0 picks a free "
       "port)\n"
       "  --store PATH       persistent on-disk FDD store\n"
-      "  --cache-capacity N compile-cache capacity in entries\n"
-      "  -j[N]              loop-solve worker threads (-j1 = serial)\n");
+      "  --cache-capacity N compile-cache capacity in entries\n");
   return 2;
 }
 
@@ -97,18 +93,6 @@ int main(int Argc, char **Argv) {
         return usage();
       }
       Opts.CacheCapacity = Cap;
-    } else if (Arg.rfind("-j", 0) == 0) {
-      std::string Width = Arg.substr(2);
-      unsigned long N = 0;
-      if (Width.empty()) {
-        Opts.Threads = 0; // Hardware concurrency.
-      } else if (parseUnsigned(Width.c_str(), N, 1024)) {
-        Opts.Threads = static_cast<unsigned>(N);
-      } else {
-        std::fprintf(stderr, "error: bad worker count in '%s'\n",
-                     Arg.c_str());
-        return usage();
-      }
     } else {
       std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
       return usage();

@@ -45,15 +45,6 @@ FddRef Verifier::compile(const ast::Node *Program) {
   return fdd::compile(Manager, Program, Options);
 }
 
-ThreadPool &Verifier::enableSolverPool(unsigned Threads) {
-  if (!Pool || (Threads != 0 && Pool->numThreads() != Threads))
-    Pool = std::make_unique<ThreadPool>(Threads);
-  markov::SolverStructure S = Manager.solverStructure();
-  S.Pool = Pool.get();
-  Manager.setSolverStructure(S);
-  return *Pool;
-}
-
 fdd::CompileCache &Verifier::enableCompileCache(std::size_t Capacity) {
   OwnedCache = std::make_unique<fdd::CompileCache>(Capacity);
   Cache = OwnedCache.get();

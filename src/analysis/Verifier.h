@@ -16,7 +16,6 @@
 #include "fdd/CompileCache.h"
 #include "fdd/Fdd.h"
 #include "fdd/Query.h"
-#include "support/ThreadPool.h"
 
 #include <map>
 #include <memory>
@@ -49,10 +48,9 @@ public:
 
   fdd::FddManager &manager() { return Manager; }
 
-  /// Solver structure for while-loop solves (block-schedule pool and
-  /// modular knobs; docs/ARCHITECTURE.md S13). Forwards to the manager and
-  /// applies to every subsequent compile. enableSolverPool() installs a
-  /// verifier-owned pool in it.
+  /// Solver structure for while-loop solves (the modular engine's knobs;
+  /// docs/ARCHITECTURE.md S13). Forwards to the manager and applies to
+  /// every subsequent compile.
   void setSolverStructure(const markov::SolverStructure &S) {
     Manager.setSolverStructure(S);
   }
@@ -66,16 +64,6 @@ public:
   /// \return The compiled diagram, owned by this verifier's manager. All
   ///         query methods below expect diagrams from that same manager.
   fdd::FddRef compile(const ast::Node *Program);
-
-  /// Solves the independent SCC blocks (and ModularExact primes) of every
-  /// subsequent loop solve on a verifier-owned pool of \p Threads workers
-  /// (0 = hardware concurrency), and installs that pool in the solver
-  /// structure in the same step, keeping its Modular knobs. The pool is
-  /// created on first use and persists across compiles. A non-zero
-  /// \p Threads that differs from the current width replaces the pool;
-  /// 0 keeps whatever exists. The structure never points at a replaced
-  /// pool, so widening between compiles is safe.
-  ThreadPool &enableSolverPool(unsigned Threads = 0);
 
   /// Enables the persistent cross-compile cache (docs/ARCHITECTURE.md
   /// S12): every subsequent compile() consults and fills it, so repeated
@@ -143,9 +131,6 @@ public:
                     FieldId HopField) const;
 
 private:
-  /// Declared before Manager so that the manager, which may point at it,
-  /// goes first.
-  std::unique_ptr<ThreadPool> Pool;
   fdd::FddManager Manager;
   double Tolerance;
   /// Owned storage when enableCompileCache() created the cache; Cache may

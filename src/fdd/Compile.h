@@ -5,9 +5,9 @@
 /// the guarded fragment (ast::isGuarded) and compiles serially in the
 /// caller's manager. The n-ary `case` construct is reduced with the
 /// associative segment algebra of the paper's map-reduce backend (§6),
-/// merging adjacent arms pairwise (docs/ARCHITECTURE.md S10). Parallelism
-/// lives in the loop solver: markov::SolverStructure::Pool schedules
-/// independent SCC blocks and primes.
+/// merging adjacent arms pairwise (docs/ARCHITECTURE.md S10). Loop solves
+/// run serially too, block by block (docs/ARCHITECTURE.md S13); nothing in
+/// a compile runs on another thread.
 ///
 //===----------------------------------------------------------------------===//
 

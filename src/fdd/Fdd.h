@@ -93,8 +93,8 @@ public:
 
   markov::SolverKind solverKind() const { return Solver; }
 
-  /// The solver structure (optional block-schedule pool and modular
-  /// knobs; docs/ARCHITECTURE.md S13) used by subsequent solveLoop calls.
+  /// The solver structure (the modular engine's knobs;
+  /// docs/ARCHITECTURE.md S13) used by subsequent solveLoop calls.
   /// Orthogonal to solverKind; loops already in the loop cache are
   /// returned as cached.
   void setSolverStructure(const markov::SolverStructure &S) {

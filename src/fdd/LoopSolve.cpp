@@ -319,8 +319,7 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
     linalg::DenseMatrix<Rational> Absorption(NumTransient,
                                              Chain.NumAbsorbing);
     bool Ok = Solver == markov::SolverKind::Exact
-                  ? markov::solveAbsorptionExact(Chain, Absorption,
-                                                 Structure, &Metrics)
+                  ? markov::solveAbsorptionExact(Chain, Absorption, &Metrics)
                   : markov::solveAbsorptionModular(Chain, Absorption,
                                                    Structure, &Metrics);
     if (!Ok)
@@ -338,8 +337,7 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
     }
   } else {
     linalg::DenseMatrix<double> Approx;
-    if (!markov::solveAbsorptionDouble(Chain, Approx, Solver, Structure,
-                                       &Metrics))
+    if (!markov::solveAbsorptionDouble(Chain, Approx, Solver, &Metrics))
       fatalError("absorbing-chain solve failed (malformed chain)");
     // Clamp, snap, and renormalize the float solution before it re-enters
     // the exact world (paper §5: UMFPACK's float results are trusted but

@@ -310,14 +310,6 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
             "all-fields slice changed the compiled diagram");
 
     fdd::PortableFdd Sliced = fdd::exportFdd(VS.manager(), SE);
-    if (O.CheckBlocked && O.CheckPooled) {
-      analysis::Verifier VB(markov::SolverKind::Exact);
-      VB.enableSolverPool(O.PoolThreads);
-      VB.setSlice(&Ctx, ast::ObservationSet::delivery());
-      C.check(fdd::importFdd(VB.manager(), Sliced) == VB.compile(Program),
-              "sliced pooled-block compile is not reference-equal to the "
-              "sliced serial compile");
-    }
     if (O.CheckModular) {
       analysis::Verifier VM(markov::SolverKind::ModularExact);
       VM.setSlice(&Ctx, ast::ObservationSet::delivery());
@@ -345,12 +337,10 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     }
   }
 
-  // --- Block-schedule cross-checks (ARCHITECTURE S13) -------------------
-  // Every engine solves loops block by block over the SCC condensation;
-  // the schedule (serial in block-id order, or a dependency-counted DAG on
-  // a worker pool) must not change the exact diagram, and every engine's
-  // per-block metrics must sum (or, for the block size, max) to the run's
-  // totals. Shared by the modular section below.
+  // --- Block-pipeline cross-checks (ARCHITECTURE S13) -------------------
+  // Every engine solves loops block by block over the SCC condensation,
+  // and every engine's per-block metrics must sum (or, for the block
+  // size, max) to the run's totals. Shared by the modular section below.
   auto CheckStatSums = [&C](const fdd::LoopSolveStats &LS,
                             const std::string &Mode) {
     std::size_t States = 0, QEntries = 0, Ops = 0, Fill = 0, Largest = 0;
@@ -372,16 +362,6 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     CheckStatSums(VExact.manager().lastLoopStats(), "exact");
     CheckStatSums(VDirect.manager().lastLoopStats(), "direct");
     CheckStatSums(VIter.manager().lastLoopStats(), "iterative");
-    if (O.CheckPooled) {
-      analysis::Verifier VB(markov::SolverKind::Exact);
-      VB.enableSolverPool(O.PoolThreads);
-      fdd::FddRef B = VB.compile(Program);
-      C.check(fdd::importFdd(VB.manager(),
-                             fdd::exportFdd(VExact.manager(), E)) == B,
-              "pooled-block exact compile is not reference-equal to the "
-              "serial one");
-      CheckStatSums(VB.manager().lastLoopStats(), "exact, pooled blocks");
-    }
   }
 
   // --- Modular exact solver cross-checks (ARCHITECTURE S14) -------------
@@ -389,25 +369,16 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
   // Rational elimination (every reconstruction is re-verified against
   // fresh primes, with a Rational fallback when the prime budget runs
   // out), so it is held to strict reference equality in EVERY
-  // configuration: serial, pooled blocks (block tasks and per-prime tasks
-  // composing on one engine), and cache-backed cold and hit paths.
+  // configuration: uncached, and cache-backed cold and hit paths.
   if (O.CheckModular) {
     fdd::PortableFdd Mono = fdd::exportFdd(VExact.manager(), E);
 
     analysis::Verifier VM(markov::SolverKind::ModularExact);
     fdd::FddRef M = VM.compile(Program);
     C.check(fdd::importFdd(VM.manager(), Mono) == M,
-            "modular serial compile is not reference-equal to the "
-            "Rational exact engine");
-    CheckStatSums(VM.manager().lastLoopStats(), "modular, serial blocks");
-    if (O.CheckPooled) {
-      analysis::Verifier VMP(markov::SolverKind::ModularExact);
-      VMP.enableSolverPool(O.PoolThreads);
-      C.check(fdd::importFdd(VMP.manager(), Mono) == VMP.compile(Program),
-              "modular pooled-block compile is not reference-equal to the "
-              "Rational exact engine");
-      CheckStatSums(VMP.manager().lastLoopStats(), "modular, pooled blocks");
-    }
+            "modular compile is not reference-equal to the Rational "
+            "exact engine");
+    CheckStatSums(VM.manager().lastLoopStats(), "modular");
 
     {
       std::unique_ptr<fdd::CompileCache> Local;
@@ -509,8 +480,7 @@ const std::string *serveString(const serve::Json &Value,
 /// equality is exact equality — rationals are always canonical.
 void serveCheckScenario(Context &Ctx, const Scenario &S,
                         analysis::Verifier &V, fdd::FddRef P, Checker &C) {
-  serve::Service::Options SO; // Serial, no pool, no store.
-  SO.Threads = 1;
+  serve::Service::Options SO; // No store.
   std::string Error;
   std::unique_ptr<serve::Service> Svc = serve::Service::create(SO, &Error);
   if (!Svc) {

@@ -3,10 +3,9 @@
 /// \file
 /// The cross-engine differential oracle: compiles a guarded program (or a
 /// registry scenario) under every backend the repository implements —
-/// native FDD with the Exact / Direct(float) / Iterative solvers, with
-/// loop blocks solved serially and on a worker pool; the prismlite
-/// pipeline (translate + explicit-state check); the exhaustive
-/// path-enumeration baseline; and, for tiny
+/// native FDD with the Exact / Direct(float) / Iterative / ModularExact
+/// solvers; the prismlite pipeline (translate + explicit-state check);
+/// the exhaustive path-enumeration baseline; and, for tiny
 /// programs, the reference set semantics — then cross-checks delivery
 /// probabilities, full output distributions, equivalence/refinement
 /// verdicts, and hop statistics, plus the Printer -> Parser and
@@ -42,9 +41,6 @@ namespace gen {
 struct OracleOptions {
   /// Absolute tolerance when a float-solved engine meets an exact one.
   double Tolerance = 1e-6;
-  /// Worker count of the pool the pooled-block lanes solve loop blocks
-  /// (and ModularExact primes) on; 0 = hardware concurrency.
-  unsigned PoolThreads = 2;
   /// Baseline unroll bound / path budget for random programs (scenarios
   /// carry their own bound).
   std::size_t BaselineLoopBound = 24;
@@ -53,7 +49,6 @@ struct OracleOptions {
   std::size_t MaxPrismInputs = 4;
   bool CheckPrism = true;
   bool CheckBaseline = true;
-  bool CheckPooled = true;
   bool CheckRoundTrips = true;
   /// Cross-check the cross-compile cache and manager GC (ARCHITECTURE
   /// S12): a cache-backed verifier must produce reference-equal diagrams
@@ -66,17 +61,13 @@ struct OracleOptions {
   /// Inputs per case on which the cached engine's output distributions
   /// are compared point-for-point against the uncached one.
   std::size_t MaxCacheCheckInputs = 4;
-  /// Cross-check the block schedule of the loop solver
-  /// (docs/ARCHITECTURE.md S13): Exact compiles with blocks solved
-  /// serially and, when CheckPooled is set, as a DAG on a worker pool
-  /// (also for the delivery-sliced program) must be reference-equal to the
-  /// exact engine, and every engine's per-block LoopSolveStats must sum to
-  /// its totals.
+  /// Cross-check the block pipeline of the loop solver
+  /// (docs/ARCHITECTURE.md S13): every engine's per-block LoopSolveStats
+  /// must sum to its totals.
   bool CheckBlocked = true;
   /// Cross-check the multi-prime modular exact solver (docs/ARCHITECTURE.md
-  /// S14): ModularExact compiles — serial, pooled blocks (block tasks and
-  /// per-prime tasks share one engine), and cache-backed cold/hit — must
-  /// all be reference-equal to the Rational exact engine's diagram;
+  /// S14): ModularExact compiles — uncached, and cache-backed cold/hit —
+  /// must all be reference-equal to the Rational exact engine's diagram;
   /// reconstruction is verified, never trusted.
   bool CheckModular = true;
   /// Cross-check the serving layer (docs/ARCHITECTURE.md S16): an
@@ -96,8 +87,8 @@ struct OracleOptions {
   /// diagram after projecting out-of-cone modifications away (out-of-cone
   /// tests whose projected children still differ are kept, so a missed
   /// dependency fails loudly); per-input delivery probabilities must be
-  /// string-equal; the sliced pooled-block / modular / cached engines
-  /// must reproduce the sliced serial diagram; the all-fields slice must
+  /// string-equal; the sliced modular and cached engines must reproduce
+  /// the sliced Rational diagram; the all-fields slice must
   /// not change the compiled diagram at all; and slicing must be
   /// idempotent. Scenarios additionally pin the sliced average
   /// delivery and the hop-stats histogram under the counter-field

@@ -7,10 +7,10 @@
 /// (Equation 2 / Theorem 4.7). Four engines share one pipeline
 /// (docs/ARCHITECTURE.md S13): prune states that cannot reach absorption,
 /// decompose the rest into strongly connected blocks, and solve the
-/// blocks in reverse topological order of the condensation DAG —
-/// absorption out of a block depends only on already solved downstream
-/// blocks, so independent blocks solve concurrently on a shared
-/// ThreadPool. Only the per-block kernel depends on the scalar field:
+/// blocks one at a time on the caller's thread, in reverse topological
+/// order of the condensation DAG — absorption out of a block depends only
+/// on already solved downstream blocks. Only the per-block kernel depends
+/// on the scalar field:
 ///   - exact:     sparse Gauss-Jordan elimination over Rational
 ///   - direct:    sparse LU over double (the paper's UMFPACK configuration)
 ///   - iterative: Neumann-series iteration over double (PRISM-style approx)
@@ -32,9 +32,6 @@
 #include <vector>
 
 namespace mcnk {
-
-class ThreadPool;
-
 namespace markov {
 
 /// A rational-valued sparse entry of the Q or R block.
@@ -85,15 +82,10 @@ struct ModularOptions {
   std::size_t FirstPrimeIndex = 0;
 };
 
-/// Execution knobs of a solve. Every engine runs the same SCC
-/// block-scheduled pipeline (docs/ARCHITECTURE.md S13); these only choose
-/// where its work runs and bound the modular engine.
+/// Knobs of a solve. Every engine runs the same serial SCC block
+/// pipeline (docs/ARCHITECTURE.md S13); only the modular engine takes
+/// these.
 struct SolverStructure {
-  /// When non-null, independent blocks solve concurrently on this pool
-  /// (dependency-counted DAG schedule). Null solves blocks serially in id
-  /// order. The ModularExact engine also fans independent primes out on
-  /// the same pool (the pool is nestable, so blocks and primes compose).
-  ThreadPool *Pool = nullptr;
   /// Multi-prime knobs; only read by SolverKind::ModularExact.
   ModularOptions Modular;
 };
@@ -109,8 +101,7 @@ struct BlockMetrics {
 
 /// Aggregated solve statistics. Per-block entries always sum to the
 /// totals: Σ Blocks[i].NumStates == NumSolved, Σ NumQEntries ==
-/// NumSolvedQ, and likewise for EliminationOps / FillIn. No counter
-/// depends on the block schedule (serial or pooled).
+/// NumSolvedQ, and likewise for EliminationOps / FillIn.
 struct SolveMetrics {
   std::size_t NumSolved = 0;      ///< Transient states kept after pruning.
   std::size_t NumSolvedQ = 0;     ///< Q entries inside the kept subgraph.
@@ -155,7 +146,6 @@ ChainPruning pruneUnreachableStates(const AbsorbingChain &Chain);
 /// receives the per-block elimination statistics.
 bool solveAbsorptionExact(const AbsorbingChain &Chain,
                           linalg::DenseMatrix<Rational> &Out,
-                          const SolverStructure &Structure = {},
                           SolveMetrics *Metrics = nullptr);
 
 /// Exact absorption probabilities via the multi-prime modular engine
@@ -164,8 +154,8 @@ bool solveAbsorptionExact(const AbsorbingChain &Chain,
 /// rational reconstruction, verify the reconstruction against fresh
 /// primes, and fall back to the Rational kernel if the prime budget runs
 /// out. Reference-equal to solveAbsorptionExact by construction; the
-/// same divergence and singularity conventions apply. Independent blocks
-/// and independent primes both fan out on Structure.Pool.
+/// same divergence and singularity conventions apply. Primes are solved
+/// one after another, each over the blocks in id order.
 bool solveAbsorptionModular(const AbsorbingChain &Chain,
                             linalg::DenseMatrix<Rational> &Out,
                             const SolverStructure &Structure = {},
@@ -177,7 +167,6 @@ bool solveAbsorptionModular(const AbsorbingChain &Chain,
 bool solveAbsorptionDouble(const AbsorbingChain &Chain,
                            linalg::DenseMatrix<double> &Out,
                            SolverKind Kind = SolverKind::Direct,
-                           const SolverStructure &Structure = {},
                            SolveMetrics *Metrics = nullptr);
 
 /// Checks that every transient row of the chain sums to one (within \p Tol

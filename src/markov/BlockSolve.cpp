@@ -1,17 +1,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The block plan, the condensation-DAG scheduler, and the Rational and
-/// double instances of the block pipeline (docs/ARCHITECTURE.md S13; see
-/// BlockSolve.h). Blocks are eliminated in reverse topological order
-/// (block ids from Tarjan pop order make that simply increasing id
-/// order); when a ThreadPool is supplied, independent blocks solve
-/// concurrently under a dependency-counted DAG schedule — each task
-/// writes only its own block's rows of the shared absorption matrix, and
-/// every cross-block read is ordered behind the writer by the scheduling
-/// edge. Rational solves are schedule-independent (rationals have no
-/// rounding); double solves agree across schedules bit for bit too, since
-/// each block's arithmetic is fixed by the plan.
+/// The block plan and the Rational and double instances of the block
+/// pipeline (docs/ARCHITECTURE.md S13; see BlockSolve.h). Blocks are
+/// eliminated in reverse topological order, which block ids from Tarjan
+/// pop order make simply increasing id order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,12 +12,9 @@
 
 #include "linalg/Ordering.h"
 #include "linalg/Solve.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <mutex>
 
 using namespace mcnk;
 using namespace mcnk::markov;
@@ -162,65 +152,6 @@ BlockPlan detail::planBlocks(const AbsorbingChain &Chain,
   return Plan;
 }
 
-bool detail::runBlocks(const SccDecomposition &Scc, ThreadPool *Pool,
-                       const std::function<bool(std::size_t)> &Solve) {
-  std::size_t NB = Scc.NumBlocks;
-  if (!Pool || NB <= 1) {
-    for (std::size_t B = 0; B < NB; ++B)
-      if (!Solve(B))
-        return false;
-    return true;
-  }
-
-  // DepCount[B] = unsolved successor blocks; Dependents inverts the edge.
-  std::vector<std::size_t> DepCount(NB);
-  std::vector<std::vector<std::size_t>> Dependents(NB);
-  for (std::size_t B = 0; B < NB; ++B) {
-    DepCount[B] = Scc.Successors[B].size();
-    for (std::size_t S : Scc.Successors[B])
-      Dependents[S].push_back(B);
-  }
-
-  std::mutex Mutex;
-  std::atomic<bool> Ok{true};
-  TaskGroup Group(*Pool);
-  // Tasks enqueue their newly unblocked dependents onto the same group;
-  // the group cannot drain while an enqueuing task is still running, so
-  // the final wait() covers every block. All cross-task visibility rides
-  // on Mutex plus the pool's queue synchronization (TSan-clean).
-  std::function<void(std::size_t)> Run = [&](std::size_t B) {
-    if (!Ok.load(std::memory_order_acquire))
-      return;
-    if (!Solve(B)) {
-      Ok.store(false, std::memory_order_release);
-      return;
-    }
-    std::vector<std::size_t> Ready;
-    {
-      std::lock_guard<std::mutex> Lock(Mutex);
-      for (std::size_t D : Dependents[B])
-        if (--DepCount[D] == 0)
-          Ready.push_back(D);
-    }
-    for (std::size_t D : Ready)
-      Group.run([&Run, D] { Run(D); });
-  };
-  // Snapshot the initially ready set before enqueueing anything: once the
-  // first task runs, workers decrement DepCount concurrently, and a block
-  // draining to zero mid-seeding would otherwise be enqueued twice (once
-  // by its completing successor, once by this loop reading the drained
-  // counter). Sink blocks can never be resurrected by a completion, so
-  // the snapshot is exact.
-  std::vector<std::size_t> Initial;
-  for (std::size_t B = 0; B < NB; ++B)
-    if (DepCount[B] == 0)
-      Initial.push_back(B);
-  for (std::size_t B : Initial)
-    Group.run([&Run, B] { Run(B); });
-  Group.wait();
-  return Ok.load();
-}
-
 void detail::finishMetrics(SolveMetrics &M, const BlockPlan &Plan,
                            std::vector<BlockMetrics> Blocks) {
   M = SolveMetrics();
@@ -328,13 +259,12 @@ struct NeumannField : DoubleField {
 /// single-field engines.
 template <typename Field>
 bool solvePipeline(const AbsorbingChain &Chain, const Field &F,
-                   const SolverStructure &Structure,
                    DenseMatrix<typename Field::Scalar> &Out,
                    SolveMetrics *Metrics) {
   BlockPlan Plan = planBlocks(Chain, Field::MinOrdered);
   std::vector<BlockMetrics> Blocks(Plan.Blocks.size());
   DenseMatrix<typename Field::Scalar> X;
-  if (!solveBlocks(Plan, F, Structure.Pool, X, Blocks))
+  if (!solveBlocks(Plan, F, X, Blocks))
     return false;
   Out = DenseMatrix<typename Field::Scalar>(Chain.NumTransient,
                                             Chain.NumAbsorbing);
@@ -346,27 +276,25 @@ bool solvePipeline(const AbsorbingChain &Chain, const Field &F,
 
 } // namespace
 
-bool detail::solveBlocksRational(const BlockPlan &Plan, ThreadPool *Pool,
+bool detail::solveBlocksRational(const BlockPlan &Plan,
                                  DenseMatrix<Rational> &X,
                                  std::vector<BlockMetrics> &Metrics) {
-  return solveBlocks(Plan, RationalField(), Pool, X, Metrics);
+  return solveBlocks(Plan, RationalField(), X, Metrics);
 }
 
 bool markov::solveAbsorptionExact(const AbsorbingChain &Chain,
                                   DenseMatrix<Rational> &Out,
-                                  const SolverStructure &Structure,
                                   SolveMetrics *Metrics) {
-  return solvePipeline(Chain, RationalField(), Structure, Out, Metrics);
+  return solvePipeline(Chain, RationalField(), Out, Metrics);
 }
 
 bool markov::solveAbsorptionDouble(const AbsorbingChain &Chain,
                                    DenseMatrix<double> &Out,
                                    SolverKind Kind,
-                                   const SolverStructure &Structure,
                                    SolveMetrics *Metrics) {
   assert(Kind != SolverKind::Exact && Kind != SolverKind::ModularExact &&
          "use solveAbsorptionExact / solveAbsorptionModular");
   if (Kind == SolverKind::Direct)
-    return solvePipeline(Chain, LUField(), Structure, Out, Metrics);
-  return solvePipeline(Chain, NeumannField(), Structure, Out, Metrics);
+    return solvePipeline(Chain, LUField(), Out, Metrics);
+  return solvePipeline(Chain, NeumannField(), Out, Metrics);
 }

@@ -8,11 +8,11 @@
 ///
 ///   (I - Q_BB) A_B = R_B + Q_{B,ext} A_ext
 ///
-/// block by block in reverse topological order of the condensation DAG
-/// (ext ranges over states of already solved successor blocks), serially
-/// or on a ThreadPool, over any scalar field. A field policy supplies the
-/// scalar type, the lowering of the plan's Rational coefficients into it,
-/// and the in-block kernel:
+/// block by block in increasing block id, a reverse topological order of
+/// the condensation DAG (ext ranges over states of already solved
+/// successor blocks), on the caller's thread, over any scalar field. A
+/// field policy supplies the scalar type, the lowering of the plan's
+/// Rational coefficients into it, and the in-block kernel:
 ///
 ///   struct Field {
 ///     using Scalar = ...;
@@ -37,8 +37,6 @@
 
 #include "markov/Absorbing.h"
 #include "markov/Scc.h"
-
-#include <functional>
 
 namespace mcnk {
 namespace markov {
@@ -81,32 +79,26 @@ struct BlockPlan {
 /// states (the solving field's MinOrdered) in RCM order.
 BlockPlan planBlocks(const AbsorbingChain &Chain, std::size_t MinOrdered);
 
-/// Runs Solve(BlockId) once per block, respecting condensation-DAG order:
-/// serially in increasing id order (successors first) when \p Pool is
-/// null, else as a dependency-counted DAG schedule on the pool. Returns
-/// false as soon as any Solve fails.
-bool runBlocks(const SccDecomposition &Scc, ThreadPool *Pool,
-               const std::function<bool(std::size_t)> &Solve);
-
 /// Fills \p M from the plan's structure and the per-block op counts
 /// \p Blocks accumulated by the solves (indexed by block id).
 void finishMetrics(SolveMetrics &M, const BlockPlan &Plan,
                    std::vector<BlockMetrics> Blocks);
 
-/// Solves the whole plan over \p F. \p X receives the absorption rows in
-/// compact index order (NumKept x NumAbsorbing); each block's kernel work
-/// accumulates into Metrics[block id].
+/// Solves the whole plan over \p F, block by block in increasing id order
+/// (successors first). \p X receives the absorption rows in compact index
+/// order (NumKept x NumAbsorbing); each block's kernel work accumulates
+/// into Metrics[block id]. Returns false as soon as a block fails.
 template <typename Field>
-bool solveBlocks(const BlockPlan &Plan, const Field &F, ThreadPool *Pool,
+bool solveBlocks(const BlockPlan &Plan, const Field &F,
                  linalg::DenseMatrix<typename Field::Scalar> &X,
                  std::vector<BlockMetrics> &Metrics) {
   using Scalar = typename Field::Scalar;
   std::size_t NA = Plan.NumAbsorbing;
   X = linalg::DenseMatrix<Scalar>(Plan.Pruned.NumKept, NA);
-  return runBlocks(Plan.Scc, Pool, [&](std::size_t B) {
+  Scalar V = F.zero();
+  for (std::size_t B = 0; B < Plan.Blocks.size(); ++B) {
     const PlanBlock &PB = Plan.Blocks[B];
     linalg::DenseMatrix<Scalar> Rhs(PB.Members.size(), NA);
-    Scalar V = F.zero();
     for (const PlanCell &E : PB.R) {
       if (!F.lower(E.Value, V))
         return false;
@@ -127,13 +119,13 @@ bool solveBlocks(const BlockPlan &Plan, const Field &F, ThreadPool *Pool,
     for (std::size_t L = 0; L < PB.Members.size(); ++L)
       for (std::size_t C = 0; C < NA; ++C)
         X.at(PB.Members[L], C) = std::move(Rhs.at(L, C));
-    return true;
-  });
+  }
+  return true;
 }
 
 /// The Rational instance of solveBlocks (the exact engine, and the
 /// modular engine's fallback).
-bool solveBlocksRational(const BlockPlan &Plan, ThreadPool *Pool,
+bool solveBlocksRational(const BlockPlan &Plan,
                          linalg::DenseMatrix<Rational> &X,
                          std::vector<BlockMetrics> &Metrics);
 

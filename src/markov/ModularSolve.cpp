@@ -19,7 +19,6 @@
 
 #include "linalg/ModSolve.h"
 #include "support/ModArith.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <numeric>
@@ -80,13 +79,13 @@ struct ModField {
 /// denominator (candidate or system) or leaves the system singular, in
 /// which case nothing was decided and the caller draws another check
 /// prime.
-bool verifyAgainstPrime(const BlockPlan &Plan, ThreadPool *Pool,
+bool verifyAgainstPrime(const BlockPlan &Plan,
                         const std::vector<Rational> &Candidate,
                         const PrimeField &F, bool &Unlucky) {
   ModField MF{F};
   DenseMatrix<std::uint64_t> Images;
   std::vector<BlockMetrics> Unused(Plan.Blocks.size());
-  Unlucky = !solveBlocks(Plan, MF, Pool, Images, Unused);
+  Unlucky = !solveBlocks(Plan, MF, Images, Unused);
   std::size_t NA = Plan.NumAbsorbing;
   for (std::size_t E = 0; E < Candidate.size() && !Unlucky; ++E) {
     std::uint64_t C;
@@ -141,8 +140,7 @@ std::vector<std::size_t> scanOrder(const BlockPlan &Plan) {
 /// Returns false (the caller falls back to the Rational instance) when the
 /// prime budget runs out without a verified reconstruction, or the system
 /// is singular mod every prime tried.
-bool solvePlanModular(const BlockPlan &Plan, ThreadPool *Pool,
-                      const ModularOptions &Options,
+bool solvePlanModular(const BlockPlan &Plan, const ModularOptions &Options,
                       DenseMatrix<Rational> &X,
                       std::vector<BlockMetrics> &Blocks,
                       SolveMetrics &Stats) {
@@ -185,72 +183,40 @@ bool solvePlanModular(const BlockPlan &Plan, ThreadPool *Pool,
     std::size_t Target = std::min(NextAttempt, Options.MaxPrimes);
 
     // Accumulate primes (in deterministic table order) until the target.
+    // Each prime's block solves add their kernel work to Blocks, lucky or
+    // not.
     while (Accepted < Target) {
-      std::size_t Want = Target - Accepted;
-      std::vector<std::uint64_t> Batch(Want);
-      for (std::size_t I = 0; I < Want; ++I)
-        Batch[I] = modPrime(PrimeCursor++);
-
-      // Independent primes solve concurrently; results fold in batch
-      // order below, so the CRT product is deterministic regardless of
-      // scheduling.
-      std::vector<std::vector<std::uint64_t>> Residues(Want);
-      std::vector<char> Lucky(Want, 0);
-      std::vector<std::vector<BlockMetrics>> PrimeBlocks(
-          Want, std::vector<BlockMetrics>(Blocks.size()));
-      auto SolveOne = [&](std::size_t I) {
-        PrimeField F(Batch[I]);
-        DenseMatrix<std::uint64_t> Images;
-        if (!solveBlocks(Plan, ModField{F}, Pool, Images, PrimeBlocks[I]))
-          return;
-        Residues[I].resize(N * NA);
-        for (std::size_t K = 0; K < N; ++K)
-          for (std::size_t C = 0; C < NA; ++C)
-            Residues[I][K * NA + C] = F.decode(Images.at(K, C));
-        Lucky[I] = 1;
-      };
-      if (Pool && Want > 1)
-        Pool->parallelFor(Want, SolveOne);
-      else
-        for (std::size_t I = 0; I < Want; ++I)
-          SolveOne(I);
-
-      for (std::size_t I = 0; I < Want; ++I) {
-        for (std::size_t B = 0; B < Blocks.size(); ++B) {
-          Blocks[B].EliminationOps += PrimeBlocks[I][B].EliminationOps;
-          Blocks[B].FillIn += PrimeBlocks[I][B].FillIn;
-        }
-        if (!Lucky[I]) {
-          ++Stats.RetriedPrimes;
-          if (RetryBudget-- == 0)
-            return false; // Singular mod every prime tried: fall back.
-          continue;
-        }
-        PrimeField F(Batch[I]);
-        std::uint64_t InvM = F.inv(F.encode(M.modU64(F.prime())));
-        for (std::size_t E = 0; E < N * NA; ++E) {
-          if (State[E] == 2)
-            continue; // Confirmed: this entry's answer is already known.
-          if (State[E] == 1) {
-            std::uint64_t Got;
-            if (rationalMod(Candidate[E], F, Got) &&
-                Got == Residues[I][E]) {
-              State[E] = 2; // Survived a prime it was not built from.
-              continue;
-            }
-            State[E] = 0; // Refuted (or unlucky prime): reconstruct anew.
-          }
-          // In-place CRT lift: X += M·((r - X)·M^{-1} mod p).
-          std::uint64_t XModP = F.encode(limbs64ModU64(Crt[E], F.prime()));
-          std::uint64_t T = F.decode(
-              F.mul(F.sub(F.encode(Residues[I][E]), XModP), InvM));
-          crtFoldLimbs64(Crt[E], M64, T);
-        }
-        M *= BigInt::fromUnsigned(F.prime());
-        M64 = M.magnitudeLimbs64();
-        ++Accepted;
-        ++Stats.NumPrimes;
+      PrimeField F(modPrime(PrimeCursor++));
+      DenseMatrix<std::uint64_t> Images;
+      if (!solveBlocks(Plan, ModField{F}, Images, Blocks)) {
+        ++Stats.RetriedPrimes;
+        if (RetryBudget-- == 0)
+          return false; // Singular mod every prime tried: fall back.
+        continue;
       }
+      std::uint64_t InvM = F.inv(F.encode(M.modU64(F.prime())));
+      for (std::size_t E = 0; E < N * NA; ++E) {
+        if (State[E] == 2)
+          continue; // Confirmed: this entry's answer is already known.
+        std::uint64_t Residue = F.decode(Images.at(E / NA, E % NA));
+        if (State[E] == 1) {
+          std::uint64_t Got;
+          if (rationalMod(Candidate[E], F, Got) && Got == Residue) {
+            State[E] = 2; // Survived a prime it was not built from.
+            continue;
+          }
+          State[E] = 0; // Refuted (or unlucky prime): reconstruct anew.
+        }
+        // In-place CRT lift: X += M·((r - X)·M^{-1} mod p).
+        std::uint64_t XModP = F.encode(limbs64ModU64(Crt[E], F.prime()));
+        std::uint64_t T =
+            F.decode(F.mul(F.sub(F.encode(Residue), XModP), InvM));
+        crtFoldLimbs64(Crt[E], M64, T);
+      }
+      M *= BigInt::fromUnsigned(F.prime());
+      M64 = M.magnitudeLimbs64();
+      ++Accepted;
+      ++Stats.NumPrimes;
     }
 
     // Attempt reconstruction at the Wang bound, then verify against
@@ -282,7 +248,7 @@ bool solvePlanModular(const BlockPlan &Plan, ThreadPool *Pool,
       while (Verified < Options.CheckPrimes && !Mismatch) {
         PrimeField F(modPrime(PrimeCursor++));
         bool Unlucky = false;
-        if (verifyAgainstPrime(Plan, Pool, Candidate, F, Unlucky))
+        if (verifyAgainstPrime(Plan, Candidate, F, Unlucky))
           ++Verified;
         else if (Unlucky) {
           ++Stats.RetriedPrimes;
@@ -341,12 +307,11 @@ bool markov::solveAbsorptionModular(const AbsorbingChain &Chain,
   std::vector<BlockMetrics> Blocks(Plan.Blocks.size());
   DenseMatrix<Rational> X;
   SolveMetrics Stats;
-  if (!solvePlanModular(Plan, Structure.Pool, Structure.Modular, X, Blocks,
-                        Stats)) {
+  if (!solvePlanModular(Plan, Structure.Modular, X, Blocks, Stats)) {
     // Prime budget exhausted (or the system is singular): the Rational
     // instance of the pipeline solves the same plan authoritatively.
     Stats.ModularFallbacks = 1;
-    if (!solveBlocksRational(Plan, Structure.Pool, X, Blocks))
+    if (!solveBlocksRational(Plan, X, Blocks))
       return false;
   }
   Out = DenseMatrix<Rational>(Chain.NumTransient, Chain.NumAbsorbing);

@@ -82,21 +82,5 @@ markov::computeScc(std::size_t NumVertices,
     }
   }
   assert(SccStack.empty() && "Tarjan stack not drained");
-
-  // Condensation edges, deduplicated per block. Successors were popped
-  // before their predecessors, so every successor id is smaller.
-  Result.Successors.assign(Result.NumBlocks, {});
-  for (std::size_t U = 0; U < NumVertices; ++U)
-    for (std::size_t V : Adj[U]) {
-      std::size_t BU = Result.BlockOf[U], BV = Result.BlockOf[V];
-      if (BU == BV)
-        continue;
-      assert(BV < BU && "condensation edge violates pop-order numbering");
-      Result.Successors[BU].push_back(BV);
-    }
-  for (std::vector<std::size_t> &Succ : Result.Successors) {
-    std::sort(Succ.begin(), Succ.end());
-    Succ.erase(std::unique(Succ.begin(), Succ.end()), Succ.end());
-  }
   return Result;
 }

@@ -4,13 +4,13 @@
 /// Strongly connected components of the transient-state graph. The block
 /// solver (docs/ARCHITECTURE.md S13) decomposes the Q matrix into
 /// its communicating classes: absorption out of a class depends only on
-/// classes *downstream* of it in the condensation DAG, so each class is an
-/// independent solve block once its successors are done. Tarjan's
+/// classes *downstream* of it in the condensation DAG, so each class is a
+/// solve block that needs only its successors' solutions. Tarjan's
 /// algorithm pops components in reverse topological order, which we exploit
 /// directly: block ids are assigned in pop order, so every condensation
-/// edge u -> v satisfies BlockOf[u] > BlockOf[v] and processing blocks in
-/// increasing id order visits all successors of a block before the block
-/// itself.
+/// edge u -> v satisfies BlockOf[u] > BlockOf[v], and the block solver,
+/// which visits blocks serially in increasing id order, solves all
+/// successors of a block before the block itself.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,10 +33,6 @@ struct SccDecomposition {
   std::vector<std::size_t> BlockOf;
   /// Component id -> member vertices (ascending).
   std::vector<std::vector<std::size_t>> Blocks;
-  /// Component id -> distinct successor components in the condensation
-  /// DAG (deduplicated, ascending; every successor id is smaller than the
-  /// block's own id by the reverse-topological numbering).
-  std::vector<std::vector<std::size_t>> Successors;
 };
 
 /// Tarjan's algorithm (iterative) over vertices [0, NumVertices) with

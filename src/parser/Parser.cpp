@@ -361,6 +361,7 @@ private:
       error("expected a probability, found " + describeCurrent());
       return false;
     }
+    Token Literal = Tok;
     std::string_view First = Tok.Text;
     bump();
     BigInt Num = natural(First);
@@ -387,6 +388,18 @@ private:
       }
       std::string_view Frac = Tok.Text;
       bump();
+      // The scale 10^digits takes 4 bits per digit (bitLength(10) == 4);
+      // past BigInt::pow's cap it would abort the process.
+      if (Frac.size() > BigInt::MaxPowBits / 4) {
+        Failed = true;
+        Diags.push_back({Literal.Line, Literal.Column,
+                         "decimal probability has " +
+                             std::to_string(Frac.size()) +
+                             " digits after the point (the limit is " +
+                             std::to_string(BigInt::MaxPowBits / 4) + ")",
+                         {}});
+        return false;
+      }
       BigInt Scale =
           BigInt::pow(BigInt(10), static_cast<unsigned>(Frac.size()));
       Out = Rational(Num * Scale + natural(Frac), std::move(Scale));

@@ -78,8 +78,6 @@ std::unique_ptr<Service> Service::create(const Options &Opts,
           Store->append(Key, Solver, *Diagram);
         });
   }
-  if (Opts.Threads != 1)
-    Svc->Pool = std::make_unique<ThreadPool>(Opts.Threads);
   return Svc;
 }
 
@@ -214,15 +212,6 @@ Json sliceStatsJson(const ast::SliceStats &S) {
   return O;
 }
 
-/// Points a request's verifier at the service pool (null when Threads is
-/// 1): its loop solves schedule independent SCC blocks and ModularExact
-/// primes there, the parallelism `-j` sizes.
-void useServicePool(analysis::Verifier &V, Service &Svc) {
-  markov::SolverStructure S;
-  S.Pool = Svc.pool();
-  V.setSolverStructure(S);
-}
-
 } // namespace
 
 Session::Slot &Session::slotFor(markov::SolverKind Kind) {
@@ -249,10 +238,8 @@ bool Session::ensureCompiled(Slot &S, markov::SolverKind Kind,
             "union of non-predicates)";
     return false;
   }
-  if (!S.V) {
+  if (!S.V)
     S.V = std::make_unique<analysis::Verifier>(Kind);
-    useServicePool(*S.V, Svc);
-  }
   fdd::CompileOptions Options;
   Options.Cache = &Svc.cache();
   fdd::FddRef NewRoot = fdd::compile(S.V->manager(), Parsed.Program, Options);
@@ -414,7 +401,6 @@ Json Session::handleSlicedQuery(const Json &Request,
   }
 
   analysis::Verifier V(Kind);
-  useServicePool(V, Svc);
   fdd::FddRef Root;
   // Parsing the same text interns the same field ids, so the memoized
   // diagram imports as the ref a fresh sliced compile would build.
@@ -512,7 +498,6 @@ Json Session::handleQuery(const Json &Request) {
     if (!ast::isGuarded(Parsed2.Program))
       return errorResponse("\"program2\" is outside the guarded fragment");
     analysis::Verifier V(Kind);
-    useServicePool(V, Svc);
     fdd::CompileOptions Options;
     Options.Cache = &Svc.cache();
     // With "slice": true, both sides slice for the all-fields observation

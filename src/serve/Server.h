@@ -6,8 +6,9 @@
 /// then answers queries against the compiled FDD almost for free; a
 /// short-lived CLI throws that investment away on every invocation. This
 /// layer keeps it: a Service owns the shared S12 CompileCache (warmed from
-/// and persisted to an on-disk CacheStore) and a persistent worker pool,
-/// and each client connection gets a Session that multiplexes over them.
+/// and persisted to an on-disk CacheStore), and each client connection
+/// gets a Session, on its own thread, that multiplexes over it. A
+/// request's loop solves run serially on its session's thread.
 ///
 /// Protocol: line-delimited JSON. One request object per '\n'-terminated
 /// line, one response object per line, strictly in order. Verbs:
@@ -55,7 +56,6 @@
 #include "fdd/CompileCache.h"
 #include "serve/Json.h"
 #include "serve/Lint.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <atomic>
@@ -72,8 +72,8 @@ namespace mcnk {
 namespace serve {
 
 /// Process-wide shared state: one compile cache (optionally backed by a
-/// persistent CacheStore), one front-end memo, one worker pool, request
-/// counters. Thread-safe; shared by every Session.
+/// persistent CacheStore), one front-end memo, request counters.
+/// Thread-safe; shared by every Session.
 class Service {
 public:
   struct Options {
@@ -81,9 +81,9 @@ public:
     std::string StorePath;
     /// Compile-cache capacity (entries); also bounds the front-end memo.
     std::size_t CacheCapacity = 1u << 12;
-    /// Worker threads of the pool that every request's loop solves
-    /// schedule independent SCC blocks (and ModularExact primes) on;
-    /// 0 = hardware concurrency, 1 = solve serially (no pool).
+    /// Ignored: loop solves always run serially on the session's thread.
+    /// Kept only because the e2ebench harness (e2ebench/src/Harness.cpp)
+    /// still assigns it.
     unsigned Threads = 0;
     fdd::CacheStore::Options Store;
   };
@@ -98,8 +98,6 @@ public:
   fdd::CompileCache &cache() { return Cache; }
   /// Null when persistence is disabled.
   fdd::CacheStore *store() { return Store.get(); }
-  /// Null when Threads == 1.
-  ThreadPool *pool() { return Pool.get(); }
   const Options &options() const { return Opts; }
 
   /// Disk-cache entries loaded into the compile cache at startup.
@@ -180,7 +178,6 @@ private:
   Options Opts;
   fdd::CompileCache Cache;
   std::unique_ptr<fdd::CacheStore> Store;
-  std::unique_ptr<ThreadPool> Pool;
   std::size_t Warmed = 0;
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> Errors{0};

@@ -135,7 +135,8 @@ bool isPrimeU64(std::uint64_t N) {
 }
 
 std::uint64_t modPrime(std::size_t Index) {
-  // Lazily extended, mutex-guarded (pool workers share the table), and
+  // Lazily extended, mutex-guarded (concurrent serve sessions and any
+  // other threads solving modular chains share the table), and
   // identical in every process: the walk below is pure arithmetic.
   static std::mutex TableMutex;
   static std::vector<std::uint64_t> Table;

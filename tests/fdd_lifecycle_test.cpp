@@ -68,13 +68,10 @@ TEST(CompileCacheTest, HitIsReferenceEqualAcrossSolversAndBackends) {
     fdd::CompileCache::Stats AfterCold = Cached.cacheStats();
     EXPECT_GT(AfterCold.Insertions, 0u);
 
-    // Hit path: the same program again, with loop blocks solved
-    // serially and on a pool.
+    // Hit path: the same program again.
     EXPECT_EQ(Cached.compile(M.Program), Cold);
     fdd::CompileCache::Stats AfterHit = Cached.cacheStats();
     EXPECT_GT(AfterHit.Hits, AfterCold.Hits);
-    Cached.enableSolverPool(2);
-    EXPECT_EQ(Cached.compile(M.Program), Cold);
 
     // The cached diagram is the one an uncached engine produces.
     analysis::Verifier Uncached(Kind);
@@ -188,8 +185,6 @@ TEST(CompileCacheTest, ModularKindKeyedAndHitEqualsCold) {
 
   EXPECT_EQ(Modular.compile(M.Program), Cold);
   EXPECT_GT(Shared.stats().Hits, AfterCold.Hits);
-  Modular.enableSolverPool(2);
-  EXPECT_EQ(Modular.compile(M.Program), Cold);
 
   analysis::Verifier UncachedModular(markov::SolverKind::ModularExact);
   EXPECT_TRUE(sameDiagram(Modular, Cold, UncachedModular,

@@ -1,16 +1,17 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// `case` reduction and solver-pool suite. The compiler reduces `case`
+/// `case` reduction and concurrency suite. The compiler reduces `case`
 /// arms pairwise with the §6 segment algebra; every compile here must be
 /// reference-equal to a test-local reference compiler whose `case` is the
 /// plain right fold `branch(g_i, b_i, Acc)` — in the same manager
 /// directly, and across managers after an export/import round trip — for
 /// randomized nested `case` programs, arm counts from 0 to 64, overlapping
 /// guards, and `case` inside `while`, on every solver kind with the
-/// compile cache on and off. Also covers loop solves whose SCC blocks and
-/// primes run on one pool, and the verifier-owned pool's lifetime. Runs
-/// under ThreadSanitizer in `./ci.sh tsan`.
+/// compile cache on and off. Also covers serial loop solves running
+/// concurrently on several threads (the modular ones share the lazily
+/// extended prime table) and CompileCache inserts racing on one cache.
+/// Runs under ThreadSanitizer in `./ci.sh tsan`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -21,13 +22,13 @@
 #include "fdd/Export.h"
 #include "markov/Absorbing.h"
 #include "support/Casting.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <memory>
 #include <random>
+#include <thread>
 
 using namespace mcnk;
 using namespace mcnk::fdd;
@@ -372,67 +373,88 @@ TEST(ParallelCompileTest, NestedCaseThroughWhileLoops) {
   FddManager M;
   FddRef Reference = foldCompile(M, P);
   EXPECT_EQ(compile(M, P), Reference);
-  for (unsigned Threads : {1u, 2u}) {
-    ThreadPool Pool(Threads);
-    markov::SolverStructure S;
-    S.Pool = &Pool;
-    FddManager Pooled;
-    Pooled.setSolverStructure(S);
-    FddRef R = compile(Pooled, P);
-    EXPECT_EQ(importFdd(M, exportFdd(Pooled, R)), Reference)
-        << Threads << " threads";
-  }
+  FddManager Other;
+  EXPECT_EQ(importFdd(M, exportFdd(Other, compile(Other, P))), Reference);
 }
 
-TEST(ParallelCompileTest, ConcurrentBlockedSolvesOnOneEngine) {
-  // Many pooled-block exact solves race on one engine: each solve
-  // schedules its condensation-DAG block tasks on the pool while sibling
-  // solves (themselves running as pool tasks via parallelFor) do the
-  // same. This pins down the DAG scheduler's happens-before edges —
-  // dependency counters under the mutex, absorption rows published
-  // through the scheduling edge — under ThreadSanitizer (./ci.sh tsan).
-  ThreadPool Pool(4);
+namespace {
+
+/// A random substochastic chain for the concurrency tests: 6 to 25
+/// transient states, out-degree 1–3 over transient states (cycles
+/// included) plus an absorbing escape on some rows, so pruning leaves a
+/// nonsingular system.
+markov::AbsorbingChain concurrencyChain(uint64_t Seed, std::size_t I) {
+  std::mt19937_64 Rng(Seed + I);
+  markov::AbsorbingChain Chain;
+  Chain.NumTransient = 6 + I % 20;
+  Chain.NumAbsorbing = 2;
+  for (std::size_t Row = 0; Row < Chain.NumTransient; ++Row) {
+    std::size_t Deg = 1 + Rng() % 3;
+    for (std::size_t E = 0; E < Deg; ++E)
+      Chain.QEntries.push_back({Row, Rng() % Chain.NumTransient,
+                                Rational(1, static_cast<int64_t>(2 * Deg))});
+    if (Row % 3 == 0 || Row + 1 == Chain.NumTransient)
+      Chain.REntries.push_back(
+          {Row, Rng() % Chain.NumAbsorbing, Rational(1, 4)});
+  }
+  return Chain;
+}
+
+/// Runs Body(0) ... Body(N - 1) spread over \p NumThreads threads.
+template <typename Fn>
+void runOnThreads(std::size_t N, unsigned NumThreads, Fn Body) {
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T)
+    Threads.emplace_back([&Body, N, NumThreads, T] {
+      for (std::size_t I = T; I < N; I += NumThreads)
+        Body(I);
+    });
+  for (std::thread &T : Threads)
+    T.join();
+}
+
+/// Solves the 12 chains of \p Seed with the Rational engine on this
+/// thread, then again with \p Solve, 12 serial solves spread over 4
+/// threads, and expects the same answers.
+template <typename SolveFn>
+void expectConcurrentSolvesAgree(uint64_t Seed, SolveFn Solve) {
   constexpr std::size_t NumSolves = 12;
+  std::vector<markov::AbsorbingChain> Chains;
+  std::vector<linalg::DenseMatrix<Rational>> Expected(NumSolves);
+  std::vector<char> ExpectedOk(NumSolves);
+  for (std::size_t I = 0; I < NumSolves; ++I) {
+    Chains.push_back(concurrencyChain(Seed, I));
+    ExpectedOk[I] = markov::solveAbsorptionExact(Chains[I], Expected[I]);
+  }
   std::vector<char> Agree(NumSolves, 0);
-  Pool.parallelFor(NumSolves, [&](std::size_t I) {
-    std::mt19937_64 Rng(0xB10C5ULL + I);
-    markov::AbsorbingChain Chain;
-    Chain.NumTransient = 6 + I % 20;
-    Chain.NumAbsorbing = 2;
-    for (std::size_t Row = 0; Row < Chain.NumTransient; ++Row) {
-      // Out-degree 1–3 over transient states (cycles included) plus an
-      // absorbing escape on some rows; weights keep each row
-      // substochastic so pruning leaves a nonsingular system.
-      std::size_t Deg = 1 + Rng() % 3;
-      for (std::size_t E = 0; E < Deg; ++E)
-        Chain.QEntries.push_back(
-            {Row, Rng() % Chain.NumTransient,
-             Rational(1, static_cast<int64_t>(2 * Deg))});
-      if (Row % 3 == 0 || Row + 1 == Chain.NumTransient)
-        Chain.REntries.push_back(
-            {Row, Rng() % Chain.NumAbsorbing, Rational(1, 4)});
-    }
-    linalg::DenseMatrix<Rational> Serial, Pooled;
-    bool OkSerial = markov::solveAbsorptionExact(Chain, Serial);
-    markov::SolverStructure S;
-    S.Pool = &Pool;
-    bool OkPooled = markov::solveAbsorptionExact(Chain, Pooled, S);
-    bool Same = OkSerial == OkPooled;
-    if (Same && OkSerial)
-      for (std::size_t R = 0; R < Chain.NumTransient; ++R)
-        for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
-          Same = Same && Serial.at(R, C) == Pooled.at(R, C);
+  runOnThreads(NumSolves, 4, [&](std::size_t I) {
+    linalg::DenseMatrix<Rational> Got;
+    bool Same = Solve(Chains[I], Got) == static_cast<bool>(ExpectedOk[I]);
+    if (Same && ExpectedOk[I])
+      for (std::size_t R = 0; R < Chains[I].NumTransient; ++R)
+        for (std::size_t C = 0; C < Chains[I].NumAbsorbing; ++C)
+          Same = Same && Got.at(R, C) == Expected[I].at(R, C);
     Agree[I] = Same ? 1 : 0;
   });
   for (std::size_t I = 0; I < NumSolves; ++I)
     EXPECT_TRUE(Agree[I]) << "solve " << I;
 }
 
+} // namespace
+
+TEST(ParallelCompileTest, ConcurrentBlockedSolvesOnOneEngine) {
+  // Serial exact block solves running at the same time on 4 threads: no
+  // solve may share mutable state with another (TSan via ./ci.sh tsan).
+  expectConcurrentSolvesAgree(
+      0xB10C5ULL, [](const markov::AbsorbingChain &Chain,
+                     linalg::DenseMatrix<Rational> &Out) {
+        return markov::solveAbsorptionExact(Chain, Out);
+      });
+}
 
 TEST(ParallelCompileTest, BlockedLoopsInsideCaseArms) {
-  // `case` arms containing while loops whose SCC blocks run on a pool:
-  // the compile stays serial, the block tasks of each loop solve share
-  // the engine. Runs under TSan via ./ci.sh tsan.
+  // `case` arms containing while loops: each loop solve runs block by
+  // block, and fresh managers reproduce the reference diagram.
   Context Ctx;
   const Node *P = caseOfLoops(Ctx);
 
@@ -440,12 +462,8 @@ TEST(ParallelCompileTest, BlockedLoopsInsideCaseArms) {
   FddRef Reference = compile(Serial, P);
   EXPECT_EQ(Reference, foldCompile(Serial, P));
 
-  ThreadPool Pool(4);
-  markov::SolverStructure S;
-  S.Pool = &Pool;
   for (int Round = 0; Round < 3; ++Round) {
     FddManager M;
-    M.setSolverStructure(S);
     FddRef Blocked = compile(M, P);
     EXPECT_EQ(importFdd(Serial, exportFdd(M, Blocked)), Reference)
         << "round " << Round;
@@ -453,98 +471,21 @@ TEST(ParallelCompileTest, BlockedLoopsInsideCaseArms) {
 }
 
 TEST(ParallelCompileTest, ConcurrentModularSolvesOnOneEngine) {
-  // The S14 analogue of ConcurrentBlockedSolvesOnOneEngine: many modular
-  // solves race on one engine, each fanning its per-prime batch out via
-  // parallelFor while sibling solves (themselves pool tasks) do the same,
-  // with block tasks on the same pool on top. The
-  // lazily extended prime table is shared by every worker, so this pins
-  // its locking and the per-prime result slots under ThreadSanitizer
-  // (./ci.sh tsan).
-  ThreadPool Pool(4);
-  constexpr std::size_t NumSolves = 12;
-  std::vector<char> Agree(NumSolves, 0);
-  Pool.parallelFor(NumSolves, [&](std::size_t I) {
-    std::mt19937_64 Rng(0x40DA7ULL + I);
-    markov::AbsorbingChain Chain;
-    Chain.NumTransient = 6 + I % 20;
-    Chain.NumAbsorbing = 2;
-    for (std::size_t Row = 0; Row < Chain.NumTransient; ++Row) {
-      std::size_t Deg = 1 + Rng() % 3;
-      for (std::size_t E = 0; E < Deg; ++E)
-        Chain.QEntries.push_back(
-            {Row, Rng() % Chain.NumTransient,
-             Rational(1, static_cast<int64_t>(2 * Deg))});
-      if (Row % 3 == 0 || Row + 1 == Chain.NumTransient)
-        Chain.REntries.push_back(
-            {Row, Rng() % Chain.NumAbsorbing, Rational(1, 4)});
-    }
-    linalg::DenseMatrix<Rational> Exact, Modular;
-    bool OkExact = markov::solveAbsorptionExact(Chain, Exact);
-    markov::SolverStructure S;
-    S.Pool = &Pool;
-    bool OkModular = markov::solveAbsorptionModular(Chain, Modular, S);
-    bool Same = OkExact == OkModular;
-    if (Same && OkExact)
-      for (std::size_t R = 0; R < Chain.NumTransient; ++R)
-        for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
-          Same = Same && Exact.at(R, C) == Modular.at(R, C);
-    Agree[I] = Same ? 1 : 0;
-  });
-  for (std::size_t I = 0; I < NumSolves; ++I)
-    EXPECT_TRUE(Agree[I]) << "solve " << I;
-}
-
-
-TEST(ParallelCompileTest, VerifierOwnsOnePersistentPool) {
-  Context Ctx;
-  const Node *P = caseOfLoops(Ctx);
-  analysis::Verifier V;
-  ThreadPool &Pool = V.enableSolverPool(2);
-  EXPECT_EQ(Pool.numThreads(), 2u);
-  // Installed in the solver structure in the same step.
-  EXPECT_EQ(V.solverStructure().Pool, &Pool);
-  // Same width (or 0) → same engine across compiles.
-  EXPECT_EQ(&V.enableSolverPool(2), &Pool);
-  EXPECT_EQ(&V.enableSolverPool(0), &Pool);
-  FddRef First = V.compile(P);
-  FddRef Second = V.compile(P);
-  EXPECT_EQ(First, Second);
-  analysis::Verifier Serial;
-  EXPECT_EQ(importFdd(Serial.manager(), exportFdd(V.manager(), First)),
-            Serial.compile(P));
-  // An explicit different width replaces the engine, and the structure
-  // follows it.
-  ThreadPool &Wider = V.enableSolverPool(3);
-  EXPECT_EQ(Wider.numThreads(), 3u);
-  EXPECT_EQ(V.solverStructure().Pool, &Wider);
-}
-
-TEST(ParallelCompileTest, WideningThePoolBetweenCompilesIsSafe) {
-  // The structure holds the verifier's 2-worker pool; widening to 4
-  // replaces that pool, and the structure must not keep pointing at the
-  // freed one when the next loop solves (ASan via MCNK_SANITIZE=ON). The
-  // Modular knobs set alongside survive the swap.
-  Context Ctx;
-  const Node *P = caseOfLoops(Ctx);
-  analysis::Verifier V(markov::SolverKind::ModularExact);
-  markov::SolverStructure S;
-  S.Pool = &V.enableSolverPool(2);
-  S.Modular.FirstPrimeIndex = 7;
-  V.setSolverStructure(S);
-  ThreadPool &Wider = V.enableSolverPool(4);
-  EXPECT_EQ(V.solverStructure().Pool, &Wider);
-  EXPECT_EQ(Wider.numThreads(), 4u);
-  EXPECT_EQ(V.solverStructure().Modular.FirstPrimeIndex, 7u);
-  FddRef R = V.compile(P);
-  analysis::Verifier Serial;
-  EXPECT_EQ(importFdd(Serial.manager(), exportFdd(V.manager(), R)),
-            Serial.compile(P));
+  // The S14 analogue of ConcurrentBlockedSolvesOnOneEngine: serial
+  // modular solves on 4 threads at once. Every solve draws from the
+  // lazily extended prime table, so this pins its locking under
+  // ThreadSanitizer (./ci.sh tsan).
+  expectConcurrentSolvesAgree(
+      0x40DA7ULL, [](const markov::AbsorbingChain &Chain,
+                     linalg::DenseMatrix<Rational> &Out) {
+        return markov::solveAbsorptionModular(Chain, Out);
+      });
 }
 
 //===----------------------------------------------------------------------===//
 // CompileCache accounting under concurrent insert (the S12/S16 contract:
-// the persistence observer and the size counters must both survive N pool
-// workers racing to fill the same fingerprint).
+// the persistence observer and the size counters must both survive N
+// threads racing to fill the same fingerprint).
 //===----------------------------------------------------------------------===//
 
 TEST(CompileCacheRaceTest, ConcurrentSameKeyInsertsKeepAccountingExact) {
@@ -568,8 +509,7 @@ TEST(CompileCacheRaceTest, ConcurrentSameKeyInsertsKeepAccountingExact) {
   // copy, and races to insert. Before each insert, a lookup — so the
   // hit/miss counters see contention too.
   ast::ProgramHash Key{0xfeedULL, 0xfaceULL};
-  ThreadPool Pool(8);
-  Pool.parallelFor(NumInserts, [&](std::size_t) {
+  runOnThreads(NumInserts, 8, [&](std::size_t) {
     std::shared_ptr<const PortableFdd> Out;
     Cache.lookup(Key, markov::SolverKind::Exact, Out);
     Cache.insert(Key, markov::SolverKind::Exact, PortableFdd(Diagram));
@@ -609,8 +549,7 @@ TEST(CompileCacheRaceTest, EvictionAccountingStaysConsistentUnderChurn) {
   // must hold at every quiescent point.
   constexpr std::size_t NumKeys = 96;
   CompileCache Cache(/*Capacity=*/4);
-  ThreadPool Pool(8);
-  Pool.parallelFor(NumKeys, [&](std::size_t I) {
+  runOnThreads(NumKeys, 8, [&](std::size_t I) {
     ast::ProgramHash Key{static_cast<uint64_t>(I), 0xabcdULL};
     Cache.insert(Key, markov::SolverKind::Exact, PortableFdd(Diagram));
     std::shared_ptr<const PortableFdd> Out;

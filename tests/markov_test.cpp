@@ -12,7 +12,6 @@
 
 #include "markov/Scc.h"
 #include "support/ModArith.h"
-#include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
@@ -365,9 +364,6 @@ TEST_P(SccProperty, DecompositionIsCorrect) {
     for (std::size_t U = 0; U < N; ++U)
       for (std::size_t V : Adj[U])
         EXPECT_GE(Scc.BlockOf[U], Scc.BlockOf[V]);
-    for (std::size_t B = 0; B < Scc.NumBlocks; ++B)
-      for (std::size_t S : Scc.Successors[B])
-        EXPECT_LT(S, B);
   }
 }
 
@@ -375,13 +371,11 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SccProperty,
                          ::testing::Values(81u, 82u, 83u, 84u));
 
 /// The block pipeline must reproduce the monolithic reference: exactly
-/// (same rationals) for the exact engine, within ulps for sparse LU —
-/// serial and on a shared pool.
+/// (same rationals) for the exact engine, within ulps for sparse LU.
 class BlockedSolveProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(BlockedSolveProperty, BlockedEqualsMonolithic) {
   std::mt19937_64 Rng(GetParam());
-  ThreadPool Pool(4);
   for (int Round = 0; Round < 25; ++Round) {
     AbsorbingChain Chain = randomChain(Rng);
     std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
@@ -390,30 +384,26 @@ TEST_P(BlockedSolveProperty, BlockedEqualsMonolithic) {
     MonolithicStats MonoStats;
     ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
 
-    for (ThreadPool *Engine : {static_cast<ThreadPool *>(nullptr), &Pool}) {
-      SolverStructure Structure;
-      Structure.Pool = Engine;
-      DenseMatrix<Rational> Blocked;
-      SolveMetrics Metrics;
-      ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, Structure, &Metrics));
-      expectMetricsConsistent(Metrics);
-      // Same kept subsystem, decomposed into at least one block per
-      // nonempty system.
-      EXPECT_EQ(Metrics.NumSolved, MonoStats.NumSolved);
-      EXPECT_EQ(Metrics.NumSolvedQ, MonoStats.NumSolvedQ);
-      EXPECT_GE(Metrics.NumBlocks, MonoStats.NumSolved ? 1u : 0u);
-      for (std::size_t R = 0; R < NT; ++R)
-        for (std::size_t C = 0; C < NA; ++C)
-          EXPECT_EQ(Blocked.at(R, C), Mono.at(R, C)) << R << "," << C;
+    DenseMatrix<Rational> Blocked;
+    SolveMetrics Metrics;
+    ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, &Metrics));
+    expectMetricsConsistent(Metrics);
+    // Same kept subsystem, decomposed into at least one block per
+    // nonempty system.
+    EXPECT_EQ(Metrics.NumSolved, MonoStats.NumSolved);
+    EXPECT_EQ(Metrics.NumSolvedQ, MonoStats.NumSolvedQ);
+    EXPECT_GE(Metrics.NumBlocks, MonoStats.NumSolved ? 1u : 0u);
+    for (std::size_t R = 0; R < NT; ++R)
+      for (std::size_t C = 0; C < NA; ++C)
+        EXPECT_EQ(Blocked.at(R, C), Mono.at(R, C)) << R << "," << C;
 
-      DenseMatrix<double> Direct;
-      ASSERT_TRUE(solveAbsorptionDouble(Chain, Direct, SolverKind::Direct,
-                                        Structure, &Metrics));
-      expectMetricsConsistent(Metrics);
-      for (std::size_t R = 0; R < NT; ++R)
-        for (std::size_t C = 0; C < NA; ++C)
-          EXPECT_NEAR(Direct.at(R, C), Mono.at(R, C).toDouble(), 1e-8);
-    }
+    DenseMatrix<double> Direct;
+    ASSERT_TRUE(
+        solveAbsorptionDouble(Chain, Direct, SolverKind::Direct, &Metrics));
+    expectMetricsConsistent(Metrics);
+    for (std::size_t R = 0; R < NT; ++R)
+      for (std::size_t C = 0; C < NA; ++C)
+        EXPECT_NEAR(Direct.at(R, C), Mono.at(R, C).toDouble(), 1e-8);
   }
 }
 
@@ -427,7 +417,7 @@ TEST(BlockedSolveTest, SingleSccExtreme) {
   DenseMatrix<Rational> Blocked, Mono;
   SolveMetrics Metrics;
   MonolithicStats MonoStats;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, {}, &Metrics));
+  ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, &Metrics));
   ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
   EXPECT_EQ(Metrics.NumBlocks, 1u);
   EXPECT_EQ(Metrics.MaxBlockSize, Chain.NumTransient);
@@ -452,7 +442,7 @@ TEST(BlockedSolveTest, FullyDisconnectedExtreme) {
   DenseMatrix<Rational> A, Mono;
   SolveMetrics Metrics;
   MonolithicStats MonoStats;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A, {}, &Metrics));
+  ASSERT_TRUE(solveAbsorptionExact(Chain, A, &Metrics));
   ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
   EXPECT_EQ(Metrics.NumBlocks, 6u);
   EXPECT_EQ(Metrics.MaxBlockSize, 1u);
@@ -476,7 +466,7 @@ TEST(BlockedSolveTest, DivergingStatesPrunedBeforeBlocking) {
   DenseMatrix<Rational> A, Mono;
   SolveMetrics Metrics;
   MonolithicStats MonoStats;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A, {}, &Metrics));
+  ASSERT_TRUE(solveAbsorptionExact(Chain, A, &Metrics));
   ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
   EXPECT_EQ(Metrics.NumBlocks, 0u);
   EXPECT_EQ(Metrics.NumSolved, 0u);
@@ -501,14 +491,12 @@ TEST(AbsorbingTest, LongChainDirectSolver) {
 //===----------------------------------------------------------------------===//
 
 /// The multi-prime engine must reproduce the Rational engine's answers
-/// exactly — with blocks solved serially and on a pool — while reporting
-/// its prime and reconstruction metrics consistently and independently of
-/// the schedule.
+/// exactly while reporting its prime and reconstruction metrics
+/// consistently.
 class ModularSolveProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ModularSolveProperty, ModularEqualsExact) {
   std::mt19937_64 Rng(GetParam());
-  ThreadPool Pool(4);
   for (int Round = 0; Round < 25; ++Round) {
     AbsorbingChain Chain = randomChain(Rng);
     std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
@@ -516,30 +504,17 @@ TEST_P(ModularSolveProperty, ModularEqualsExact) {
     DenseMatrix<Rational> Exact;
     ASSERT_TRUE(solveAbsorptionExact(Chain, Exact));
 
-    SolveMetrics Serial;
-    for (ThreadPool *Engine : {static_cast<ThreadPool *>(nullptr), &Pool}) {
-      SolverStructure Structure;
-      Structure.Pool = Engine;
-      DenseMatrix<Rational> Modular;
-      SolveMetrics Metrics;
-      ASSERT_TRUE(solveAbsorptionModular(Chain, Modular, Structure, &Metrics));
-      expectMetricsConsistent(Metrics);
-      for (std::size_t R = 0; R < NT; ++R)
-        for (std::size_t C = 0; C < NA; ++C)
-          EXPECT_EQ(Modular.at(R, C), Exact.at(R, C)) << R << "," << C;
-      if (Metrics.NumSolved > 0) {
-        EXPECT_GE(Metrics.NumPrimes, 1u);
-        EXPECT_GT(Metrics.ReconstructionBits, 0u);
-        EXPECT_EQ(Metrics.ModularFallbacks, 0u);
-      }
-      if (!Engine) {
-        Serial = Metrics;
-        continue;
-      }
-      EXPECT_EQ(Metrics.NumPrimes, Serial.NumPrimes);
-      EXPECT_EQ(Metrics.RetriedPrimes, Serial.RetriedPrimes);
-      EXPECT_EQ(Metrics.ReconstructionBits, Serial.ReconstructionBits);
-      EXPECT_EQ(Metrics.EliminationOps, Serial.EliminationOps);
+    DenseMatrix<Rational> Modular;
+    SolveMetrics Metrics;
+    ASSERT_TRUE(solveAbsorptionModular(Chain, Modular, {}, &Metrics));
+    expectMetricsConsistent(Metrics);
+    for (std::size_t R = 0; R < NT; ++R)
+      for (std::size_t C = 0; C < NA; ++C)
+        EXPECT_EQ(Modular.at(R, C), Exact.at(R, C)) << R << "," << C;
+    if (Metrics.NumSolved > 0) {
+      EXPECT_GE(Metrics.NumPrimes, 1u);
+      EXPECT_GT(Metrics.ReconstructionBits, 0u);
+      EXPECT_EQ(Metrics.ModularFallbacks, 0u);
     }
   }
 }

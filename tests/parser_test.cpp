@@ -487,6 +487,16 @@ TEST_F(ParserTest, ProbabilityLiteralsAreCanonical) {
             "1:12: choice probability must lie in [0, 1], got 3/2");
 }
 
+TEST_F(ParserTest, OverLongDecimalProbabilityIsADiagnostic) {
+  // 10^digits would pass BigInt::pow's bit cap (4 bits per digit) and
+  // abort the process; past MaxPowBits / 4 digits after the point the
+  // literal is a parse error at its first digit instead.
+  std::string Zeros(1100000, '0');
+  EXPECT_EQ(parseError("pt:=1 +[0." + Zeros + "1] pt:=2"),
+            "1:9: decimal probability has 1100001 digits after the point "
+            "(the limit is 1048576)");
+}
+
 TEST_F(ParserTest, FullFieldTableIsADiagnostic) {
   // The table holds MaxFields names; a program that fills it parses.
   std::string Program;

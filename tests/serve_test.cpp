@@ -792,6 +792,29 @@ TEST(Session, TooManyFieldNamesIsAParseErrorNotAnAbort) {
   EXPECT_TRUE(okOf(R)) << R.dump();
 }
 
+TEST(Session, OverLongDecimalProbabilityIsAParseErrorNotAnAbort) {
+  // A decimal literal whose scale 10^digits passes BigInt::pow's bit cap
+  // must be a parse error, not a fatalError that would take every session
+  // down.
+  std::string Program =
+      "pt:=1 +[0." + std::string(1100000, '0') + "1] pt:=2";
+  auto Svc = serve::Service::create({}, nullptr);
+  ASSERT_TRUE(Svc);
+  serve::Session S(*Svc);
+  serve::Json R = roundTrip(S, "{\"verb\":\"compile\",\"program\":\"" +
+                                   Program + "\"}");
+  EXPECT_FALSE(okOf(R));
+  ASSERT_NE(R.find("error"), nullptr);
+  EXPECT_EQ(R.find("error")->asString(),
+            "1:9: decimal probability has 1100001 digits after the point "
+            "(the limit is 1048576)");
+  // The session answers the next request.
+  R = roundTrip(S, "{\"verb\":\"query\",\"query\":\"delivery\","
+                   "\"program\":\"sw:=1\","
+                   "\"inputs\":[{\"sw\":5}]}");
+  EXPECT_TRUE(okOf(R)) << R.dump();
+}
+
 TEST(Session, DeepChainsAnswerOnASessionThread) {
   // A 200k-element `sw=1 ; pt:=0 ; sw=1 ; pt:=1 ; …` chain parses to a
   // 200k-deep `;` spine. Every pass these verbs run over socket input
@@ -930,7 +953,6 @@ TEST(Service, ConcurrentSessionsShareOneCacheAndStore) {
   std::string Path = tempPath("concurrent");
   serve::Service::Options Opts;
   Opts.StorePath = Path;
-  Opts.Threads = 1; // Sessions provide the concurrency here.
   std::string Error;
   auto Svc = serve::Service::create(Opts, &Error);
   ASSERT_TRUE(Svc) << Error;
@@ -976,17 +998,14 @@ TEST(Service, ConcurrentSessionsShareOneCacheAndStore) {
 }
 
 TEST(Service, ConcurrentSessionsSharePooledBlockSolves) {
-  // Every session verifier hands its loop solves to the service pool, the
-  // one -j sizes: concurrent sessions schedule SCC block tasks (and, on
-  // modular-exact, prime tasks) on one engine — the TSan target for the
-  // pool under serving. Each request's program is distinct, so no solve
-  // is answered from the shared compile cache.
-  serve::Service::Options Opts;
-  Opts.Threads = 2;
+  // Concurrent sessions each run serial exact and modular-exact loop
+  // solves on their own thread; the modular ones share the lazily
+  // extended prime table (the TSan target under serving). Each request's
+  // program is distinct, so no solve is answered from the shared compile
+  // cache.
   std::string Error;
-  auto Svc = serve::Service::create(Opts, &Error);
+  auto Svc = serve::Service::create({}, &Error);
   ASSERT_TRUE(Svc) << Error;
-  ASSERT_NE(Svc->pool(), nullptr);
 
   constexpr unsigned NumThreads = 4;
   constexpr unsigned Rounds = 4;
@@ -1046,9 +1065,7 @@ TEST(Service, ConcurrentSessionsShareTheFrontEndMemo) {
       Want.push_back(S.handleLine(Line));
   }
 
-  serve::Service::Options Opts;
-  Opts.Threads = 1; // Sessions provide the concurrency here.
-  auto Svc = serve::Service::create(Opts, nullptr);
+  auto Svc = serve::Service::create({}, nullptr);
   ASSERT_TRUE(Svc);
   constexpr unsigned NumThreads = 4;
   constexpr unsigned Rounds = 5;
