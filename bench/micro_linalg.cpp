@@ -3,7 +3,8 @@
 /// \file
 /// Microbenchmarks for the linear-algebra substrate: sparse LU (the
 /// UMFPACK stand-in), Neumann iteration, and the exact absorbing-chain
-/// solver — the engines behind Theorem 4.7's closed form.
+/// solver with its two block kernels — the engines behind Theorem 4.7's
+/// closed form.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -61,6 +62,29 @@ markov::AbsorbingChain birthDeath(std::size_t N) {
   return Chain;
 }
 
+/// The dense-block family: N states in one strongly connected block,
+/// each with a ring edge and 3 random edges of weight k/(2^Bits - 1), the
+/// rest of its mass draining to one of two absorbing states.
+markov::AbsorbingChain denseBlock(std::size_t N, unsigned Bits) {
+  std::mt19937_64 Rng(N * 64 + Bits);
+  const int64_t Den = (int64_t(1) << Bits) - 1;
+  std::uniform_int_distribution<int64_t> Weight(1, Den / 8);
+  std::uniform_int_distribution<std::size_t> Target(0, N - 1);
+  markov::AbsorbingChain Chain;
+  Chain.NumTransient = N;
+  Chain.NumAbsorbing = 2;
+  for (std::size_t S = 0; S < N; ++S) {
+    Rational Drain(1);
+    for (std::size_t T : {(S + 1) % N, Target(Rng), Target(Rng), Target(Rng)}) {
+      Rational W(Weight(Rng), Den);
+      Drain -= W;
+      Chain.QEntries.push_back({S, T, std::move(W)});
+    }
+    Chain.REntries.push_back({S, S % 2, std::move(Drain)});
+  }
+  return Chain;
+}
+
 } // namespace
 
 static void BM_SparseLUFactor(benchmark::State &State) {
@@ -114,17 +138,38 @@ static void BM_AbsorbingExact(benchmark::State &State) {
 }
 BENCHMARK(BM_AbsorbingExact)->Arg(32)->Arg(128);
 
-static void BM_AbsorbingModular(benchmark::State &State) {
-  // Counterpart of BM_AbsorbingExact: the multi-prime engine on the same
-  // chains (mod-p elimination + CRT + verified rational reconstruction).
+static void BM_AbsorbingDenseBlock(benchmark::State &State) {
+  // One strongly connected block with fill and 30-bit denominators, on
+  // the exact engine's default per-block kernel choice.
   markov::AbsorbingChain Chain =
-      birthDeath(static_cast<std::size_t>(State.range(0)));
+      denseBlock(static_cast<std::size_t>(State.range(0)), 30);
   for (auto _ : State) {
     linalg::DenseMatrix<Rational> A;
-    benchmark::DoNotOptimize(markov::solveAbsorptionModular(Chain, A));
+    benchmark::DoNotOptimize(markov::solveAbsorptionExact(Chain, A));
   }
 }
-BENCHMARK(BM_AbsorbingModular)->Arg(32)->Arg(128);
+BENCHMARK(BM_AbsorbingDenseBlock)
+    ->Arg(8)->Arg(12)->Arg(16)->Arg(32)->Arg(64)->Arg(96);
+
+static void BM_DenseBlockKernel(benchmark::State &State) {
+  // The sweep behind markov::ModularMinBlock: one dense block of
+  // range(0) states with range(1)-bit denominators, solved with the
+  // kernel forced to Rational (range(2) == 1) or GF(p) (range(2) == 2).
+  // The threshold is the smallest size from which GF(p) wins at both
+  // widths.
+  markov::AbsorbingChain Chain =
+      denseBlock(static_cast<std::size_t>(State.range(0)),
+                 static_cast<unsigned>(State.range(1)));
+  markov::SolverStructure S;
+  S.Kernel = static_cast<markov::BlockKernel>(State.range(2));
+  for (auto _ : State) {
+    linalg::DenseMatrix<Rational> A;
+    benchmark::DoNotOptimize(
+        markov::solveAbsorptionExact(Chain, A, nullptr, S));
+  }
+}
+BENCHMARK(BM_DenseBlockKernel)
+    ->ArgsProduct({{6, 8, 10, 11, 12, 16}, {8, 30}, {1, 2}});
 
 static void BM_ModSolvePrime(benchmark::State &State) {
   // One prime's share of the modular solve: the I - Q system of the

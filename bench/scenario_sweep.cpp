@@ -19,8 +19,6 @@
 ///   MCNK_SWEEP_TABLE      run the per-scenario table (default 1)
 ///   MCNK_SWEEP_CACHE      run the cache sweep       (default 1)
 ///   MCNK_SWEEP_CACHE_JSON write the cache-sweep trajectory point here
-///   MCNK_SWEEP_MODULAR    run the modular-solver sweep (default 1)
-///   MCNK_SWEEP_MODULAR_JSON write the modular-sweep trajectory point here
 ///   MCNK_SWEEP_SIMPLIFY   run the simplify sweep     (default 1)
 ///   MCNK_SWEEP_SIMPLIFY_JSON write the simplify-sweep trajectory point here
 ///   MCNK_SWEEP_SLICE      run the slice sweep        (default 1)
@@ -37,13 +35,6 @@
 /// must be string-equal as an exact rational, and the sweep reports the
 /// wall-clock and FDD-node deltas — the hop-counting families are where
 /// the cone of influence sheds the counter field and the diagram shrinks.
-///
-/// The *modular sweep* recompiles every registry scenario with the
-/// multi-prime ModularExact engine (docs/ARCHITECTURE.md S14), enforces
-/// reference equality against the Rational Exact engine, and aggregates
-/// wall time plus the prime / reconstruction counters — the registry-wide
-/// correctness-and-cost picture next to the chain-family showcase in
-/// BENCH_solver_modular.json.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -200,84 +191,6 @@ int main() {
     }
   }
 
-  // --- Modular-solver sweep: Rational Exact vs multi-prime modular ------
-  bool ModularEqual = true;
-  if (envUnsigned("MCNK_SWEEP_MODULAR", 1)) {
-    std::printf("\n=== Modular-solver sweep: Rational Exact vs multi-prime "
-                "ModularExact ===\n\n");
-    std::printf("%-24s %8s %8s %7s %8s %7s %6s\n", "scenario", "exact s",
-                "mod s", "primes", "retried", "bits", "fback");
-    double ExactTotal = 0, ModTotal = 0;
-    std::size_t Primes = 0, Retried = 0, Fallbacks = 0;
-    for (const gen::ScenarioSpec &Spec : gen::buildRegistry(O)) {
-      ast::Context Ctx;
-      gen::Scenario S = Spec.Build(Ctx);
-
-      analysis::Verifier Exact; // Rational Gaussian elimination.
-      WallTimer ExactTimer;
-      fdd::FddRef RE = Exact.compile(S.Program);
-      double ExactSec = ExactTimer.elapsed();
-
-      analysis::Verifier Mod(markov::SolverKind::ModularExact);
-      WallTimer ModTimer;
-      fdd::FddRef RM = Mod.compile(S.Program);
-      double ModSec = ModTimer.elapsed();
-      const fdd::LoopSolveStats &MS = Mod.manager().lastLoopStats();
-
-      if (fdd::importFdd(Exact.manager(), fdd::exportFdd(Mod.manager(), RM)) !=
-          RE) {
-        ModularEqual = false;
-        std::fprintf(stderr,
-                     "MISMATCH: modular compile of %s is not "
-                     "reference-equal to the Rational Exact engine\n",
-                     S.Name.c_str());
-      }
-      ExactTotal += ExactSec;
-      ModTotal += ModSec;
-      Primes += MS.NumPrimes;
-      Retried += MS.RetriedPrimes;
-      Fallbacks += MS.ModularFallbacks;
-      std::printf("%-24s %8.3f %8.3f %7zu %8zu %7zu %6zu\n", S.Name.c_str(),
-                  ExactSec, ModSec, MS.NumPrimes, MS.RetriedPrimes,
-                  MS.ReconstructionBits, MS.ModularFallbacks);
-      std::fflush(stdout);
-    }
-    std::printf("totals: exact %.3f s, modular %.3f s, %zu primes / %zu "
-                "retried / %zu fallbacks; %s\n",
-                ExactTotal, ModTotal, Primes, Retried, Fallbacks,
-                ModularEqual ? "all scenarios reference-equal"
-                             : "MISMATCH (see stderr)");
-
-    if (const char *Path = std::getenv("MCNK_SWEEP_MODULAR_JSON");
-        Path && *Path) {
-      if (std::FILE *F = std::fopen(Path, "w")) {
-        std::fprintf(F,
-                     "{\n"
-                     "  \"name\": \"scenario_sweep_modular\",\n"
-                     "  \"model\": \"scenario registry (ring max N%u)\",\n"
-                     "  \"engine\": \"mod-p elimination + CRT / verified "
-                     "rational reconstruction (ARCHITECTURE S14)\",\n",
-                     RingN);
-        writeRunInfo(F, 1);
-        std::fprintf(F,
-                     "  \"reference_equal\": %s,\n"
-                     "  \"exact_seconds\": %.6f,\n"
-                     "  \"modular_seconds\": %.6f,\n"
-                     "  \"num_primes\": %zu,\n"
-                     "  \"retried_primes\": %zu,\n"
-                     "  \"fallbacks\": %zu\n"
-                     "}\n",
-                     ModularEqual ? "true" : "false", ExactTotal,
-                     ModTotal, Primes, Retried, Fallbacks);
-        std::fclose(F);
-        std::printf("wrote %s\n", Path);
-      } else {
-        std::fprintf(stderr, "error: cannot write %s\n", Path);
-        return 1;
-      }
-    }
-  }
-
   // --- Slice sweep: plain Exact vs delivery-sliced Exact (S17) ----------
   bool SliceEqual = true;
   if (envUnsigned("MCNK_SWEEP_SLICE", 1)) {
@@ -379,7 +292,7 @@ int main() {
   }
 
   if (!envUnsigned("MCNK_SWEEP_CACHE", 1))
-    return ModularEqual && SliceEqual ? 0 : 1;
+    return SliceEqual ? 0 : 1;
 
   // --- Cache sweep: cold engine vs shared compile cache -----------------
   std::vector<SweepMember> Members = buildSweepMembers(O);
@@ -511,8 +424,5 @@ int main() {
       }
     }
   }
-  return AllEqual && ModularEqual && SimplifyEqual &&
-                 SliceEqual
-             ? 0
-             : 1;
+  return AllEqual && SimplifyEqual && SliceEqual ? 0 : 1;
 }

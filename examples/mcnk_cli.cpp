@@ -38,17 +38,12 @@
 /// subcommands; an engine crash aborts with SIGABRT).
 ///
 /// Compilation and loop solves run serially on the calling thread. Any
-/// single-dash argument other than "-" (stdin) is an unknown option: a
-/// usage error, exit 2. The global option --cache enables the
-/// cross-compile memoization cache (ARCHITECTURE S12) on every verifier
-/// the command builds and prints the hit/miss statistics on exit. The
-/// global option --modular
-/// switches loop solves to the multi-prime modular exact engine
-/// (ARCHITECTURE S14): elimination runs over word-size prime fields and
-/// the exact rationals are recovered by CRT + verified rational
-/// reconstruction; the answers are identical to the default engine, and
-/// the per-solve prime statistics are printed. The global
-/// option --simplify runs the verified S15 simplifier over every program
+/// single-dash argument other than "-" (stdin), and any other dash
+/// argument outside fuzz and lint, is an unknown option: a usage error,
+/// exit 2. The global option --cache enables the cross-compile
+/// memoization cache (ARCHITECTURE S12) on every verifier the command
+/// builds and prints the hit/miss statistics on exit. The global option
+/// --simplify runs the verified S15 simplifier over every program
 /// before compiling it (semantics-preserving: the diagrams are
 /// reference-identical, a contract the oracle enforces). The global
 /// option --slice runs S17 query-directed cone-of-influence slicing
@@ -154,23 +149,18 @@ bool parseInputPacket(const std::string &Spec, ast::Context &Ctx,
 
 int usage() {
   std::fprintf(stderr,
-               "usage: mcnk [--cache] [--modular] "
-               "[--simplify] [--slice] check|dump <file.pnk>\n"
+               "usage: mcnk [--cache] [--simplify] [--slice] "
+               "check|dump <file.pnk>\n"
                "       mcnk lint [--fix] [--json] <file.pnk>\n"
                "       mcnk lint [--json] --registry\n"
-               "       mcnk [--cache] [--modular] "
-               "[--simplify] [--slice] run|prism <file.pnk> f=v[,g=w...]\n"
-               "       mcnk [--cache] [--modular] "
-               "[--simplify] [--slice] equiv <a.pnk> <b.pnk>\n"
+               "       mcnk [--cache] [--simplify] [--slice] "
+               "run|prism <file.pnk> f=v[,g=w...]\n"
+               "       mcnk [--cache] [--simplify] [--slice] "
+               "equiv <a.pnk> <b.pnk>\n"
                "       mcnk [--cache] fuzz [--seed N] [--iters N] "
                "[--no-scenarios]\n"
                "  --cache   enable the cross-compile memoization cache and "
                "print its stats\n"
-               "  --modular solve loops with the multi-prime modular exact "
-               "engine (mod-p\n"
-               "            elimination + CRT/rational reconstruction; "
-               "same exact answers)\n"
-               "            and print prime stats\n"
                "  --simplify run the verified S15 simplifier over every\n"
                "            program before compiling (same diagrams,\n"
                "            enforced by the oracle)\n"
@@ -190,17 +180,6 @@ int usage() {
                "            registry; exit 3 on any disagreement (2 on\n"
                "            usage errors), printing the reproducing seed\n");
   return 2;
-}
-
-/// Prints the last loop's modular-solver statistics (the --modular
-/// report). Silent when the program solved no loop.
-void printModularStats(const fdd::LoopSolveStats &LS) {
-  if (LS.NumStates == 0)
-    return;
-  std::printf("modular: %zu prime(s), %zu retried, %zu reconstruction "
-              "bits, %zu fallback(s)\n",
-              LS.NumPrimes, LS.RetriedPrimes, LS.ReconstructionBits,
-              LS.ModularFallbacks);
 }
 
 /// Prints one line of cache statistics (the --cache report).
@@ -425,7 +404,6 @@ int runFuzz(const std::vector<std::string> &Args, bool UseCache) {
 int main(int Argc, char **Argv) {
   // Strip the global options wherever they appear.
   bool UseCache = false;
-  bool Modular = false;
   bool Simplify = false;
   bool Slice = false;
   std::vector<std::string> Args;
@@ -433,10 +411,6 @@ int main(int Argc, char **Argv) {
     std::string Arg = Argv[I];
     if (Arg == "--cache") {
       UseCache = true;
-      continue;
-    }
-    if (Arg == "--modular") {
-      Modular = true;
       continue;
     }
     if (Arg == "--simplify") {
@@ -460,6 +434,11 @@ int main(int Argc, char **Argv) {
     return runFuzz(Args, UseCache);
   if (Command == "lint")
     return runLint(Args);
+  for (const std::string &Arg : Args)
+    if (Arg.size() > 1 && Arg[0] == '-') {
+      std::fprintf(stderr, "error: unknown option '%s'\n", Arg.c_str());
+      return usage();
+    }
   if (Args.size() < 2)
     return usage();
   ast::Context Ctx;
@@ -489,8 +468,7 @@ int main(int Argc, char **Argv) {
   };
 
   if (Command == "dump") {
-    analysis::Verifier V(Modular ? markov::SolverKind::ModularExact
-                                 : markov::SolverKind::Exact);
+    analysis::Verifier V;
     if (UseCache)
       V.enableCompileCache();
     if (Slice)
@@ -508,8 +486,6 @@ int main(int Argc, char **Argv) {
                   S.AssignmentsRemoved, S.NodesBefore, S.NodesAfter,
                   S.FieldsRelevant, S.FieldsBefore);
     }
-    if (Modular)
-      printModularStats(V.manager().lastLoopStats());
     if (UseCache)
       printCacheStats(*V.compileCache());
     return 0;
@@ -523,8 +499,7 @@ int main(int Argc, char **Argv) {
       return 1;
     // One verifier — and thus one compile cache — serves both compiles,
     // so shared sub-programs of the two inputs are compiled once.
-    analysis::Verifier V(Modular ? markov::SolverKind::ModularExact
-                                 : markov::SolverKind::Exact);
+    analysis::Verifier V;
     if (UseCache)
       V.enableCompileCache();
     if (Slice)
@@ -554,8 +529,7 @@ int main(int Argc, char **Argv) {
                   T.DropGuard.c_str());
       return 0;
     }
-    analysis::Verifier V(Modular ? markov::SolverKind::ModularExact
-                                 : markov::SolverKind::Exact);
+    analysis::Verifier V;
     if (UseCache)
       V.enableCompileCache();
     if (Slice)
@@ -573,8 +547,6 @@ int main(int Argc, char **Argv) {
     }
     if (!Out.Dropped.isZero())
       std::printf("drop @ %s\n", Out.Dropped.toString().c_str());
-    if (Modular)
-      printModularStats(V.manager().lastLoopStats());
     if (UseCache)
       printCacheStats(*V.compileCache());
     return 0;

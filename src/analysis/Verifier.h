@@ -48,9 +48,10 @@ public:
 
   fdd::FddManager &manager() { return Manager; }
 
-  /// Solver structure for while-loop solves (the modular engine's knobs;
-  /// docs/ARCHITECTURE.md S13). Forwards to the manager and applies to
-  /// every subsequent compile.
+  /// The exact engine's test-only kernel knobs for while-loop solves
+  /// (markov::SolverStructure). Forwards to the manager and applies to
+  /// every subsequent compile; a cache-backed verifier still answers hits
+  /// from its compile cache, whatever kernel filled it.
   void setSolverStructure(const markov::SolverStructure &S) {
     Manager.setSolverStructure(S);
   }

@@ -182,7 +182,7 @@ bool fdd::decodeCacheRecord(const uint8_t *Data, std::size_t Size,
       !R.takeU8(Solver, "solver") || !R.takeU32(Out.Diagram.Root, "root") ||
       !R.takeU32(NumNodes, "node count"))
     return false;
-  if (Solver > static_cast<uint8_t>(markov::SolverKind::ModularExact))
+  if (Solver > static_cast<uint8_t>(markov::SolverKind::Iterative))
     return R.fail("solver kind");
   Out.Solver = static_cast<markov::SolverKind>(Solver);
   // Every node costs at least the 1-byte tag.
@@ -376,7 +376,7 @@ std::unique_ptr<CacheStore> CacheStore::open(const std::string &Path,
   std::size_t Pos = HeaderBytes;
   std::size_t GoodEnd = Pos;
   // Newest record per key wins; remember the slot to overwrite.
-  std::unordered_map<ast::ProgramHash, std::array<int64_t, 4>,
+  std::unordered_map<ast::ProgramHash, std::array<int64_t, 3>,
                      ast::ProgramHashHasher>
       Slot;
   while (Pos < Bytes.size()) {
@@ -501,7 +501,7 @@ bool CacheStore::compact(std::string *Error) {
     std::size_t Offset;
     std::size_t Size;
   };
-  std::unordered_map<ast::ProgramHash, std::array<int64_t, 4>,
+  std::unordered_map<ast::ProgramHash, std::array<int64_t, 3>,
                      ast::ProgramHashHasher>
       Newest;
   std::vector<std::pair<ast::ProgramHash, uint8_t>> Order;

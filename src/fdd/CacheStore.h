@@ -120,7 +120,10 @@ public:
   const std::string &path() const { return Path; }
 
   /// The store format version written and required by this build.
-  static constexpr uint32_t FormatVersion = 1;
+  /// Version 2 dropped solver byte 3 (the former modular engine), so a
+  /// version-1 store is refused at open rather than truncated at its
+  /// first such record.
+  static constexpr uint32_t FormatVersion = 2;
 
 private:
   CacheStore(std::string P, Options O) : Path(std::move(P)), Opts(O) {}
@@ -135,8 +138,8 @@ private:
   /// by warm()/discardLoaded().
   std::vector<CacheRecord> Loaded;
   /// Per-(fingerprint, solver) record counts in the file — the dead-record
-  /// accounting behind maybeCompact(). Indexed by solver kind (4 kinds).
-  std::unordered_map<ast::ProgramHash, std::array<uint32_t, 4>,
+  /// accounting behind maybeCompact(). Indexed by solver kind (3 kinds).
+  std::unordered_map<ast::ProgramHash, std::array<uint32_t, 3>,
                      ast::ProgramHashHasher>
       FileKeys;
   std::size_t TotalRecords = 0;

@@ -57,14 +57,14 @@ struct LoopSolveStats {
   std::size_t MaxBlockSize = 0; ///< Largest block's state count.
   std::size_t EliminationOps = 0; ///< Multiply-subtract operations.
   std::size_t FillIn = 0;         ///< Entries created by elimination.
-  /// ModularExact only (zero for the other engines): accepted primes,
-  /// unlucky primes discarded, and the accepted reconstruction's
-  /// prime-product bit length, all over the whole system. See
-  /// docs/ARCHITECTURE.md S14.
+  /// The exact engine's GF(p) blocks only (zero elsewhere; see
+  /// docs/ARCHITECTURE.md S14): accepted and unlucky primes summed over
+  /// the blocks, the widest block reconstruction's prime-product bit
+  /// length, and the number of blocks that fell back to Rational.
   std::size_t NumPrimes = 0;
   std::size_t RetriedPrimes = 0;
   std::size_t ReconstructionBits = 0;
-  std::size_t ModularFallbacks = 0; ///< 1 if the solve fell back to Rational.
+  std::size_t ModularFallbacks = 0;
   std::vector<markov::BlockMetrics> Blocks; ///< Per-block breakdown.
 };
 
@@ -93,10 +93,9 @@ public:
 
   markov::SolverKind solverKind() const { return Solver; }
 
-  /// The solver structure (the modular engine's knobs;
-  /// docs/ARCHITECTURE.md S13) used by subsequent solveLoop calls.
-  /// Orthogonal to solverKind; loops already in the loop cache are
-  /// returned as cached.
+  /// The exact engine's test-only kernel knobs (markov::SolverStructure)
+  /// used by subsequent solveLoop calls. Loops already in the loop cache
+  /// are returned as cached.
   void setSolverStructure(const markov::SolverStructure &S) {
     Structure = S;
   }

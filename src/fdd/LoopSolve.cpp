@@ -311,18 +311,10 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
   };
   std::vector<SolvedRow> Solved(NumTransient);
   markov::SolveMetrics Metrics;
-  if (Solver == markov::SolverKind::Exact ||
-      Solver == markov::SolverKind::ModularExact) {
-    // ModularExact is exact-valued like the Rational engine (mod-p solves
-    // + CRT/rational reconstruction, verified, with Rational fallback), so
-    // no boundary clamping applies to either.
+  if (Solver == markov::SolverKind::Exact) {
     linalg::DenseMatrix<Rational> Absorption(NumTransient,
                                              Chain.NumAbsorbing);
-    bool Ok = Solver == markov::SolverKind::Exact
-                  ? markov::solveAbsorptionExact(Chain, Absorption, &Metrics)
-                  : markov::solveAbsorptionModular(Chain, Absorption,
-                                                   Structure, &Metrics);
-    if (!Ok)
+    if (!markov::solveAbsorptionExact(Chain, Absorption, &Metrics, Structure))
       fatalError("absorbing-chain solve failed (malformed chain)");
     for (std::size_t R = 0; R < NumTransient; ++R) {
       SolvedRow &Row = Solved[R];

@@ -166,6 +166,8 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     ExactVerifier = OwnedExact.get();
   }
   analysis::Verifier &VExact = *ExactVerifier;
+  markov::SolverStructure ForcedModular;
+  ForcedModular.Kernel = markov::BlockKernel::Modular;
   analysis::Verifier VDirect(markov::SolverKind::Direct);
   analysis::Verifier VIter(markov::SolverKind::Iterative);
   fdd::FddRef E = VExact.compile(Program);
@@ -311,11 +313,12 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
 
     fdd::PortableFdd Sliced = fdd::exportFdd(VS.manager(), SE);
     if (O.CheckModular) {
-      analysis::Verifier VM(markov::SolverKind::ModularExact);
+      analysis::Verifier VM(markov::SolverKind::Exact);
+      VM.setSolverStructure(ForcedModular);
       VM.setSlice(&Ctx, ast::ObservationSet::delivery());
       C.check(fdd::importFdd(VM.manager(), Sliced) == VM.compile(Program),
-              "sliced modular compile is not reference-equal to the "
-              "sliced Rational exact compile");
+              "sliced GF(p)-kernel compile is not reference-equal to the "
+              "sliced exact compile");
     }
     if (O.CheckCompileCache) {
       std::unique_ptr<fdd::CompileCache> Local;
@@ -364,39 +367,45 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
     CheckStatSums(VIter.manager().lastLoopStats(), "iterative");
   }
 
-  // --- Modular exact solver cross-checks (ARCHITECTURE S14) -------------
-  // The multi-prime engine recovers the same unique rational solution as
+  // --- Block-kernel cross-checks (ARCHITECTURE S14) ---------------------
+  // The GF(p) kernel recovers the same unique rational solution as
   // Rational elimination (every reconstruction is re-verified against
   // fresh primes, with a Rational fallback when the prime budget runs
-  // out), so it is held to strict reference equality in EVERY
-  // configuration: uncached, and cache-backed cold and hit paths.
+  // out), so each kernel forced on every block is held to strict
+  // reference equality with the default per-block choice: GF(p)
+  // uncached, cold and on the hit path of a fresh cache (exact entries
+  // share one cache key, so a shared cache would hit and never run the
+  // kernel), and Rational uncached.
   if (O.CheckModular) {
-    fdd::PortableFdd Mono = fdd::exportFdd(VExact.manager(), E);
+    fdd::PortableFdd Auto = fdd::exportFdd(VExact.manager(), E);
 
-    analysis::Verifier VM(markov::SolverKind::ModularExact);
+    analysis::Verifier VM(markov::SolverKind::Exact);
+    VM.setSolverStructure(ForcedModular);
     fdd::FddRef M = VM.compile(Program);
-    C.check(fdd::importFdd(VM.manager(), Mono) == M,
-            "modular compile is not reference-equal to the Rational "
-            "exact engine");
+    C.check(fdd::importFdd(VM.manager(), Auto) == M,
+            "GF(p)-kernel compile is not reference-equal to the exact "
+            "engine");
     CheckStatSums(VM.manager().lastLoopStats(), "modular");
 
-    {
-      std::unique_ptr<fdd::CompileCache> Local;
-      fdd::CompileCache *Cache = O.Cache;
-      if (!Cache) {
-        Local = std::make_unique<fdd::CompileCache>();
-        Cache = Local.get();
-      }
-      analysis::Verifier VMC(markov::SolverKind::ModularExact);
-      VMC.setCompileCache(Cache);
-      fdd::FddRef Cold = VMC.compile(Program);
-      C.check(fdd::importFdd(VMC.manager(), Mono) == Cold,
-              "modular cached cold compile is not reference-equal to the "
-              "Rational exact engine");
-      C.check(VMC.compile(Program) == Cold,
-              "modular cache-hit recompile differs from the cold cached "
-              "compile");
-    }
+    fdd::CompileCache Fresh;
+    analysis::Verifier VMC(markov::SolverKind::Exact);
+    VMC.setSolverStructure(ForcedModular);
+    VMC.setCompileCache(&Fresh);
+    fdd::FddRef Cold = VMC.compile(Program);
+    C.check(fdd::importFdd(VMC.manager(), Auto) == Cold,
+            "GF(p)-kernel cached cold compile is not reference-equal to "
+            "the exact engine");
+    C.check(VMC.compile(Program) == Cold,
+            "GF(p)-kernel cache-hit recompile differs from the cold cached "
+            "compile");
+
+    markov::SolverStructure ForcedRational;
+    ForcedRational.Kernel = markov::BlockKernel::Rational;
+    analysis::Verifier VR(markov::SolverKind::Exact);
+    VR.setSolverStructure(ForcedRational);
+    C.check(fdd::importFdd(VR.manager(), Auto) == VR.compile(Program),
+            "Rational-kernel compile is not reference-equal to the exact "
+            "engine");
   }
 
   // --- Compile-cache and GC cross-checks (ARCHITECTURE S12) -------------

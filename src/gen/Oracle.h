@@ -3,8 +3,8 @@
 /// \file
 /// The cross-engine differential oracle: compiles a guarded program (or a
 /// registry scenario) under every backend the repository implements —
-/// native FDD with the Exact / Direct(float) / Iterative / ModularExact
-/// solvers; the prismlite pipeline (translate + explicit-state check);
+/// native FDD with the Exact (each block kernel forced in turn) /
+/// Direct(float) / Iterative solvers; the prismlite pipeline (translate + explicit-state check);
 /// the exhaustive path-enumeration baseline; and, for tiny
 /// programs, the reference set semantics — then cross-checks delivery
 /// probabilities, full output distributions, equivalence/refinement
@@ -65,9 +65,11 @@ struct OracleOptions {
   /// (docs/ARCHITECTURE.md S13): every engine's per-block LoopSolveStats
   /// must sum to its totals.
   bool CheckBlocked = true;
-  /// Cross-check the multi-prime modular exact solver (docs/ARCHITECTURE.md
-  /// S14): ModularExact compiles — uncached, and cache-backed cold/hit —
-  /// must all be reference-equal to the Rational exact engine's diagram;
+  /// Cross-check the exact engine's two block kernels
+  /// (docs/ARCHITECTURE.md S14): compiles with the GF(p) kernel forced on
+  /// every block — uncached, cache-backed cold/hit on a fresh cache, and
+  /// sliced — and one with Rational elimination forced must all be
+  /// reference-equal to the default (per-block choice) diagram;
   /// reconstruction is verified, never trusted.
   bool CheckModular = true;
   /// Cross-check the serving layer (docs/ARCHITECTURE.md S16): an
@@ -87,7 +89,7 @@ struct OracleOptions {
   /// diagram after projecting out-of-cone modifications away (out-of-cone
   /// tests whose projected children still differ are kept, so a missed
   /// dependency fails loudly); per-input delivery probabilities must be
-  /// string-equal; the sliced modular and cached engines must reproduce
+  /// string-equal; the sliced GF(p)-forced and cached engines must reproduce
   /// the sliced Rational diagram; the all-fields slice must
   /// not change the compiled diagram at all; and slicing must be
   /// idempotent. Scenarios additionally pin the sliced average

@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Mod-p elimination kernels for the modular exact solver
+/// Mod-p elimination kernels for the exact engine's GF(p) block kernel
 /// (docs/ARCHITECTURE.md S14). Everything here operates on Montgomery-form
 /// residues of a support/ModArith.h PrimeField: one uint64 word per value,
 /// no allocation in the inner loops. Two kernels are provided behind one

@@ -1,9 +1,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Chain pruning, the per-block kernels of the exact and Direct engines,
-/// and the stochasticity check. The block pipeline that drives the
-/// kernels lives in BlockSolve.cpp, the modular engine's prime loop in
+/// Chain pruning, the Rational and LU block kernels, and the
+/// stochasticity check. The block pipeline that drives the kernels lives
+/// in BlockSolve.cpp, the exact engine's GF(p) block kernel in
 /// ModularSolve.cpp.
 ///
 //===----------------------------------------------------------------------===//

@@ -4,19 +4,19 @@
 /// Absorbing Markov chain analysis (paper §4). Given the transient-to-
 /// transient block Q and transient-to-absorbing block R of an absorbing
 /// chain, computes the absorption probabilities A = (I - Q)^{-1} R
-/// (Equation 2 / Theorem 4.7). Four engines share one pipeline
+/// (Equation 2 / Theorem 4.7). Three engines share one pipeline
 /// (docs/ARCHITECTURE.md S13): prune states that cannot reach absorption,
 /// decompose the rest into strongly connected blocks, and solve the
 /// blocks one at a time on the caller's thread, in reverse topological
 /// order of the condensation DAG — absorption out of a block depends only
 /// on already solved downstream blocks. Only the per-block kernel depends
-/// on the scalar field:
-///   - exact:     sparse Gauss-Jordan elimination over Rational
+/// on the engine:
+///   - exact:     sparse Gauss-Jordan elimination over Rational on blocks
+///                below ModularMinBlock states, the multi-prime GF(p)
+///                kernel with CRT and verified rational reconstruction on
+///                larger ones (docs/ARCHITECTURE.md S14)
 ///   - direct:    sparse LU over double (the paper's UMFPACK configuration)
 ///   - iterative: Neumann-series iteration over double (PRISM-style approx)
-///   - modular:   the GF(p) instance of the same pipeline per prime, with
-///                CRT and rational reconstruction over the whole solution
-///                (docs/ARCHITECTURE.md S14)
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,41 +53,46 @@ struct AbsorbingChain {
 
 /// Solver selection for absorption probabilities.
 enum class SolverKind {
-  Exact,     ///< Rational Gaussian elimination; no rounding anywhere.
+  Exact,     ///< Exact rationals; no rounding anywhere (per-block kernel
+             ///< choice below, docs/ARCHITECTURE.md S13/S14).
   Direct,    ///< Sparse LU over double (paper's native configuration).
   Iterative, ///< Neumann iteration over double.
-  ModularExact, ///< Multi-prime mod-p elimination + CRT/rational
-                ///< reconstruction; exact, reference-equal to Exact
-                ///< (docs/ARCHITECTURE.md S14).
+  /// Alias of Exact, kept only because e2ebench/src/Workloads.cpp and
+  /// e2ebench/src/Harness.cpp still name it.
+  ModularExact = Exact,
 };
 
-/// Knobs of the multi-prime modular engine (SolverKind::ModularExact).
-/// The defaults handle every well-formed chain; tests shrink MaxPrimes to
-/// force the Rational fallback and shift FirstPrimeIndex to replay an
-/// unlucky-prime walk from a printed seed.
-struct ModularOptions {
-  /// Prime budget: once this many primes have been accepted without a
-  /// verified reconstruction, the solve falls back to the Rational
-  /// kernel (recorded in SolveMetrics::ModularFallbacks). The modulus
-  /// only ever grows to just past the largest answer (attempts confirm
-  /// entries incrementally), so the default is a runaway guard — ~250k
-  /// bits of answer — not a tuning knob.
-  std::size_t MaxPrimes = 4096;
-  /// Fresh primes the reconstructed solution is re-verified against (the
-  /// full system solved mod each, compared entry for entry) before being
-  /// accepted.
-  std::size_t CheckPrimes = 2;
-  /// Index into the deterministic modPrime() table where this solve
-  /// starts drawing primes.
-  std::size_t FirstPrimeIndex = 0;
+/// Which kernel the exact engine runs on a block with in-block entries.
+enum class BlockKernel {
+  Auto,     ///< GF(p) from ModularMinBlock states up, Rational below.
+  Rational, ///< Sparse Gauss-Jordan over Rational on every block.
+  Modular,  ///< The multi-prime GF(p) kernel on every block.
 };
 
-/// Knobs of a solve. Every engine runs the same serial SCC block
-/// pipeline (docs/ARCHITECTURE.md S13); only the modular engine takes
-/// these.
+/// Smallest block the exact engine hands to the GF(p) kernel under
+/// BlockKernel::Auto: the crossover of micro_linalg's BM_DenseBlockKernel
+/// sweep (bench/results/BENCH_micro_linalg.json). On its dense random
+/// blocks Rational/GF(p) time reads 0.75x at 10 states, 1.18x at 11 and
+/// 1.22x at 12 with 8-bit denominators, 1.07x, 1.05x and 1.71x with
+/// 30-bit ones; 12 is where GF(p) won at both widths in every run.
+constexpr std::size_t ModularMinBlock = 12;
+
+/// Test-only knobs of the exact engine, set through
+/// Verifier::setSolverStructure; no CLI flag, serve field or environment
+/// variable reaches them. The oracle forces each kernel so both stay
+/// cross-checked; tests shrink MaxPrimes to force a block's Rational
+/// fallback and shift FirstPrimeIndex to replay an unlucky-prime walk.
 struct SolverStructure {
-  /// Multi-prime knobs; only read by SolverKind::ModularExact.
-  ModularOptions Modular;
+  BlockKernel Kernel = BlockKernel::Auto;
+  /// Per-block prime budget: a GF(p) block that has accepted this many
+  /// primes without a verified reconstruction falls back to Rational
+  /// elimination (BlockMetrics::ModularFallbacks). The modulus only grows
+  /// to just past the block's largest answer, so the default is a runaway
+  /// guard (~250k bits of answer), not a tuning knob.
+  std::size_t MaxPrimes = 4096;
+  /// Index into the deterministic modPrime() table where every GF(p)
+  /// block starts drawing primes.
+  std::size_t FirstPrimeIndex = 0;
 };
 
 /// Elimination statistics of one solve block (one strongly connected class
@@ -97,11 +102,21 @@ struct BlockMetrics {
   std::size_t NumQEntries = 0;     ///< Kept Q entries rooted in the block.
   std::size_t EliminationOps = 0;  ///< Multiply-subtract operations.
   std::size_t FillIn = 0;          ///< Entries created by elimination.
+  /// GF(p) kernel only (zero on Rational blocks): primes accepted into
+  /// the block's CRT product, unlucky primes discarded, the bit length of
+  /// the prime product behind the verified reconstruction, and 1 if the
+  /// block exhausted its prime budget and fell back to Rational.
+  std::size_t NumPrimes = 0;
+  std::size_t RetriedPrimes = 0;
+  std::size_t ReconstructionBits = 0;
+  std::size_t ModularFallbacks = 0;
 };
 
 /// Aggregated solve statistics. Per-block entries always sum to the
 /// totals: Σ Blocks[i].NumStates == NumSolved, Σ NumQEntries ==
-/// NumSolvedQ, and likewise for EliminationOps / FillIn.
+/// NumSolvedQ, and likewise for EliminationOps / FillIn and the GF(p)
+/// counters NumPrimes / RetriedPrimes / ModularFallbacks;
+/// ReconstructionBits is the maximum over the blocks.
 struct SolveMetrics {
   std::size_t NumSolved = 0;      ///< Transient states kept after pruning.
   std::size_t NumSolvedQ = 0;     ///< Q entries inside the kept subgraph.
@@ -109,12 +124,7 @@ struct SolveMetrics {
   std::size_t MaxBlockSize = 0;
   std::size_t EliminationOps = 0;
   std::size_t FillIn = 0;
-  /// ModularExact only (zero elsewhere): primes accepted into the CRT
-  /// product, unlucky primes discarded along the way, the bit length of
-  /// the prime product backing the accepted reconstruction, and whether
-  /// the solve exhausted the prime budget and fell back to the Rational
-  /// kernel (0 or 1). Primes and reconstruction span the whole system,
-  /// never a single block.
+  /// Exact engine's GF(p) blocks only (see BlockMetrics).
   std::size_t NumPrimes = 0;
   std::size_t RetriedPrimes = 0;
   std::size_t ReconstructionBits = 0;
@@ -143,23 +153,12 @@ ChainPruning pruneUnreachableStates(const AbsorbingChain &Chain);
 /// diverging mass lands on ∅/drop. Returns false only if the pruned
 /// system is singular (cannot happen for a well-formed substochastic
 /// chain; guards against malformed input). \p Metrics, when non-null,
-/// receives the per-block elimination statistics.
+/// receives the per-block elimination statistics; \p Structure picks the
+/// per-block kernel (tests only).
 bool solveAbsorptionExact(const AbsorbingChain &Chain,
                           linalg::DenseMatrix<Rational> &Out,
-                          SolveMetrics *Metrics = nullptr);
-
-/// Exact absorption probabilities via the multi-prime modular engine
-/// (docs/ARCHITECTURE.md S14): solve mod word-size primes with the
-/// allocation-free linalg/ModSolve.h kernels, recover Rationals by CRT +
-/// rational reconstruction, verify the reconstruction against fresh
-/// primes, and fall back to the Rational kernel if the prime budget runs
-/// out. Reference-equal to solveAbsorptionExact by construction; the
-/// same divergence and singularity conventions apply. Primes are solved
-/// one after another, each over the blocks in id order.
-bool solveAbsorptionModular(const AbsorbingChain &Chain,
-                            linalg::DenseMatrix<Rational> &Out,
-                            const SolverStructure &Structure = {},
-                            SolveMetrics *Metrics = nullptr);
+                          SolveMetrics *Metrics = nullptr,
+                          const SolverStructure &Structure = {});
 
 /// Floating-point absorption probabilities via sparse LU (Direct) or
 /// Neumann iteration (Iterative). Returns false on singularity /
@@ -176,7 +175,7 @@ bool rowsAreStochastic(const AbsorbingChain &Chain, double Tol = 1e-9);
 namespace detail {
 
 /// Sparse Gauss-Jordan elimination over Rational with min-degree pivoting
-/// — the exact engine's per-block kernel. \p Rows holds the square system
+/// — the exact engine's kernel on blocks below ModularMinBlock states. \p Rows holds the square system
 /// (Rows[i] maps column -> coefficient, diagonals nonzero on entry for
 /// well-formed chains); \p Rhs the dense right-hand-side block. On success
 /// Rows is reduced to the identity and Rhs holds the solution in place.

@@ -1,7 +1,7 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The block plan and the Rational and double instances of the block
+/// The block plan and the exact and double instances of the block
 /// pipeline (docs/ARCHITECTURE.md S13; see BlockSolve.h). Blocks are
 /// eliminated in reverse topological order, which block ids from Tarjan
 /// pop order make simply increasing id order.
@@ -10,6 +10,7 @@
 
 #include "markov/BlockSolve.h"
 
+#include "linalg/ModSolve.h"
 #include "linalg/Ordering.h"
 #include "linalg/Solve.h"
 
@@ -166,16 +167,25 @@ void detail::finishMetrics(SolveMetrics &M, const BlockPlan &Plan,
     M.MaxBlockSize = std::max(M.MaxBlockSize, B.NumStates);
     M.EliminationOps += B.EliminationOps;
     M.FillIn += B.FillIn;
+    M.NumPrimes += B.NumPrimes;
+    M.RetriedPrimes += B.RetriedPrimes;
+    M.ReconstructionBits = std::max(M.ReconstructionBits, B.ReconstructionBits);
+    M.ModularFallbacks += B.ModularFallbacks;
   }
 }
 
 namespace {
 
-/// Rational field: the exact engine's Gauss-Jordan kernel per block.
+/// Rational field: the exact engine. Each block picks its kernel — the
+/// GF(p) kernel on blocks of at least ModularMinBlock states (or as
+/// Structure forces), Gauss-Jordan elimination over Rational otherwise
+/// and wherever the GF(p) kernel gives up.
 struct RationalField {
   using Scalar = Rational;
-  /// Min-degree pivoting orders the elimination dynamically.
-  static constexpr std::size_t MinOrdered = SIZE_MAX;
+  /// The GF(p) kernel's sparse LU factors in the plan's numbering; its
+  /// dense path and min-degree Rational elimination ignore it.
+  static constexpr std::size_t MinOrdered = linalg::ModDenseCutoff + 1;
+  const SolverStructure &Structure;
   Rational zero() const { return Rational(); }
   bool isZero(const Rational &V) const { return V.isZero(); }
   bool lower(const Rational &V, Rational &Out) const {
@@ -188,6 +198,13 @@ struct RationalField {
   }
   bool solveBlock(const PlanBlock &PB, DenseMatrix<Rational> &Rhs,
                   BlockMetrics &BM) const {
+    BlockKernel K = Structure.Kernel;
+    if (K == BlockKernel::Auto)
+      K = PB.Members.size() >= ModularMinBlock ? BlockKernel::Modular
+                                               : BlockKernel::Rational;
+    if (K == BlockKernel::Modular &&
+        solveBlockModular(PB, Rhs, Structure, BM))
+      return true;
     std::vector<std::map<std::size_t, Rational>> Rows(PB.Members.size());
     for (std::size_t L = 0; L < Rows.size(); ++L)
       Rows[L][L] = Rational(1);
@@ -276,24 +293,18 @@ bool solvePipeline(const AbsorbingChain &Chain, const Field &F,
 
 } // namespace
 
-bool detail::solveBlocksRational(const BlockPlan &Plan,
-                                 DenseMatrix<Rational> &X,
-                                 std::vector<BlockMetrics> &Metrics) {
-  return solveBlocks(Plan, RationalField(), X, Metrics);
-}
-
 bool markov::solveAbsorptionExact(const AbsorbingChain &Chain,
                                   DenseMatrix<Rational> &Out,
-                                  SolveMetrics *Metrics) {
-  return solvePipeline(Chain, RationalField(), Out, Metrics);
+                                  SolveMetrics *Metrics,
+                                  const SolverStructure &Structure) {
+  return solvePipeline(Chain, RationalField{Structure}, Out, Metrics);
 }
 
 bool markov::solveAbsorptionDouble(const AbsorbingChain &Chain,
                                    DenseMatrix<double> &Out,
                                    SolverKind Kind,
                                    SolveMetrics *Metrics) {
-  assert(Kind != SolverKind::Exact && Kind != SolverKind::ModularExact &&
-         "use solveAbsorptionExact / solveAbsorptionModular");
+  assert(Kind != SolverKind::Exact && "use solveAbsorptionExact");
   if (Kind == SolverKind::Direct)
     return solvePipeline(Chain, LUField(), Out, Metrics);
   return solvePipeline(Chain, NeumannField(), Out, Metrics);

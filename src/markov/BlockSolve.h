@@ -64,9 +64,7 @@ struct PlanBlock {
   std::size_t NumQEntries = 0; ///< Kept chain triplets rooted here.
 };
 
-/// The pruned chain, decomposed once per solve and shared by every field
-/// solved over it (all primes of a modular solve and its Rational
-/// fallback).
+/// The pruned chain, decomposed once per solve.
 struct BlockPlan {
   ChainPruning Pruned;
   SccDecomposition Scc; ///< Over compact transient indices.
@@ -123,11 +121,15 @@ bool solveBlocks(const BlockPlan &Plan, const Field &F,
   return true;
 }
 
-/// The Rational instance of solveBlocks (the exact engine, and the
-/// modular engine's fallback).
-bool solveBlocksRational(const BlockPlan &Plan,
-                         linalg::DenseMatrix<Rational> &X,
-                         std::vector<BlockMetrics> &Metrics);
+/// The exact engine's GF(p) kernel (ModularSolve.cpp): solves one
+/// block's system (I - Q_BB) X = Rhs, where \p Rhs already holds the exact
+/// R_B plus the solved successors, modulo word-size primes, and recovers
+/// X by CRT, Wang reconstruction and a fresh-prime check. On success Rhs
+/// holds X; on false (prime budget exhausted, or singular mod every prime
+/// tried) Rhs is untouched and the caller eliminates over Rational. The
+/// prime counters accumulate into \p BM.
+bool solveBlockModular(const PlanBlock &PB, linalg::DenseMatrix<Rational> &Rhs,
+                       const SolverStructure &Structure, BlockMetrics &BM);
 
 /// Scatters the compact solution \p X into \p Out (NumTransient x
 /// NumAbsorbing; pruned rows stay zero).

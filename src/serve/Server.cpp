@@ -33,8 +33,8 @@ bool serve::parseSolverKind(const std::string &Name,
     Out = markov::SolverKind::Direct;
   else if (Name == "iterative")
     Out = markov::SolverKind::Iterative;
-  else if (Name == "modular-exact")
-    Out = markov::SolverKind::ModularExact;
+  else if (Name == "modular-exact") // Synonym kept for older clients.
+    Out = markov::SolverKind::Exact;
   else
     return false;
   return true;
@@ -48,8 +48,6 @@ const char *serve::solverKindName(markov::SolverKind Kind) {
     return "direct";
   case markov::SolverKind::Iterative:
     return "iterative";
-  case markov::SolverKind::ModularExact:
-    return "modular-exact";
   }
   return "exact";
 }
@@ -165,8 +163,8 @@ markov::SolverKind requestSolver(const Json &Request, bool &Ok, Json &Err) {
   markov::SolverKind Kind;
   if (!V->isString() || !parseSolverKind(V->asString(), Kind)) {
     Ok = false;
-    Err = errorResponse("unknown solver (expected \"exact\", \"direct\", "
-                        "\"iterative\" or \"modular-exact\")");
+    Err = errorResponse("unknown solver (expected \"exact\", \"direct\" or "
+                        "\"iterative\")");
     return markov::SolverKind::Exact;
   }
   return Kind;

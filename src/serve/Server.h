@@ -284,8 +284,9 @@ private:
   std::vector<std::thread> ConnThreads;
 };
 
-/// Maps "exact" / "direct" / "iterative" / "modular-exact" to a solver
-/// kind; returns false on unknown names. Inverse of solverKindName.
+/// Maps "exact" / "direct" / "iterative" to a solver kind, and
+/// "modular-exact" to the exact engine (a synonym older clients still
+/// send); returns false on unknown names. solverKindName is the inverse.
 bool parseSolverKind(const std::string &Name, markov::SolverKind &Out);
 const char *solverKindName(markov::SolverKind Kind);
 

@@ -2,10 +2,10 @@
 ///
 /// \file
 /// Word-size prime-field arithmetic and the rational-recovery toolkit of
-/// the modular exact solver (docs/ARCHITECTURE.md S14). The hot loops of
-/// SolverKind::ModularExact run over residues modulo 62-bit primes in
-/// Montgomery form — one word per value, no allocation — and the exact
-/// Rational answer is recovered afterwards by Chinese-remainder
+/// the exact engine's GF(p) block kernel (docs/ARCHITECTURE.md S14). The
+/// hot loops of a large block's solve run over residues modulo 62-bit
+/// primes in Montgomery form — one word per value, no allocation — and
+/// the exact Rational answer is recovered afterwards by Chinese-remainder
 /// combination across primes plus Wang-style rational reconstruction.
 ///
 /// The prime table is deterministic and contains no runtime randomness:

@@ -357,22 +357,63 @@ TEST(ConformanceTest, BlockedChainStatsSumToMonolithic) {
   }
 }
 
-TEST(ConformanceTest, ModularPrimeWalkSpansTheWholeChain) {
-  // CRT, reconstruction and verification run once over the whole
-  // solution, never per block: the K=128 diamond chain (512 singleton
-  // blocks) takes exactly the primes and reconstruction width of one
-  // whole-system solve. A per-block prime walk would take hundreds of
-  // times more primes.
+TEST(ConformanceTest, DiamondChainTakesNoPrimes) {
+  // The K=128 diamond chain is 512 singleton blocks: every one is below
+  // markov::ModularMinBlock, so the exact engine eliminates them all over
+  // Rational and draws no prime at all.
   Context Ctx;
   topology::ChainLayout L;
   topology::makeChain(128, L);
   routing::NetworkModel M =
       routing::buildChainModel(L, Rational(1, 1000), Ctx);
-  analysis::Verifier V(markov::SolverKind::ModularExact);
+  analysis::Verifier V;
   V.compile(M.Program);
   const fdd::LoopSolveStats &LS = V.manager().lastLoopStats();
   EXPECT_EQ(LS.NumBlocks, 512u);
-  EXPECT_EQ(LS.NumPrimes, 47u);
-  EXPECT_EQ(LS.ReconstructionBits, 2914u);
+  EXPECT_EQ(LS.NumPrimes, 0u);
+  EXPECT_EQ(LS.RetriedPrimes, 0u);
+  EXPECT_EQ(LS.ReconstructionBits, 0u);
   EXPECT_EQ(LS.ModularFallbacks, 0u);
+}
+
+TEST(ConformanceTest, DenseBlockBehindAChainTailTakesPrimes) {
+  // An 8-switch tail (sw=17..24) feeds a 16-switch ring with random
+  // chords (sw=1..16) that drains to sw=0 or drops. The ring is one block
+  // at the GF(p) threshold or above: it takes primes, its upstream tail
+  // stays Rational, and the diagram is reference-equal to the one with
+  // Rational elimination forced on every block.
+  constexpr unsigned Ring = 16, Tail = 8;
+  static_assert(Ring >= markov::ModularMinBlock, "ring must take primes");
+  std::string Source = "while !sw=0 do case { ";
+  for (unsigned S = 1; S <= Ring; ++S)
+    Source += "sw=" + std::to_string(S) + " -> (sw:=" +
+              std::to_string(S % Ring + 1) + " +[1/3] (sw:=" +
+              std::to_string(S * 7 % Ring + 1) + " +[2/7] (sw:=" +
+              std::to_string(S * 11 % Ring + 1) +
+              " +[1/2] (sw:=0 +[5/6] drop)))) | ";
+  for (unsigned T = Ring + 1; T <= Ring + Tail; ++T)
+    Source += "sw=" + std::to_string(T) + " -> sw:=" +
+              std::to_string(T == Ring + Tail ? 1 : T + 1) + " | ";
+  Source += "else -> drop }";
+  Context Ctx;
+  parser::ParseResult PR = parser::parseProgram(Source, Ctx);
+  ASSERT_TRUE(PR.ok()) << Source;
+
+  analysis::Verifier V;
+  fdd::FddRef Auto = V.compile(PR.Program);
+  const fdd::LoopSolveStats &LS = V.manager().lastLoopStats();
+  EXPECT_EQ(LS.MaxBlockSize, Ring);
+  EXPECT_GE(LS.NumBlocks, Tail + 1);
+  EXPECT_GT(LS.NumPrimes, 0u);
+  EXPECT_GT(LS.ReconstructionBits, 0u);
+  EXPECT_EQ(LS.ModularFallbacks, 0u);
+
+  markov::SolverStructure ForceRational;
+  ForceRational.Kernel = markov::BlockKernel::Rational;
+  analysis::Verifier VR;
+  VR.setSolverStructure(ForceRational);
+  fdd::FddRef Forced = VR.compile(PR.Program);
+  EXPECT_EQ(VR.manager().lastLoopStats().NumPrimes, 0u);
+  EXPECT_EQ(fdd::importFdd(VR.manager(), fdd::exportFdd(V.manager(), Auto)),
+            Forced);
 }

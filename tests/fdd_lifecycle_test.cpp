@@ -162,35 +162,42 @@ TEST(CompileCacheTest, KeyedBySolverKind) {
                           UncachedExact.compile(M.Program)));
 }
 
-TEST(CompileCacheTest, ModularKindKeyedAndHitEqualsCold) {
-  // The S14 regression: ModularExact gets its own cache key (an Exact
-  // entry must not satisfy a modular lookup, even though both engines are
-  // exact), and the modular cached-hit compile is reference-equal to the
-  // cold one and to both uncached exact engines.
+TEST(CompileCacheTest, ForcedKernelsShareTheExactEntry) {
+  // The exact engine has one cache key whatever block kernel runs: a
+  // GF(p)-forced verifier misses on a fresh cache, its hit is
+  // reference-equal to the cold compile, and a default verifier on the
+  // same cache is then answered from that entry. Both kernels agree on
+  // the diagram itself.
   fdd::CompileCache Shared;
   ast::Context Ctx;
   routing::NetworkModel M = chainModel(2, Ctx);
+  markov::SolverStructure ForceModular;
+  ForceModular.Kernel = markov::BlockKernel::Modular;
 
-  analysis::Verifier Exact(markov::SolverKind::Exact);
-  Exact.setCompileCache(&Shared);
-  fdd::FddRef E = Exact.compile(M.Program);
-
-  analysis::Verifier Modular(markov::SolverKind::ModularExact);
+  analysis::Verifier Modular;
+  Modular.setSolverStructure(ForceModular);
   Modular.setCompileCache(&Shared);
-  fdd::CompileCache::Stats Before = Shared.stats();
   fdd::FddRef Cold = Modular.compile(M.Program);
   fdd::CompileCache::Stats AfterCold = Shared.stats();
-  EXPECT_GT(AfterCold.Misses, Before.Misses) << "served a cross-kind entry";
-  EXPECT_GT(AfterCold.Insertions, Before.Insertions);
-
+  EXPECT_GT(AfterCold.Misses, 0u);
+  EXPECT_GT(AfterCold.Insertions, 0u);
   EXPECT_EQ(Modular.compile(M.Program), Cold);
   EXPECT_GT(Shared.stats().Hits, AfterCold.Hits);
 
-  analysis::Verifier UncachedModular(markov::SolverKind::ModularExact);
-  EXPECT_TRUE(sameDiagram(Modular, Cold, UncachedModular,
-                          UncachedModular.compile(M.Program)));
-  // Both exact engines agree on the diagram itself.
+  analysis::Verifier Exact(markov::SolverKind::Exact);
+  Exact.setCompileCache(&Shared);
+  fdd::CompileCache::Stats BeforeExact = Shared.stats();
+  fdd::FddRef E = Exact.compile(M.Program);
+  EXPECT_EQ(Shared.stats().Misses, BeforeExact.Misses)
+      << "a kernel choice split the exact engine's cache key";
   EXPECT_TRUE(sameDiagram(Modular, Cold, Exact, E));
+
+  markov::SolverStructure ForceRational;
+  ForceRational.Kernel = markov::BlockKernel::Rational;
+  analysis::Verifier UncachedRational;
+  UncachedRational.setSolverStructure(ForceRational);
+  EXPECT_TRUE(sameDiagram(Modular, Cold, UncachedRational,
+                          UncachedRational.compile(M.Program)));
 
   Packet In = M.ingressPacket(0, Ctx);
   EXPECT_EQ(Modular.deliveryProbability(Cold, In),

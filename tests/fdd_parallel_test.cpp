@@ -471,14 +471,16 @@ TEST(ParallelCompileTest, BlockedLoopsInsideCaseArms) {
 }
 
 TEST(ParallelCompileTest, ConcurrentModularSolvesOnOneEngine) {
-  // The S14 analogue of ConcurrentBlockedSolvesOnOneEngine: serial
-  // modular solves on 4 threads at once. Every solve draws from the
-  // lazily extended prime table, so this pins its locking under
-  // ThreadSanitizer (./ci.sh tsan).
+  // The S14 analogue of ConcurrentBlockedSolvesOnOneEngine: serial exact
+  // solves with the GF(p) kernel forced on every block, on 4 threads at
+  // once. Every solve draws from the lazily extended prime table, so this
+  // pins its locking under ThreadSanitizer (./ci.sh tsan).
   expectConcurrentSolvesAgree(
       0x40DA7ULL, [](const markov::AbsorbingChain &Chain,
                      linalg::DenseMatrix<Rational> &Out) {
-        return markov::solveAbsorptionModular(Chain, Out);
+        markov::SolverStructure S;
+        S.Kernel = markov::BlockKernel::Modular;
+        return markov::solveAbsorptionExact(Chain, Out, nullptr, S);
       });
 }
 

@@ -244,18 +244,27 @@ AbsorbingChain randomChain(std::mt19937_64 &Rng) {
 void expectMetricsConsistent(const SolveMetrics &M) {
   EXPECT_EQ(M.Blocks.size(), M.NumBlocks);
   std::size_t States = 0, QEntries = 0, Ops = 0, Fill = 0, MaxSize = 0;
+  std::size_t Primes = 0, Retried = 0, Bits = 0, Fallbacks = 0;
   for (const BlockMetrics &B : M.Blocks) {
     States += B.NumStates;
     QEntries += B.NumQEntries;
     Ops += B.EliminationOps;
     Fill += B.FillIn;
     MaxSize = std::max(MaxSize, B.NumStates);
+    Primes += B.NumPrimes;
+    Retried += B.RetriedPrimes;
+    Bits = std::max(Bits, B.ReconstructionBits);
+    Fallbacks += B.ModularFallbacks;
   }
   EXPECT_EQ(States, M.NumSolved);
   EXPECT_EQ(QEntries, M.NumSolvedQ);
   EXPECT_EQ(Ops, M.EliminationOps);
   EXPECT_EQ(Fill, M.FillIn);
   EXPECT_EQ(MaxSize, M.MaxBlockSize);
+  EXPECT_EQ(Primes, M.NumPrimes);
+  EXPECT_EQ(Retried, M.RetriedPrimes);
+  EXPECT_EQ(Bits, M.ReconstructionBits);
+  EXPECT_EQ(Fallbacks, M.ModularFallbacks);
 }
 
 /// What the test-local monolithic reference solved.
@@ -487,12 +496,19 @@ TEST(AbsorbingTest, LongChainDirectSolver) {
 }
 
 //===----------------------------------------------------------------------===//
-// Modular exact solver (docs/ARCHITECTURE.md S14)
+// The exact engine's GF(p) block kernel (docs/ARCHITECTURE.md S14)
 //===----------------------------------------------------------------------===//
 
-/// The multi-prime engine must reproduce the Rational engine's answers
-/// exactly while reporting its prime and reconstruction metrics
-/// consistently.
+/// \p Kernel forced on every block of the exact engine.
+SolverStructure forced(BlockKernel Kernel) {
+  SolverStructure S;
+  S.Kernel = Kernel;
+  return S;
+}
+
+/// The GF(p) kernel forced on every block must reproduce Rational
+/// elimination exactly while reporting its prime and reconstruction
+/// metrics consistently.
 class ModularSolveProperty : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(ModularSolveProperty, ModularEqualsExact) {
@@ -502,25 +518,99 @@ TEST_P(ModularSolveProperty, ModularEqualsExact) {
     std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
 
     DenseMatrix<Rational> Exact;
-    ASSERT_TRUE(solveAbsorptionExact(Chain, Exact));
+    ASSERT_TRUE(solveAbsorptionExact(Chain, Exact, nullptr,
+                                     forced(BlockKernel::Rational)));
 
     DenseMatrix<Rational> Modular;
     SolveMetrics Metrics;
-    ASSERT_TRUE(solveAbsorptionModular(Chain, Modular, {}, &Metrics));
+    ASSERT_TRUE(solveAbsorptionExact(Chain, Modular, &Metrics,
+                                     forced(BlockKernel::Modular)));
     expectMetricsConsistent(Metrics);
     for (std::size_t R = 0; R < NT; ++R)
       for (std::size_t C = 0; C < NA; ++C)
         EXPECT_EQ(Modular.at(R, C), Exact.at(R, C)) << R << "," << C;
-    if (Metrics.NumSolved > 0) {
-      EXPECT_GE(Metrics.NumPrimes, 1u);
-      EXPECT_GT(Metrics.ReconstructionBits, 0u);
-      EXPECT_EQ(Metrics.ModularFallbacks, 0u);
-    }
+    EXPECT_EQ(Metrics.ModularFallbacks, 0u);
+    for (const BlockMetrics &B : Metrics.Blocks)
+      EXPECT_EQ(B.NumPrimes > 0, B.ReconstructionBits > 0);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ModularSolveProperty,
                          ::testing::Values(71u, 72u, 73u, 74u));
+
+/// A chain of dense strongly connected blocks, some below
+/// ModularMinBlock states and some at or above it, joined downstream by
+/// singleton tail states. Blocks only point at earlier states, so every
+/// block's right-hand side carries the exact solutions of the blocks
+/// after it in solve order.
+AbsorbingChain mixedBlockChain(std::mt19937_64 &Rng) {
+  std::uniform_int_distribution<std::size_t> Small(2, ModularMinBlock - 1);
+  std::uniform_int_distribution<std::size_t> Large(ModularMinBlock,
+                                                   ModularMinBlock + 12);
+  std::uniform_int_distribution<int64_t> Weight(1, 5);
+  AbsorbingChain Chain;
+  Chain.NumAbsorbing = 2;
+  std::size_t NumGroups = 3 + Rng() % 4;
+  for (std::size_t G = 0; G < NumGroups; ++G) {
+    std::size_t Size = G % 3 == 2 ? 1 : (Rng() & 1 ? Large(Rng) : Small(Rng));
+    std::size_t First = Chain.NumTransient;
+    Chain.NumTransient += Size;
+    for (std::size_t S = First; S < First + Size; ++S) {
+      Rational Left(1);
+      auto Edge = [&](std::size_t To, Rational W) {
+        Left -= W;
+        Chain.QEntries.push_back({S, To, std::move(W)});
+      };
+      if (Size > 1) {
+        Edge(S + 1 < First + Size ? S + 1 : First, Rational(Weight(Rng), 31));
+        Edge(First + Rng() % Size, Rational(Weight(Rng), 31));
+        Edge(First + Rng() % Size, Rational(Weight(Rng), 37));
+      }
+      if (First > 0)
+        Edge(Rng() % First, Rational(Weight(Rng), 29));
+      // Half the rest absorbs, the other half is dropped.
+      Chain.REntries.push_back({S, S % 2, Left / Rational(2)});
+    }
+  }
+  return Chain;
+}
+
+/// Auto, forced Rational and forced GF(p) agree entry for entry on chains
+/// that mix blocks on both sides of the threshold with singleton tails,
+/// and Auto spends primes exactly on the blocks at or above it.
+class KernelChoiceProperty : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(KernelChoiceProperty, EveryKernelChoiceAgrees) {
+  std::mt19937_64 Rng(GetParam());
+  for (int Round = 0; Round < 12; ++Round) {
+    AbsorbingChain Chain = mixedBlockChain(Rng);
+    DenseMatrix<Rational> Want;
+    SolveMetrics RationalMetrics;
+    ASSERT_TRUE(solveAbsorptionExact(Chain, Want, &RationalMetrics,
+                                     forced(BlockKernel::Rational)));
+    expectMetricsConsistent(RationalMetrics);
+    EXPECT_EQ(RationalMetrics.NumPrimes, 0u);
+    for (BlockKernel Kernel : {BlockKernel::Auto, BlockKernel::Modular}) {
+      DenseMatrix<Rational> Got;
+      SolveMetrics Metrics;
+      ASSERT_TRUE(
+          solveAbsorptionExact(Chain, Got, &Metrics, forced(Kernel)));
+      expectMetricsConsistent(Metrics);
+      EXPECT_EQ(Got, Want);
+      EXPECT_EQ(Metrics.ModularFallbacks, 0u);
+      for (const BlockMetrics &B : Metrics.Blocks) {
+        if (Kernel == BlockKernel::Auto && B.NumStates < ModularMinBlock) {
+          EXPECT_EQ(B.NumPrimes, 0u);
+        } else if (B.NumStates > 1) {
+          EXPECT_GT(B.NumPrimes, 0u);
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, KernelChoiceProperty,
+                         ::testing::Values(101u, 102u, 103u, 104u));
 
 TEST(ModularSolveTest, VerifiedReconstructionTriggersRationalFallback) {
   // Gambler's ruin with N = 40 has absorption probabilities whose
@@ -531,11 +621,12 @@ TEST(ModularSolveTest, VerifiedReconstructionTriggersRationalFallback) {
   // end in the Rational fallback, and the answer must still be exact.
   AbsorbingChain Chain = gamblersRuin(40, Rational(3, 5));
   DenseMatrix<Rational> Exact, Modular;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, Exact));
-  SolverStructure Structure;
-  Structure.Modular.MaxPrimes = 1;
+  ASSERT_TRUE(solveAbsorptionExact(Chain, Exact, nullptr,
+                                   forced(BlockKernel::Rational)));
+  SolverStructure Structure = forced(BlockKernel::Modular);
+  Structure.MaxPrimes = 1;
   SolveMetrics Metrics;
-  ASSERT_TRUE(solveAbsorptionModular(Chain, Modular, Structure, &Metrics));
+  ASSERT_TRUE(solveAbsorptionExact(Chain, Modular, &Metrics, Structure));
   EXPECT_EQ(Metrics.ModularFallbacks, 1u);
   for (std::size_t R = 0; R < Chain.NumTransient; ++R)
     for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
@@ -544,7 +635,8 @@ TEST(ModularSolveTest, VerifiedReconstructionTriggersRationalFallback) {
   // The default prime budget reconstructs the same system without any
   // fallback.
   SolveMetrics Full;
-  ASSERT_TRUE(solveAbsorptionModular(Chain, Modular, {}, &Full));
+  ASSERT_TRUE(solveAbsorptionExact(Chain, Modular, &Full,
+                                   forced(BlockKernel::Modular)));
   EXPECT_EQ(Full.ModularFallbacks, 0u);
   EXPECT_GT(Full.NumPrimes, 1u);
   for (std::size_t R = 0; R < Chain.NumTransient; ++R)
@@ -571,21 +663,23 @@ TEST(ModularSolveTest, UnluckyPrimeRetriesDeterministically) {
 
   SolveMetrics First, Second;
   DenseMatrix<Rational> A;
-  ASSERT_TRUE(solveAbsorptionModular(Chain, A, {}, &First));
+  ASSERT_TRUE(
+      solveAbsorptionExact(Chain, A, &First, forced(BlockKernel::Modular)));
   EXPECT_GE(First.RetriedPrimes, 1u);
   EXPECT_EQ(A.at(0, 0), Rational(1));
   EXPECT_EQ(A.at(1, 0), Rational(1));
-  ASSERT_TRUE(solveAbsorptionModular(Chain, A, {}, &Second));
+  ASSERT_TRUE(
+      solveAbsorptionExact(Chain, A, &Second, forced(BlockKernel::Modular)));
   EXPECT_EQ(First.RetriedPrimes, Second.RetriedPrimes);
   EXPECT_EQ(First.NumPrimes, Second.NumPrimes);
   EXPECT_EQ(First.ReconstructionBits, Second.ReconstructionBits);
 
   // Starting the prime walk past the poisoned entry skips the retry:
   // the FirstPrimeIndex knob replays any table position directly.
-  SolverStructure Skip;
-  Skip.Modular.FirstPrimeIndex = 1;
+  SolverStructure Skip = forced(BlockKernel::Modular);
+  Skip.FirstPrimeIndex = 1;
   SolveMetrics Skipped;
-  ASSERT_TRUE(solveAbsorptionModular(Chain, A, Skip, &Skipped));
+  ASSERT_TRUE(solveAbsorptionExact(Chain, A, &Skipped, Skip));
   EXPECT_EQ(Skipped.RetriedPrimes, 0u);
   EXPECT_EQ(A.at(0, 0), Rational(1));
 }

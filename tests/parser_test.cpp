@@ -488,13 +488,27 @@ TEST_F(ParserTest, ProbabilityLiteralsAreCanonical) {
 }
 
 TEST_F(ParserTest, OverLongDecimalProbabilityIsADiagnostic) {
-  // 10^digits would pass BigInt::pow's bit cap (4 bits per digit) and
-  // abort the process; past MaxPowBits / 4 digits after the point the
-  // literal is a parse error at its first digit instead.
+  // BigInt's decimal conversion and normalisation are quadratic (and
+  // 10^digits past BigInt::pow's bit cap would abort the process), so
+  // every number of a literal is capped: past the limit the literal is a
+  // parse error at its first digit.
   std::string Zeros(1100000, '0');
   EXPECT_EQ(parseError("pt:=1 +[0." + Zeros + "1] pt:=2"),
-            "1:9: decimal probability has 1100001 digits after the point "
-            "(the limit is 1048576)");
+            "1:9: probability literal has a 1100001-digit number (the "
+            "limit is 8192)");
+  // The integer part, numerator and denominator take the same limit.
+  std::string Long(8193, '1');
+  EXPECT_EQ(parseError("pt:=1 +[1/" + Long + "] pt:=2"),
+            "1:9: probability literal has a 8193-digit number (the limit "
+            "is 8192)");
+  EXPECT_EQ(parseError("pt:=1 +[" + Long + "/" + Long + "] pt:=2"),
+            "1:9: probability literal has a 8193-digit number (the limit "
+            "is 8192)");
+  EXPECT_EQ(parseError("pt:=1 +[" + Long + ".5] pt:=2"),
+            "1:9: probability literal has a 8193-digit number (the limit "
+            "is 8192)");
+  // At the limit an a/b literal still parses.
+  parseOk("pt:=1 +[1/" + Long.substr(1) + "] pt:=2");
 }
 
 TEST_F(ParserTest, FullFieldTableIsADiagnostic) {

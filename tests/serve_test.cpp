@@ -79,35 +79,50 @@ TEST(CacheRecordCodec, RoundTripsRealDiagrams) {
   for (const char *Source :
        {"sw:=1", "drop", "if sw=1 then pt:=2 else drop",
         "while sw=1 do (sw:=2 +[1/3] sw:=1)", BigProgram}) {
-    fdd::CacheRecord Record;
-    Record.Key = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
-    Record.Solver = markov::SolverKind::ModularExact;
-    Record.Diagram = compileToPortable(Source);
+    for (markov::SolverKind Solver :
+         {markov::SolverKind::Exact, markov::SolverKind::Direct,
+          markov::SolverKind::Iterative}) {
+      fdd::CacheRecord Record;
+      Record.Key = {0x0123456789abcdefULL, 0xfedcba9876543210ULL};
+      Record.Solver = Solver;
+      Record.Diagram = compileToPortable(Source);
 
-    std::vector<uint8_t> Bytes = fdd::encodeCacheRecord(Record);
-    fdd::CacheRecord Back;
-    std::string Error;
-    ASSERT_TRUE(fdd::decodeCacheRecord(Bytes.data(), Bytes.size(), Back,
-                                       &Error))
-        << Source << ": " << Error;
-    EXPECT_EQ(Back.Key, Record.Key);
-    EXPECT_EQ(Back.Solver, Record.Solver);
-    ASSERT_EQ(Back.Diagram.Nodes.size(), Record.Diagram.Nodes.size());
-    EXPECT_EQ(Back.Diagram.Root, Record.Diagram.Root);
-    for (std::size_t I = 0; I < Back.Diagram.Nodes.size(); ++I) {
-      const fdd::PortableFdd::Node &A = Back.Diagram.Nodes[I];
-      const fdd::PortableFdd::Node &B = Record.Diagram.Nodes[I];
-      EXPECT_EQ(A.IsLeaf, B.IsLeaf);
-      if (A.IsLeaf) {
-        EXPECT_EQ(A.Dist, B.Dist);
-      } else {
-        EXPECT_EQ(A.Field, B.Field);
-        EXPECT_EQ(A.Value, B.Value);
-        EXPECT_EQ(A.Hi, B.Hi);
-        EXPECT_EQ(A.Lo, B.Lo);
+      std::vector<uint8_t> Bytes = fdd::encodeCacheRecord(Record);
+      fdd::CacheRecord Back;
+      std::string Error;
+      ASSERT_TRUE(fdd::decodeCacheRecord(Bytes.data(), Bytes.size(), Back,
+                                         &Error))
+          << Source << ": " << Error;
+      EXPECT_EQ(Back.Key, Record.Key);
+      EXPECT_EQ(Back.Solver, Record.Solver);
+      ASSERT_EQ(Back.Diagram.Nodes.size(), Record.Diagram.Nodes.size());
+      EXPECT_EQ(Back.Diagram.Root, Record.Diagram.Root);
+      for (std::size_t I = 0; I < Back.Diagram.Nodes.size(); ++I) {
+        const fdd::PortableFdd::Node &A = Back.Diagram.Nodes[I];
+        const fdd::PortableFdd::Node &B = Record.Diagram.Nodes[I];
+        EXPECT_EQ(A.IsLeaf, B.IsLeaf);
+        if (A.IsLeaf) {
+          EXPECT_EQ(A.Dist, B.Dist);
+        } else {
+          EXPECT_EQ(A.Field, B.Field);
+          EXPECT_EQ(A.Value, B.Value);
+          EXPECT_EQ(A.Hi, B.Hi);
+          EXPECT_EQ(A.Lo, B.Lo);
+        }
       }
     }
   }
+  // Solver byte 3 (the former modular engine, gone since format version
+  // 2) is no kind any more.
+  fdd::CacheRecord Record;
+  Record.Diagram = compileToPortable("sw:=1");
+  std::vector<uint8_t> Bytes = fdd::encodeCacheRecord(Record);
+  Bytes[16] = 3; // After the 16-byte key.
+  fdd::CacheRecord Back;
+  std::string Error;
+  EXPECT_FALSE(fdd::decodeCacheRecord(Bytes.data(), Bytes.size(), Back,
+                                      &Error));
+  EXPECT_NE(Error.find("solver kind"), std::string::npos) << Error;
 }
 
 TEST(CacheRecordCodec, EveryTruncationFailsCleanly) {
@@ -324,6 +339,29 @@ TEST(CacheStore, VersionMismatchFailsLoudly) {
                         'd', '!', '!', '!', '!', '!'});
   Store = fdd::CacheStore::open(Path, &Error);
   EXPECT_FALSE(Store);
+  std::remove(Path.c_str());
+}
+
+TEST(CacheStore, VersionOneStoreIsRefused) {
+  // Version 1 stores may hold records of the former modular solver kind;
+  // the current build refuses the whole file at open instead of
+  // truncating it at the first such record.
+  std::string Path = tempPath("version1");
+  std::string Error;
+  {
+    auto Store = fdd::CacheStore::open(Path, &Error);
+    ASSERT_TRUE(Store) << Error;
+  }
+  std::vector<uint8_t> Bytes = readFileBytes(Path);
+  ASSERT_GE(Bytes.size(), 16u);
+  Bytes[8] = 1; // The little-endian format version field.
+  Bytes[9] = Bytes[10] = Bytes[11] = 0;
+  writeFileBytes(Path, Bytes);
+  auto Store = fdd::CacheStore::open(Path, &Error);
+  EXPECT_FALSE(Store);
+  EXPECT_NE(Error.find("has format version 1; this build requires 2"),
+            std::string::npos)
+      << Error;
   std::remove(Path.c_str());
 }
 
@@ -686,7 +724,7 @@ TEST(FrontEndMemo, SolverKindsGetDistinctEntries) {
   auto Svc = serve::Service::create({}, nullptr);
   ASSERT_TRUE(Svc);
   serve::Session S(*Svc);
-  const char *Solvers[] = {"exact", "direct", "modular-exact"};
+  const char *Solvers[] = {"exact", "direct", "iterative"};
   std::vector<std::string> First;
   for (const char *Solver : Solvers)
     First.push_back(S.handleLine(slicedQuery("delivery", Solver)));
@@ -695,12 +733,12 @@ TEST(FrontEndMemo, SolverKindsGetDistinctEntries) {
   for (std::size_t I = 0; I < 3; ++I)
     EXPECT_EQ(S.handleLine(slicedQuery("delivery", Solvers[I])), First[I]);
   EXPECT_EQ(memoStat(S, "hits"), 3);
-  // Both exact engines agree on the rationals; the memo never handed one
-  // solver's diagram to another.
-  serve::Json Exact, Modular;
-  ASSERT_TRUE(serve::parseJson(First[0], Exact, nullptr));
-  ASSERT_TRUE(serve::parseJson(First[2], Modular, nullptr));
-  EXPECT_EQ(Exact.find("results")->dump(), Modular.find("results")->dump());
+  // "modular-exact" is a synonym of "exact": it shares the exact entry
+  // and gets the exact answer.
+  EXPECT_EQ(S.handleLine(slicedQuery("delivery", "modular-exact")),
+            First[0]);
+  EXPECT_EQ(memoStat(S, "entries"), 3);
+  EXPECT_EQ(memoStat(S, "hits"), 4);
 }
 
 TEST(FrontEndMemo, EvictsAtCapacityAndStillAnswersIdentically) {
@@ -806,8 +844,8 @@ TEST(Session, OverLongDecimalProbabilityIsAParseErrorNotAnAbort) {
   EXPECT_FALSE(okOf(R));
   ASSERT_NE(R.find("error"), nullptr);
   EXPECT_EQ(R.find("error")->asString(),
-            "1:9: decimal probability has 1100001 digits after the point "
-            "(the limit is 1048576)");
+            "1:9: probability literal has a 1100001-digit number (the "
+            "limit is 8192)");
   // The session answers the next request.
   R = roundTrip(S, "{\"verb\":\"query\",\"query\":\"delivery\","
                    "\"program\":\"sw:=1\","
@@ -998,11 +1036,10 @@ TEST(Service, ConcurrentSessionsShareOneCacheAndStore) {
 }
 
 TEST(Service, ConcurrentSessionsSharePooledBlockSolves) {
-  // Concurrent sessions each run serial exact and modular-exact loop
-  // solves on their own thread; the modular ones share the lazily
-  // extended prime table (the TSan target under serving). Each request's
-  // program is distinct, so no solve is answered from the shared compile
-  // cache.
+  // Concurrent sessions each run serial exact loop solves on their own
+  // thread, half of them requested under the "modular-exact" synonym.
+  // Each request's program is distinct, so no solve is answered from the
+  // shared compile cache.
   std::string Error;
   auto Svc = serve::Service::create({}, &Error);
   ASSERT_TRUE(Svc) << Error;
@@ -1054,7 +1091,7 @@ TEST(Service, ConcurrentSessionsShareTheFrontEndMemo) {
       lintRequest(MemoProgram, "c.pnk"),
       slicedQuery("delivery", "exact"),
       slicedQuery("hop-stats", "exact"),
-      slicedQuery("delivery", "modular-exact"),
+      slicedQuery("delivery", "direct"),
   };
   std::vector<std::string> Want;
   {
