@@ -85,6 +85,26 @@ markov::AbsorbingChain denseBlock(std::size_t N, unsigned Bits) {
   return Chain;
 }
 
+/// The wide family: N transient states and N exits, each state its own
+/// block (a self-loop of 1/2) absorbing into exit S; an odd state also
+/// steps to its even predecessor, so it reaches two exits. Loop solves
+/// have this shape: many exits, few of them reachable from any one block.
+markov::AbsorbingChain wideChain(std::size_t N) {
+  markov::AbsorbingChain Chain;
+  Chain.NumTransient = N;
+  Chain.NumAbsorbing = N;
+  for (std::size_t S = 0; S < N; ++S) {
+    Chain.QEntries.push_back({S, S, Rational(1, 2)});
+    if (S % 2 == 1) {
+      Chain.QEntries.push_back({S, S - 1, Rational(1, 4)});
+      Chain.REntries.push_back({S, S, Rational(1, 4)});
+    } else {
+      Chain.REntries.push_back({S, S, Rational(1, 2)});
+    }
+  }
+  return Chain;
+}
+
 } // namespace
 
 static void BM_SparseLUFactor(benchmark::State &State) {
@@ -132,11 +152,23 @@ static void BM_AbsorbingExact(benchmark::State &State) {
   markov::AbsorbingChain Chain =
       birthDeath(static_cast<std::size_t>(State.range(0)));
   for (auto _ : State) {
-    linalg::DenseMatrix<Rational> A;
+    std::vector<markov::AbsorptionRow<Rational>> A;
     benchmark::DoNotOptimize(markov::solveAbsorptionExact(Chain, A));
   }
 }
 BENCHMARK(BM_AbsorbingExact)->Arg(32)->Arg(128);
+
+static void BM_AbsorbingWideExact(benchmark::State &State) {
+  // Exit-heavy chain on the exact engine: the cost should follow the
+  // exits each block reaches (one or two), not states x exits.
+  markov::AbsorbingChain Chain =
+      wideChain(static_cast<std::size_t>(State.range(0)));
+  for (auto _ : State) {
+    std::vector<markov::AbsorptionRow<Rational>> A;
+    benchmark::DoNotOptimize(markov::solveAbsorptionExact(Chain, A));
+  }
+}
+BENCHMARK(BM_AbsorbingWideExact)->Arg(64)->Arg(256);
 
 static void BM_AbsorbingDenseBlock(benchmark::State &State) {
   // One strongly connected block with fill and 30-bit denominators, on
@@ -144,7 +176,7 @@ static void BM_AbsorbingDenseBlock(benchmark::State &State) {
   markov::AbsorbingChain Chain =
       denseBlock(static_cast<std::size_t>(State.range(0)), 30);
   for (auto _ : State) {
-    linalg::DenseMatrix<Rational> A;
+    std::vector<markov::AbsorptionRow<Rational>> A;
     benchmark::DoNotOptimize(markov::solveAbsorptionExact(Chain, A));
   }
 }
@@ -163,7 +195,7 @@ static void BM_DenseBlockKernel(benchmark::State &State) {
   markov::SolverStructure S;
   S.Kernel = static_cast<markov::BlockKernel>(State.range(2));
   for (auto _ : State) {
-    linalg::DenseMatrix<Rational> A;
+    std::vector<markov::AbsorptionRow<Rational>> A;
     benchmark::DoNotOptimize(
         markov::solveAbsorptionExact(Chain, A, nullptr, S));
   }
@@ -266,7 +298,7 @@ static void BM_AbsorbingDirect(benchmark::State &State) {
   markov::AbsorbingChain Chain =
       birthDeath(static_cast<std::size_t>(State.range(0)));
   for (auto _ : State) {
-    linalg::DenseMatrix<double> A;
+    std::vector<markov::AbsorptionRow<double>> A;
     benchmark::DoNotOptimize(markov::solveAbsorptionDouble(
         Chain, A, markov::SolverKind::Direct));
   }

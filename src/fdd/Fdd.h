@@ -143,8 +143,8 @@ public:
   FddRef branch(FddRef Guard, FddRef Then, FddRef Else);
   /// Closed-form while loop (paper §4/§5): builds the absorbing chain
   /// over symbolic packets via dynamic domain reduction, solves
-  /// A = (I-Q)^{-1} R with the configured solver, and converts the
-  /// absorption matrix back into an FDD.
+  /// A = (I-Q)^{-1} R with the configured solver, and converts its
+  /// sparse absorption rows back into an FDD.
   FddRef solveLoop(FddRef Guard, FddRef Body);
 
   /// True if every leaf reachable from \p Ref is dirac pass or dirac drop.

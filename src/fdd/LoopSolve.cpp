@@ -7,7 +7,8 @@
 /// (dynamic domain reduction). Guard-true classes are transient with
 /// transitions given by the body's leaf distributions; guard-false classes
 /// absorb. The absorption matrix A = (I-Q)^{-1} R (Theorem 4.7) is solved
-/// with the configured engine and converted back into an FDD.
+/// with the configured engine, one sparse row of nonzero exits per
+/// transient state, and converted back into an FDD.
 ///
 /// Refinement over a literal product domain: fields that are modified but
 /// never tested (e.g. hop-local link-health flags resolved away by
@@ -306,29 +307,24 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
   // sparse row per transient state: its nonzero exits in column order and
   // its drop mass, 1 minus their sum.
   struct SolvedRow {
-    std::vector<std::pair<std::size_t, Rational>> Exits;
+    markov::AbsorptionRow<Rational> Exits;
     Rational Drop;
   };
   std::vector<SolvedRow> Solved(NumTransient);
   markov::SolveMetrics Metrics;
   if (Solver == markov::SolverKind::Exact) {
-    linalg::DenseMatrix<Rational> Absorption(NumTransient,
-                                             Chain.NumAbsorbing);
-    if (!markov::solveAbsorptionExact(Chain, Absorption, &Metrics, Structure))
+    std::vector<markov::AbsorptionRow<Rational>> Rows;
+    if (!markov::solveAbsorptionExact(Chain, Rows, &Metrics, Structure))
       fatalError("absorbing-chain solve failed (malformed chain)");
     for (std::size_t R = 0; R < NumTransient; ++R) {
       SolvedRow &Row = Solved[R];
+      Row.Exits = std::move(Rows[R]);
       Row.Drop = Rational(1);
-      for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C) {
-        Rational &W = Absorption.at(R, C);
-        if (W.isZero())
-          continue;
+      for (const auto &[C, W] : Row.Exits)
         Row.Drop -= W;
-        Row.Exits.emplace_back(C, std::move(W));
-      }
     }
   } else {
-    linalg::DenseMatrix<double> Approx;
+    std::vector<markov::AbsorptionRow<double>> Approx;
     if (!markov::solveAbsorptionDouble(Chain, Approx, Solver, &Metrics))
       fatalError("absorbing-chain solve failed (malformed chain)");
     // Clamp, snap, and renormalize the float solution before it re-enters
@@ -346,8 +342,8 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
       SolvedRow &Row = Solved[R];
       Units.clear();
       unsigned __int128 Total = 0;
-      for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C) {
-        double V = std::min(1.0, std::max(0.0, Approx.at(R, C)));
+      for (const auto &[C, Value] : Approx[R]) {
+        double V = std::min(1.0, std::max(0.0, Value));
         if (V < 1e-12)
           continue;
         if (V > 1.0 - 1e-12)
@@ -377,7 +373,7 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
   LastLoop.Blocks = std::move(Metrics.Blocks);
 
 
-  // --- Rebuild an FDD from the absorption matrix ---------------------------
+  // --- Rebuild an FDD from the absorption rows -----------------------------
   // Nested per-field value branching over the symbolic domain; guard-false
   // seeds exit immediately (identity), transient seeds get their solved
   // exit distribution (missing mass = drop).

@@ -29,6 +29,7 @@
 
 #include <cstddef>
 #include <map>
+#include <utility>
 #include <vector>
 
 namespace mcnk {
@@ -100,7 +101,10 @@ struct SolverStructure {
 struct BlockMetrics {
   std::size_t NumStates = 0;       ///< Transient states in the block.
   std::size_t NumQEntries = 0;     ///< Kept Q entries rooted in the block.
-  std::size_t EliminationOps = 0;  ///< Multiply-subtract operations.
+  /// Multiply-subtract operations (Neumann: iterations x nonzeros). The
+  /// block's right-hand side holds only the exit columns it reaches, so
+  /// no work is counted for all-zero columns.
+  std::size_t EliminationOps = 0;
   std::size_t FillIn = 0;          ///< Entries created by elimination.
   /// GF(p) kernel only (zero on Rational blocks): primes accepted into
   /// the block's CRT product, unlucky primes discarded, the bit length of
@@ -134,10 +138,10 @@ struct SolveMetrics {
 
 /// Transient states that cannot reach any absorbing state, computed by
 /// reverse BFS from rows with R mass through Q edges. Mass in such states
-/// diverges; the language interprets it as dropped, so their rows of the
-/// absorption matrix are zero and the states are pruned from the linear
-/// system. After pruning, I - Q is nonsingular (every remaining state
-/// reaches a defective row; Lemma B.3 of the paper).
+/// diverges; the language interprets it as dropped, so their absorption
+/// rows are empty and the states are pruned from the linear system. After
+/// pruning, I - Q is nonsingular (every remaining state reaches a
+/// defective row; Lemma B.3 of the paper).
 struct ChainPruning {
   std::vector<bool> CanReach;        ///< Indexed by transient state.
   std::vector<std::size_t> Compact;  ///< Old index -> compact index.
@@ -147,24 +151,32 @@ struct ChainPruning {
 
 ChainPruning pruneUnreachableStates(const AbsorbingChain &Chain);
 
-/// Exact absorption probabilities. Unreachable states (a ProbNetKAT loop
-/// diverging on some input) get absorption probability 0 into every
-/// absorbing state — the minimal solution, matching the semantics where
-/// diverging mass lands on ∅/drop. Returns false only if the pruned
+/// One transient state's row of the absorption matrix A, stored sparsely:
+/// its nonzero (absorbing column, probability) pairs in ascending column
+/// order, with no explicit zeros. A column missing from the row is zero.
+template <typename T>
+using AbsorptionRow = std::vector<std::pair<std::size_t, T>>;
+
+/// Exact absorption probabilities, one row per transient state (Out has
+/// NumTransient rows). Unreachable states (a ProbNetKAT loop diverging on
+/// some input) get absorption probability 0 into every absorbing state —
+/// the minimal solution, matching the semantics where diverging mass lands
+/// on ∅/drop — so their rows are empty. Returns false only if the pruned
 /// system is singular (cannot happen for a well-formed substochastic
 /// chain; guards against malformed input). \p Metrics, when non-null,
 /// receives the per-block elimination statistics; \p Structure picks the
 /// per-block kernel (tests only).
 bool solveAbsorptionExact(const AbsorbingChain &Chain,
-                          linalg::DenseMatrix<Rational> &Out,
+                          std::vector<AbsorptionRow<Rational>> &Out,
                           SolveMetrics *Metrics = nullptr,
                           const SolverStructure &Structure = {});
 
 /// Floating-point absorption probabilities via sparse LU (Direct) or
-/// Neumann iteration (Iterative). Returns false on singularity /
-/// non-convergence.
+/// Neumann iteration (Iterative), in the same sparse rows as
+/// solveAbsorptionExact (a cell that computes to exactly 0.0 is left
+/// out). Returns false on singularity / non-convergence.
 bool solveAbsorptionDouble(const AbsorbingChain &Chain,
-                           linalg::DenseMatrix<double> &Out,
+                           std::vector<AbsorptionRow<double>> &Out,
                            SolverKind Kind = SolverKind::Direct,
                            SolveMetrics *Metrics = nullptr);
 
@@ -190,9 +202,10 @@ bool eliminateRationalSystem(
 /// The Direct engine's per-block kernel: assembles I - Q from
 /// \p QTriplets (local indices, values +q), factors it with sparse LU in
 /// the given numbering (the block plan numbers large blocks in RCM order),
-/// and solves in place for each column of \p Rhs (N x NumAbsorbing).
-/// \p EliminationOps accumulates the factorization's multiply-subtract
-/// count and \p FillIn the factor entries beyond the assembled pattern.
+/// and solves in place for each column of \p Rhs (N x the exit columns
+/// the block reaches). \p EliminationOps accumulates the factorization's
+/// multiply-subtract count and \p FillIn the factor entries beyond the
+/// assembled pattern.
 bool luSolve(std::size_t N, const std::vector<linalg::Triplet> &QTriplets,
              linalg::DenseMatrix<double> &Rhs, std::size_t &EliminationOps,
              std::size_t &FillIn);

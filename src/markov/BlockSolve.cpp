@@ -272,20 +272,16 @@ struct NeumannField : DoubleField {
   }
 };
 
-/// Plan, solve over \p F, scatter, and report: the whole pipeline for the
+/// Plan, solve over \p F, and report: the whole pipeline for the
 /// single-field engines.
 template <typename Field>
 bool solvePipeline(const AbsorbingChain &Chain, const Field &F,
-                   DenseMatrix<typename Field::Scalar> &Out,
+                   std::vector<AbsorptionRow<typename Field::Scalar>> &Out,
                    SolveMetrics *Metrics) {
   BlockPlan Plan = planBlocks(Chain, Field::MinOrdered);
   std::vector<BlockMetrics> Blocks(Plan.Blocks.size());
-  DenseMatrix<typename Field::Scalar> X;
-  if (!solveBlocks(Plan, F, X, Blocks))
+  if (!solveBlocks(Plan, F, Out, Blocks))
     return false;
-  Out = DenseMatrix<typename Field::Scalar>(Chain.NumTransient,
-                                            Chain.NumAbsorbing);
-  scatterSolution(Plan, X, Out);
   if (Metrics)
     finishMetrics(*Metrics, Plan, std::move(Blocks));
   return true;
@@ -294,16 +290,15 @@ bool solvePipeline(const AbsorbingChain &Chain, const Field &F,
 } // namespace
 
 bool markov::solveAbsorptionExact(const AbsorbingChain &Chain,
-                                  DenseMatrix<Rational> &Out,
+                                  std::vector<AbsorptionRow<Rational>> &Out,
                                   SolveMetrics *Metrics,
                                   const SolverStructure &Structure) {
   return solvePipeline(Chain, RationalField{Structure}, Out, Metrics);
 }
 
 bool markov::solveAbsorptionDouble(const AbsorbingChain &Chain,
-                                   DenseMatrix<double> &Out,
-                                   SolverKind Kind,
-                                   SolveMetrics *Metrics) {
+                                   std::vector<AbsorptionRow<double>> &Out,
+                                   SolverKind Kind, SolveMetrics *Metrics) {
   assert(Kind != SolverKind::Exact && "use solveAbsorptionExact");
   if (Kind == SolverKind::Direct)
     return solvePipeline(Chain, LUField(), Out, Metrics);

@@ -10,9 +10,12 @@
 ///
 /// block by block in increasing block id, a reverse topological order of
 /// the condensation DAG (ext ranges over states of already solved
-/// successor blocks), on the caller's thread, over any scalar field. A
-/// field policy supplies the scalar type, the lowering of the plan's
-/// Rational coefficients into it, and the in-block kernel:
+/// successor blocks), on the caller's thread, over any scalar field,
+/// leaving one sparse absorption row per state: a block's right-hand side
+/// spans only the exit columns it reaches, and nothing transient x exit
+/// sized is ever allocated. A field policy supplies the scalar type, the
+/// lowering of the plan's Rational coefficients into it, and the in-block
+/// kernel:
 ///
 ///   struct Field {
 ///     using Scalar = ...;
@@ -24,8 +27,9 @@
 ///     bool lower(const Rational &, Scalar &) const;
 ///     void add(Scalar &Acc, const Scalar &V) const;
 ///     void addMul(Scalar &Acc, const Scalar &A, const Scalar &B) const;
-///     // Solves (I - Q_BB) X = Rhs in place; only called when the block
-///     // has in-block entries.
+///     // Solves (I - Q_BB) X = Rhs in place, column by column (Rhs has
+///     // one column per exit the block reaches, possibly none); only
+///     // called when the block has in-block entries.
 ///     bool solveBlock(const PlanBlock &, linalg::DenseMatrix<Scalar> &Rhs,
 ///                     BlockMetrics &) const;
 ///   };
@@ -37,6 +41,9 @@
 
 #include "markov/Absorbing.h"
 #include "markov/Scc.h"
+
+#include <algorithm>
+#include <cstdint>
 
 namespace mcnk {
 namespace markov {
@@ -83,40 +90,77 @@ void finishMetrics(SolveMetrics &M, const BlockPlan &Plan,
                    std::vector<BlockMetrics> Blocks);
 
 /// Solves the whole plan over \p F, block by block in increasing id order
-/// (successors first). \p X receives the absorption rows in compact index
-/// order (NumKept x NumAbsorbing); each block's kernel work accumulates
-/// into Metrics[block id]. Returns false as soon as a block fails.
+/// (successors first). \p Rows receives one sparse absorption row per
+/// transient state of the chain (pruned states keep empty rows); each
+/// block's kernel work accumulates into Metrics[block id]. Returns false
+/// as soon as a block fails.
+///
+/// A block's right-hand side is dense only over the exit columns the
+/// block reaches — its R_B columns and the columns of its solved
+/// successors' rows — numbered in ascending exit order through one
+/// NumAbsorbing-sized slot array that is reset after the block. The
+/// kernels solve column by column, so leaving out columns that are zero
+/// throughout changes no other cell, and each kept cell accumulates R_B
+/// and then Q_ext in the same order a full-width right-hand side would.
 template <typename Field>
 bool solveBlocks(const BlockPlan &Plan, const Field &F,
-                 linalg::DenseMatrix<typename Field::Scalar> &X,
+                 std::vector<AbsorptionRow<typename Field::Scalar>> &Rows,
                  std::vector<BlockMetrics> &Metrics) {
   using Scalar = typename Field::Scalar;
-  std::size_t NA = Plan.NumAbsorbing;
-  X = linalg::DenseMatrix<Scalar>(Plan.Pruned.NumKept, NA);
+  const std::vector<std::size_t> &Original = Plan.Pruned.Original;
+  Rows.assign(Plan.Pruned.CanReach.size(), {});
+  // Slot[C]: exit column C's index in the current block's right-hand
+  // side; SIZE_MAX when the block does not reach C.
+  std::vector<std::size_t> Slot(Plan.NumAbsorbing, SIZE_MAX);
+  std::vector<std::size_t> Cols;
   Scalar V = F.zero();
   for (std::size_t B = 0; B < Plan.Blocks.size(); ++B) {
     const PlanBlock &PB = Plan.Blocks[B];
-    linalg::DenseMatrix<Scalar> Rhs(PB.Members.size(), NA);
+    Cols.clear();
+    auto Reach = [&](std::size_t C) {
+      if (Slot[C] == SIZE_MAX) {
+        Slot[C] = 0;
+        Cols.push_back(C);
+      }
+    };
+    for (const PlanCell &E : PB.R)
+      Reach(E.Col);
+    for (const PlanCell &E : PB.Outer)
+      for (const auto &Cell : Rows[Original[E.Col]])
+        Reach(Cell.first);
+    std::sort(Cols.begin(), Cols.end());
+    for (std::size_t J = 0; J < Cols.size(); ++J)
+      Slot[Cols[J]] = J;
+
+    linalg::DenseMatrix<Scalar> Rhs(PB.Members.size(), Cols.size());
     for (const PlanCell &E : PB.R) {
       if (!F.lower(E.Value, V))
         return false;
-      F.add(Rhs.at(E.Row, E.Col), V);
+      F.add(Rhs.at(E.Row, Slot[E.Col]), V);
     }
     // Back-substitution along condensation edges: successor blocks are
     // solved, so their absorption rows fold into this block's RHS.
     for (const PlanCell &E : PB.Outer) {
       if (!F.lower(E.Value, V))
         return false;
-      for (std::size_t C = 0; C < NA; ++C)
-        if (!F.isZero(X.at(E.Col, C)))
-          F.addMul(Rhs.at(E.Row, C), V, X.at(E.Col, C));
+      for (const auto &[C, X] : Rows[Original[E.Col]])
+        F.addMul(Rhs.at(E.Row, Slot[C]), V, X);
     }
+    for (std::size_t C : Cols)
+      Slot[C] = SIZE_MAX;
     // Without in-block entries the block's system is the identity.
     if (!PB.Inner.empty() && !F.solveBlock(PB, Rhs, Metrics[B]))
       return false;
-    for (std::size_t L = 0; L < PB.Members.size(); ++L)
-      for (std::size_t C = 0; C < NA; ++C)
-        X.at(PB.Members[L], C) = std::move(Rhs.at(L, C));
+    for (std::size_t L = 0; L < PB.Members.size(); ++L) {
+      AbsorptionRow<Scalar> &Row = Rows[Original[PB.Members[L]]];
+      std::size_t NumNonzero = 0;
+      for (std::size_t J = 0; J < Cols.size(); ++J)
+        NumNonzero += !F.isZero(Rhs.at(L, J));
+      Row.reserve(NumNonzero);
+      for (std::size_t J = 0; J < Cols.size(); ++J)
+        if (!F.isZero(Rhs.at(L, J)))
+          Row.emplace_back(Cols[J], std::move(Rhs.at(L, J)));
+    }
   }
   return true;
 }
@@ -130,16 +174,6 @@ bool solveBlocks(const BlockPlan &Plan, const Field &F,
 /// prime counters accumulate into \p BM.
 bool solveBlockModular(const PlanBlock &PB, linalg::DenseMatrix<Rational> &Rhs,
                        const SolverStructure &Structure, BlockMetrics &BM);
-
-/// Scatters the compact solution \p X into \p Out (NumTransient x
-/// NumAbsorbing; pruned rows stay zero).
-template <typename T>
-void scatterSolution(const BlockPlan &Plan, linalg::DenseMatrix<T> &X,
-                     linalg::DenseMatrix<T> &Out) {
-  for (std::size_t K = 0; K < Plan.Pruned.NumKept; ++K)
-    for (std::size_t C = 0; C < Plan.NumAbsorbing; ++C)
-      Out.at(Plan.Pruned.Original[K], C) = std::move(X.at(K, C));
-}
 
 } // namespace detail
 } // namespace markov

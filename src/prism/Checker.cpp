@@ -433,19 +433,21 @@ bool prism::checkReachability(const Model &M, const GuardExpr &Goal,
   }
 
   if (Solver == markov::SolverKind::Exact) {
-    linalg::DenseMatrix<Rational> A;
+    // One absorbing column (the goal): the start row is empty or holds it.
+    std::vector<markov::AbsorptionRow<Rational>> A;
     if (!markov::solveAbsorptionExact(Chain, A)) {
       Error = "absorbing solve failed";
       return false;
     }
-    Out.Probability = A.at(Start, 0);
+    Out.Probability = A[Start].empty() ? Rational() : A[Start][0].second;
     return true;
   }
-  linalg::DenseMatrix<double> A;
+  std::vector<markov::AbsorptionRow<double>> A;
   if (!markov::solveAbsorptionDouble(Chain, A, Solver)) {
     Error = "absorbing solve failed";
     return false;
   }
-  Out.Probability = Rational::fromDouble(A.at(Start, 0));
+  Out.Probability =
+      Rational::fromDouble(A[Start].empty() ? 0.0 : A[Start][0].second);
   return true;
 }

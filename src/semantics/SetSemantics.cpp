@@ -252,18 +252,15 @@ SetDist SetSemantics::evalStar(const Node *Body, PacketSet Input) {
   }
   Chain.NumAbsorbing = Accumulators.size();
 
-  linalg::DenseMatrix<Rational> Absorption;
+  std::vector<markov::AbsorptionRow<Rational>> Absorption;
   if (!markov::solveAbsorptionExact(Chain, Absorption))
     fatalError("star chain unexpectedly singular");
 
   SetDist Result;
   Rational Total;
-  for (std::size_t C = 0; C < Accumulators.size(); ++C) {
-    Rational W = Absorption.at(TransientId[Start], C);
-    if (!W.isZero()) {
-      Result[Accumulators[C]] += W;
-      Total += W;
-    }
+  for (const auto &[C, W] : Absorption[TransientId[Start]]) {
+    Result[Accumulators[C]] += W;
+    Total += W;
   }
   assert(Total.isOne() && "star limit distribution must be total");
   return Result;

@@ -413,6 +413,19 @@ void runOnThreads(std::size_t N, unsigned NumThreads, Fn Body) {
     T.join();
 }
 
+using AbsorptionRows = std::vector<markov::AbsorptionRow<Rational>>;
+
+/// Test-local dense view of \p Chain's absorption rows: a column missing
+/// from a row reads as zero.
+linalg::DenseMatrix<Rational> denseView(const AbsorptionRows &Rows,
+                                        const markov::AbsorbingChain &Chain) {
+  linalg::DenseMatrix<Rational> Out(Chain.NumTransient, Chain.NumAbsorbing);
+  for (std::size_t R = 0; R < Rows.size(); ++R)
+    for (const auto &[C, V] : Rows[R])
+      Out.at(R, C) = V;
+  return Out;
+}
+
 /// Solves the 12 chains of \p Seed with the Rational engine on this
 /// thread, then again with \p Solve, 12 serial solves spread over 4
 /// threads, and expects the same answers.
@@ -424,12 +437,15 @@ void expectConcurrentSolvesAgree(uint64_t Seed, SolveFn Solve) {
   std::vector<char> ExpectedOk(NumSolves);
   for (std::size_t I = 0; I < NumSolves; ++I) {
     Chains.push_back(concurrencyChain(Seed, I));
-    ExpectedOk[I] = markov::solveAbsorptionExact(Chains[I], Expected[I]);
+    AbsorptionRows Rows;
+    ExpectedOk[I] = markov::solveAbsorptionExact(Chains[I], Rows);
+    Expected[I] = denseView(Rows, Chains[I]);
   }
   std::vector<char> Agree(NumSolves, 0);
   runOnThreads(NumSolves, 4, [&](std::size_t I) {
-    linalg::DenseMatrix<Rational> Got;
-    bool Same = Solve(Chains[I], Got) == static_cast<bool>(ExpectedOk[I]);
+    AbsorptionRows Rows;
+    bool Same = Solve(Chains[I], Rows) == static_cast<bool>(ExpectedOk[I]);
+    linalg::DenseMatrix<Rational> Got = denseView(Rows, Chains[I]);
     if (Same && ExpectedOk[I])
       for (std::size_t R = 0; R < Chains[I].NumTransient; ++R)
         for (std::size_t C = 0; C < Chains[I].NumAbsorbing; ++C)
@@ -447,7 +463,7 @@ TEST(ParallelCompileTest, ConcurrentBlockedSolvesOnOneEngine) {
   // solve may share mutable state with another (TSan via ./ci.sh tsan).
   expectConcurrentSolvesAgree(
       0xB10C5ULL, [](const markov::AbsorbingChain &Chain,
-                     linalg::DenseMatrix<Rational> &Out) {
+                     AbsorptionRows &Out) {
         return markov::solveAbsorptionExact(Chain, Out);
       });
 }
@@ -477,7 +493,7 @@ TEST(ParallelCompileTest, ConcurrentModularSolvesOnOneEngine) {
   // pins its locking under ThreadSanitizer (./ci.sh tsan).
   expectConcurrentSolvesAgree(
       0x40DA7ULL, [](const markov::AbsorbingChain &Chain,
-                     linalg::DenseMatrix<Rational> &Out) {
+                     AbsorptionRows &Out) {
         markov::SolverStructure S;
         S.Kernel = markov::BlockKernel::Modular;
         return markov::solveAbsorptionExact(Chain, Out, nullptr, S);

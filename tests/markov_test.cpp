@@ -3,8 +3,9 @@
 /// \file
 /// Absorbing Markov chain tests: textbook chains with known closed forms
 /// (gambler's ruin, §4's coin-flip example), cross-engine agreement between
-/// exact, direct, and iterative solvers, and singularity detection for
-/// chains with unreachable absorption.
+/// exact, direct, and iterative solvers, singularity detection for
+/// chains with unreachable absorption, and the sparse absorption rows the
+/// block pipeline returns (checked through a test-local dense view).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,6 +24,64 @@ using namespace mcnk::markov;
 using linalg::DenseMatrix;
 
 namespace {
+
+/// The sparse-row contract every engine keeps, and solveLoop's leaf
+/// rebuild relies on: one row per transient state, columns in range and
+/// strictly ascending, no explicit zeros. Returns true if it holds.
+template <typename T>
+bool rowsKeepContract(const std::vector<AbsorptionRow<T>> &Rows,
+                      const AbsorbingChain &Chain) {
+  bool Ok = Rows.size() == Chain.NumTransient;
+  EXPECT_EQ(Rows.size(), Chain.NumTransient);
+  for (std::size_t R = 0; R < Rows.size(); ++R)
+    for (std::size_t I = 0; I < Rows[R].size(); ++I) {
+      const auto &[C, V] = Rows[R][I];
+      bool Cell = !(V == T()) && C < Chain.NumAbsorbing &&
+                  (I == 0 || Rows[R][I - 1].first < C);
+      EXPECT_TRUE(Cell) << "row " << R << ", entry " << I << ": column "
+                        << C << " (explicit zero, out of range or out of "
+                        << "order)";
+      Ok = Ok && Cell;
+    }
+  return Ok;
+}
+
+/// The test-local dense view of \p Rows, in which a column missing from a
+/// row reads as zero; checks the row contract on the way.
+template <typename T>
+DenseMatrix<T> denseView(std::vector<AbsorptionRow<T>> Rows,
+                         const AbsorbingChain &Chain) {
+  DenseMatrix<T> Out(Chain.NumTransient, Chain.NumAbsorbing);
+  if (!rowsKeepContract(Rows, Chain))
+    return Out;
+  for (std::size_t R = 0; R < Rows.size(); ++R)
+    for (auto &[C, V] : Rows[R])
+      Out.at(R, C) = std::move(V);
+  return Out;
+}
+
+/// solveAbsorptionExact through the dense view; \p Out is left alone when
+/// the solve fails.
+bool solveExactDense(const AbsorbingChain &Chain, DenseMatrix<Rational> &Out,
+                     SolveMetrics *Metrics = nullptr,
+                     const SolverStructure &Structure = {}) {
+  std::vector<AbsorptionRow<Rational>> Rows;
+  if (!solveAbsorptionExact(Chain, Rows, Metrics, Structure))
+    return false;
+  Out = denseView(std::move(Rows), Chain);
+  return true;
+}
+
+/// solveAbsorptionDouble through the dense view.
+bool solveDoubleDense(const AbsorbingChain &Chain, DenseMatrix<double> &Out,
+                      SolverKind Kind = SolverKind::Direct,
+                      SolveMetrics *Metrics = nullptr) {
+  std::vector<AbsorptionRow<double>> Rows;
+  if (!solveAbsorptionDouble(Chain, Rows, Kind, Metrics))
+    return false;
+  Out = denseView(std::move(Rows), Chain);
+  return true;
+}
 
 /// Gambler's ruin on {0..N} with win probability P: transient 1..N-1,
 /// absorbing 0 and N. Absorption probability into N starting from K is
@@ -62,7 +121,7 @@ TEST(AbsorbingTest, CoinFlipLoopFromPaper) {
   ASSERT_TRUE(rowsAreStochastic(Chain));
 
   DenseMatrix<Rational> A;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A));
+  ASSERT_TRUE(solveExactDense(Chain, A));
   EXPECT_EQ(A.at(0, 0), Rational(1, 2));
   EXPECT_EQ(A.at(0, 1), Rational(1, 2));
 }
@@ -73,7 +132,7 @@ TEST(AbsorbingTest, GamblersRuinExactMatchesClosedForm) {
   AbsorbingChain Chain = gamblersRuin(5, Rational(2, 3));
   ASSERT_TRUE(rowsAreStochastic(Chain));
   DenseMatrix<Rational> A;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A));
+  ASSERT_TRUE(solveExactDense(Chain, A));
   Rational RatioPow(1);
   const Rational Ratio(1, 2);
   Rational Denom = Rational(1) - Rational(1, 32); // 1 - r^5
@@ -89,11 +148,11 @@ TEST(AbsorbingTest, GamblersRuinExactMatchesClosedForm) {
 TEST(AbsorbingTest, EnginesAgree) {
   AbsorbingChain Chain = gamblersRuin(8, Rational(3, 5));
   DenseMatrix<Rational> Exact;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, Exact));
+  ASSERT_TRUE(solveExactDense(Chain, Exact));
 
   DenseMatrix<double> Direct, Iterative;
-  ASSERT_TRUE(solveAbsorptionDouble(Chain, Direct, SolverKind::Direct));
-  ASSERT_TRUE(solveAbsorptionDouble(Chain, Iterative, SolverKind::Iterative));
+  ASSERT_TRUE(solveDoubleDense(Chain, Direct, SolverKind::Direct));
+  ASSERT_TRUE(solveDoubleDense(Chain, Iterative, SolverKind::Iterative));
 
   for (std::size_t R = 0; R < Chain.NumTransient; ++R)
     for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C) {
@@ -112,7 +171,7 @@ TEST(AbsorbingTest, SubStochasticRowsLoseMass) {
   Chain.REntries.push_back({0, 0, Rational(1, 4)});
   EXPECT_FALSE(rowsAreStochastic(Chain));
   DenseMatrix<Rational> A;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A));
+  ASSERT_TRUE(solveExactDense(Chain, A));
   // Σ (1/2)^n * 1/4 = 1/2.
   EXPECT_EQ(A.at(0, 0), Rational(1, 2));
 }
@@ -127,13 +186,13 @@ TEST(AbsorbingTest, DivergingStatesDropAllMass) {
   Chain.QEntries.push_back({0, 1, Rational(1)});
   Chain.QEntries.push_back({1, 0, Rational(1)});
   DenseMatrix<Rational> A;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A));
+  ASSERT_TRUE(solveExactDense(Chain, A));
   EXPECT_EQ(A.at(0, 0), Rational(0));
   EXPECT_EQ(A.at(1, 0), Rational(0));
   DenseMatrix<double> AD;
-  ASSERT_TRUE(solveAbsorptionDouble(Chain, AD, SolverKind::Direct));
+  ASSERT_TRUE(solveDoubleDense(Chain, AD, SolverKind::Direct));
   EXPECT_DOUBLE_EQ(AD.at(0, 0), 0.0);
-  ASSERT_TRUE(solveAbsorptionDouble(Chain, AD, SolverKind::Iterative));
+  ASSERT_TRUE(solveDoubleDense(Chain, AD, SolverKind::Iterative));
   EXPECT_DOUBLE_EQ(AD.at(1, 0), 0.0);
 }
 
@@ -147,11 +206,11 @@ TEST(AbsorbingTest, PartiallyDivergingChain) {
   Chain.QEntries.push_back({1, 1, Rational(1)});
   Chain.REntries.push_back({0, 0, Rational(1, 2)});
   DenseMatrix<Rational> A;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A));
+  ASSERT_TRUE(solveExactDense(Chain, A));
   EXPECT_EQ(A.at(0, 0), Rational(1, 2));
   EXPECT_EQ(A.at(1, 0), Rational(0));
   DenseMatrix<double> AD;
-  ASSERT_TRUE(solveAbsorptionDouble(Chain, AD, SolverKind::Direct));
+  ASSERT_TRUE(solveDoubleDense(Chain, AD, SolverKind::Direct));
   EXPECT_NEAR(AD.at(0, 0), 0.5, 1e-12);
   EXPECT_NEAR(AD.at(1, 0), 0.0, 1e-12);
 }
@@ -161,7 +220,7 @@ TEST(AbsorbingTest, EmptyChainTrivial) {
   Chain.NumTransient = 0;
   Chain.NumAbsorbing = 3;
   DenseMatrix<double> A;
-  ASSERT_TRUE(solveAbsorptionDouble(Chain, A, SolverKind::Direct));
+  ASSERT_TRUE(solveDoubleDense(Chain, A, SolverKind::Direct));
   EXPECT_EQ(A.numRows(), 0u);
   EXPECT_EQ(A.numCols(), 3u);
 }
@@ -195,8 +254,8 @@ TEST_P(AbsorbingEngineProperty, ExactAndDirectAgree) {
     }
     DenseMatrix<Rational> Exact;
     DenseMatrix<double> Direct;
-    ASSERT_TRUE(solveAbsorptionExact(Chain, Exact));
-    ASSERT_TRUE(solveAbsorptionDouble(Chain, Direct, SolverKind::Direct));
+    ASSERT_TRUE(solveExactDense(Chain, Exact));
+    ASSERT_TRUE(solveDoubleDense(Chain, Direct, SolverKind::Direct));
     for (std::size_t R = 0; R < NT; ++R) {
       Rational RowSum;
       for (std::size_t A = 0; A < NA; ++A) {
@@ -395,7 +454,7 @@ TEST_P(BlockedSolveProperty, BlockedEqualsMonolithic) {
 
     DenseMatrix<Rational> Blocked;
     SolveMetrics Metrics;
-    ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, &Metrics));
+    ASSERT_TRUE(solveExactDense(Chain, Blocked, &Metrics));
     expectMetricsConsistent(Metrics);
     // Same kept subsystem, decomposed into at least one block per
     // nonempty system.
@@ -408,7 +467,7 @@ TEST_P(BlockedSolveProperty, BlockedEqualsMonolithic) {
 
     DenseMatrix<double> Direct;
     ASSERT_TRUE(
-        solveAbsorptionDouble(Chain, Direct, SolverKind::Direct, &Metrics));
+        solveDoubleDense(Chain, Direct, SolverKind::Direct, &Metrics));
     expectMetricsConsistent(Metrics);
     for (std::size_t R = 0; R < NT; ++R)
       for (std::size_t C = 0; C < NA; ++C)
@@ -426,7 +485,7 @@ TEST(BlockedSolveTest, SingleSccExtreme) {
   DenseMatrix<Rational> Blocked, Mono;
   SolveMetrics Metrics;
   MonolithicStats MonoStats;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, Blocked, &Metrics));
+  ASSERT_TRUE(solveExactDense(Chain, Blocked, &Metrics));
   ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
   EXPECT_EQ(Metrics.NumBlocks, 1u);
   EXPECT_EQ(Metrics.MaxBlockSize, Chain.NumTransient);
@@ -451,7 +510,7 @@ TEST(BlockedSolveTest, FullyDisconnectedExtreme) {
   DenseMatrix<Rational> A, Mono;
   SolveMetrics Metrics;
   MonolithicStats MonoStats;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A, &Metrics));
+  ASSERT_TRUE(solveExactDense(Chain, A, &Metrics));
   ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
   EXPECT_EQ(Metrics.NumBlocks, 6u);
   EXPECT_EQ(Metrics.MaxBlockSize, 1u);
@@ -475,7 +534,7 @@ TEST(BlockedSolveTest, DivergingStatesPrunedBeforeBlocking) {
   DenseMatrix<Rational> A, Mono;
   SolveMetrics Metrics;
   MonolithicStats MonoStats;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A, &Metrics));
+  ASSERT_TRUE(solveExactDense(Chain, A, &Metrics));
   ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
   EXPECT_EQ(Metrics.NumBlocks, 0u);
   EXPECT_EQ(Metrics.NumSolved, 0u);
@@ -489,7 +548,7 @@ TEST(AbsorbingTest, LongChainDirectSolver) {
   // A 400-state birth-death chain exercises sparse LU at moderate size.
   AbsorbingChain Chain = gamblersRuin(400, Rational(1, 2));
   DenseMatrix<double> A;
-  ASSERT_TRUE(solveAbsorptionDouble(Chain, A, SolverKind::Direct));
+  ASSERT_TRUE(solveDoubleDense(Chain, A, SolverKind::Direct));
   // Symmetric ruin: Pr[win | start K] = K / N.
   for (std::size_t K = 1; K < 400; K += 37)
     EXPECT_NEAR(A.at(K - 1, 1), static_cast<double>(K) / 400.0, 1e-8);
@@ -518,12 +577,12 @@ TEST_P(ModularSolveProperty, ModularEqualsExact) {
     std::size_t NT = Chain.NumTransient, NA = Chain.NumAbsorbing;
 
     DenseMatrix<Rational> Exact;
-    ASSERT_TRUE(solveAbsorptionExact(Chain, Exact, nullptr,
+    ASSERT_TRUE(solveExactDense(Chain, Exact, nullptr,
                                      forced(BlockKernel::Rational)));
 
     DenseMatrix<Rational> Modular;
     SolveMetrics Metrics;
-    ASSERT_TRUE(solveAbsorptionExact(Chain, Modular, &Metrics,
+    ASSERT_TRUE(solveExactDense(Chain, Modular, &Metrics,
                                      forced(BlockKernel::Modular)));
     expectMetricsConsistent(Metrics);
     for (std::size_t R = 0; R < NT; ++R)
@@ -586,7 +645,7 @@ TEST_P(KernelChoiceProperty, EveryKernelChoiceAgrees) {
     AbsorbingChain Chain = mixedBlockChain(Rng);
     DenseMatrix<Rational> Want;
     SolveMetrics RationalMetrics;
-    ASSERT_TRUE(solveAbsorptionExact(Chain, Want, &RationalMetrics,
+    ASSERT_TRUE(solveExactDense(Chain, Want, &RationalMetrics,
                                      forced(BlockKernel::Rational)));
     expectMetricsConsistent(RationalMetrics);
     EXPECT_EQ(RationalMetrics.NumPrimes, 0u);
@@ -594,7 +653,7 @@ TEST_P(KernelChoiceProperty, EveryKernelChoiceAgrees) {
       DenseMatrix<Rational> Got;
       SolveMetrics Metrics;
       ASSERT_TRUE(
-          solveAbsorptionExact(Chain, Got, &Metrics, forced(Kernel)));
+          solveExactDense(Chain, Got, &Metrics, forced(Kernel)));
       expectMetricsConsistent(Metrics);
       EXPECT_EQ(Got, Want);
       EXPECT_EQ(Metrics.ModularFallbacks, 0u);
@@ -621,12 +680,12 @@ TEST(ModularSolveTest, VerifiedReconstructionTriggersRationalFallback) {
   // end in the Rational fallback, and the answer must still be exact.
   AbsorbingChain Chain = gamblersRuin(40, Rational(3, 5));
   DenseMatrix<Rational> Exact, Modular;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, Exact, nullptr,
+  ASSERT_TRUE(solveExactDense(Chain, Exact, nullptr,
                                    forced(BlockKernel::Rational)));
   SolverStructure Structure = forced(BlockKernel::Modular);
   Structure.MaxPrimes = 1;
   SolveMetrics Metrics;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, Modular, &Metrics, Structure));
+  ASSERT_TRUE(solveExactDense(Chain, Modular, &Metrics, Structure));
   EXPECT_EQ(Metrics.ModularFallbacks, 1u);
   for (std::size_t R = 0; R < Chain.NumTransient; ++R)
     for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
@@ -635,7 +694,7 @@ TEST(ModularSolveTest, VerifiedReconstructionTriggersRationalFallback) {
   // The default prime budget reconstructs the same system without any
   // fallback.
   SolveMetrics Full;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, Modular, &Full,
+  ASSERT_TRUE(solveExactDense(Chain, Modular, &Full,
                                    forced(BlockKernel::Modular)));
   EXPECT_EQ(Full.ModularFallbacks, 0u);
   EXPECT_GT(Full.NumPrimes, 1u);
@@ -664,12 +723,12 @@ TEST(ModularSolveTest, UnluckyPrimeRetriesDeterministically) {
   SolveMetrics First, Second;
   DenseMatrix<Rational> A;
   ASSERT_TRUE(
-      solveAbsorptionExact(Chain, A, &First, forced(BlockKernel::Modular)));
+      solveExactDense(Chain, A, &First, forced(BlockKernel::Modular)));
   EXPECT_GE(First.RetriedPrimes, 1u);
   EXPECT_EQ(A.at(0, 0), Rational(1));
   EXPECT_EQ(A.at(1, 0), Rational(1));
   ASSERT_TRUE(
-      solveAbsorptionExact(Chain, A, &Second, forced(BlockKernel::Modular)));
+      solveExactDense(Chain, A, &Second, forced(BlockKernel::Modular)));
   EXPECT_EQ(First.RetriedPrimes, Second.RetriedPrimes);
   EXPECT_EQ(First.NumPrimes, Second.NumPrimes);
   EXPECT_EQ(First.ReconstructionBits, Second.ReconstructionBits);
@@ -679,7 +738,183 @@ TEST(ModularSolveTest, UnluckyPrimeRetriesDeterministically) {
   SolverStructure Skip = forced(BlockKernel::Modular);
   Skip.FirstPrimeIndex = 1;
   SolveMetrics Skipped;
-  ASSERT_TRUE(solveAbsorptionExact(Chain, A, &Skipped, Skip));
+  ASSERT_TRUE(solveExactDense(Chain, A, &Skipped, Skip));
   EXPECT_EQ(Skipped.RetriedPrimes, 0u);
   EXPECT_EQ(A.at(0, 0), Rational(1));
+}
+
+//===----------------------------------------------------------------------===//
+// Sparse absorption rows: each block's right-hand side spans only the exit
+// columns it reaches
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The four kernels every block-pipeline test runs on.
+enum class Engine { Rational, Modular, Direct, Iterative };
+const Engine AllEngines[] = {Engine::Rational, Engine::Modular,
+                             Engine::Direct, Engine::Iterative};
+
+const char *engineName(Engine E) {
+  switch (E) {
+  case Engine::Rational:
+    return "Rational";
+  case Engine::Modular:
+    return "Modular";
+  case Engine::Direct:
+    return "Direct";
+  case Engine::Iterative:
+    return "Iterative";
+  }
+  return "?";
+}
+
+/// Solves \p Chain on \p E and expects every cell of the result to match
+/// the unblocked reference \p Want: exactly on the exact kernels, within
+/// \p Tol on the float ones. Checks the row contract on the raw rows.
+void expectEngineMatches(Engine E, const AbsorbingChain &Chain,
+                         const DenseMatrix<Rational> &Want, double Tol) {
+  SCOPED_TRACE(engineName(E));
+  SolveMetrics Metrics;
+  if (E == Engine::Rational || E == Engine::Modular) {
+    std::vector<AbsorptionRow<Rational>> Rows;
+    ASSERT_TRUE(solveAbsorptionExact(Chain, Rows, &Metrics,
+                                     forced(E == Engine::Rational
+                                                ? BlockKernel::Rational
+                                                : BlockKernel::Modular)));
+    expectMetricsConsistent(Metrics);
+    DenseMatrix<Rational> Got = denseView(std::move(Rows), Chain);
+    for (std::size_t R = 0; R < Chain.NumTransient; ++R)
+      for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
+        EXPECT_EQ(Got.at(R, C), Want.at(R, C)) << R << "," << C;
+    return;
+  }
+  std::vector<AbsorptionRow<double>> Rows;
+  ASSERT_TRUE(solveAbsorptionDouble(
+      Chain, Rows,
+      E == Engine::Direct ? SolverKind::Direct : SolverKind::Iterative,
+      &Metrics));
+  expectMetricsConsistent(Metrics);
+  DenseMatrix<double> Got = denseView(std::move(Rows), Chain);
+  for (std::size_t R = 0; R < Chain.NumTransient; ++R)
+    for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
+      EXPECT_NEAR(Got.at(R, C), Want.at(R, C).toDouble(), Tol)
+          << R << "," << C;
+}
+
+/// Many exits, few reachable per block: NumBlocks two-state cycles, block
+/// B exiting into column (29 B) mod NumExits (a permutation, so a block's
+/// two columns come in either order), odd blocks also stepping into their
+/// even predecessor. Every block reaches one or two exit columns.
+AbsorbingChain wideExitChain(std::size_t NumBlocks, std::size_t NumExits) {
+  AbsorbingChain Chain;
+  Chain.NumTransient = 2 * NumBlocks;
+  Chain.NumAbsorbing = NumExits;
+  for (std::size_t B = 0; B < NumBlocks; ++B) {
+    std::size_t S0 = 2 * B, S1 = 2 * B + 1, Col = (29 * B) % NumExits;
+    auto D = static_cast<int64_t>(3 + B % 5);
+    Chain.QEntries.push_back({S0, S1, Rational(1, D)});
+    Chain.REntries.push_back({S0, Col, Rational(1, D + 1)});
+    Chain.QEntries.push_back({S1, S0, Rational(1, 2)});
+    if (B % 2 == 1) {
+      Chain.QEntries.push_back({S1, S0 - 1, Rational(1, 3)});
+      Chain.REntries.push_back({S1, Col, Rational(1, 7)});
+    } else {
+      Chain.REntries.push_back({S1, Col, Rational(1, 3)});
+    }
+  }
+  return Chain;
+}
+
+} // namespace
+
+TEST(SparseRowsTest, WideExitChainMatchesUnblockedReference) {
+  AbsorbingChain Chain = wideExitChain(/*NumBlocks=*/70, /*NumExits=*/72);
+  ASSERT_GE(Chain.NumAbsorbing, 64u);
+  DenseMatrix<Rational> Mono;
+  MonolithicStats MonoStats;
+  ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
+  // Every state reaches one or two exits; the reference agrees.
+  for (std::size_t R = 0; R < Chain.NumTransient; ++R) {
+    std::size_t Nonzero = 0;
+    for (std::size_t C = 0; C < Chain.NumAbsorbing; ++C)
+      Nonzero += !Mono.at(R, C).isZero();
+    EXPECT_GE(Nonzero, 1u);
+    EXPECT_LE(Nonzero, 2u);
+  }
+  for (Engine E : AllEngines)
+    expectEngineMatches(E, Chain, Mono, 1e-9);
+}
+
+TEST(SparseRowsTest, BlockReachingNoExitLeavesEmptyRows) {
+  // States 0 and 1 form a block with in-block entries. State 0's two
+  // exit entries are nonzero (so pruning keeps the block) but cancel when
+  // merged, so the block reaches no exit column and its right-hand side
+  // has zero columns: all of its mass drops. State 2 steps into the block
+  // and exits into column 1; column 0 is reached by nobody.
+  AbsorbingChain Chain;
+  Chain.NumTransient = 3;
+  Chain.NumAbsorbing = 2;
+  Chain.QEntries.push_back({0, 1, Rational(1, 2)});
+  Chain.QEntries.push_back({1, 0, Rational(1, 2)});
+  Chain.REntries.push_back({0, 0, Rational(1, 4)});
+  Chain.REntries.push_back({0, 0, Rational(-1, 4)});
+  Chain.QEntries.push_back({2, 0, Rational(1, 2)});
+  Chain.REntries.push_back({2, 1, Rational(1, 2)});
+  DenseMatrix<Rational> Mono;
+  MonolithicStats MonoStats;
+  ASSERT_TRUE(solveMonolithic(Chain, Mono, MonoStats));
+  EXPECT_EQ(MonoStats.NumSolved, 3u);
+
+  for (Engine E : AllEngines)
+    expectEngineMatches(E, Chain, Mono, 1e-12);
+  std::vector<AbsorptionRow<Rational>> Rows;
+  SolveMetrics Metrics;
+  ASSERT_TRUE(solveAbsorptionExact(Chain, Rows, &Metrics,
+                                   forced(BlockKernel::Modular)));
+  ASSERT_EQ(Rows.size(), 3u);
+  EXPECT_TRUE(Rows[0].empty());
+  EXPECT_TRUE(Rows[1].empty());
+  ASSERT_EQ(Rows[2].size(), 1u);
+  EXPECT_EQ(Rows[2][0].first, 1u);
+  EXPECT_EQ(Rows[2][0].second, Rational(1, 2));
+  // Nothing to reconstruct: the GF(p) kernel spends no prime on a block
+  // with no right-hand-side columns.
+  EXPECT_EQ(Metrics.NumPrimes, 0u);
+  std::vector<AbsorptionRow<double>> Approx;
+  for (SolverKind Kind : {SolverKind::Direct, SolverKind::Iterative}) {
+    ASSERT_TRUE(solveAbsorptionDouble(Chain, Approx, Kind));
+    ASSERT_EQ(Approx.size(), 3u);
+    EXPECT_TRUE(Approx[0].empty());
+    EXPECT_TRUE(Approx[1].empty());
+    EXPECT_EQ(Approx[2].size(), 1u);
+  }
+}
+
+TEST(SparseRowsTest, RowsAreColumnAscendingWithoutExplicitZeros) {
+  // Checked on the raw rows of every engine over the shapes above plus
+  // the random and mixed-block families, whose blocks reach exits from
+  // both their own R entries and their successors' rows.
+  std::mt19937_64 Rng(111);
+  std::vector<AbsorbingChain> Chains = {wideExitChain(70, 72),
+                                        wideExitChain(9, 64),
+                                        gamblersRuin(12, Rational(2, 5))};
+  for (int I = 0; I < 4; ++I) {
+    Chains.push_back(mixedBlockChain(Rng));
+    Chains.push_back(randomChain(Rng));
+  }
+  for (std::size_t I = 0; I < Chains.size(); ++I) {
+    SCOPED_TRACE("chain " + std::to_string(I));
+    const AbsorbingChain &Chain = Chains[I];
+    for (BlockKernel K : {BlockKernel::Rational, BlockKernel::Modular}) {
+      std::vector<AbsorptionRow<Rational>> Rows;
+      ASSERT_TRUE(solveAbsorptionExact(Chain, Rows, nullptr, forced(K)));
+      EXPECT_TRUE(rowsKeepContract(Rows, Chain));
+    }
+    for (SolverKind Kind : {SolverKind::Direct, SolverKind::Iterative}) {
+      std::vector<AbsorptionRow<double>> Rows;
+      ASSERT_TRUE(solveAbsorptionDouble(Chain, Rows, Kind));
+      EXPECT_TRUE(rowsKeepContract(Rows, Chain));
+    }
+  }
 }

@@ -376,6 +376,42 @@ TEST(FatTreeModelTest, FloatSolvedHopModelsKeepTheirDiagrams) {
   }
 }
 
+TEST(FatTreeModelTest, ExactSolvedHopModelsKeepTheirDiagrams) {
+  // The Exact engine's loop solves feed their absorption rows straight
+  // into exact leaves. These digests pin the exported diagrams of the AB
+  // FatTree p=4 hop models (hop cap 14) under both failure rates, so any
+  // change to the block pipeline or the leaf rebuild must reproduce every
+  // node and every exact weight.
+  struct Case {
+    Scheme S;
+    int FailDen;
+    uint64_t Digest;
+  };
+  const Case Cases[] = {
+      {Scheme::F100, 4, 6055021866675799406ull},
+      {Scheme::F100, 1000, 7045314711185553405ull},
+      {Scheme::F103, 4, 17969418707883841273ull},
+      {Scheme::F103, 1000, 8595909515619696412ull},
+      {Scheme::F1035, 4, 17696387058339352605ull},
+      {Scheme::F1035, 1000, 3158201784121820326ull},
+  };
+  for (const Case &C : Cases) {
+    Context Ctx;
+    topology::FatTreeLayout L;
+    topology::makeAbFatTree(4, L);
+    ModelOptions O;
+    O.RoutingScheme = C.S;
+    O.Failures = FailureModel::iid(Rational(1, C.FailDen));
+    O.CountHops = true;
+    O.HopCap = 14;
+    NetworkModel M = buildFatTreeModel(L, O, Ctx);
+    fdd::FddManager Manager(markov::SolverKind::Exact);
+    fdd::FddRef Model = fdd::compile(Manager, M.Program);
+    EXPECT_EQ(diagramDigest(fdd::exportFdd(Manager, Model)), C.Digest)
+        << "scheme " << static_cast<int>(C.S) << ", pr 1/" << C.FailDen;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Chain model
 //===----------------------------------------------------------------------===//
