@@ -168,8 +168,7 @@ static void BM_ParseAndFingerprint(benchmark::State &State) {
   for (auto _ : State) {
     ast::Context Ctx;
     parser::ParseResult R = parser::parseProgram(Text, Ctx);
-    ast::FingerprintMemo Memo;
-    benchmark::DoNotOptimize(ast::fingerprintTree(R.Program, Memo).Hash);
+    benchmark::DoNotOptimize(ast::programHash(R.Program));
   }
   State.SetBytesProcessed(static_cast<int64_t>(State.iterations()) *
                           static_cast<int64_t>(Text.size()));

@@ -42,6 +42,7 @@
 #include "analysis/Verifier.h"
 #include "ast/Deps.h"
 #include "ast/Simplify.h"
+#include "ast/Slice.h"
 #include "fdd/CompileCache.h"
 #include "fdd/Export.h"
 #include "gen/Scenario.h"
@@ -214,9 +215,10 @@ int main() {
       Rational AvgP = Plain.averageDeliveryProbability(RP, S.Inputs);
 
       analysis::Verifier Sliced; // Exact, delivery cone of influence.
-      Sliced.setSlice(&Ctx, ast::ObservationSet::delivery());
-      WallTimer SlicedTimer;
-      fdd::FddRef RS = Sliced.compile(S.Program);
+      WallTimer SlicedTimer;       // Times the slice and the compile.
+      ast::SliceResult SR =
+          ast::slice(Ctx, S.Program, ast::ObservationSet::delivery());
+      fdd::FddRef RS = Sliced.compile(SR.Program);
       double SlicedSec = SlicedTimer.elapsed();
       std::size_t NS = Sliced.manager().diagramSize(RS);
       Rational AvgS = Sliced.averageDeliveryProbability(RS, S.Inputs);
@@ -238,11 +240,10 @@ int main() {
       SlicedTotal += SlicedSec;
       FddPlain += NP;
       FddSliced += NS;
-      Removed += Sliced.lastSliceStats().AssignmentsRemoved;
+      Removed += SR.Stats.AssignmentsRemoved;
       std::printf("%-24s %8.3f %8.3f %9zu %9zu %8zu %6.1f%%\n",
                   S.Name.c_str(), PlainSec, SlicedSec, NP, NS,
-                  Sliced.lastSliceStats().AssignmentsRemoved,
-                  100 * Shrink);
+                  SR.Stats.AssignmentsRemoved, 100 * Shrink);
       std::fflush(stdout);
     }
     double Speedup = SlicedTotal > 0 ? PlainTotal / SlicedTotal : 0;

@@ -46,8 +46,9 @@
 /// --simplify runs the verified S15 simplifier over every program
 /// before compiling it (semantics-preserving: the diagrams are
 /// reference-identical, a contract the oracle enforces). The global
-/// option --slice runs S17 query-directed cone-of-influence slicing
-/// before compiling: `dump` slices for the delivery observation (only
+/// option --slice then runs S17 query-directed cone-of-influence slicing
+/// (ast/Slice.h) on the AST, after any --simplify and before the
+/// verifier compiles it: `dump` slices for the delivery observation (only
 /// the drop mass is observed, so assignments invisible to delivery
 /// queries are removed and the diagram shrinks — a slice statistics line
 /// reports by how much), while `run` and `equiv` slice for the
@@ -62,6 +63,7 @@
 #include "ast/Deps.h"
 #include "ast/Printer.h"
 #include "ast/Simplify.h"
+#include "ast/Slice.h"
 #include "ast/Traversal.h"
 #include "fdd/Export.h"
 #include "gen/Oracle.h"
@@ -462,30 +464,36 @@ int main(int Argc, char **Argv) {
     return 1;
   }
 
-  // --simplify rewrites a program just before the verifier compiles it.
-  auto Prepare = [&](const ast::Node *P) {
-    return Simplify ? ast::simplify(Ctx, P) : P;
+  // --simplify and then --slice rewrite a program just before the
+  // verifier compiles it; Obs is what the command's answer observes.
+  ast::SliceStats SliceStats;
+  auto Prepare = [&](const ast::Node *P, const ast::ObservationSet &Obs) {
+    if (Simplify)
+      P = ast::simplify(Ctx, P);
+    if (!Slice)
+      return P;
+    ast::SliceResult R = ast::slice(Ctx, P, Obs);
+    SliceStats = R.Stats;
+    return R.Program;
   };
 
   if (Command == "dump") {
     analysis::Verifier V;
     if (UseCache)
       V.enableCompileCache();
-    if (Slice)
-      // `dump` has no query attached, so slice for the most aggressive
-      // still-meaningful observation: delivery (drop mass only).
-      V.setSlice(&Ctx, ast::ObservationSet::delivery());
-    fdd::FddRef Ref = V.compile(Prepare(Program));
+    // `dump` has no query attached, so slice for the most aggressive
+    // still-meaningful observation: delivery (drop mass only).
+    fdd::FddRef Ref =
+        V.compile(Prepare(Program, ast::ObservationSet::delivery()));
     std::printf("%s", fdd::dumpFdd(V.manager(), Ref, Ctx.fields()).c_str());
     std::printf("// %zu nodes in the diagram\n",
                 V.manager().diagramSize(Ref));
-    if (Slice) {
-      const ast::SliceStats &S = V.lastSliceStats();
+    if (Slice)
       std::printf("slice: %zu assignment(s) removed, %zu -> %zu AST "
                   "nodes, %zu/%zu fields relevant\n",
-                  S.AssignmentsRemoved, S.NodesBefore, S.NodesAfter,
-                  S.FieldsRelevant, S.FieldsBefore);
-    }
+                  SliceStats.AssignmentsRemoved, SliceStats.NodesBefore,
+                  SliceStats.NodesAfter, SliceStats.FieldsRelevant,
+                  SliceStats.FieldsBefore);
     if (UseCache)
       printCacheStats(*V.compileCache());
     return 0;
@@ -502,12 +510,11 @@ int main(int Argc, char **Argv) {
     analysis::Verifier V;
     if (UseCache)
       V.enableCompileCache();
-    if (Slice)
-      // Equivalence observes whole output packets; slicing for the
-      // all-fields observation is a verified no-op rewrite.
-      V.setSlice(&Ctx, ast::ObservationSet::all());
-    bool Equal = V.equivalent(V.compile(Prepare(Program)),
-                              V.compile(Prepare(Other)));
+    // Equivalence observes whole output packets; slicing for the
+    // all-fields observation is a verified no-op rewrite.
+    bool Equal =
+        V.equivalent(V.compile(Prepare(Program, ast::ObservationSet::all())),
+                     V.compile(Prepare(Other, ast::ObservationSet::all())));
     std::printf("%s\n", Equal ? "equivalent" : "NOT equivalent");
     if (UseCache)
       printCacheStats(*V.compileCache());
@@ -532,10 +539,8 @@ int main(int Argc, char **Argv) {
     analysis::Verifier V;
     if (UseCache)
       V.enableCompileCache();
-    if (Slice)
-      // `run` prints whole output packets; all fields are observed.
-      V.setSlice(&Ctx, ast::ObservationSet::all());
-    fdd::FddRef Ref = V.compile(Prepare(Program));
+    // `run` prints whole output packets; all fields are observed.
+    fdd::FddRef Ref = V.compile(Prepare(Program, ast::ObservationSet::all()));
     auto Out = V.manager().outputDistribution(Ref, In);
     for (const auto &[Pkt, W] : Out.Outputs) {
       std::printf("{");

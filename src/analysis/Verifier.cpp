@@ -33,16 +33,7 @@ Rational HopStats::cumulative(unsigned MaxHops) const {
 }
 
 FddRef Verifier::compile(const ast::Node *Program) {
-  fdd::CompileOptions Options;
-  Options.Cache = Cache;
-  fdd::SliceHook Hook;
-  if (SliceCtx) {
-    Hook.Ctx = SliceCtx;
-    Hook.Observed = SliceObs;
-    Hook.Stats = &LastSlice;
-    Options.Slice = &Hook;
-  }
-  return fdd::compile(Manager, Program, Options);
+  return fdd::compile(Manager, Program, Cache);
 }
 
 fdd::CompileCache &Verifier::enableCompileCache(std::size_t Capacity) {

@@ -11,7 +11,6 @@
 #ifndef MCNK_ANALYSIS_VERIFIER_H
 #define MCNK_ANALYSIS_VERIFIER_H
 
-#include "ast/Context.h"
 #include "fdd/Compile.h"
 #include "fdd/CompileCache.h"
 #include "fdd/Fdd.h"
@@ -59,7 +58,9 @@ public:
     return Manager.solverStructure();
   }
 
-  /// Compiles a guarded program in this verifier's manager.
+  /// Compiles a guarded program in this verifier's manager, exactly as
+  /// given: callers that simplify (ast/Simplify.h) or slice (ast/Slice.h)
+  /// rewrite the AST first.
   ///
   /// \param Program  Guarded-fragment program (ast::isGuarded must hold).
   /// \return The compiled diagram, owned by this verifier's manager. All
@@ -77,22 +78,6 @@ public:
   /// The active cache, or null when caching is off.
   fdd::CompileCache *compileCache() const { return Cache; }
 
-  /// Enables S17 cone-of-influence slicing for every subsequent compile():
-  /// the program is sliced for \p Obs (ast/Slice.h) in \p Ctx — which
-  /// must own the program's nodes and outlive the verifier's compiles —
-  /// before FDD compilation, so the diagram never branches on (or writes)
-  /// fields outside the query's cone. Null disables. The compiled diagram
-  /// equals the unsliced one after projecting onto the cone, and every
-  /// query within \p Obs answers identically — the contract the oracle's
-  /// CheckSlice lane enforces.
-  void setSlice(ast::Context *Ctx, ast::ObservationSet Obs = {}) {
-    SliceCtx = Ctx;
-    SliceObs = std::move(Obs);
-  }
-  /// The context the slicer rewrites into, or null when off.
-  ast::Context *sliceContext() const { return SliceCtx; }
-  /// Statistics of the most recent sliced compile (zeros before one).
-  const ast::SliceStats &lastSliceStats() const { return LastSlice; }
   /// Hit/miss/size counters of the active cache (all zero when off).
   fdd::CompileCache::Stats cacheStats() const {
     return Cache ? Cache->stats() : fdd::CompileCache::Stats();
@@ -138,9 +123,6 @@ private:
   /// instead point at caller-owned shared storage (setCompileCache).
   std::unique_ptr<fdd::CompileCache> OwnedCache;
   fdd::CompileCache *Cache = nullptr;
-  ast::Context *SliceCtx = nullptr;
-  ast::ObservationSet SliceObs;
-  ast::SliceStats LastSlice;
 };
 
 } // namespace analysis

@@ -268,11 +268,7 @@ const NodeFingerprint &FingerprintMemo::at(const Node *N) const {
   return *FP;
 }
 
-const NodeFingerprint &ast::fingerprintTree(const Node *Root,
-                                            FingerprintMemo &Memo) {
-  std::vector<FingerprintMemo::Slot> &Slots = Memo.Slots;
-  if (Root->id() >= Slots.size())
-    Slots.resize(Root->id() + 1);
+FingerprintMemo::FingerprintMemo(const Node *Root) : Slots(Root->id() + 1) {
   // Post-order over the DAG; a node is expanded once and filled once its
   // children are.
   struct WalkFrame {
@@ -284,7 +280,7 @@ const NodeFingerprint &ast::fingerprintTree(const Node *Root,
   while (!Stack.empty()) {
     WalkFrame &Top = Stack.back();
     const Node *N = Top.N;
-    if (Memo.find(N)) {
+    if (find(N)) {
       Stack.pop_back();
       continue;
     }
@@ -293,23 +289,21 @@ const NodeFingerprint &ast::fingerprintTree(const Node *Root,
       // Pushing may invalidate Top; nothing below reads it.
       forEachChild(N, [&](const Node *C) {
         if (C->id() >= Slots.size())
-          fatalError("fingerprintTree: a child outside the root's Context");
-        if (!Memo.find(C))
+          fatalError("FingerprintMemo: a child outside the root's Context");
+        if (!find(C))
           Stack.push_back({C, false});
       });
       continue;
     }
     Stack.pop_back();
-    FingerprintMemo::Slot &S = Slots[N->id()];
+    Slot &S = Slots[N->id()];
     if (S.Owner)
-      fatalError("fingerprintTree: nodes of two Contexts share one memo");
-    S.Fingerprint = computeFingerprint(N, Memo);
+      fatalError("FingerprintMemo: a term mixes nodes of two Contexts");
+    S.Fingerprint = computeFingerprint(N, *this);
     S.Owner = N;
   }
-  return *Memo.find(Root);
 }
 
 ProgramHash ast::programHash(const Node *Root) {
-  FingerprintMemo Memo;
-  return fingerprintTree(Root, Memo).Hash;
+  return FingerprintMemo(Root).at(Root).Hash;
 }

@@ -61,41 +61,35 @@ struct NodeFingerprint {
   uint32_t Size = 0;
 };
 
-/// Memo table from the nodes of one ast::Context to their fingerprints: a
-/// flat array indexed by node id (Node::id()). fingerprintTree sizes it
-/// from the root's id, which bounds every id in the term, and grows it
-/// when a later call reaches nodes created since. Each slot also records
-/// its node, so a node of another Context whose id lands on a filled slot
-/// is a fatal error rather than a wrong cached FDD. Valid for the lifetime
-/// of that Context; safe to share read-only across threads once populated.
+/// Memo table from the nodes of one term to their fingerprints: a flat
+/// array indexed by node id (Node::id()), filled once at construction by
+/// an iterative post-order walk from the root, whose id bounds every id in
+/// the term. Each slot also records its node, so a term that mixes the
+/// nodes of two Contexts (whose ids collide) is a fatal error rather than
+/// a wrong cached FDD. Valid for the lifetime of the root's Context; safe
+/// to share read-only across threads.
 class FingerprintMemo {
 public:
-  /// The fingerprint of \p N, or nullptr when it has none yet.
+  /// Fingerprints \p Root and every subterm reachable from it. Iterative
+  /// — survives arbitrarily deep terms.
+  explicit FingerprintMemo(const Node *Root);
+
+  /// The fingerprint of \p N, or nullptr when \p N is not in the term.
   const NodeFingerprint *find(const Node *N) const {
     if (N->id() >= Slots.size() || Slots[N->id()].Owner != N)
       return nullptr;
     return &Slots[N->id()].Fingerprint;
   }
-  /// The fingerprint of \p N, which must have one.
+  /// The fingerprint of \p N, which must be in the term.
   const NodeFingerprint &at(const Node *N) const;
 
 private:
-  friend const NodeFingerprint &fingerprintTree(const Node *,
-                                                FingerprintMemo &);
-
   struct Slot {
     const Node *Owner = nullptr; ///< Null while the slot is empty.
     NodeFingerprint Fingerprint;
   };
   std::vector<Slot> Slots;
 };
-
-/// Fingerprints \p Root and every subterm reachable from it into \p Memo
-/// (existing entries are reused, so incremental calls over a growing term
-/// are cheap). Iterative — survives arbitrarily deep terms. Returns the
-/// root's fingerprint.
-const NodeFingerprint &fingerprintTree(const Node *Root,
-                                       FingerprintMemo &Memo);
 
 /// One-shot convenience: the structural fingerprint of \p Root.
 ProgramHash programHash(const Node *Root);

@@ -25,12 +25,16 @@ using namespace mcnk::ast;
 
 namespace {
 
+/// Sub-programs smaller than this (tree-size heuristic) skip the cache:
+/// below a handful of nodes, recompiling is cheaper than a lookup plus
+/// portable-FDD import.
+constexpr std::size_t CacheMinNodes = 16;
+
 /// Cross-compile memoization state for one compile() call: the shared
 /// cache plus the fingerprint memo, computed up front in one pass over the
 /// whole term.
 struct CacheContext {
   CompileCache *Cache;
-  std::size_t MinNodes;
   FingerprintMemo Memo;
 };
 
@@ -168,7 +172,7 @@ FddRef compileNode(FddManager &M, const Node *P, const CacheContext *CC) {
   ast::ProgramHash Key;
   if (Consult) {
     const NodeFingerprint &FP = CC->Memo.at(P);
-    Consult = FP.Size >= CC->MinNodes;
+    Consult = FP.Size >= CacheMinNodes;
     Key = FP.Hash;
   }
   if (Consult) {
@@ -185,19 +189,9 @@ FddRef compileNode(FddManager &M, const Node *P, const CacheContext *CC) {
 } // namespace
 
 FddRef fdd::compile(FddManager &Manager, const Node *Program,
-                    const CompileOptions &Options) {
-  // Slice once for the whole term: the cache fingerprints the sliced
-  // tree.
-  if (Options.Slice && Options.Slice->Ctx) {
-    ast::SliceResult R =
-        ast::slice(*Options.Slice->Ctx, Program, Options.Slice->Observed);
-    Program = R.Program;
-    if (Options.Slice->Stats)
-      *Options.Slice->Stats = R.Stats;
-  }
-  if (!Options.Cache)
+                    CompileCache *Cache) {
+  if (!Cache)
     return compileNode(Manager, Program, nullptr);
-  CacheContext CC{Options.Cache, Options.CacheMinNodes, {}};
-  fingerprintTree(Program, CC.Memo);
+  CacheContext CC{Cache, FingerprintMemo(Program)};
   return compileNode(Manager, Program, &CC);
 }

@@ -289,8 +289,7 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
             "slice is not idempotent");
 
     analysis::Verifier VS(markov::SolverKind::Exact);
-    VS.setSlice(&Ctx, ast::ObservationSet::delivery());
-    fdd::FddRef SE = VS.compile(Program);
+    fdd::FddRef SE = VS.compile(SR.Program);
     fdd::PortableFdd Unsliced = fdd::exportFdd(VExact.manager(), E);
     std::unordered_map<fdd::FddRef, fdd::FddRef> Memo;
     C.check(projectFdd(VS.manager(),
@@ -306,17 +305,17 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
 
     // The all-fields observation (what equivalence/refinement queries
     // observe) must make slicing a verified no-op on the diagram.
+    const Node *AllFields =
+        ast::slice(Ctx, Program, ast::ObservationSet::all()).Program;
     analysis::Verifier VA(markov::SolverKind::Exact);
-    VA.setSlice(&Ctx, ast::ObservationSet::all());
-    C.check(fdd::importFdd(VA.manager(), Unsliced) == VA.compile(Program),
+    C.check(fdd::importFdd(VA.manager(), Unsliced) == VA.compile(AllFields),
             "all-fields slice changed the compiled diagram");
 
     fdd::PortableFdd Sliced = fdd::exportFdd(VS.manager(), SE);
     if (O.CheckModular) {
       analysis::Verifier VM(markov::SolverKind::Exact);
       VM.setSolverStructure(ForcedModular);
-      VM.setSlice(&Ctx, ast::ObservationSet::delivery());
-      C.check(fdd::importFdd(VM.manager(), Sliced) == VM.compile(Program),
+      C.check(fdd::importFdd(VM.manager(), Sliced) == VM.compile(SR.Program),
               "sliced GF(p)-kernel compile is not reference-equal to the "
               "sliced exact compile");
     }
@@ -329,12 +328,11 @@ OracleReport gen::crossCheckProgram(Context &Ctx, const Node *Program,
       }
       analysis::Verifier VC(markov::SolverKind::Exact);
       VC.setCompileCache(Cache);
-      VC.setSlice(&Ctx, ast::ObservationSet::delivery());
-      fdd::FddRef Cold = VC.compile(Program);
+      fdd::FddRef Cold = VC.compile(SR.Program);
       C.check(fdd::importFdd(VC.manager(), Sliced) == Cold,
               "sliced cached cold compile is not reference-equal to the "
               "uncached sliced compile");
-      C.check(VC.compile(Program) == Cold,
+      C.check(VC.compile(SR.Program) == Cold,
               "sliced cache-hit recompile differs from the sliced cold "
               "compile");
     }
@@ -741,15 +739,16 @@ OracleReport gen::crossCheckScenario(Context &Ctx, const Scenario &S,
   // counter's writes while still shedding unrelated state).
   if (O.CheckSlice) {
     analysis::Verifier VS(markov::SolverKind::Exact);
-    VS.setSlice(&Ctx, ast::ObservationSet::delivery());
-    fdd::FddRef SP = VS.compile(S.Program);
+    fdd::FddRef SP = VS.compile(
+        ast::slice(Ctx, S.Program, ast::ObservationSet::delivery()).Program);
     C.check(VS.averageDeliveryProbability(SP, S.Inputs).toString() ==
                 V.averageDeliveryProbability(P, S.Inputs).toString(),
             "sliced average delivery != unsliced average delivery");
     if (S.HopField != FieldTable::NotFound) {
       analysis::Verifier VH(markov::SolverKind::Exact);
-      VH.setSlice(&Ctx, ast::ObservationSet::fields({S.HopField}));
-      fdd::FddRef HP = VH.compile(S.Program);
+      fdd::FddRef HP = VH.compile(
+          ast::slice(Ctx, S.Program, ast::ObservationSet::fields({S.HopField}))
+              .Program);
       analysis::HopStats Want = V.hopStats(P, S.Inputs, S.HopField);
       analysis::HopStats Got = VH.hopStats(HP, S.Inputs, S.HopField);
       C.check(Got.Delivered == Want.Delivered &&

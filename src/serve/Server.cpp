@@ -238,9 +238,8 @@ bool Session::ensureCompiled(Slot &S, markov::SolverKind Kind,
   }
   if (!S.V)
     S.V = std::make_unique<analysis::Verifier>(Kind);
-  fdd::CompileOptions Options;
-  Options.Cache = &Svc.cache();
-  fdd::FddRef NewRoot = fdd::compile(S.V->manager(), Parsed.Program, Options);
+  fdd::FddRef NewRoot =
+      fdd::compile(S.V->manager(), Parsed.Program, &Svc.cache());
   bool Replacing = S.HasProgram;
   S.Ctx = std::move(Ctx);
   S.ProgramText = Program;
@@ -344,8 +343,8 @@ Json Session::handleLint(const Json &Request) {
 /// inputs against its field table, and answer from a transient verifier
 /// holding the sliced diagram. The diagram comes from the service's
 /// front-end memo when this (text, solver, query, hop field) was answered
-/// before; otherwise it is compiled with a SliceHook for the query's
-/// observation set and memoized. It never enters the session's program
+/// before; otherwise the program is sliced for the query's observation
+/// set, compiled and memoized. It never enters the session's program
 /// slot: the sliced diagram depends on the query, not just the program
 /// text, so caching it under the text would poison unsliced queries.
 Json Session::handleSlicedQuery(const Json &Request,
@@ -406,15 +405,10 @@ Json Session::handleSlicedQuery(const Json &Request,
   if (Memo) {
     Root = fdd::importFdd(V.manager(), *Memo->Diagram);
   } else {
-    fdd::CompileOptions Options;
-    Options.Cache = &Svc.cache();
+    ast::SliceResult Sliced = ast::slice(Ctx, Parsed.Program, Obs);
     Service::MemoValue Value;
-    fdd::SliceHook Hook;
-    Hook.Ctx = &Ctx;
-    Hook.Observed = Obs;
-    Hook.Stats = &Value.Slice;
-    Options.Slice = &Hook;
-    Root = fdd::compile(V.manager(), Parsed.Program, Options);
+    Value.Slice = Sliced.Stats;
+    Root = fdd::compile(V.manager(), Sliced.Program, &Svc.cache());
     Value.Diagram = std::make_shared<const fdd::PortableFdd>(
         fdd::exportFdd(V.manager(), Root));
     Memo = Svc.insertMemo(std::move(Key), std::move(Value));
@@ -496,29 +490,21 @@ Json Session::handleQuery(const Json &Request) {
     if (!ast::isGuarded(Parsed2.Program))
       return errorResponse("\"program2\" is outside the guarded fragment");
     analysis::Verifier V(Kind);
-    fdd::CompileOptions Options;
-    Options.Cache = &Svc.cache();
     // With "slice": true, both sides slice for the all-fields observation
     // (the comparison observes whole output packets, so this is a
-    // verified no-op rewrite). fdd::compile consumes the hook from its
-    // private options copy, so re-pointing Slice between compiles is
-    // safe.
+    // verified no-op rewrite).
     ast::SliceStats Stats1, Stats2;
-    fdd::SliceHook Hook1, Hook2;
-    if (Slice) {
-      Hook1.Ctx = &Ctx;
-      Hook1.Observed = ast::ObservationSet::all();
-      Hook1.Stats = &Stats1;
-      Options.Slice = &Hook1;
-    }
-    fdd::FddRef P = fdd::compile(V.manager(), Parsed1.Program, Options);
-    if (Slice) {
-      Hook2.Ctx = &Ctx;
-      Hook2.Observed = ast::ObservationSet::all();
-      Hook2.Stats = &Stats2;
-      Options.Slice = &Hook2;
-    }
-    fdd::FddRef Q = fdd::compile(V.manager(), Parsed2.Program, Options);
+    auto Prepare = [&](const ast::Node *P, ast::SliceStats &Stats) {
+      if (!Slice)
+        return P;
+      ast::SliceResult R = ast::slice(Ctx, P, ast::ObservationSet::all());
+      Stats = R.Stats;
+      return R.Program;
+    };
+    fdd::FddRef P = fdd::compile(
+        V.manager(), Prepare(Parsed1.Program, Stats1), &Svc.cache());
+    fdd::FddRef Q = fdd::compile(
+        V.manager(), Prepare(Parsed2.Program, Stats2), &Svc.cache());
     bool Holds =
         *Query == "equivalent" ? V.equivalent(P, Q) : V.refines(P, Q);
     Json R = okResponse();

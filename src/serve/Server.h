@@ -52,6 +52,7 @@
 
 #include "analysis/Verifier.h"
 #include "ast/Context.h"
+#include "ast/Slice.h"
 #include "fdd/CacheStore.h"
 #include "fdd/CompileCache.h"
 #include "serve/Json.h"

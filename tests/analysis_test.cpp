@@ -8,6 +8,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "analysis/Verifier.h"
+#include "ast/Context.h"
 #include "fdd/Export.h"
 
 #include <gtest/gtest.h>

@@ -301,32 +301,17 @@ TEST_F(AstTest, FingerprintCommutativityMatchesFddInvariance) {
 TEST_F(AstTest, FingerprintTreeMemoizesAndSizesSubterms) {
   const Node *Leafy = Ctx.test(Sw, 1);
   const Node *P = Ctx.ite(Leafy, Ctx.assign(Pt, 1), Ctx.assign(Pt, 2));
-  FingerprintMemo Memo;
-  const NodeFingerprint &Root = fingerprintTree(P, Memo);
-  EXPECT_EQ(Root.Size, 4u); // ite + test + two assigns.
+  FingerprintMemo Memo(P);
+  EXPECT_EQ(Memo.at(P).Size, 4u); // ite + test + two assigns.
   ASSERT_NE(Memo.find(Leafy), nullptr);
   EXPECT_EQ(Memo.at(Leafy).Size, 1u);
-  // Incremental reuse: fingerprinting a superterm extends the same memo.
+  // A superterm's memo holds every subterm, shared ones once.
   const Node *Bigger = Ctx.seq(P, P);
-  fingerprintTree(Bigger, Memo);
-  EXPECT_EQ(Memo.at(Bigger).Size, 9u); // Shared subterm counted twice.
-  EXPECT_EQ(programHash(Bigger), Memo.at(Bigger).Hash);
-}
-
-TEST_F(AstTest, FingerprintMemoGrowsOverNodesCreatedLater) {
-  const Node *P = Ctx.ite(Ctx.test(Sw, 1), Ctx.assign(Pt, 1), Ctx.skip());
-  FingerprintMemo Memo;
-  fingerprintTree(P, Memo); // Sized from P's id.
-  // Build far past that size, reusing P, then extend the same memo.
-  std::vector<const Node *> Later{P};
-  for (FieldValue V = 0; V < 300; ++V)
-    Later.push_back(Ctx.choice(Rational(1, 3), Later.back(),
-                               Ctx.seq(Ctx.test(Pt, V), Ctx.assign(Sw, V))));
-  fingerprintTree(Later.back(), Memo);
-  for (const Node *N : Later) {
-    ASSERT_NE(Memo.find(N), nullptr);
-    EXPECT_EQ(Memo.at(N).Hash, programHash(N));
-  }
+  FingerprintMemo BiggerMemo(Bigger);
+  EXPECT_EQ(BiggerMemo.at(Bigger).Size, 9u); // Shared subterm counted twice.
+  EXPECT_EQ(BiggerMemo.at(P).Hash, Memo.at(P).Hash);
+  EXPECT_EQ(programHash(Bigger), BiggerMemo.at(Bigger).Hash);
+  EXPECT_EQ(Memo.find(Bigger), nullptr); // Not in P's term.
 }
 
 TEST_F(AstTest, FingerprintMemoRejectsNodesOfTwoContexts) {
@@ -335,12 +320,12 @@ TEST_F(AstTest, FingerprintMemoRejectsNodesOfTwoContexts) {
   const Node *Theirs =
       Other.seq(Other.test(Other.field("sw"), 1), Other.assign(0, 2));
   ASSERT_EQ(Mine->id(), Theirs->id()); // Same shape, same ids.
-  FingerprintMemo Memo;
-  fingerprintTree(Mine, Memo);
   // A pointer-keyed memo would have taken the foreign node silently; the
   // id-indexed one must not hand it Mine's entry.
-  EXPECT_EQ(Memo.find(Theirs), nullptr);
-  EXPECT_DEATH_IF_SUPPORTED(fingerprintTree(Theirs, Memo), "two Contexts");
+  EXPECT_EQ(FingerprintMemo(Mine).find(Theirs), nullptr);
+  // A term that mixes both Contexts puts two nodes on one slot.
+  const Node *Mixed = Ctx.seq(Mine, Theirs);
+  EXPECT_DEATH_IF_SUPPORTED(FingerprintMemo{Mixed}, "two Contexts");
 }
 
 namespace {

@@ -5,10 +5,10 @@
 /// query-directed cone-of-influence slicing (ast/Slice.h): dependency and
 /// cone facts on hand-written programs, golden diagnostics for the three
 /// dependency lint checks, golden slice rewrites per observation class,
-/// the Verifier::setSlice hook, and the slicing-soundness property —
-/// sliced and unsliced programs answer every delivery query identically —
-/// over seeded random programs, half of them with a planted write-only
-/// field the slicer must shed.
+/// slicing as a front-end step before compile, and the slicing-soundness
+/// property — sliced and unsliced programs answer every delivery query
+/// identically — over seeded random programs, half of them with a planted
+/// write-only field the slicer must shed.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -185,14 +185,14 @@ TEST_F(SliceTest, SliceIsIdempotent) {
             Once.Program);
 }
 
-TEST_F(SliceTest, VerifierHookReportsStatsAndPreservesDelivery) {
+TEST_F(SliceTest, SliceThenCompileReportsStatsAndPreservesDelivery) {
   const Node *P = parse("meter:=7; (if sw=1 then skip else drop)");
   analysis::Verifier Plain(markov::SolverKind::Exact);
   fdd::FddRef E = Plain.compile(P);
+  SliceResult R = slice(Ctx, P, ObservationSet::delivery());
+  EXPECT_EQ(R.Stats.AssignmentsRemoved, 1u);
   analysis::Verifier Sliced(markov::SolverKind::Exact);
-  Sliced.setSlice(&Ctx, ObservationSet::delivery());
-  fdd::FddRef S = Sliced.compile(P);
-  EXPECT_EQ(Sliced.lastSliceStats().AssignmentsRemoved, 1u);
+  fdd::FddRef S = Sliced.compile(R.Program);
   Packet In(Ctx.fields().numFields());
   In.set(field("sw"), 1);
   EXPECT_EQ(Sliced.deliveryProbability(S, In).toString(),
@@ -220,10 +220,10 @@ TEST(SliceProperty, SlicedDeliveryMatchesUnslicedOnRandomPrograms) {
 
     analysis::Verifier Plain(markov::SolverKind::Exact);
     fdd::FddRef E = Plain.compile(P);
+    SliceResult R = slice(Ctx, P, ObservationSet::delivery());
+    Removed += R.Stats.AssignmentsRemoved;
     analysis::Verifier Sliced(markov::SolverKind::Exact);
-    Sliced.setSlice(&Ctx, ObservationSet::delivery());
-    fdd::FddRef S = Sliced.compile(P);
-    Removed += Sliced.lastSliceStats().AssignmentsRemoved;
+    fdd::FddRef S = Sliced.compile(R.Program);
 
     for (const Packet &In : Inputs)
       ASSERT_EQ(Sliced.deliveryProbability(S, In).toString(),
