@@ -10,9 +10,10 @@
 ///                                          the bound port is printed)
 ///
 /// Options:
-///   --store PATH        persistent FDD store: compiled diagrams are
-///                       loaded at startup and appended on every compile
-///                       miss, so a restarted daemon answers warm
+///   --store PATH        persistent FDD store: compiled diagrams, lint
+///                       findings and sliced results are loaded at
+///                       startup and appended on every miss, so a
+///                       restarted daemon answers warm
 ///   --cache-capacity N  compile-cache entries (default 4096)
 ///
 /// Each session runs on its own thread, and a request's loop solves run
@@ -108,9 +109,11 @@ int main(int Argc, char **Argv) {
     return 1;
   }
   if (!Opts.StorePath.empty())
-    std::fprintf(stderr, "store: %s (%zu entr%s warmed)\n",
+    std::fprintf(stderr, "store: %s (%zu entr%s warmed) (%zu memo entr%s)\n",
                  Opts.StorePath.c_str(), Svc->warmedEntries(),
-                 Svc->warmedEntries() == 1 ? "y" : "ies");
+                 Svc->warmedEntries() == 1 ? "y" : "ies",
+                 Svc->warmedMemoEntries(),
+                 Svc->warmedMemoEntries() == 1 ? "y" : "ies");
 
   if (Stdio) {
     std::size_t Served = serve::runStdio(*Svc, std::cin, std::cout);

@@ -14,6 +14,8 @@
 #include "support/Hashing.h"
 #include "support/Rational.h"
 
+#include <algorithm>
+#include <cassert>
 #include <optional>
 #include <utility>
 #include <vector>
@@ -39,6 +41,19 @@ public:
 
   /// Builds a modification action; \p Mods need not be sorted.
   static Action modify(std::vector<Mod> Mods);
+
+  /// Builds from \p Mods already sorted by field with no duplicates
+  /// (asserted), skipping modify's sort and dedup.
+  static Action fromCanonicalMods(std::vector<Mod> Mods) {
+    assert(std::adjacent_find(Mods.begin(), Mods.end(),
+                              [](const Mod &L, const Mod &R) {
+                                return L.first >= R.first;
+                              }) == Mods.end() &&
+           "mods must be strictly sorted by field");
+    Action Result;
+    Result.Mods = std::move(Mods);
+    return Result;
+  }
 
   bool isDrop() const { return IsDrop; }
   bool isIdentity() const { return !IsDrop && Mods.empty(); }

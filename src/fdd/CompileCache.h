@@ -12,8 +12,9 @@
 ///
 /// Entries are keyed on (ProgramHash, SolverKind): loop solutions depend
 /// on the configured solver, so Exact/Direct/Iterative results never mix.
-/// Eviction is LRU by entry count. All operations are thread-safe; the
-/// daemon's concurrent sessions consult one shared cache.
+/// Eviction is LRU by entry count (support/Lru.h, shared with serve's
+/// front-end memo). All operations are thread-safe; the daemon's
+/// concurrent sessions consult one shared cache.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -23,40 +24,67 @@
 #include "ast/Hash.h"
 #include "fdd/Export.h"
 #include "markov/Absorbing.h"
+#include "support/Lru.h"
 
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
-#include <unordered_map>
 
 namespace mcnk {
 namespace fdd {
 
-/// Thread-safe LRU cache of compiled sub-programs in portable form.
-/// Stored diagrams are immutable (canonicity makes re-inserts identical),
-/// so hits hand out shared ownership instead of deep-copying inside the
-/// lock — concurrent compiles sharing one cache only contend for the
-/// recency splice, not an O(diagram) copy.
+/// Thread-safe LRU cache of compiled sub-programs in portable form, one
+/// instance of the daemon's LruCache (support/Lru.h). Stored diagrams are
+/// immutable (canonicity makes re-inserts identical), so hits hand out
+/// shared ownership instead of deep-copying inside the lock.
 class CompileCache {
+  struct Key {
+    ast::ProgramHash Hash;
+    markov::SolverKind Solver;
+    bool operator==(const Key &R) const {
+      return Hash == R.Hash && Solver == R.Solver;
+    }
+  };
+  struct KeyHasher {
+    std::size_t operator()(const Key &K) const {
+      return ast::ProgramHashHasher()(K.Hash) * 31 +
+             static_cast<std::size_t>(K.Solver);
+    }
+  };
+  struct NodeCount {
+    std::size_t operator()(const PortableFdd &D) const {
+      return D.Nodes.size();
+    }
+  };
+  using Lru = LruCache<Key, PortableFdd, KeyHasher, NodeCount>;
+
 public:
   /// \p Capacity is the maximum number of entries (minimum 1); the
   /// least-recently-used entry is evicted on overflow.
-  explicit CompileCache(std::size_t Capacity = 1u << 12);
+  explicit CompileCache(std::size_t Capacity = 1u << 12) : Entries(Capacity) {}
 
-  /// Looks up (\p Key, \p Solver); on hit points \p Out at the stored
+  /// Looks up (\p Hash, \p Solver); on hit points \p Out at the stored
   /// (immutable, shared) diagram, refreshes recency, and returns true.
-  bool lookup(const ast::ProgramHash &Key, markov::SolverKind Solver,
-              std::shared_ptr<const PortableFdd> &Out);
+  bool lookup(const ast::ProgramHash &Hash, markov::SolverKind Solver,
+              std::shared_ptr<const PortableFdd> &Out) {
+    std::shared_ptr<const PortableFdd> Hit = Entries.lookup({Hash, Solver});
+    if (!Hit)
+      return false;
+    Out = std::move(Hit);
+    return true;
+  }
 
-  /// Stores a compiled diagram under (\p Key, \p Solver). Re-inserting an
-  /// existing key refreshes recency and keeps the first value (canonicity
-  /// guarantees both are identical); duplicate inserts — the common case
-  /// when concurrent compiles miss on the same fingerprint and race to
-  /// fill it — are counted separately and never touch the size accounting.
-  void insert(const ast::ProgramHash &Key, markov::SolverKind Solver,
-              PortableFdd Diagram);
+  /// Stores a compiled diagram under (\p Hash, \p Solver). Re-inserting
+  /// an existing key refreshes recency and keeps the first value
+  /// (canonicity guarantees both are identical); duplicate inserts — the
+  /// common case when concurrent compiles miss on the same fingerprint and
+  /// race to fill it — are counted separately and never touch the size
+  /// accounting.
+  void insert(const ast::ProgramHash &Hash, markov::SolverKind Solver,
+              PortableFdd Diagram) {
+    Entries.insert({Hash, Solver},
+                   std::make_shared<const PortableFdd>(std::move(Diagram)));
+  }
 
   /// Called once per *genuinely new* entry, after the cache's lock has
   /// been released — never for the duplicate-insert dedup path, so a
@@ -68,7 +96,17 @@ public:
   /// Installs \p Observer (null disarms). Must not be changed while other
   /// threads are inserting; install it before the cache is shared. The
   /// observer must not call back into this cache.
-  void setInsertObserver(InsertObserver Observer);
+  void setInsertObserver(InsertObserver Observer) {
+    if (!Observer) {
+      Entries.setInsertObserver(nullptr);
+      return;
+    }
+    Entries.setInsertObserver(
+        [Observer = std::move(Observer)](
+            const Key &K, const std::shared_ptr<const PortableFdd> &D) {
+          Observer(K.Hash, K.Solver, D);
+        });
+  }
 
   /// Counters since construction (or the last clear()). Invariants the
   /// regression suite pins: Insertions - Evictions == Entries,
@@ -85,44 +123,20 @@ public:
     std::size_t Entries = 0;     ///< Current entry count.
     std::size_t StoredNodes = 0; ///< Total portable nodes currently held.
   };
-  Stats stats() const;
+  Stats stats() const {
+    Lru::Stats S = Entries.stats();
+    return {S.Hits,      S.Misses,           S.Insertions,
+            S.Evictions, S.DuplicateInserts, S.Entries,
+            S.Weight};
+  }
 
   /// Drops every entry and zeroes the counters; capacity is unchanged.
-  void clear();
+  void clear() { Entries.clear(); }
 
-  std::size_t capacity() const { return Capacity; }
+  std::size_t capacity() const { return Entries.capacity(); }
 
 private:
-  struct Key {
-    ast::ProgramHash Hash;
-    markov::SolverKind Solver;
-    bool operator==(const Key &R) const {
-      return Hash == R.Hash && Solver == R.Solver;
-    }
-  };
-  struct KeyHasher {
-    std::size_t operator()(const Key &K) const {
-      return ast::ProgramHashHasher()(K.Hash) * 31 +
-             static_cast<std::size_t>(K.Solver);
-    }
-  };
-  struct Entry {
-    Key K;
-    std::shared_ptr<const PortableFdd> Diagram;
-  };
-
-  void evictIfNeededLocked();
-
-  const std::size_t Capacity;
-  mutable std::mutex Mutex;
-  /// Most-recently-used at the front.
-  std::list<Entry> Lru;
-  std::unordered_map<Key, std::list<Entry>::iterator, KeyHasher> Index;
-  Stats Counters;
-  /// Behind a shared_ptr so insert() can copy the handle under the lock
-  /// and invoke outside it (file I/O in an observer must not serialize
-  /// every other cache operation).
-  std::shared_ptr<const InsertObserver> Observer;
+  Lru Entries;
 };
 
 } // namespace fdd

@@ -310,14 +310,15 @@ FddRef FddManager::branch(FddRef Guard, FddRef Then, FddRef Else) {
 }
 
 FddRef FddManager::seqAction(uint32_t ActionId, FddRef Q) {
+  // Drop actions are never memoized, so a hit is never a drop.
+  if (const FddRef *Hit = SeqActionCache.find({ActionId, Q}))
+    return *Hit;
   // Copy: the leaf algebra below can intern new leaves, but never new
   // actions, so the id stays valid; the copy guards against pool growth
   // elsewhere all the same.
   const Action A = Actions[ActionId];
   if (A.isDrop())
     return DropLeaf;
-  if (const FddRef *Hit = SeqActionCache.find({ActionId, Q}))
-    return *Hit;
 
   // The action is invariant across the decomposition; frames carry the
   // sub-diagram plus whether the test was statically resolved (one child)

@@ -378,7 +378,13 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
   // seeds exit immediately (identity), transient seeds get their solved
   // exit distribution (missing mass = drop).
   std::vector<std::size_t> Partial(StateFields.size(), 0);
-  std::vector<std::size_t> ExitSym;
+  // Each exit column's symbolic state, decoded once per solve.
+  const std::size_t NumStateFields = StateFields.size();
+  std::vector<std::size_t> ExitSyms(AbsorbKeys.size() * NumStateFields);
+  for (std::size_t C = 0; C < AbsorbKeys.size(); ++C) {
+    Decode(AbsorbKeys[C].ExitState, Sym);
+    std::copy(Sym.begin(), Sym.end(), ExitSyms.begin() + C * NumStateFields);
+  }
 
   auto MakeLeaf = [&](std::size_t S) -> FddRef {
     if (TransientId[S] == SIZE_MAX)
@@ -389,24 +395,39 @@ FddRef FddManager::solveLoop(FddRef Guard, FddRef Body) {
     std::vector<std::pair<Action, Rational>> Entries;
     Entries.reserve(Row.Exits.size() + 1);
     for (auto &[C, W] : Row.Exits) {
-      const AbsorbKey &ExitKey = AbsorbKeys[C];
-      Decode(ExitKey.ExitState, ExitSym);
+      const std::size_t *ExitSym = &ExitSyms[C * NumStateFields];
+      const std::vector<FieldValue> &Decorations = AbsorbKeys[C].Decorations;
+      // The changed state fields and the output-only decorations are
+      // disjoint ascending field lists: merge them in field order.
       std::vector<Action::Mod> ModList;
-      for (std::size_t I = 0; I < StateFields.size(); ++I) {
-        if (ExitSym[I] == Sym[I])
-          continue;
-        assert(ExitSym[I] < Domain[I].size() &&
-               "wildcard cannot appear as a changed exit value");
-        ModList.emplace_back(StateFields[I], Domain[I][ExitSym[I]]);
+      std::size_t I = 0, J = 0;
+      for (;;) {
+        while (I < NumStateFields && ExitSym[I] == Sym[I])
+          ++I;
+        if (I < NumStateFields &&
+            (J == OutputOnly.size() || StateFields[I] < OutputOnly[J])) {
+          assert(ExitSym[I] < Domain[I].size() &&
+                 "wildcard cannot appear as a changed exit value");
+          ModList.emplace_back(StateFields[I], Domain[I][ExitSym[I]]);
+          ++I;
+        } else if (J < OutputOnly.size()) {
+          ModList.emplace_back(OutputOnly[J], Decorations[J]);
+          ++J;
+        } else {
+          break;
+        }
       }
-      for (std::size_t I = 0; I < OutputOnly.size(); ++I)
-        ModList.emplace_back(OutputOnly[I], ExitKey.Decorations[I]);
-      Entries.emplace_back(Action::modify(std::move(ModList)), std::move(W));
+      Entries.emplace_back(Action::fromCanonicalMods(std::move(ModList)),
+                           std::move(W));
     }
+    // Distinct exit columns give distinct actions from one source state,
+    // so sorting makes the entries canonical; drop sorts last.
+    std::sort(Entries.begin(), Entries.end(),
+              [](const auto &L, const auto &R) { return L.first < R.first; });
     assert(!Row.Drop.isNegative() && "absorption mass exceeds one");
     if (!Row.Drop.isZero()) // Missing mass is drop.
       Entries.emplace_back(Action::drop(), std::move(Row.Drop));
-    return leaf(ActionDist::fromEntries(std::move(Entries)));
+    return leaf(ActionDist::fromCanonicalEntries(std::move(Entries)));
   };
 
   // Recursive build; plain lambda recursion via explicit stack of field

@@ -59,68 +59,42 @@ const char *serve::solverKindName(markov::SolverKind Kind) {
 std::unique_ptr<Service> Service::create(const Options &Opts,
                                          std::string *Error) {
   std::unique_ptr<Service> Svc(new Service(Opts));
-  if (!Opts.StorePath.empty()) {
-    Svc->Store = fdd::CacheStore::open(Opts.StorePath, Error, Opts.Store);
-    if (!Svc->Store)
-      return nullptr;
-    // Warm BEFORE installing the observer: the observer appends every new
-    // cache entry to the store, and the warmed entries came *from* the
-    // store.
-    Svc->Warmed = Svc->Store->warm(Svc->Cache);
-    fdd::CacheStore *Store = Svc->Store.get();
-    Svc->Cache.setInsertObserver(
-        [Store](const ast::ProgramHash &Key, markov::SolverKind Solver,
-                const std::shared_ptr<const fdd::PortableFdd> &Diagram) {
-          // Best-effort persistence: an I/O failure loses durability for
-          // this entry, not correctness — the in-memory cache still has it.
-          Store->append(Key, Solver, *Diagram);
-        });
-  }
-  return Svc;
-}
-
-std::size_t Service::MemoKeyHasher::operator()(const MemoKey &K) const {
-  std::hash<std::string> H;
-  std::size_t Seed = H(K.Program);
-  Seed = Seed * 31 + H(K.Query);
-  Seed = Seed * 31 + static_cast<std::size_t>(K.Solver);
-  return Seed * 31 + H(K.HopField);
-}
-
-std::shared_ptr<const Service::MemoValue>
-Service::lookupMemo(const MemoKey &Key) {
-  std::lock_guard<std::mutex> Lock(MemoMutex);
-  auto It = MemoIndex.find(Key);
-  if (It == MemoIndex.end()) {
-    ++MemoMisses;
+  if (Opts.StorePath.empty())
+    return Svc;
+  // Warm both caches BEFORE installing the observers: the observers append
+  // every new entry to the store, and the warmed entries came *from* the
+  // store. The store hands each memo record to this decoder as it scans,
+  // in file order, so the newest record is the most recent entry; a
+  // record that does not decode is truncated like a torn tail.
+  FrontEndMemo &Memo = Svc->Memo;
+  Svc->Store = fdd::CacheStore::open(
+      Opts.StorePath, Error, Opts.Store,
+      [&Memo](const uint8_t *Data, std::size_t Size) {
+        MemoKey Key;
+        MemoValue Value;
+        if (!decodeMemoRecord(Data, Size, Key, Value))
+          return false;
+        Memo.insert(std::move(Key),
+                    std::make_shared<const MemoValue>(std::move(Value)));
+        return true;
+      });
+  if (!Svc->Store)
     return nullptr;
-  }
-  ++MemoHits;
-  MemoLru.splice(MemoLru.begin(), MemoLru, It->second);
-  return It->second->second;
-}
-
-std::shared_ptr<const Service::MemoValue>
-Service::insertMemo(MemoKey Key, MemoValue Value) {
-  auto Stored = std::make_shared<const MemoValue>(std::move(Value));
-  std::lock_guard<std::mutex> Lock(MemoMutex);
-  auto It = MemoIndex.find(Key);
-  if (It != MemoIndex.end()) {
-    MemoLru.splice(MemoLru.begin(), MemoLru, It->second);
-    return It->second->second;
-  }
-  MemoLru.emplace_front(std::move(Key), Stored);
-  MemoIndex.emplace(MemoLru.front().first, MemoLru.begin());
-  if (MemoLru.size() > MemoCapacity) {
-    MemoIndex.erase(MemoLru.back().first);
-    MemoLru.pop_back();
-  }
-  return Stored;
-}
-
-std::size_t Service::memoEntries() const {
-  std::lock_guard<std::mutex> Lock(MemoMutex);
-  return MemoLru.size();
+  Svc->WarmedMemo = Memo.stats().Insertions;
+  Svc->Warmed = Svc->Store->warm(Svc->Cache);
+  // Best-effort persistence: an I/O failure loses durability for an
+  // entry, not correctness — the in-memory caches still have it.
+  fdd::CacheStore *Store = Svc->Store.get();
+  Svc->Cache.setInsertObserver(
+      [Store](const ast::ProgramHash &Key, markov::SolverKind Solver,
+              const std::shared_ptr<const fdd::PortableFdd> &Diagram) {
+        Store->append(Key, Solver, *Diagram);
+      });
+  Svc->Memo.setInsertObserver(
+      [Store](const MemoKey &Key, const std::shared_ptr<const MemoValue> &V) {
+        Store->append(encodeMemoRecord(Key, *V));
+      });
+  return Svc;
 }
 
 //===----------------------------------------------------------------------===//
@@ -318,10 +292,10 @@ Json Session::handleLint(const Json &Request) {
   }
   // The findings depend on the text alone (the label is applied below),
   // so a hit skips the parse as well as the analyses.
-  Service::MemoKey Key;
+  MemoKey Key;
   Key.Program = *Program;
   Key.Query = "lint";
-  std::shared_ptr<const Service::MemoValue> Memo = Svc.lookupMemo(Key);
+  std::shared_ptr<const MemoValue> Memo = Svc.lookupMemo(Key);
   if (!Memo) {
     ast::Context Ctx;
     parser::ParseResult Parsed = parser::parseProgram(*Program, Ctx);
@@ -329,7 +303,7 @@ Json Session::handleLint(const Json &Request) {
       return errorResponse(Parsed.Diagnostics.empty()
                                ? "parse error"
                                : Parsed.Diagnostics.front().render());
-    Service::MemoValue Value;
+    MemoValue Value;
     Value.Findings = lintProgram(Ctx, Parsed.Program, Parsed.Warnings);
     Memo = Svc.insertMemo(std::move(Key), std::move(Value));
   }
@@ -343,8 +317,9 @@ Json Session::handleLint(const Json &Request) {
 /// inputs against its field table, and answer from a transient verifier
 /// holding the sliced diagram. The diagram comes from the service's
 /// front-end memo when this (text, solver, query, hop field) was answered
-/// before; otherwise the program is sliced for the query's observation
-/// set, compiled and memoized. It never enters the session's program
+/// before, by this process or, through the store, an earlier one;
+/// otherwise the program is sliced for the query's observation set,
+/// compiled and memoized. It never enters the session's program
 /// slot: the sliced diagram depends on the query, not just the program
 /// text, so caching it under the text would poison unsliced queries.
 Json Session::handleSlicedQuery(const Json &Request,
@@ -361,7 +336,7 @@ Json Session::handleSlicedQuery(const Json &Request,
   if (!ast::isGuarded(Parsed.Program))
     return errorResponse("program is outside the guarded fragment");
 
-  Service::MemoKey Key;
+  MemoKey Key;
   Key.Program = Program;
   Key.Query = Query;
   Key.Solver = Kind;
@@ -401,12 +376,12 @@ Json Session::handleSlicedQuery(const Json &Request,
   fdd::FddRef Root;
   // Parsing the same text interns the same field ids, so the memoized
   // diagram imports as the ref a fresh sliced compile would build.
-  std::shared_ptr<const Service::MemoValue> Memo = Svc.lookupMemo(Key);
+  std::shared_ptr<const MemoValue> Memo = Svc.lookupMemo(Key);
   if (Memo) {
     Root = fdd::importFdd(V.manager(), *Memo->Diagram);
   } else {
     ast::SliceResult Sliced = ast::slice(Ctx, Parsed.Program, Obs);
-    Service::MemoValue Value;
+    MemoValue Value;
     Value.Slice = Sliced.Stats;
     Root = fdd::compile(V.manager(), Sliced.Program, &Svc.cache());
     Value.Diagram = std::make_shared<const fdd::PortableFdd>(

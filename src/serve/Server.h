@@ -37,7 +37,8 @@
 /// contract the oracle's CheckSlice lane enforces. The Service's
 /// front-end memo answers a repeated lint request, or a repeated sliced
 /// delivery / hop-stats query, without rerunning the AST passes (see
-/// Service::lookupMemo).
+/// Service::lookupMemo); with a store it persists, so a restarted daemon
+/// answers the texts it has seen from disk.
 ///
 /// Every request may carry an "id", echoed in the response. Responses are
 /// {"ok":true, ...} or {"ok":false, "error":"..."}; exact probabilities
@@ -56,24 +57,21 @@
 #include "fdd/CacheStore.h"
 #include "fdd/CompileCache.h"
 #include "serve/Json.h"
-#include "serve/Lint.h"
+#include "serve/Memo.h"
 
-#include <algorithm>
 #include <atomic>
 #include <iosfwd>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace mcnk {
 namespace serve {
 
-/// Process-wide shared state: one compile cache (optionally backed by a
-/// persistent CacheStore), one front-end memo, request counters.
+/// Process-wide shared state: one compile cache and one front-end memo
+/// (both optionally backed by a persistent CacheStore), request counters.
 /// Thread-safe; shared by every Session.
 class Service {
 public:
@@ -90,9 +88,10 @@ public:
   };
 
   /// Builds the service: opens the store (failing loudly on a version
-  /// mismatch or unreadable file), warms the cache from it, then installs
-  /// the insert observer so every future cache miss is appended to disk —
-  /// in that order, or warming would re-append every record it just read.
+  /// mismatch or unreadable file), warms the compile cache and the
+  /// front-end memo from it, then installs both insert observers so every
+  /// future miss is appended to disk — in that order, or warming would
+  /// re-append every record it just read.
   static std::unique_ptr<Service> create(const Options &Opts,
                                          std::string *Error);
 
@@ -127,74 +126,43 @@ public:
   uint64_t sliceNodesBefore() const { return SliceNodesBefore.load(); }
   uint64_t sliceNodesAfter() const { return SliceNodesAfter.load(); }
 
-  /// Front-end memo key (docs/ARCHITECTURE.md S16). Always the exact
-  /// program text: lint findings carry source positions, which a
-  /// structural fingerprint ignores. Lint entries leave the rest at their
-  /// defaults; sliced entries add the solver kind and the query (plus the
-  /// hop field for hop-stats), which fix the observation set and the loop
-  /// solutions.
-  struct MemoKey {
-    std::string Program;
-    /// "lint", "delivery" or "hop-stats".
-    std::string Query;
-    markov::SolverKind Solver = markov::SolverKind::Exact;
-    std::string HopField;
-    bool operator==(const MemoKey &R) const {
-      return Solver == R.Solver && Query == R.Query &&
-             HopField == R.HopField && Program == R.Program;
-    }
-  };
-  /// A memoized front-end result: the findings of a lint entry, or the
-  /// slice statistics and sliced root diagram of a sliced entry.
-  struct MemoValue {
-    std::vector<LintEntry> Findings;
-    ast::SliceStats Slice;
-    std::shared_ptr<const fdd::PortableFdd> Diagram;
-  };
-
-  /// Looks \p Key up in the front-end memo, an LRU bounded by
-  /// Options::CacheCapacity entries and held in memory only (a restarted
-  /// service starts empty). Returns the shared, immutable value and
-  /// refreshes its recency on a hit; null on a miss.
-  std::shared_ptr<const MemoValue> lookupMemo(const MemoKey &Key);
+  /// Looks \p Key up in the front-end memo (serve/Memo.h), an LRU bounded
+  /// by Options::CacheCapacity entries and, with a store, warmed from and
+  /// persisted to it like the compile cache. Returns the shared, immutable
+  /// value and refreshes its recency on a hit; null on a miss.
+  std::shared_ptr<const MemoValue> lookupMemo(const MemoKey &Key) {
+    return Memo.lookup(Key);
+  }
   /// Stores a result the caller computed after a miss and returns the
   /// resident value. Only successful results go in: parse errors and
   /// unguarded programs are never memoized. A key already present (two
   /// sessions raced on one miss) keeps, and returns, its first value.
-  std::shared_ptr<const MemoValue> insertMemo(MemoKey Key, MemoValue Value);
-  uint64_t memoHits() const { return MemoHits.load(); }
-  uint64_t memoMisses() const { return MemoMisses.load(); }
-  std::size_t memoEntries() const;
+  std::shared_ptr<const MemoValue> insertMemo(MemoKey Key, MemoValue Value) {
+    return Memo.insert(std::move(Key),
+                       std::make_shared<const MemoValue>(std::move(Value)));
+  }
+  uint64_t memoHits() const { return Memo.stats().Hits; }
+  uint64_t memoMisses() const { return Memo.stats().Misses; }
+  std::size_t memoEntries() const { return Memo.stats().Entries; }
+  /// Store records loaded into the front-end memo at startup.
+  std::size_t warmedMemoEntries() const { return WarmedMemo; }
 
 private:
   explicit Service(const Options &O)
-      : Opts(O), Cache(O.CacheCapacity),
-        MemoCapacity(std::max<std::size_t>(O.CacheCapacity, 1)) {}
-
-  struct MemoKeyHasher {
-    std::size_t operator()(const MemoKey &K) const;
-  };
-  using MemoEntry = std::pair<MemoKey, std::shared_ptr<const MemoValue>>;
+      : Opts(O), Cache(O.CacheCapacity), Memo(O.CacheCapacity) {}
 
   Options Opts;
   fdd::CompileCache Cache;
+  FrontEndMemo Memo;
   std::unique_ptr<fdd::CacheStore> Store;
   std::size_t Warmed = 0;
+  std::size_t WarmedMemo = 0;
   std::atomic<uint64_t> Requests{0};
   std::atomic<uint64_t> Errors{0};
   std::atomic<uint64_t> SliceRequests{0};
   std::atomic<uint64_t> SliceAssignmentsRemoved{0};
   std::atomic<uint64_t> SliceNodesBefore{0};
   std::atomic<uint64_t> SliceNodesAfter{0};
-
-  const std::size_t MemoCapacity;
-  mutable std::mutex MemoMutex;
-  /// Most-recently-used at the front; the index points into it.
-  std::list<MemoEntry> MemoLru;
-  std::unordered_map<MemoKey, std::list<MemoEntry>::iterator, MemoKeyHasher>
-      MemoIndex;
-  std::atomic<uint64_t> MemoHits{0};
-  std::atomic<uint64_t> MemoMisses{0};
 };
 
 /// One client's worker state. NOT thread-safe — each connection (or the

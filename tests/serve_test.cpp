@@ -117,7 +117,7 @@ TEST(CacheRecordCodec, RoundTripsRealDiagrams) {
   fdd::CacheRecord Record;
   Record.Diagram = compileToPortable("sw:=1");
   std::vector<uint8_t> Bytes = fdd::encodeCacheRecord(Record);
-  Bytes[16] = 3; // After the 16-byte key.
+  Bytes[21] = 3; // After the 5-byte record header and the 16-byte hash.
   fdd::CacheRecord Back;
   std::string Error;
   EXPECT_FALSE(fdd::decodeCacheRecord(Bytes.data(), Bytes.size(), Back,
@@ -177,8 +177,9 @@ TEST(CacheRecordCodec, RejectsHostileCounts) {
   Record.Key = {1, 1};
   Record.Diagram = compileToPortable("sw:=1");
   std::vector<uint8_t> Bytes = fdd::encodeCacheRecord(Record);
-  // Layout: 8 key.lo + 8 key.hi + 1 solver + 4 root, then 4 node count.
-  const std::size_t CountOffset = 8 + 8 + 1 + 4;
+  // Layout: 1 kind + 4 key length + 8 key.lo + 8 key.hi + 1 solver +
+  // 4 root, then 4 node count.
+  const std::size_t CountOffset = 1 + 4 + 8 + 8 + 1 + 4;
   ASSERT_GT(Bytes.size(), CountOffset + 4);
   for (unsigned I = 0; I < 4; ++I)
     Bytes[CountOffset + I] = 0xff;
@@ -342,6 +343,15 @@ TEST(CacheStore, VersionMismatchFailsLoudly) {
   std::remove(Path.c_str());
 }
 
+/// Rewrites the format version field of the store at \p Path.
+void setStoreVersion(const std::string &Path, uint8_t Version) {
+  std::vector<uint8_t> Bytes = readFileBytes(Path);
+  ASSERT_GE(Bytes.size(), 16u);
+  Bytes[8] = Version; // The little-endian format version field.
+  Bytes[9] = Bytes[10] = Bytes[11] = 0;
+  writeFileBytes(Path, Bytes);
+}
+
 TEST(CacheStore, VersionOneStoreIsRefused) {
   // Version 1 stores may hold records of the former modular solver kind;
   // the current build refuses the whole file at open instead of
@@ -352,16 +362,89 @@ TEST(CacheStore, VersionOneStoreIsRefused) {
     auto Store = fdd::CacheStore::open(Path, &Error);
     ASSERT_TRUE(Store) << Error;
   }
-  std::vector<uint8_t> Bytes = readFileBytes(Path);
-  ASSERT_GE(Bytes.size(), 16u);
-  Bytes[8] = 1; // The little-endian format version field.
-  Bytes[9] = Bytes[10] = Bytes[11] = 0;
-  writeFileBytes(Path, Bytes);
+  setStoreVersion(Path, 1);
   auto Store = fdd::CacheStore::open(Path, &Error);
   EXPECT_FALSE(Store);
-  EXPECT_NE(Error.find("has format version 1; this build requires 2"),
+  EXPECT_NE(Error.find("has format version 1; this build requires 3"),
             std::string::npos)
       << Error;
+  std::remove(Path.c_str());
+}
+
+TEST(CacheStore, VersionTwoStoreIsRefused) {
+  // Version 2 records have no kind byte or key length, so this build
+  // refuses such a file whole rather than misread its first record.
+  std::string Path = tempPath("version2");
+  std::string Error;
+  {
+    auto Store = fdd::CacheStore::open(Path, &Error);
+    ASSERT_TRUE(Store) << Error;
+    ASSERT_TRUE(Store->append({1, 2}, markov::SolverKind::Exact,
+                              compileToPortable("sw:=1"), &Error))
+        << Error;
+  }
+  setStoreVersion(Path, 2);
+  std::size_t Size = readFileBytes(Path).size();
+  auto Store = fdd::CacheStore::open(Path, &Error);
+  EXPECT_FALSE(Store);
+  EXPECT_NE(Error.find("has format version 2; this build requires 3"),
+            std::string::npos)
+      << Error;
+  // Refused, not truncated: the file is left as it was.
+  EXPECT_EQ(readFileBytes(Path).size(), Size);
+  serve::Service::Options Opts;
+  Opts.StorePath = Path;
+  EXPECT_FALSE(serve::Service::create(Opts, &Error));
+  EXPECT_NE(Error.find("format version 2"), std::string::npos) << Error;
+  std::remove(Path.c_str());
+}
+
+/// Frames \p Payload as one store record (u32 length, u64 FNV-1a-64) and
+/// appends it to the file at \p Path, bypassing CacheStore::append.
+void appendRawRecord(const std::string &Path,
+                     const std::vector<uint8_t> &Payload) {
+  uint64_t Sum = 0xcbf29ce484222325ULL;
+  for (uint8_t B : Payload) {
+    Sum ^= B;
+    Sum *= 0x100000001b3ULL;
+  }
+  std::vector<uint8_t> Bytes = readFileBytes(Path);
+  for (unsigned I = 0; I < 4; ++I)
+    Bytes.push_back(static_cast<uint8_t>(Payload.size() >> (8 * I)));
+  for (unsigned I = 0; I < 8; ++I)
+    Bytes.push_back(static_cast<uint8_t>(Sum >> (8 * I)));
+  Bytes.insert(Bytes.end(), Payload.begin(), Payload.end());
+  writeFileBytes(Path, Bytes);
+}
+
+TEST(CacheStore, UnknownRecordKindTruncatesTheTail) {
+  std::string Path = tempPath("unknownkind");
+  std::string Error;
+  std::size_t GoodSize = 0;
+  {
+    auto Store = fdd::CacheStore::open(Path, &Error);
+    ASSERT_TRUE(Store) << Error;
+    ASSERT_TRUE(Store->append({1, 1}, markov::SolverKind::Exact,
+                              compileToPortable("sw:=1")));
+    GoodSize = Store->stats().FileBytes;
+  }
+  // A well-checksummed record of kind 7, then a good record after it:
+  // nothing from the unknown record on is trusted.
+  std::vector<uint8_t> Unknown = {7, 0, 0, 0, 0, 'x'};
+  appendRawRecord(Path, Unknown);
+  fdd::CacheRecord After;
+  After.Key = {2, 2};
+  After.Diagram = compileToPortable("sw:=2");
+  appendRawRecord(Path, fdd::encodeCacheRecord(After));
+  auto Store = fdd::CacheStore::open(Path, &Error);
+  ASSERT_TRUE(Store) << Error;
+  EXPECT_EQ(Store->stats().CorruptRecordsDropped, 1u);
+  EXPECT_EQ(Store->stats().LiveRecords, 1u);
+  EXPECT_EQ(readFileBytes(Path).size(), GoodSize);
+  // A payload without a well-formed header is never appended.
+  EXPECT_FALSE(Store->append(Unknown, &Error));
+  EXPECT_FALSE(Store->append(std::vector<uint8_t>{1, 9, 0, 0, 0}, &Error));
+  EXPECT_EQ(readFileBytes(Path).size(), GoodSize);
   std::remove(Path.c_str());
 }
 
@@ -386,6 +469,172 @@ TEST(CacheStore, MaybeCompactHonorsThresholds) {
   EXPECT_EQ(Store->stats().Compactions, 1u);
   EXPECT_EQ(Store->stats().DeadRecords, 0u);
   std::remove(Path.c_str());
+}
+
+//===----------------------------------------------------------------------===//
+// Front-end memo records
+//===----------------------------------------------------------------------===//
+
+/// A lint entry and two sliced entries with realistic values.
+std::vector<std::pair<serve::MemoKey, serve::MemoValue>> sampleMemoEntries() {
+  std::vector<std::pair<serve::MemoKey, serve::MemoValue>> Entries(3);
+  auto &[LintKey, LintValue] = Entries[0];
+  LintKey.Program = "meter:=7; (if sw=1 then skip else drop)";
+  LintKey.Query = "lint";
+  LintValue.Findings = {{1, 1, "write-only-field", "\"meter\" is never read"},
+                        {0, 0, "dead-assignment", ""}};
+  auto &[DeliveryKey, DeliveryValue] = Entries[1];
+  DeliveryKey.Program = "if sw=1 then (pt:=2 +[1/3] drop) else pt:=1";
+  DeliveryKey.Query = "delivery";
+  DeliveryKey.Solver = markov::SolverKind::Direct;
+  DeliveryValue.Slice = {1, 9, 7, 2, 1};
+  DeliveryValue.Diagram = std::make_shared<const fdd::PortableFdd>(
+      compileToPortable(DeliveryKey.Program));
+  auto &[HopKey, HopValue] = Entries[2];
+  HopKey.Program = BigProgram;
+  HopKey.Query = "hop-stats";
+  HopKey.HopField = "hops";
+  HopValue.Slice = {0, 30, 30, 3, 3};
+  HopValue.Diagram =
+      std::make_shared<const fdd::PortableFdd>(compileToPortable(BigProgram));
+  return Entries;
+}
+
+TEST(MemoRecordCodec, LintAndSlicedRecordsRoundTrip) {
+  for (const auto &[Key, Value] : sampleMemoEntries()) {
+    std::vector<uint8_t> Bytes = serve::encodeMemoRecord(Key, Value);
+    EXPECT_EQ(Bytes[0], static_cast<uint8_t>(Key.Query == "lint"
+                                                 ? fdd::RecordKind::Lint
+                                                 : fdd::RecordKind::Sliced));
+    serve::MemoKey BackKey;
+    serve::MemoValue BackValue;
+    std::string Error;
+    ASSERT_TRUE(serve::decodeMemoRecord(Bytes.data(), Bytes.size(), BackKey,
+                                        BackValue, &Error))
+        << Key.Query << ": " << Error;
+    EXPECT_TRUE(BackKey == Key) << Key.Query;
+    ASSERT_EQ(BackValue.Findings.size(), Value.Findings.size());
+    for (std::size_t I = 0; I < Value.Findings.size(); ++I) {
+      EXPECT_EQ(BackValue.Findings[I].Line, Value.Findings[I].Line);
+      EXPECT_EQ(BackValue.Findings[I].Col, Value.Findings[I].Col);
+      EXPECT_EQ(BackValue.Findings[I].Check, Value.Findings[I].Check);
+      EXPECT_EQ(BackValue.Findings[I].Message, Value.Findings[I].Message);
+    }
+    EXPECT_EQ(BackValue.Diagram != nullptr, Value.Diagram != nullptr);
+    // The value's remaining fields (slice statistics, diagram) compare
+    // through the encoding: decoding then encoding again gives the bytes.
+    EXPECT_EQ(serve::encodeMemoRecord(BackKey, BackValue), Bytes)
+        << Key.Query;
+  }
+}
+
+TEST(MemoRecordCodec, EveryTruncationFailsCleanly) {
+  for (const auto &[Key, Value] : sampleMemoEntries()) {
+    std::vector<uint8_t> Bytes = serve::encodeMemoRecord(Key, Value);
+    for (std::size_t Len = 0; Len < Bytes.size(); ++Len) {
+      serve::MemoKey OutKey;
+      serve::MemoValue OutValue;
+      std::string Error;
+      EXPECT_FALSE(serve::decodeMemoRecord(Bytes.data(), Len, OutKey,
+                                           OutValue, &Error))
+          << Key.Query << ": truncation to " << Len << " bytes decoded";
+      EXPECT_FALSE(Error.empty());
+    }
+    std::vector<uint8_t> Longer = Bytes;
+    Longer.push_back(0);
+    serve::MemoKey OutKey;
+    serve::MemoValue OutValue;
+    EXPECT_FALSE(serve::decodeMemoRecord(Longer.data(), Longer.size(), OutKey,
+                                         OutValue));
+  }
+}
+
+/// Decodes \p Bytes as a memo record and returns the error (empty when
+/// the decode succeeded).
+std::string memoDecodeError(const std::vector<uint8_t> &Bytes) {
+  serve::MemoKey Key;
+  serve::MemoValue Value;
+  std::string Error;
+  if (serve::decodeMemoRecord(Bytes.data(), Bytes.size(), Key, Value, &Error))
+    return "";
+  EXPECT_FALSE(Error.empty());
+  return Error;
+}
+
+/// A diagram whose only leaf sums to 1/2, which fails validateFdd.
+fdd::PortableFdd halfLeafDiagram() {
+  fdd::PortableFdd D;
+  D.Nodes.resize(1);
+  D.Nodes[0].IsLeaf = true;
+  D.Nodes[0].Dist.emplace_back(fdd::Action(), Rational(1, 2));
+  return D;
+}
+
+TEST(MemoRecordCodec, RejectsHostileRecords) {
+  auto Entries = sampleMemoEntries();
+  const std::vector<uint8_t> Lint =
+      serve::encodeMemoRecord(Entries[0].first, Entries[0].second);
+  const std::vector<uint8_t> Sliced =
+      serve::encodeMemoRecord(Entries[1].first, Entries[1].second);
+  auto Poke = [](std::vector<uint8_t> Bytes, std::size_t At,
+                 std::vector<uint8_t> With) {
+    std::copy(With.begin(), With.end(), Bytes.begin() + At);
+    return Bytes;
+  };
+  const std::vector<uint8_t> Huge = {0xff, 0xff, 0xff, 0x7f};
+  // Unknown record kinds, and the compile kind, are not memo records.
+  EXPECT_NE(memoDecodeError(Poke(Lint, 0, {7})).find("record kind"),
+            std::string::npos);
+  EXPECT_NE(memoDecodeError(Poke(Lint, 0, {0})).find("record kind"),
+            std::string::npos);
+  // Overlong lengths: the key, the program text (after the 5-byte
+  // header) and the finding count (after the text).
+  EXPECT_NE(memoDecodeError(Poke(Lint, 1, Huge)).find("key length"),
+            std::string::npos);
+  EXPECT_NE(memoDecodeError(Poke(Lint, 5, Huge)).find("program text"),
+            std::string::npos);
+  const std::size_t CountAt = 5 + 4 + Entries[0].first.Program.size();
+  EXPECT_NE(memoDecodeError(Poke(Lint, CountAt, Huge)).find("finding count"),
+            std::string::npos);
+  // A sliced key is query | solver | hop field | text: an unknown query,
+  // an unknown solver, and a delivery entry naming a hop field.
+  EXPECT_NE(memoDecodeError(Poke(Sliced, 5, {2})).find("query"),
+            std::string::npos);
+  EXPECT_NE(memoDecodeError(Poke(Sliced, 6, {3})).find("solver kind"),
+            std::string::npos);
+  EXPECT_NE(memoDecodeError(Poke(Sliced, 7, Huge)).find("hop field"),
+            std::string::npos);
+  serve::MemoKey Delivery = Entries[1].first;
+  Delivery.HopField = "hops";
+  EXPECT_NE(memoDecodeError(serve::encodeMemoRecord(Delivery,
+                                                    Entries[1].second))
+                .find("hop field"),
+            std::string::npos);
+  // A diagram that fails validateFdd.
+  serve::MemoValue Invalid = Entries[1].second;
+  Invalid.Diagram = std::make_shared<const fdd::PortableFdd>(halfLeafDiagram());
+  EXPECT_NE(memoDecodeError(serve::encodeMemoRecord(Entries[1].first, Invalid))
+                .find("invalid diagram"),
+            std::string::npos);
+}
+
+TEST(MemoRecordCodec, BitFlipsNeverCrash) {
+  auto Entries = sampleMemoEntries();
+  for (const auto &[Key, Value] : Entries) {
+    std::vector<uint8_t> Bytes = serve::encodeMemoRecord(Key, Value);
+    for (std::size_t I = 0; I < Bytes.size(); ++I)
+      for (int Bit = 0; Bit < 8; ++Bit) {
+        std::vector<uint8_t> Mutated = Bytes;
+        Mutated[I] ^= static_cast<uint8_t>(1u << Bit);
+        serve::MemoKey OutKey;
+        serve::MemoValue OutValue;
+        if (serve::decodeMemoRecord(Mutated.data(), Mutated.size(), OutKey,
+                                    OutValue) &&
+            OutValue.Diagram) {
+          EXPECT_TRUE(fdd::validateFdd(*OutValue.Diagram));
+        }
+      }
+  }
 }
 
 //===----------------------------------------------------------------------===//
@@ -678,8 +927,8 @@ TEST(FrontEndMemo, SlicedHitsAreByteIdentical) {
   EXPECT_EQ(Svc->sliceRequests(), 8u);
 
   // A fresh session on the same service answers from the memo too, and a
-  // fresh service (a restart: the memo is in memory only) recomputes the
-  // same bytes.
+  // fresh service without a store (a restart with nothing to warm from)
+  // recomputes the same bytes.
   serve::Session Other(*Svc);
   std::string Line = slicedQuery("delivery", "exact");
   std::string Hit = Other.handleLine(Line);
@@ -983,6 +1232,92 @@ TEST(Service, RestartAnswersFromTheDiskStore) {
   std::remove(Path.c_str());
 }
 
+TEST(Service, RejectedMemoRecordTruncatesTheStoreTail) {
+  std::string Path = tempPath("memo_reject");
+  serve::Service::Options Opts;
+  Opts.StorePath = Path;
+  std::string Error;
+  std::size_t GoodSize = 0;
+  {
+    auto Svc = serve::Service::create(Opts, &Error);
+    ASSERT_TRUE(Svc) << Error;
+    serve::Session S(*Svc);
+    ASSERT_TRUE(okOf(roundTrip(S, "{\"verb\":\"lint\",\"program\":"
+                                  "\"meter:=7; sw:=1\"}")));
+    GoodSize = Svc->store()->stats().FileBytes;
+  }
+  // A checksummed sliced record whose diagram fails validation, then a
+  // good lint record: the store keeps neither.
+  auto Entries = sampleMemoEntries();
+  serve::MemoValue Invalid = Entries[1].second;
+  Invalid.Diagram = std::make_shared<const fdd::PortableFdd>(halfLeafDiagram());
+  appendRawRecord(Path, serve::encodeMemoRecord(Entries[1].first, Invalid));
+  appendRawRecord(Path,
+                  serve::encodeMemoRecord(Entries[0].first, Entries[0].second));
+  auto Svc = serve::Service::create(Opts, &Error);
+  ASSERT_TRUE(Svc) << Error;
+  EXPECT_EQ(Svc->warmedMemoEntries(), 1u);
+  EXPECT_EQ(Svc->memoEntries(), 1u);
+  EXPECT_EQ(Svc->store()->stats().CorruptRecordsDropped, 1u);
+  EXPECT_GT(Svc->store()->stats().TornBytesDropped, 0u);
+  EXPECT_EQ(readFileBytes(Path).size(), GoodSize);
+  // Opened without a decoder, the store keeps memo records unread.
+  Svc.reset();
+  auto Plain = fdd::CacheStore::open(Path, &Error);
+  ASSERT_TRUE(Plain) << Error;
+  EXPECT_EQ(Plain->stats().LiveRecords, 1u);
+  EXPECT_EQ(Plain->stats().TornBytesDropped, 0u);
+  std::remove(Path.c_str());
+}
+
+TEST(Service, RestartAnswersLintAndSlicedQueriesFromTheStore) {
+  std::string Path = tempPath("memo_restart");
+  serve::Service::Options Opts;
+  Opts.StorePath = Path;
+  const std::string Lines[] = {
+      lintRequest(MemoProgram, "a.pnk"),
+      slicedQuery("delivery", "exact"),
+      slicedQuery("hop-stats", "exact"),
+      slicedQuery("delivery", "direct"),
+  };
+  std::vector<std::string> Cold;
+  std::string Error;
+  {
+    auto Svc = serve::Service::create(Opts, &Error);
+    ASSERT_TRUE(Svc) << Error;
+    EXPECT_EQ(Svc->warmedMemoEntries(), 0u);
+    serve::Session S(*Svc);
+    for (const std::string &Line : Lines)
+      Cold.push_back(S.handleLine(Line));
+    EXPECT_EQ(memoStat(S, "misses"), 4);
+  }
+  auto Svc = serve::Service::create(Opts, &Error);
+  ASSERT_TRUE(Svc) << Error;
+  EXPECT_EQ(Svc->warmedMemoEntries(), 4u);
+  serve::Session S(*Svc);
+  for (std::size_t I = 0; I < 4; ++I)
+    EXPECT_EQ(S.handleLine(Lines[I]), Cold[I]) << Lines[I];
+  // The stored findings take the new request's label.
+  serve::Json First, Relabelled;
+  ASSERT_TRUE(serve::parseJson(Cold[0], First, nullptr));
+  Relabelled = roundTrip(S, lintRequest(MemoProgram, "b.pnk"));
+  ASSERT_TRUE(okOf(Relabelled)) << Relabelled.dump();
+  serve::Json Findings = *First.find("findings");
+  ASSERT_FALSE(Findings.elements().empty());
+  serve::Json Want = serve::Json::array();
+  for (serve::Json F : Findings.elements()) {
+    F.set("file", serve::Json::string("b.pnk"));
+    Want.push(std::move(F));
+  }
+  EXPECT_EQ(Relabelled.find("findings")->dump(), Want.dump());
+  // No lint or slice ran and nothing was appended.
+  EXPECT_EQ(memoStat(S, "misses"), 0);
+  EXPECT_EQ(memoStat(S, "hits"), 5);
+  EXPECT_EQ(Svc->store()->stats().Appends, 0u);
+  EXPECT_EQ(Svc->sliceRequests(), 3u);
+  std::remove(Path.c_str());
+}
+
 //===----------------------------------------------------------------------===//
 // Concurrent sessions (the TSan target)
 //===----------------------------------------------------------------------===//
@@ -1127,6 +1462,54 @@ TEST(Service, ConcurrentSessionsShareTheFrontEndMemo) {
   // Racing sessions can each miss a key before the first insert lands,
   // but every repeat after that hits.
   EXPECT_GE(Svc->memoHits(), uint64_t{NumThreads} * (Rounds - 1) * 4);
+}
+
+TEST(Service, ConcurrentSessionsShareTheRestoredMemo) {
+  // A cold service fills the store; after a restart four sessions send
+  // the same lint and sliced requests at once. Every answer comes from the
+  // warmed memo, byte-identical to the cold one, and nothing is appended.
+  std::string Path = tempPath("memo_concurrent");
+  serve::Service::Options Opts;
+  Opts.StorePath = Path;
+  const std::string Lines[] = {
+      lintRequest(MemoProgram, "c.pnk"),
+      slicedQuery("delivery", "exact"),
+      slicedQuery("hop-stats", "exact"),
+      slicedQuery("delivery", "iterative"),
+  };
+  std::vector<std::string> Want;
+  std::string Error;
+  {
+    auto Cold = serve::Service::create(Opts, &Error);
+    ASSERT_TRUE(Cold) << Error;
+    serve::Session S(*Cold);
+    for (const std::string &Line : Lines)
+      Want.push_back(S.handleLine(Line));
+  }
+
+  auto Svc = serve::Service::create(Opts, &Error);
+  ASSERT_TRUE(Svc) << Error;
+  constexpr unsigned NumThreads = 4;
+  constexpr unsigned Rounds = 5;
+  std::atomic<unsigned> Failures{0};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T < NumThreads; ++T) {
+    Threads.emplace_back([&] {
+      serve::Session S(*Svc);
+      for (unsigned I = 0; I < Rounds; ++I)
+        for (std::size_t L = 0; L < 4; ++L)
+          if (S.handleLine(Lines[L]) != Want[L])
+            ++Failures;
+    });
+  }
+  for (std::thread &T : Threads)
+    T.join();
+  EXPECT_EQ(Failures.load(), 0u);
+  EXPECT_EQ(Svc->errors(), 0u);
+  EXPECT_EQ(Svc->memoMisses(), 0u);
+  EXPECT_EQ(Svc->memoHits(), uint64_t{NumThreads} * Rounds * 4);
+  EXPECT_EQ(Svc->store()->stats().Appends, 0u);
+  std::remove(Path.c_str());
 }
 
 TEST(TcpServer, ServesLoopbackClients) {
